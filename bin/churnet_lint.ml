@@ -12,7 +12,7 @@
 module Lint_engine = Churnet_util.Lint_engine
 module Lint_rules = Churnet_util.Lint_rules
 
-let default_paths = [ "lib"; "bin"; "test"; "bench"; "examples" ]
+let default_paths = [ "lib"; "bin"; "test"; "examples" ]
 
 let usage =
   "churnet-lint [--root DIR] [--baseline FILE] [--json FILE] \
@@ -74,7 +74,7 @@ let () =
         let found = List.filter exists default_paths in
         if found = [] then begin
           prerr_endline
-            "churnet-lint: no paths given and none of lib/ bin/ test/ bench/ \
+            "churnet-lint: no paths given and none of lib/ bin/ test/ \
              examples/ exist here";
           exit 2
         end

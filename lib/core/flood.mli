@@ -41,9 +41,10 @@ val expand_informed :
     bitset over node ids) every alive node adjacent to an informed node.
     [scratch] is cleared and reused as staging space; the call allocates
     only when the informed bitset must grow.  Callers must keep
-    [informed] pruned to alive ids (see {!run_custom}).  Exposed as the
-    reference kernel for the benchmarks; the drivers use
-    {!expand_informed_frontier}. *)
+    [informed] pruned to alive ids (see {!run_custom}).  The
+    synchronous driver uses it in the rounds where it is cheaper than
+    {!expand_informed_frontier}; tests use it as that kernel's
+    reference. *)
 
 val expand_informed_frontier :
   Churnet_graph.Dyngraph.t ->
@@ -60,23 +61,6 @@ val expand_informed_frontier :
     with exactly one informed endpoint re-arms that endpoint into
     [frontier] (the synchronous driver does this from the graph's edge
     hook). *)
-
-val expand_informed_auto :
-  Churnet_graph.Dyngraph.t ->
-  Churnet_util.Bitset.t ->
-  Churnet_util.Bitset.t ->
-  Churnet_util.Intvec.t ->
-  unit
-(** [expand_informed_auto graph informed frontier scratch]: one
-    synchronous hop through whichever of {!expand_informed_frontier} and
-    {!expand_informed} a per-round cost model predicts is cheaper (the
-    frontier in sparse and near-complete rounds, the two-sided rescan in
-    the crossover rounds where the frontier spans much of the graph).
-    Both kernels inform identical sets, so the choice is unobservable in
-    results — only in speed.  After a rescan round the frontier is
-    rebuilt as exactly the newly informed nodes, so the invariant of
-    {!expand_informed_frontier} carries over.  This is the hop the
-    synchronous driver ({!sync_round}) uses. *)
 
 (** {1 Resumable flooding state}
 
@@ -114,10 +98,11 @@ val sync_round :
   state ->
   unit
 (** One synchronous flooding round (Definition 3.3): adaptive expand
-    ({!expand_informed_auto}), churn, prune, log, then test
-    completion/extinction.  During [step] the graph's edge hook is
-    temporarily chained (and restored after) to keep the frontier
-    invariant of {!expand_informed_frontier}; the result is
+    (per round, whichever of {!expand_informed_frontier} and
+    {!expand_informed} a cost model predicts is cheaper), churn, prune,
+    log, then test completion/extinction.  During [step] the graph's
+    edge hook is temporarily chained (and restored after) to keep the
+    frontier invariant of {!expand_informed_frontier}; the result is
     byte-identical to a full rescan per hop, only faster. *)
 
 val poisson_start : max_rounds:int -> Poisson_model.t -> state

@@ -2,7 +2,7 @@
     around one experiment run, plus the run configuration (seed, scale,
     domain count) so a serialized report is self-describing.  This is
     what turns a report into a point on the perf trajectory — the
-    BENCH_*.json files diffable across commits. *)
+    [churnet-report/1] files diffable across commits. *)
 
 type ckpt = {
   units_stored : int;  (** work units journaled during the run *)

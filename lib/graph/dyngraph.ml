@@ -53,6 +53,7 @@ type t = {
 }
 
 let initial_cap = 256
+let initial_window = 1024
 
 let create ~rng ~d ~regenerate () =
   if d <= 0 then invalid_arg "Dyngraph.create: d must be positive";
@@ -73,7 +74,7 @@ let create ~rng ~d ~regenerate () =
     oldest_slot = -1;
     youngest_slot = -1;
     base = 0;
-    slot_of_id = Array.make 1024 (-1);
+    slot_of_id = Array.make initial_window (-1);
     alive = Array.make 1024 (-1);
     alive_len = 0;
     next_id = 0;
@@ -102,22 +103,21 @@ let get_slot t id =
   if s < 0 then invalid_arg (Printf.sprintf "Dyngraph: node %d is not alive" id);
   s
 
+(* [a] copied into the front of a fresh [len]-cell array, rest [fill]. *)
+let extend a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow_arena t =
   let old_cap = t.cap in
   let cap = 2 * old_cap in
-  let grow a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 old_cap;
-    b
-  in
-  t.id_of_slot <- grow t.id_of_slot (-1);
-  t.birth_of_slot <- grow t.birth_of_slot 0;
-  t.alive_pos <- grow t.alive_pos (-1);
-  t.prev_slot <- grow t.prev_slot (-1);
-  t.next_slot <- grow t.next_slot (-1);
-  let out = Array.make (cap * t.d) (-1) in
-  Array.blit t.out 0 out 0 (old_cap * t.d);
-  t.out <- out;
+  t.id_of_slot <- extend t.id_of_slot cap (-1);
+  t.birth_of_slot <- extend t.birth_of_slot cap 0;
+  t.alive_pos <- extend t.alive_pos cap (-1);
+  t.prev_slot <- extend t.prev_slot cap (-1);
+  t.next_slot <- extend t.next_slot cap (-1);
+  t.out <- extend t.out (cap * t.d) (-1);
   let inn = Array.make cap t.in_edges.(0) in
   Array.blit t.in_edges 0 inn 0 old_cap;
   for s = old_cap to cap - 1 do
@@ -163,11 +163,8 @@ let ensure_id_window t id =
   end
 
 let alive_push t id s =
-  if t.alive_len = Array.length t.alive then begin
-    let bigger = Array.make (2 * t.alive_len) (-1) in
-    Array.blit t.alive 0 bigger 0 t.alive_len;
-    t.alive <- bigger
-  end;
+  if t.alive_len = Array.length t.alive then
+    t.alive <- extend t.alive (2 * t.alive_len) (-1);
   t.alive.(t.alive_len) <- id;
   t.alive_pos.(s) <- t.alive_len;
   t.alive_len <- t.alive_len + 1
@@ -699,26 +696,29 @@ let check_invariants t =
   in
   iter_alive t (fun id ->
       let s = slot_of t id in
-      let row = s * t.d in
-      for i = 0 to t.d - 1 do
-        let target = t.out.(row + i) in
-        if target >= 0 then begin
-          if target = id then fail "self-loop at node %d" id;
-          let ts = slot_of t target in
-          if ts < 0 then fail "node %d has slot to dead node %d" id target
-          else if count_in ts id <> count_row s target then
-            fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
-              (count_row s target) (count_in ts id)
-        end
-      done;
-      Intvec.iter
-        (fun src ->
-          let ss = slot_of t src in
-          if ss < 0 then fail "in-edge from dead node %d at %d" src id
-          else if count_row ss id <> count_in s src then
-            fail "multiplicity mismatch %d->%d: slots %d, recorded %d" src id
-              (count_row ss id) (count_in s src))
-        t.in_edges.(s));
+      (* an unmapped alive node was reported above *)
+      if s >= 0 then begin
+        let row = s * t.d in
+        for i = 0 to t.d - 1 do
+          let target = t.out.(row + i) in
+          if target >= 0 then begin
+            if target = id then fail "self-loop at node %d" id;
+            let ts = slot_of t target in
+            if ts < 0 then fail "node %d has slot to dead node %d" id target
+            else if count_in ts id <> count_row s target then
+              fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
+                (count_row s target) (count_in ts id)
+          end
+        done;
+        Intvec.iter
+          (fun src ->
+            let ss = slot_of t src in
+            if ss < 0 then fail "in-edge from dead node %d at %d" src id
+            else if count_row ss id <> count_in s src then
+              fail "multiplicity mismatch %d->%d: slots %d, recorded %d" src id
+                (count_row ss id) (count_in s src))
+          t.in_edges.(s)
+      end);
   match !err with None -> Ok () | Some e -> Error e
 
 (* ------------------------------------------------------------------ *)
@@ -770,52 +770,79 @@ let encode w t =
 
 let decode r =
   let fail msg = raise (Codec.Error ("Dyngraph.decode: " ^ msg)) in
+  (* Damaged input must raise [Codec.Error], never index out of bounds
+     or allocate absurdly: every count is checked against the bytes left
+     before it sizes an array, the serialized prefixes are read first,
+     every slot and id in them is range-checked, and the arena's spare
+     capacity is added only after that. *)
   let d = Codec.read_varint r in
   if d <= 0 then fail "non-positive degree";
   let regenerate = Codec.read_bool r in
   let rng = Prng.decode r in
   let cap = Codec.read_varint r in
   let used = Codec.read_varint r in
-  if cap < 1 || used < 0 || used > cap then fail "bad arena bounds";
+  (* [cap] starts at [initial_cap] and doubles only once every slot is used *)
+  if
+    used < 0
+    || used > Codec.remaining r
+    || cap < initial_cap
+    || cap > max initial_cap (2 * used)
+    || d > Sys.max_array_length / cap
+    || (used > 0 && d > Codec.remaining r / used)
+  then fail "bad arena bounds";
   let free = Intvec.decode r in
-  let prefix fill =
-    let a = Array.make cap fill in
-    for s = 0 to used - 1 do
-      a.(s) <- Codec.read_varint r
-    done;
-    a
-  in
-  let id_of_slot = prefix (-1) in
-  let birth_of_slot = prefix 0 in
-  let alive_pos = prefix (-1) in
-  let prev_slot = prefix (-1) in
-  let next_slot = prefix (-1) in
-  let out = Array.make (cap * d) (-1) in
-  for i = 0 to (used * d) - 1 do
-    out.(i) <- Codec.read_varint r
-  done;
-  let in_edges =
-    Array.init cap (fun s ->
-        if s < used then Intvec.decode r else Intvec.create ~capacity:4 ())
-  in
+  let read_ints len = Array.init len (fun _ -> Codec.read_varint r) in
+  let id_of_slot = read_ints used in
+  let birth_of_slot = read_ints used in
+  let alive_pos = read_ints used in
+  let prev_slot = read_ints used in
+  let next_slot = read_ints used in
+  let out = read_ints (used * d) in
+  let in_edges = Array.init used (fun _ -> Intvec.decode r) in
   let oldest_slot = Codec.read_varint r in
   let youngest_slot = Codec.read_varint r in
   let base = Codec.read_varint r in
   let window_len = Codec.read_varint r in
   let window = Codec.read_varint r in
-  if window_len < 1 || window < 0 || window > window_len then fail "bad id window";
-  let slot_of_id = Array.make window_len (-1) in
-  for i = 0 to window - 1 do
-    slot_of_id.(i) <- Codec.read_varint r
-  done;
+  if base < 0 || window < 0 || window > Codec.remaining r then fail "bad id window";
+  let slot_of_id = read_ints window in
   let alive_len = Codec.read_varint r in
   if alive_len < 0 || alive_len > used then fail "bad alive count";
-  let alive = Array.make (max 1024 alive_len) (-1) in
-  for i = 0 to alive_len - 1 do
-    alive.(i) <- Codec.read_varint r
-  done;
+  let alive = read_ints alive_len in
   let next_id = Codec.read_varint r in
   if next_id < base || next_id - base <> window then fail "id window out of sync";
+  (* the window starts at [initial_window] cells and only ever doubles
+     to fewer than 4 * next_id *)
+  if
+    window_len < max initial_window window
+    || window_len > max initial_window (4 * next_id)
+  then fail "bad id window";
+  let check what lo hi v =
+    if v < lo || v >= hi then fail (Printf.sprintf "%s %d out of range" what v)
+  in
+  Intvec.iter (check "free slot" 0 used) free;
+  Array.iter (check "slot owner" (-1) next_id) id_of_slot;
+  Array.iter (check "alive position" (-1) alive_len) alive_pos;
+  Array.iter (check "birth-list link" (-1) used) prev_slot;
+  Array.iter (check "birth-list link" (-1) used) next_slot;
+  Array.iter (check "out-slot target" (-1) next_id) out;
+  Array.iter (Intvec.iter (check "in-edge source" 0 next_id)) in_edges;
+  check "oldest slot" (-1) used oldest_slot;
+  check "youngest slot" (-1) used youngest_slot;
+  Array.iter (check "id-window slot" (-1) used) slot_of_id;
+  Array.iter (check "alive id" base next_id) alive;
+  let id_of_slot = extend id_of_slot cap (-1) in
+  let birth_of_slot = extend birth_of_slot cap 0 in
+  let alive_pos = extend alive_pos cap (-1) in
+  let prev_slot = extend prev_slot cap (-1) in
+  let next_slot = extend next_slot cap (-1) in
+  let out = extend out (cap * d) (-1) in
+  let in_edges =
+    Array.init cap (fun s ->
+        if s < used then in_edges.(s) else Intvec.create ~capacity:4 ())
+  in
+  let slot_of_id = extend slot_of_id window_len (-1) in
+  let alive = extend alive (max 1024 alive_len) (-1) in
   let t =
     {
       d;

@@ -177,5 +177,6 @@ val encode : Churnet_util.Codec.writer -> t -> unit
 
 val decode : Churnet_util.Codec.reader -> t
 (** Rebuild a graph that continues bit-identically to the encoded one.
-    Runs {!check_invariants} and raises [Churnet_util.Codec.Error] on
-    structurally inconsistent input. *)
+    Total: any malformed input — a size the remaining bytes cannot back,
+    an out-of-range slot or id, or a failed {!check_invariants} — raises
+    [Churnet_util.Codec.Error]. *)

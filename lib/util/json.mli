@@ -1,6 +1,6 @@
 (** Dependency-free JSON values: a writer (compact and pretty) plus a
     small recursive-descent parser, used by the observability layer
-    (report/telemetry serialization, BENCH_*.json trajectories).
+    (report/telemetry serialization, sweep trajectories).
 
     Non-finite floats have no JSON representation; the writer emits
     [null] for nan/inf, so numeric fields that may be undefined parse

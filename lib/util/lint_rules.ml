@@ -225,9 +225,6 @@ let no_wildcard_exn =
 (* no-wallclock                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let wallclock_allowed path =
-  path = "lib/experiments/telemetry.ml" || under "bench" path
-
 let wallclock_calls =
   [ ("Unix", "gettimeofday"); ("Unix", "time"); ("Sys", "time") ]
 
@@ -236,12 +233,12 @@ let no_wallclock =
   {
     name;
     doc =
-      "wall-clock reads belong in lib/experiments/telemetry.ml and bench/ \
-       only; simulation results must not observe real time";
+      "wall-clock reads belong in lib/experiments/telemetry.ml only; \
+       simulation results must not observe real time";
     check =
       File
         (fun ctx ->
-          if wallclock_allowed ctx.path then []
+          if ctx.path = "lib/experiments/telemetry.ml" then []
           else
             scan_tokens ctx (fun tks i ->
                 let here = (tok tks i, tok tks (i + 2)) in

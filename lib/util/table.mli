@@ -1,5 +1,5 @@
 (** Plain-text table rendering for experiment reports, plus CSV output.
-    Every bench/experiment prints its "paper vs measured" rows through
+    Every experiment prints its "paper vs measured" rows through
     this module so the output is uniform and machine-greppable. *)
 
 type t

@@ -2,7 +2,8 @@
    integrity (schema, length, CRC), and a state round-trip for every
    serialized module — PRNG, Intvec, Bitset, the graph arena (including
    a populated free list and a slid id window), the Poisson churn clock,
-   both models, and the in-flight Flood and Onion states.
+   both models, and the in-flight Flood and Onion states — plus decode
+   totality: damaged model bytes decode or raise [Codec.Error].
 
    The strongest check used throughout is re-encode byte equality:
    [decode] then [encode] must reproduce the exact bytes, so nothing is
@@ -301,6 +302,43 @@ let test_models_dispatch () =
       Codec.u8 w 9;
       Models.decode (Codec.reader (Codec.contents w)))
 
+(* Decoding is total: a damaged payload of any model kind either
+   decodes or raises [Codec.Error] — never an out-of-bounds index or any
+   other exception.  The frame CRC normally stops such bytes first; this
+   pins the decoder's own range checks behind it. *)
+let warmed_model_bytes =
+  List.map
+    (fun kind ->
+      let m = Models.create ~rng:(Prng.create 34) kind ~n:40 ~d:3 in
+      Models.warm_up m;
+      Models.advance m 25;
+      model_bytes m)
+    Models.all_kinds
+
+let damaged_encoding =
+  let open QCheck.Gen in
+  let* bytes = oneofl warmed_model_bytes in
+  let len = String.length bytes in
+  let mutate =
+    let+ edits = list_size (int_range 1 3) (pair (int_bound (len - 1)) (int_bound 255)) in
+    let b = Bytes.of_string bytes in
+    List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
+    Bytes.to_string b
+  in
+  let truncate =
+    let+ k = int_bound (len - 1) in
+    String.sub bytes 0 k
+  in
+  frequency [ (4, mutate); (1, truncate) ]
+
+let decode_total_prop =
+  QCheck.Test.make ~name:"models decode damaged bytes or raise Codec.Error" ~count:10000
+    (QCheck.make ~print:String.escaped damaged_encoding)
+    (fun bytes ->
+      match Models.decode (Codec.reader bytes) with
+      | _ -> true
+      | exception Codec.Error _ -> true)
+
 (* --- in-flight Flood state --- *)
 
 let flood_state_bytes st = encode_bytes Flood.encode_state st
@@ -490,6 +528,7 @@ let qcheck_props =
     QCheck.Test.make ~name:"int_array round-trips" ~count:100
       QCheck.(array small_signed_int)
       (fun a -> roundtrip Codec.int_array Codec.read_int_array a = a);
+    decode_total_prop;
   ]
 
 let suite =

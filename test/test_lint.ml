@@ -250,8 +250,6 @@ let test_wallclock () =
     (rules_fired "no-wallclock" ~path:"lib/core/fake.ml" bad);
   check_int "telemetry exempt" 0
     (rules_fired "no-wallclock" ~path:"lib/experiments/telemetry.ml" bad);
-  check_int "bench exempt" 0
-    (rules_fired "no-wallclock" ~path:"bench/fake.ml" bad);
   let bad2 = "let t = Sys.time ()" in
   check_int "Sys.time caught" 1
     (rules_fired "no-wallclock" ~path:"lib/core/fake.ml" bad2);
@@ -339,11 +337,11 @@ let test_prng_flow_clean_threading () =
        (run_project_rule "prng-flow"
           ~units:[ ("lib/core/trial.ml", src) ]
           ~interfaces:[]));
-  (* Outside lib/ the rule does not apply (bench may pin seeds). *)
+  (* Outside lib/ the rule does not apply (examples may pin seeds). *)
   let bad = "let rng = Prng.create 0x1\nlet go () = Prng.int rng 2\n" in
-  check_int "bench exempt" 0
+  check_int "examples exempt" 0
     (List.length
-       (run_project_rule "prng-flow" ~units:[ ("bench/fake.ml", bad) ]
+       (run_project_rule "prng-flow" ~units:[ ("examples/fake.ml", bad) ]
           ~interfaces:[]))
 
 let test_no_io_transitive () =

@@ -175,9 +175,7 @@ let test_selfhost_sweep () =
      the dune deps materialize the source trees as siblings; under
      [dune exec] from the project root they are direct children. *)
   let prefix = if Sys.file_exists "../lib" then ".." else "." in
-  let roots =
-    List.map (Filename.concat prefix) [ "lib"; "bin"; "bench" ]
-  in
+  let roots = List.map (Filename.concat prefix) [ "lib"; "bin" ] in
   let files = List.concat_map ml_files_under roots in
   check_bool
     (Printf.sprintf "sweep found a real source tree (%d files)"

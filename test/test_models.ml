@@ -261,3 +261,134 @@ let suite =
       ("advance poisson time", `Quick, test_advance_poisson_time_units);
       ("advance streaming rounds", `Quick, test_advance_streaming_rounds);
     ]
+
+(* --- Exact population laws of Poisson churn ---
+
+   Poisson churn is an M/M/inf queue (arrival rate 1, per-node death
+   rate 1/n) started empty, so two population laws are exact:
+   - at a fixed time t the population is Poisson(n (1 - e^{-t/n}));
+   - after a fixed number of jumps it follows the jump chain's law
+     from state 0, computed here by forward iteration.  The chain moves
+     by +-1, so after an even number of jumps the population is even;
+     after the 12 n jumps of [warm_up] the law is within 1% total
+     variation of the chain's stationary law, the size-biased
+     Poisson(n)(k) (1 + k/n) folded onto the even states, whose mean is
+     n + 1/2 — not Poisson(n).
+   Each fixed-seed sample is checked against its exact pmf by a
+   chi-square goodness-of-fit test and by its mean. *)
+
+module Dist = Churnet_util.Dist
+
+let population_sample ~seed ~reps ~n run =
+  let master = Prng.create seed in
+  Array.init reps (fun _ ->
+      let m =
+        Poisson_model.create ~rng:(Prng.split master) ~n ~d:1 ~regenerate:false ()
+      in
+      run m;
+      Poisson_model.population m)
+
+let pmf_mean pmf = Array.fold_left ( +. ) 0. (Array.mapi (fun k p -> float_of_int k *. p) pmf)
+
+let pmf_variance pmf =
+  let mu = pmf_mean pmf in
+  Array.fold_left ( +. ) 0.
+    (Array.mapi (fun k p -> p *. ((float_of_int k -. mu) ** 2.)) pmf)
+
+(* Wilson-Hilferty z score of the chi-square statistic of [sample]
+   against [pmf]: adjacent states are pooled until each bin expects at
+   least 5 draws, and the mass beyond the array joins the last bin. *)
+let chi_square_z pmf sample =
+  let reps = float_of_int (Array.length sample) in
+  let top = Array.length pmf - 1 in
+  let counts = Array.make (top + 1) 0 in
+  Array.iter (fun k -> counts.(min k top) <- counts.(min k top) + 1) sample;
+  let bins = ref [] and e = ref 0. and o = ref 0 in
+  for k = 0 to top do
+    e := !e +. (reps *. pmf.(k));
+    o := !o + counts.(k);
+    if !e >= 5. then begin
+      bins := (!e, !o) :: !bins;
+      e := 0.;
+      o := 0
+    end
+  done;
+  let tail = !e +. (reps *. (1. -. Array.fold_left ( +. ) 0. pmf)) in
+  let bins =
+    match !bins with (e, o') :: rest -> (e +. tail, o' + !o) :: rest | [] -> []
+  in
+  let x2 =
+    List.fold_left
+      (fun acc (e, o) -> acc +. (((float_of_int o -. e) ** 2.) /. e))
+      0. bins
+  in
+  let df = float_of_int (List.length bins - 1) in
+  let h = 2. /. (9. *. df) in
+  (((x2 /. df) ** (1. /. 3.)) -. (1. -. h)) /. sqrt h
+
+let check_law name pmf sample =
+  let z = chi_square_z pmf sample in
+  check_bool (Printf.sprintf "%s: chi-square z = %.2f < 3.5" name z) true (z < 3.5);
+  let reps = float_of_int (Array.length sample) in
+  let mean = Array.fold_left (fun acc k -> acc +. float_of_int k) 0. sample /. reps in
+  let se = sqrt (pmf_variance pmf /. reps) in
+  check_bool
+    (Printf.sprintf "%s: mean %.3f within 4 SE (%.3f) of %.3f" name mean se
+       (pmf_mean pmf))
+    true
+    (Float.abs (mean -. pmf_mean pmf) < 4. *. se)
+
+let test_poisson_population_law_at_fixed_time () =
+  let n = 50 and t = 50. in
+  let lambda = float_of_int n *. (1. -. exp (-.t /. float_of_int n)) in
+  let pmf = Array.init (4 * n) (Dist.poisson_pmf lambda) in
+  let sample =
+    population_sample ~seed:0x3141 ~reps:40_000 ~n (fun m ->
+        Poisson_model.run_until_time m t)
+  in
+  check_law "population at t = n" pmf sample
+
+(* Law of the jump chain after [jumps] steps from the empty state. *)
+let jump_chain_law ~n ~jumps =
+  let top = 4 * n in
+  let p = ref (Array.init (top + 1) (fun k -> if k = 0 then 1. else 0.)) in
+  for _ = 1 to jumps do
+    let q = Array.make (top + 1) 0. in
+    Array.iteri
+      (fun k v ->
+        let birth = float_of_int n /. float_of_int (n + k) in
+        if k < top then q.(k + 1) <- q.(k + 1) +. (v *. birth);
+        if k > 0 then q.(k - 1) <- q.(k - 1) +. (v *. (1. -. birth)))
+      !p;
+    p := q
+  done;
+  !p
+
+let test_poisson_population_law_after_warm_up () =
+  let n = 50 in
+  let pmf = jump_chain_law ~n ~jumps:(12 * n) in
+  let folded =
+    Array.mapi
+      (fun k _ ->
+        if k mod 2 = 0 then
+          Dist.poisson_pmf (float_of_int n) k *. (1. +. (float_of_int k /. float_of_int n))
+        else 0.)
+      pmf
+  in
+  check_bool "stationary law has mean n + 1/2" true
+    (Float.abs (pmf_mean folded -. (float_of_int n +. 0.5)) < 1e-9);
+  let tv =
+    0.5 *. Array.fold_left ( +. ) 0. (Array.mapi (fun k p -> Float.abs (p -. folded.(k))) pmf)
+  in
+  check_bool (Printf.sprintf "12n jumps are mixed (TV %.4f)" tv) true (tv < 0.01);
+  let sample = population_sample ~seed:0x2718 ~reps:10_000 ~n Poisson_model.warm_up in
+  check_bool "population is even after 12n jumps" true
+    (Array.for_all (fun k -> k mod 2 = 0) sample);
+  check_law "population after warm_up" pmf sample
+
+let suite =
+  suite
+  @ [
+      ("poisson population law at fixed time", `Quick, test_poisson_population_law_at_fixed_time);
+      ("poisson population law after warm_up", `Quick, test_poisson_population_law_after_warm_up);
+    ]
