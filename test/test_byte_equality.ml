@@ -1,13 +1,15 @@
-(* Byte-equality harness for the graph-core swap.
+(* Byte-equality harness: every registry cell's smoke-scale report at
+   seed 42, plus a full record/replay event stream, pinned byte for byte.
 
-   The golden files under test/golden/ were rendered by the
-   hashtable-backed Dyngraph *before* the slot-arena rewrite, with the
-   regeneration draw order already canonicalized (in-neighbors ascending,
-   slots in index order — see Dyngraph.kill's doc).  The arena core must
-   consume the PRNG in exactly the same sequence, so every experiment
-   report and the full record/replay event stream must match those files
-   byte for byte.  Any drift here means the graph rewrite changed the
-   simulated trajectories, not just their cost.
+   The first six cell goldens (E1, E10, F4, F6, F8, F14) and the
+   record/replay stream were rendered by the hashtable-backed Dyngraph
+   *before* the slot-arena rewrite, with the regeneration draw order
+   already canonicalized (in-neighbors ascending, slots in index order —
+   see Dyngraph.kill's doc); the other cells were pinned later, before
+   the per-jump churn runner was folded into the batched one.  A
+   refactor must consume the PRNG in exactly the same sequence, so any
+   drift here means it changed the simulated trajectories, not just
+   their cost.
 
    Regenerating (only after an *intentional* behavior change):
      CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
@@ -20,7 +22,10 @@ module Scale = Churnet_experiments.Scale
 module Prng = Churnet_util.Prng
 
 let golden_seed = 42
-let experiment_ids = [ "E1"; "E10"; "F4"; "F6"; "F8"; "F14" ]
+
+(* Every registry cell is pinned: a new cell without a golden file fails
+   here until one is rendered. *)
+let experiment_ids = List.map (fun e -> e.Registry.id) Registry.all
 
 let experiment_render id =
   match Registry.find id with
