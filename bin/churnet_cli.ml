@@ -301,7 +301,7 @@ let fingerprint_cmd =
     | Some k ->
         let rng = Churnet_util.Prng.create seed in
         let m = Churnet_core.Models.create ~rng k ~n ~d in
-        Churnet_core.Models.warm_up m;
+        Churnet_core.Models.warm_up_batch m;
         let snap = Churnet_core.Models.snapshot m in
         let fp = Churnet_graph.Metrics.fingerprint ~rng snap in
         let table = Churnet_util.Table.create [ "metric"; "value" ] in
@@ -345,7 +345,7 @@ let flood_cmd =
     | Some k ->
         let rng = Churnet_util.Prng.create seed in
         let m = Churnet_core.Models.create ~rng k ~n ~d in
-        Churnet_core.Models.warm_up m;
+        Churnet_core.Models.warm_up_batch m;
         let tr = Churnet_core.Models.flood m in
         Printf.printf "flooding a %s network (n = %d, d = %d, seed %d)\n\n"
           (Churnet_core.Models.kind_name k) n d seed;

@@ -19,7 +19,7 @@ let () =
   List.iter
     (fun (kind, d) ->
       let m = Models.create ~rng:(Churnet_util.Prng.create 33) kind ~n ~d in
-      Models.warm_up m;
+      Models.warm_up_batch m;
       let snap = Models.snapshot m in
       let probe = Probe.probe ~rng:(Churnet_util.Prng.create 34) snap in
       let spectral = Spectral.analyze snap in

@@ -21,7 +21,7 @@ let () =
   in
   let flood_curve =
     let m = Models.create ~rng:(Churnet_util.Prng.create 5) Models.PDGR ~n ~d in
-    Models.warm_up m;
+    Models.warm_up_batch m;
     let tr = Models.flood m in
     curve_of_informed tr.Flood.informed_per_round tr.Flood.population_per_round
   in
@@ -29,7 +29,7 @@ let () =
     let rng = Churnet_util.Prng.create 5 in
     let grng = Churnet_util.Prng.split rng in
     let m = Models.create ~rng Models.PDGR ~n ~d in
-    Models.warm_up m;
+    Models.warm_up_batch m;
     let tr = Gossip.run ~rng:grng ~strategy m in
     ( curve_of_informed tr.Gossip.informed_per_round tr.Gossip.population_per_round,
       tr.Gossip.completion_round,

@@ -13,7 +13,7 @@ let run_at ~d ~n ~seed =
     (fun kind ->
       let rng = Churnet_util.Prng.create seed in
       let model = Models.create ~rng kind ~n ~d in
-      Models.warm_up model;
+      Models.warm_up_batch model;
       let snapshot = Models.snapshot model in
       let isolated = List.length (Churnet_graph.Snapshot.isolated snapshot) in
       let trace = Models.flood ~max_rounds:60 model in

@@ -62,8 +62,9 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
     if birth then t.births <- t.births + 1 else t.deaths <- t.deaths + 1;
     (* [t.time] here equals the caller's clock plus this jump's [dt] (both
        accumulate the same dts by the same additions in the same order),
-       so this comparison is bitwise the one [Poisson_model.run_until_time]
-       makes before executing a pre-drawn jump. *)
+       so this comparison is bitwise the one a [Poisson_model.step] loop
+       makes against [next_jump_time]: a batch stops exactly where
+       stepping one jump at a time would. *)
     if t.time > deadline then begin
       pending := Some ((if birth then Birth else Death), dt);
       continue := false

@@ -354,18 +354,9 @@ let run_streaming ?max_rounds model =
    survived. *)
 
 let poisson_start ~max_rounds model =
-  let graph = Poisson_model.graph model in
-  (* Flood from the next newborn: advance jumps until a birth occurs. *)
-  let rec until_birth () =
-    let before = Dyngraph.alive_count graph in
-    Poisson_model.step model;
-    if Dyngraph.alive_count graph <= before then until_birth ()
-  in
-  until_birth ();
-  let source =
-    match Poisson_model.newest model with Some s -> s | None -> assert false
-  in
-  make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph)
+  (* Flood from the next newborn. *)
+  let source = Poisson_model.step_until_birth model in
+  make_state ~max_rounds ~source ~population:(Poisson_model.population model)
 
 let poisson_round model st =
   let graph = Poisson_model.graph model in
@@ -466,15 +457,7 @@ module Async = struct
       Option.value ~default:((8. *. log (float_of_int n)) +. 50.) max_time
     in
     let graph = Poisson_model.graph model in
-    let rec until_birth () =
-      let before = Dyngraph.alive_count graph in
-      Poisson_model.step model;
-      if Dyngraph.alive_count graph <= before then until_birth ()
-    in
-    until_birth ();
-    let source =
-      match Poisson_model.newest model with Some s -> s | None -> assert false
-    in
+    let source = Poisson_model.step_until_birth model in
     let t0 = Poisson_model.time model in
     let deadline = t0 +. max_time in
     let informed : (int, float) Hashtbl.t = Hashtbl.create 1024 in

@@ -26,15 +26,7 @@ let plant_source model =
   | Models.Streaming m ->
       Streaming_model.step m;
       Streaming_model.newest m
-  | Models.Poisson m ->
-      let graph = Poisson_model.graph m in
-      let rec until_birth () =
-        let before = Dyngraph.alive_count graph in
-        Poisson_model.step m;
-        if Dyngraph.alive_count graph <= before then until_birth ()
-      in
-      until_birth ();
-      (match Poisson_model.newest m with Some s -> s | None -> assert false)
+  | Models.Poisson m -> Poisson_model.step_until_birth m
 
 let advance_one_round model = Models.advance_batch model 1
 

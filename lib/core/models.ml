@@ -47,28 +47,18 @@ let graph = function
   | Streaming m -> Streaming_model.graph m
   | Poisson m -> Poisson_model.graph m
 
-let warm_up = function
-  | Streaming m -> Streaming_model.warm_up m
-  | Poisson m -> Poisson_model.warm_up m
-
 let snapshot = function
   | Streaming m -> Streaming_model.snapshot m
   | Poisson m -> Poisson_model.snapshot m
 
-let advance t k =
+let advance_batch t k =
   match t with
   | Streaming m -> Streaming_model.run m k
   | Poisson m -> Poisson_model.run_until_time m (Poisson_model.time m +. float_of_int k)
 
-let advance_batch t k =
-  match t with
-  | Streaming m -> Streaming_model.run m k
-  | Poisson m ->
-      Poisson_model.run_until_time_batched m (Poisson_model.time m +. float_of_int k)
-
 let warm_up_batch = function
   | Streaming m -> Streaming_model.warm_up m
-  | Poisson m -> Poisson_model.warm_up_batched m
+  | Poisson m -> Poisson_model.warm_up m
 
 let flood ?max_rounds t =
   match t with

@@ -30,24 +30,21 @@ val kind : t -> kind
 val n : t -> int
 val d : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
-val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t
 
-val advance : t -> int -> unit
-(** Advance churn: [k] rounds for streaming models, [k] time units for
-    Poisson models (so one unit of [advance] is one expected birth in
-    both time scales, matching the paper's normalization lambda = 1). *)
+(* The two runners keep their [_batch] names because the benchmark
+   driver calls them; there is no unbatched twin. *)
 
 val advance_batch : t -> int -> unit
-(** Same contract — and byte-identical resulting state — as {!advance},
-    but Poisson models take the batched hot path
-    ({!Poisson_model.run_until_time_batched}): a whole run of jumps is
-    pre-drawn from the churn PRNG and applied in one arena pass.
-    Streaming models already advance round-at-a-time and are unchanged.
-    Preferred at XL scale. *)
+(** Advance churn: [k] rounds for streaming models, [k] time units for
+    Poisson models (so one unit is one expected birth in both time
+    scales, matching the paper's normalization lambda = 1).  Poisson
+    models advance through {!Poisson_model.run_until_time}, which applies
+    a whole run of pre-drawn jumps in one arena pass. *)
 
 val warm_up_batch : t -> unit
-(** {!warm_up} through the batched path (byte-identical final state). *)
+(** Mix the model to stationarity: {!Streaming_model.warm_up} or
+    {!Poisson_model.warm_up}. *)
 
 val flood : ?max_rounds:int -> t -> Flood.trace
 (** Flooding in the model's native semantics: synchronous (Def 3.3) for

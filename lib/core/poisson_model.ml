@@ -14,7 +14,7 @@ type t = {
      executing the jump that crosses it. *)
   mutable pending : (Poisson_churn.decision * float) option;
   mutable time : float;
-  (* Scratch for the batched runners — not state (refilled per batch,
+  (* Scratch for the runners' batches — not state (refilled per batch,
      never serialized). *)
   batch_dec : Bytes.t;
   batch_dts : float array;
@@ -72,36 +72,17 @@ let next_jump_time t =
   let _, dt = draw_pending t in
   t.time +. dt
 
-let run_rounds t k =
-  for _ = 1 to k do
-    step t
-  done
-
-let run_until_time t deadline =
-  let continue = ref true in
-  while !continue do
-    let ((_, dt) as pending) = draw_pending t in
-    if t.time +. dt > deadline then continue := false else execute t pending
-  done
-
-let warm_up t = run_rounds t (12 * t.n)
-
-(* ------------------------------------------------------------------ *)
-(* Batched runners                                                     *)
-(* ------------------------------------------------------------------ *)
-
 (* The churn PRNG and the graph PRNG are independent streams (split at
    [create]), so a run of jumps can be drawn from the churn side first
    ([Poisson_churn.decide_batch], tracking the population incrementally)
    and only then applied to the arena in one pass
    ([Dyngraph.churn_batch]).  Both streams see exactly the draw sequence
-   of the per-jump interleave, [t.time] accumulates the same dts by the
-   same additions in the same order, and a run ends with the deadline-
-   crossing jump pending exactly as [run_until_time] leaves it — so the
-   batched and per-jump paths produce byte-identical encoded models (a
-   differential test asserts this).  What batching buys is constant
-   factor: no per-jump pending option, no per-call dispatch, and
-   [Dyngraph.churn_batch]'s cheaper birth path. *)
+   of a [step] loop, [t.time] accumulates the same dts by the same
+   additions in the same order, and a run ends with the deadline-crossing
+   jump pending exactly as a [step] loop would leave it — so the result
+   is byte-identical to stepping one jump at a time (a differential test
+   asserts this).  What batching buys is constant factor: no per-jump
+   pending option and no per-call dispatch. *)
 
 (* One drawn-and-applied batch.  Preconditions: [t.pending = None] and
    [t.time <= deadline].  Returns the number of jumps applied; on return
@@ -124,7 +105,7 @@ let run_batch t ~deadline ~limit =
   t.pending <- pending;
   count
 
-let run_until_time_batched t deadline =
+let run_until_time t deadline =
   let blocked =
     match t.pending with
     | None -> false
@@ -143,7 +124,7 @@ let run_until_time_batched t deadline =
     done
   end
 
-let run_rounds_batched t k =
+let run_rounds t k =
   let remaining = ref k in
   (* A pre-drawn pending jump is the next jump of the chain: executing it
      counts towards [k], exactly as [step] would. *)
@@ -157,13 +138,21 @@ let run_rounds_batched t k =
     remaining := !remaining - count
   done
 
-let warm_up_batched t = run_rounds_batched t (12 * t.n)
+let warm_up t = run_rounds t (12 * t.n)
 
 (* Ids are monotone with birth, so the youngest alive node — the arena's
    birth-list tail — is exactly the most recent surviving newborn.  This
    replaces a cached id whose invalidation forced an O(alive) rescan
    whenever the cached newborn had died. *)
 let newest t = Dyngraph.newest_alive t.graph
+
+(* After a birth the newborn is the youngest alive node. *)
+let rec step_until_birth t =
+  let ((decision, _) as jump) = draw_pending t in
+  execute t jump;
+  match (decision, newest t) with
+  | Poisson_churn.Birth, Some id -> id
+  | _ -> step_until_birth t
 
 let snapshot t = Dyngraph.snapshot t.graph
 

@@ -30,7 +30,9 @@ val time : t -> float
 val population : t -> int
 
 val step : t -> unit
-(** Execute one jump (birth or death). *)
+(** Execute one jump (birth or death).  Async flooding, isolated-node
+    lifetime watches and source planting move one jump at a time; bulk
+    advancing goes through {!run_until_time} / {!run_rounds}. *)
 
 val next_jump_time : t -> float
 (** Absolute time at which the next jump will occur.  Drawing is lazy and
@@ -38,33 +40,29 @@ val next_jump_time : t -> float
     Used by the asynchronous flooding simulator to interleave message
     deliveries with churn on the real line. *)
 
+val step_until_birth : t -> Churnet_graph.Dyngraph.node_id
+(** [step] until a jump is a birth; returns the newborn.  Floods and
+    gossip plant their source this way. *)
+
 val run_rounds : t -> int -> unit
+(** Execute exactly [k] jumps (a pre-drawn pending jump counts as the
+    first). *)
 
 val run_until_time : t -> float -> unit
 (** Execute jumps until continuous time reaches the given absolute value.
     The jump that crosses the deadline is {e not} executed (the clock
-    advances past it on the next [step]). *)
+    advances past it on the next [step]).
+
+    Both runners pre-draw jumps in bulk from the churn PRNG
+    ([Poisson_churn.decide_batch]) and apply them through a single arena
+    pass ([Dyngraph.churn_batch]).  The churn and graph PRNG streams are
+    independent by construction, so the result — PRNG streams included —
+    is byte-identical to calling {!step} once per jump. *)
 
 val warm_up : t -> unit
 (** Run [12 n] jumps: the population reaches its stationary band
     (Lemma 4.4 needs t >= 3n) and the age distribution mixes (about six
     mean lifetimes). *)
-
-val run_until_time_batched : t -> float -> unit
-(** Same contract — and byte-identical resulting state, PRNG streams
-    included — as {!run_until_time}, but jumps are pre-drawn in bulk from
-    the churn PRNG ([Poisson_churn.decide_batch]) and applied through a
-    single arena pass ([Dyngraph.churn_batch]).  The two PRNG streams are
-    independent by construction, which is what makes the reordering
-    invisible.  Several times faster at large [n]; preferred for the XL
-    tier. *)
-
-val run_rounds_batched : t -> int -> unit
-(** Batched {!run_rounds}: executes exactly [k] jumps (a pre-drawn
-    pending jump counts as the first), byte-identical final state. *)
-
-val warm_up_batched : t -> unit
-(** {!warm_up} through the batched path. *)
 
 val newest : t -> Churnet_graph.Dyngraph.node_id option
 (** The most recently born alive node, if any. *)

@@ -93,7 +93,7 @@ let f9 ~seed ~scale =
     let pm = Poisson_model.create ~rng:poisson_rng ~n ~d:4 ~regenerate:false () in
     Poisson_model.warm_up pm;
     (* extra mixing so the geometric tail is populated *)
-    Poisson_model.run_rounds_batched pm (6 * n);
+    Poisson_model.run_rounds pm (6 * n);
     let poisson_counts = Array.make slices 0 in
     let now = Poisson_model.round pm in
     Churnet_graph.Dyngraph.iter_alive (Poisson_model.graph pm) (fun id ->

@@ -24,7 +24,7 @@ let e13 ~seed ~scale =
   let results =
     Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
         let m = Poisson_model.create ~rng ~n ~d ~regenerate:false () in
-        Poisson_model.warm_up_batched m;
+        Poisson_model.warm_up m;
         let stats = Stream_stats.collect (Poisson_model.graph m) in
         let tr = Flood.run_poisson_discretized ~max_rounds:budget m in
         ( stats.Stream_stats.population,

@@ -1,6 +1,6 @@
 (** E13: the XL tier — the PDG at populations up to 10⁶ under live churn,
-    exercised through the batched churn path
-    ([Poisson_model.warm_up_batched]) and measured through
+    advanced by the churn runners' one-pass arena batches
+    ([Poisson_model.warm_up]) and measured through
     [Churnet_graph.Stream_stats] so no CSR snapshot is ever built.
     Re-checks Lemma 4.4 (stationary band), Lemma 4.10 (isolated nodes)
     and Theorems 4.12/4.13 (fast partial coverage) at scale. *)

@@ -221,7 +221,10 @@ let birth_unlink t s =
   t.next_slot.(s) <- -1
 
 (* Returns the slot only (the fresh id is [id_of_slot.(s)]): a tuple
-   return here would allocate on every churn jump. *)
+   return here would allocate on every churn jump.  The slot needs no
+   scrub: [kill] clears a slot before freeing it, [grow_arena] creates
+   cleared slots, and [check_invariants] rejects a decoded arena with a
+   dirty free slot. *)
 let begin_birth t ~birth =
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -230,8 +233,6 @@ let begin_birth t ~birth =
   t.slot_of_id.(id - t.base) <- s;
   t.id_of_slot.(s) <- id;
   t.birth_of_slot.(s) <- birth;
-  Array.fill t.out (s * t.d) t.d (-1);
-  Intvec.clear t.in_edges.(s);
   s
 
 let finish_birth t id s ~birth =
@@ -428,34 +429,12 @@ let kill t id =
    operations — and hence the draws they take from the graph PRNG — happen
    in batch order, exactly as the equivalent add_node/kill loop would make
    them, so the resulting arena (including its serialized bytes) is
-   identical.  What the batch path saves is per-jump overhead: [add_node]'s
-   call through [begin_birth] re-clears an out-row and in-edge list that
-   are already pristine ([kill] scrubs slots before recycling them, fresh
-   slots start cleared, and [check_invariants] enforces free-slot
-   cleanliness), which at scale is the dominant constant cost of a birth. *)
+   identical. *)
 let churn_batch t ~decisions ~count ~birth0 =
   if count < 0 || count > Bytes.length decisions then
     invalid_arg "Dyngraph.churn_batch: count out of range";
   for i = 0 to count - 1 do
-    if Bytes.get decisions i = '\000' then begin
-      let birth = birth0 + i in
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      let s = alloc_slot t in
-      ensure_id_window t id;
-      t.slot_of_id.(id - t.base) <- s;
-      t.id_of_slot.(s) <- id;
-      t.birth_of_slot.(s) <- birth;
-      let row = s * t.d in
-      for slot = 0 to t.d - 1 do
-        let target_id = random_alive_excluding t id in
-        if target_id >= 0 then begin
-          t.out.(row + slot) <- target_id;
-          Intvec.push t.in_edges.(slot_of t target_id) id
-        end
-      done;
-      ignore (finish_birth t id s ~birth)
-    end
+    if Bytes.get decisions i = '\000' then ignore (add_node t ~birth:(birth0 + i))
     else kill t (random_alive t)
   done
 

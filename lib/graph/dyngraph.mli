@@ -96,11 +96,9 @@ val churn_batch : t -> decisions:Bytes.t -> count:int -> birth0:int -> unit
     pre-drawn churn decisions in one arena pass: byte [i] of [decisions]
     births a node stamped [birth0 + i] when ['\000'], and otherwise kills
     a uniformly random alive node ({!kill} semantics, regeneration
-    included).  The graph PRNG draws happen in batch order, byte-identical
-    to the equivalent {!add_node} / {!kill} sequence — batching only
-    amortizes per-jump bookkeeping (redundant slot re-clearing, boxed
-    sampling).  Typically driven by [Poisson_churn.decide_batch], whose
-    decision bytes use the same encoding. *)
+    included) — exactly the equivalent {!add_node} / {!kill} sequence.
+    Typically driven by [Poisson_churn.decide_batch], whose decision
+    bytes use the same encoding. *)
 
 val alive_count : t -> int
 val is_alive : t -> node_id -> bool

@@ -138,28 +138,37 @@ let to_string t =
 let of_string s =
   let t = create () in
   let error = ref None in
+  (* id -> still alive, for every id born so far: a log starts from an
+     empty graph, so an id is born at most once and dies only while
+     alive. *)
+  let born : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let lines = String.split_on_char '\n' s in
   List.iteri
     (fun lineno line ->
       if !error = None && String.trim line <> "" then begin
         let fail () = error := Some (Printf.sprintf "line %d: %S" (lineno + 1) line) in
+        let add_birth id birth targets =
+          if Hashtbl.mem born id then fail ()
+          else begin
+            Hashtbl.replace born id true;
+            record t (Birth { id; birth; targets })
+          end
+        in
         match String.split_on_char ' ' (String.trim line) with
         | [ "B"; id; birth; targets ] -> (
             match (int_of_string_opt id, int_of_string_opt birth) with
-            | Some id, Some birth -> (
+            | Some id, Some b -> (
                 let parts =
                   if targets = "" then []
                   else String.split_on_char ',' targets
                 in
                 let parsed = List.map int_of_string_opt parts in
                 if List.exists (fun x -> x = None) parsed then fail ()
-                else
-                  record t
-                    (Birth { id; birth; targets = Array.of_list (List.map Option.get parsed) }))
+                else add_birth id b (Array.of_list (List.map Option.get parsed)))
             | _ -> fail ())
         | [ "B"; id; birth ] -> (
             match (int_of_string_opt id, int_of_string_opt birth) with
-            | Some id, Some birth -> record t (Birth { id; birth; targets = [||] })
+            | Some id, Some b -> add_birth id b [||]
             | _ -> fail ())
         | [ "E"; src; dst ] -> (
             match (int_of_string_opt src, int_of_string_opt dst) with
@@ -167,8 +176,10 @@ let of_string s =
             | _ -> fail ())
         | [ "D"; id ] -> (
             match int_of_string_opt id with
-            | Some id -> record t (Death { id })
-            | None -> fail ())
+            | Some id when Hashtbl.find_opt born id = Some true ->
+                Hashtbl.replace born id false;
+                record t (Death { id })
+            | _ -> fail ())
         | _ -> fail ()
       end)
     lines;

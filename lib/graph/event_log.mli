@@ -11,6 +11,10 @@
     rule 2), so the alive-edge set at any instant is exactly the set of
     logged edges whose endpoints are both still alive.
 
+    A log describes a run from an empty graph: {!replay} and
+    {!population_series} start from no nodes, so attach a log before the
+    graph's first birth.
+
     Note: attaching claims the graph's birth/edge/death hooks, so do not
     log a run while the asynchronous flooding simulator (which also uses
     the hooks) is active. *)
@@ -50,4 +54,7 @@ val to_string : t -> string
 (** Line-based format: [B id birth t1,t2,...], [E src dst], [D id]. *)
 
 val of_string : string -> (t, string) result
-(** Parse the {!to_string} format; reports the first offending line. *)
+(** Parse the {!to_string} format; reports the first offending line.
+    A line no run from an empty graph can produce is an error too: a [B]
+    for an id already born in the log, or a [D] for an id not alive at
+    that point. *)

@@ -291,7 +291,7 @@ let test_poisson_model_roundtrip () =
 
 let test_models_dispatch () =
   let s = Models.create ~rng:(Prng.create 33) Models.SDGR ~n:80 ~d:4 in
-  Models.warm_up s;
+  Models.warm_up_batch s;
   let s' = roundtrip Models.encode Models.decode s in
   check_string "kind preserved" (Models.kind_name (Models.kind s))
     (Models.kind_name (Models.kind s'));
@@ -310,8 +310,8 @@ let warmed_model_bytes =
   List.map
     (fun kind ->
       let m = Models.create ~rng:(Prng.create 34) kind ~n:40 ~d:3 in
-      Models.warm_up m;
-      Models.advance m 25;
+      Models.warm_up_batch m;
+      Models.advance_batch m 25;
       model_bytes m)
     Models.all_kinds
 

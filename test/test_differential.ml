@@ -107,9 +107,11 @@ let test_iter_neighbors_heavy_deaths () =
   check_bool "iterators agree after heavy deaths" true (iterators_agree g)
 
 (* --- Batched churn vs per-jump: byte-identical model evolution ------ *)
-(* The batched runners claim bit-identical state — PRNG streams, clock,
-   pending jump, topology.  The strongest possible assertion is equality
-   of the full checkpoint encoding, which serializes all of it. *)
+(* The runners apply pre-drawn batches of jumps but claim bit-identical
+   state to stepping one jump at a time — PRNG streams, clock, pending
+   jump, topology.  The reference below is that [step] loop; the
+   strongest possible assertion is equality of the full checkpoint
+   encoding, which serializes all of it. *)
 
 module Poisson_model = Churnet_core.Poisson_model
 module Codec = Churnet_util.Codec
@@ -122,41 +124,51 @@ let encoded m =
 let pm seed ~regenerate =
   Poisson_model.create ~rng:(Prng.create seed) ~n:300 ~d:3 ~regenerate ()
 
-let test_batched_run_rounds () =
+let step_rounds m k =
+  for _ = 1 to k do
+    Poisson_model.step m
+  done
+
+let step_until_time m deadline =
+  while Poisson_model.next_jump_time m <= deadline do
+    Poisson_model.step m
+  done
+
+let test_run_rounds_vs_step () =
   List.iter
     (fun regenerate ->
       let a = pm 7 ~regenerate and b = pm 7 ~regenerate in
-      Poisson_model.run_rounds a 9000;
-      Poisson_model.run_rounds_batched b 9000;
-      check_bool "run_rounds == run_rounds_batched" true (encoded a = encoded b))
+      step_rounds a 9000;
+      Poisson_model.run_rounds b 9000;
+      check_bool "step loop == run_rounds" true (encoded a = encoded b))
     [ false; true ]
 
-let test_batched_warm_up () =
+let test_warm_up_vs_step () =
   let a = pm 11 ~regenerate:true and b = pm 11 ~regenerate:true in
-  Poisson_model.warm_up a;
-  Poisson_model.warm_up_batched b;
-  check_bool "warm_up == warm_up_batched" true (encoded a = encoded b)
+  step_rounds a (12 * 300);
+  Poisson_model.warm_up b;
+  check_bool "step loop == warm_up" true (encoded a = encoded b)
 
-(* Interleave deadline runs with per-jump segments so the pending jump is
-   handed in both directions across the batched/per-jump boundary. *)
-let test_batched_run_until_time () =
+(* Interleave deadline runs with jump-count runs so the pending jump is
+   handed in both directions across the runners. *)
+let test_run_until_time_vs_step () =
   let a = pm 13 ~regenerate:false and b = pm 13 ~regenerate:false in
-  Poisson_model.warm_up a;
-  Poisson_model.warm_up_batched b;
+  step_rounds a (12 * 300);
+  Poisson_model.warm_up b;
   for k = 1 to 25 do
     let deadline = Poisson_model.time a +. (0.37 *. float_of_int k) in
-    Poisson_model.run_until_time a deadline;
-    Poisson_model.run_until_time_batched b deadline;
+    step_until_time a deadline;
+    Poisson_model.run_until_time b deadline;
     check_bool "deadline runs stay byte-identical" true (encoded a = encoded b);
-    Poisson_model.run_rounds a 13;
-    Poisson_model.run_rounds_batched b 13;
-    check_bool "per-jump after pending stays byte-identical" true (encoded a = encoded b)
+    step_rounds a 13;
+    Poisson_model.run_rounds b 13;
+    check_bool "jump counts after pending stay byte-identical" true (encoded a = encoded b)
   done;
-  (* A deadline below the next jump: both paths must draw (and keep) the
+  (* A deadline below the next jump: both must draw (and keep) the
      crossing jump without executing anything. *)
   let deadline = Poisson_model.time a in
-  Poisson_model.run_until_time a deadline;
-  Poisson_model.run_until_time_batched b deadline;
+  step_until_time a deadline;
+  Poisson_model.run_until_time b deadline;
   check_bool "no-op deadline stays byte-identical" true (encoded a = encoded b)
 
 (* --- Stream_stats vs Snapshot / Metrics ----------------------------- *)
@@ -217,7 +229,7 @@ let test_stream_stats_poisson () =
   List.iter
     (fun regenerate ->
       let m = pm 43 ~regenerate in
-      Poisson_model.warm_up_batched m;
+      Poisson_model.warm_up m;
       let g = Poisson_model.graph m in
       check_bool "stream stats on a warmed Poisson graph" true (stream_stats_agree g);
       check_bool "boundary/expansion on a warmed Poisson graph" true
@@ -252,9 +264,9 @@ let suite =
     ("heavy deaths", `Quick, test_heavy_deaths);
     ("iter_neighbors mixed churn", `Quick, test_iter_neighbors_mixed_script);
     ("iter_neighbors heavy deaths", `Quick, test_iter_neighbors_heavy_deaths);
-    ("batched run_rounds byte-identical", `Quick, test_batched_run_rounds);
-    ("batched warm_up byte-identical", `Quick, test_batched_warm_up);
-    ("batched run_until_time byte-identical", `Quick, test_batched_run_until_time);
+    ("batched run_rounds byte-identical", `Quick, test_run_rounds_vs_step);
+    ("batched warm_up byte-identical", `Quick, test_warm_up_vs_step);
+    ("batched run_until_time byte-identical", `Quick, test_run_until_time_vs_step);
     ("stream stats: empty graph", `Quick, test_stream_stats_empty);
     ("stream stats: churned graph", `Quick, test_stream_stats_churned);
     ("stream stats: warmed Poisson graph", `Quick, test_stream_stats_poisson);

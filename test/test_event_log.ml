@@ -93,6 +93,20 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short edge line should fail"
 
+(* Logs no run from an empty graph can produce: before they were
+   rejected, [population_series] and [replay] disagreed on each. *)
+let test_parse_impossible_logs () =
+  List.iter
+    (fun (text, bad_line) ->
+      match Event_log.of_string text with
+      | Error e ->
+          check_bool
+            (Printf.sprintf "%S names line %d" text bad_line)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "line %d:" bad_line) e)
+      | Ok _ -> Alcotest.failf "%S should be rejected" text)
+    [ ("D 5\n", 1); ("B 1 0\nB 1 0\n", 2); ("B 1 0\nD 1\nD 1\n", 3) ]
+
 let test_parse_empty_ok () =
   match Event_log.of_string "\n\n" with
   | Ok log -> check_int "empty" 0 (Event_log.length log)
@@ -163,6 +177,7 @@ let suite =
     ("serialize roundtrip", `Quick, test_roundtrip_serialization);
     ("parse errors", `Quick, test_parse_errors);
     ("parse empty", `Quick, test_parse_empty_ok);
+    ("parse rejects impossible logs", `Quick, test_parse_impossible_logs);
     ("clustering clique", `Quick, test_clustering_clique);
     ("clustering tree", `Quick, test_clustering_tree);
     ("clustering triangle+edge", `Quick, test_clustering_triangle_plus_edge);

@@ -14,7 +14,7 @@ let gossip_on kind ~strategy ~seed =
   let rng = Prng.create seed in
   let grng = Prng.split rng in
   let m = Models.create ~rng kind ~n:250 ~d:8 in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   Gossip.run ~rng:grng ~strategy m
 
 let test_gossip_push_pull_completes_sdgr () =
@@ -30,7 +30,7 @@ let test_gossip_push_pull_completes_pdgr () =
 let test_gossip_slower_than_flooding () =
   (* Gossip contacts one neighbor per round, so it cannot beat flooding. *)
   let m1 = Models.create ~rng:(Prng.create 3) Models.SDGR ~n:250 ~d:8 in
-  Models.warm_up m1;
+  Models.warm_up_batch m1;
   let flood_tr = Models.flood m1 in
   let gossip_tr = gossip_on Models.SDGR ~strategy:Gossip.Push ~seed:3 in
   match (flood_tr.completion_round, gossip_tr.completion_round) with
@@ -64,7 +64,7 @@ let test_gossip_strategy_names () =
 
 let gossip_seeded kind ~strategy ~model_seed ~gossip_seed ~n ~d =
   let m = Models.create ~rng:(Prng.create model_seed) kind ~n ~d in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   Gossip.run ~rng:(Prng.create gossip_seed) ~strategy m
 
 let test_gossip_deterministic () =
@@ -94,7 +94,7 @@ let test_gossip_trials_draw_distinct_randomness () =
   let traces =
     Churnet_util.Parallel.replicate ~domains:2 ~rng ~trials:8 (fun grng ->
         let m = Models.create ~rng:(Prng.create 123) Models.SDGR ~n:200 ~d:6 in
-        Models.warm_up m;
+        Models.warm_up_batch m;
         Gossip.run ~rng:grng ~strategy:Gossip.Push m)
   in
   let distinct =

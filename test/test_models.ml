@@ -173,10 +173,10 @@ let test_wrapper_dispatch () =
       check_bool "kind preserved" true (Models.kind m = k);
       check_int "n" 60 (Models.n m);
       check_int "d" 3 (Models.d m);
-      Models.warm_up m;
+      Models.warm_up_batch m;
       let pop = Dyngraph.alive_count (Models.graph m) in
       check_bool "population reasonable" true (pop > 30 && pop < 90);
-      Models.advance m 5;
+      Models.advance_batch m 5;
       let s = Models.snapshot m in
       check_bool "snapshot non-empty" true (Snapshot.n s > 0))
     Models.all_kinds
@@ -236,22 +236,22 @@ let suite =
 
 let test_advance_poisson_time_units () =
   let m = Models.create ~rng:(Prng.create 71) Models.PDGR ~n:200 ~d:4 in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   match m with
   | Models.Poisson pm ->
       let t0 = Poisson_model.time pm in
-      Models.advance m 7;
+      Models.advance_batch m 7;
       check_bool "advanced ~7 time units" true
         (Poisson_model.time pm >= t0 +. 6.0 && Poisson_model.time pm <= t0 +. 7.0)
   | Models.Streaming _ -> Alcotest.fail "expected a Poisson model"
 
 let test_advance_streaming_rounds () =
   let m = Models.create ~rng:(Prng.create 73) Models.SDGR ~n:100 ~d:3 in
-  Models.warm_up m;
+  Models.warm_up_batch m;
   match m with
   | Models.Streaming sm ->
       let r0 = Streaming_model.round sm in
-      Models.advance m 5;
+      Models.advance_batch m 5;
       check_int "advanced 5 rounds" (r0 + 5) (Streaming_model.round sm)
   | Models.Poisson _ -> Alcotest.fail "expected a streaming model"
 
@@ -392,3 +392,82 @@ let suite =
       ("poisson population law at fixed time", `Quick, test_poisson_population_law_at_fixed_time);
       ("poisson population law after warm_up", `Quick, test_poisson_population_law_after_warm_up);
     ]
+
+(* --- Exact SDGR slot destinations ---
+
+   In [Streaming_model.step] the round's death — and with it every
+   regeneration — happens before the round's birth.  At a fixed n, a
+   slot of a node of age a therefore points at the node of age b with
+   probability P.(a).(b):
+   - a newborn samples the n - 1 older nodes: P.(0).(b) = 1/(n-1);
+   - from age a to a + 1 every target ages by one, except the node of
+     age n - 1, which dies; its slot regenerates uniformly over the
+     n - 2 survivors other than the slot's owner (ages 1..n-1 minus
+     a + 1; the round's newborn is not yet born):
+       P.(a+1).(c) = P.(a).(c-1) + P.(a).(n-1)/(n-2)   (c <> a + 1).
+   For older targets (b > a >= 1) this solves to
+   (1/(n-2))(1+1/(n-2))^(a-1).  Lemma 3.14's (1/(n-1))(1+1/(n-1))^a
+   would be exact only if the newborn were a regeneration candidate. *)
+
+let sdgr_slot_law ~n =
+  let p = Array.make_matrix n n 0. in
+  for b = 1 to n - 1 do
+    p.(0).(b) <- 1. /. float_of_int (n - 1)
+  done;
+  for a = 0 to n - 2 do
+    let regen = p.(a).(n - 1) /. float_of_int (n - 2) in
+    for c = 1 to n - 1 do
+      if c <> a + 1 then p.(a + 1).(c) <- p.(a).(c - 1) +. regen
+    done
+  done;
+  p
+
+let test_sdgr_slot_destinations_exact () =
+  let n = 8 and snapshots = 50_000 in
+  let law = sdgr_slot_law ~n in
+  let q = 1. /. float_of_int (n - 2) in
+  Array.iteri
+    (fun a row ->
+      check_bool (Printf.sprintf "row %d sums to 1" a) true
+        (Float.abs (Array.fold_left ( +. ) 0. row -. 1.) < 1e-12);
+      for b = a + 1 to n - 1 do
+        if a >= 1 then
+          check_bool
+            (Printf.sprintf "older target (%d, %d) has the closed form" a b)
+            true
+            (Float.abs (row.(b) -. (q *. ((1. +. q) ** float_of_int (a - 1)))) < 1e-12)
+      done)
+    law;
+  (* Snapshots n rounds apart share no node; within one, each node's slot
+     drew for itself over a deterministic age schedule, so the age rows
+     are independent samples. *)
+  let m = Streaming_model.create ~rng:(Prng.create 0x5d6) ~n ~d:1 ~regenerate:true () in
+  Streaming_model.warm_up m;
+  let g = Streaming_model.graph m in
+  let samples = Array.make_matrix n snapshots 0 in
+  for k = 0 to snapshots - 1 do
+    Streaming_model.run m n;
+    Dyngraph.iter_alive g (fun id ->
+        samples.(Streaming_model.age_of m id).(k) <-
+          Streaming_model.age_of m (Dyngraph.out_slot g id 0))
+  done;
+  Array.iteri
+    (fun a row ->
+      let z = chi_square_z law.(a) row in
+      check_bool (Printf.sprintf "age %d row: chi-square z = %.2f < 3.5" a z) true (z < 3.5))
+    samples;
+  (* Lemma 3.14's closed form misses the oldest older target at a = n-2
+     by far more than sampling error. *)
+  let a = n - 2 and b = n - 1 in
+  let hits = Array.fold_left (fun acc t -> if t = b then acc + 1 else acc) 0 samples.(a) in
+  let freq = float_of_int hits /. float_of_int snapshots in
+  let r = 1. /. float_of_int (n - 1) in
+  let lemma = r *. ((1. +. r) ** float_of_int a) in
+  let se = sqrt (law.(a).(b) *. (1. -. law.(a).(b)) /. float_of_int snapshots) in
+  check_bool
+    (Printf.sprintf "Lemma 3.14 (%.4f) is > 10 SE from the measured %.4f" lemma freq)
+    true
+    (Float.abs (freq -. lemma) > 10. *. se)
+
+let suite =
+  suite @ [ ("SDGR slot destinations exact", `Quick, test_sdgr_slot_destinations_exact) ]
