@@ -33,7 +33,7 @@ val graph : t -> Churnet_graph.Dyngraph.t
 val snapshot : t -> Churnet_graph.Snapshot.t
 
 (* The two runners keep their [_batch] names because the benchmark
-   driver calls them; there is no unbatched twin. *)
+   driver calls them. *)
 
 val advance_batch : t -> int -> unit
 (** Advance churn: [k] rounds for streaming models, [k] time units for

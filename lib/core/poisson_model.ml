@@ -14,7 +14,7 @@ type t = {
      executing the jump that crosses it. *)
   mutable pending : (Poisson_churn.decision * float) option;
   mutable time : float;
-  (* Scratch for the runners' batches — not state (refilled per batch,
+  (* Scratch for the batched runners — not state (refilled per batch,
      never serialized). *)
   batch_dec : Bytes.t;
   batch_dts : float array;

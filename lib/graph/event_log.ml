@@ -157,18 +157,18 @@ let of_string s =
         match String.split_on_char ' ' (String.trim line) with
         | [ "B"; id; birth; targets ] -> (
             match (int_of_string_opt id, int_of_string_opt birth) with
-            | Some id, Some b -> (
+            | Some id, Some birth -> (
                 let parts =
                   if targets = "" then []
                   else String.split_on_char ',' targets
                 in
                 let parsed = List.map int_of_string_opt parts in
                 if List.exists (fun x -> x = None) parsed then fail ()
-                else add_birth id b (Array.of_list (List.map Option.get parsed)))
+                else add_birth id birth (Array.of_list (List.map Option.get parsed)))
             | _ -> fail ())
         | [ "B"; id; birth ] -> (
             match (int_of_string_opt id, int_of_string_opt birth) with
-            | Some id, Some b -> add_birth id b [||]
+            | Some id, Some birth -> add_birth id birth [||]
             | _ -> fail ())
         | [ "E"; src; dst ] -> (
             match (int_of_string_opt src, int_of_string_opt dst) with

@@ -5,11 +5,9 @@
    record/replay stream were rendered by the hashtable-backed Dyngraph
    *before* the slot-arena rewrite, with the regeneration draw order
    already canonicalized (in-neighbors ascending, slots in index order —
-   see Dyngraph.kill's doc); the other cells were pinned later, before
-   the per-jump churn runner was folded into the batched one.  A
-   refactor must consume the PRNG in exactly the same sequence, so any
-   drift here means it changed the simulated trajectories, not just
-   their cost.
+   see Dyngraph.kill's doc).  A refactor must consume the PRNG in
+   exactly the same sequence, so any drift here means it changed the
+   simulated trajectories, not just their cost.
 
    Regenerating (only after an *intentional* behavior change):
      CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
