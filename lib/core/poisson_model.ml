@@ -106,37 +106,27 @@ let run_batch t ~deadline ~limit =
   count
 
 let run_until_time t deadline =
-  let blocked =
-    match t.pending with
-    | None -> false
-    | Some ((_, dt) as p) ->
-        if t.time +. dt > deadline then true
-        else begin
-          execute t p;
-          false
-        end
+  let rec batches () =
+    let count = run_batch t ~deadline ~limit:batch_cap in
+    if count = batch_cap && t.pending = None then batches ()
   in
-  if not blocked then begin
-    let continue = ref true in
-    while !continue do
-      let count = run_batch t ~deadline ~limit:batch_cap in
-      if count < batch_cap || t.pending <> None then continue := false
-    done
-  end
-
-let run_rounds t k =
-  let remaining = ref k in
-  (* A pre-drawn pending jump is the next jump of the chain: executing it
-     counts towards [k], exactly as [step] would. *)
-  (match t.pending with
-  | Some p when !remaining > 0 ->
+  match t.pending with
+  | Some (_, dt) when t.time +. dt > deadline -> ()
+  | Some p ->
       execute t p;
-      decr remaining
-  | _ -> ());
-  while !remaining > 0 do
-    let count = run_batch t ~deadline:infinity ~limit:(min !remaining batch_cap) in
-    remaining := !remaining - count
-  done
+      batches ()
+  | None -> batches ()
+
+(* A pre-drawn pending jump is the next jump of the chain: executing it
+   counts towards [k], exactly as [step] would.  A batch with no deadline
+   leaves nothing pending. *)
+let rec run_rounds t k =
+  if k > 0 then
+    match t.pending with
+    | Some p ->
+        execute t p;
+        run_rounds t (k - 1)
+    | None -> run_rounds t (k - run_batch t ~deadline:infinity ~limit:(min k batch_cap))
 
 let warm_up t = run_rounds t (12 * t.n)
 
