@@ -210,8 +210,41 @@ let test_onion_poisson_deterministic () =
   check_int "same young" a.total_young b.total_young;
   check_int "same old" a.total_old b.total_old
 
+(* --- Onion-skin runs pinned byte for byte --- *)
+
+(* One line per run of both processes over a grid that includes
+   multi-phase runs (the F5 smoke golden only reaches 1-phase ones):
+   layer sizes, totals, the target flag and the growth factors in hex, so
+   a refactor of the phase loop that moves any draw or any layer shows
+   up here.  Regenerating (only after an intentional behavior change):
+     CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
+       test core-analysis *)
+let onion_runs_text () =
+  let b = Buffer.create 65536 in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun d ->
+              for seed = 1 to 10 do
+                let (r : Onion.result) = run ~rng:(Prng.create seed) ~n ~d () in
+                Printf.bprintf b
+                  "%s n=%d d=%d seed=%d phases=%d y=[%s] o=[%s] young=%d old=%d \
+                   target=%b growth=[%s]\n"
+                  name n d seed r.phases (ints r.y_layer_sizes) (ints r.o_layer_sizes)
+                  r.total_young r.total_old r.reached_target (floats r.growth_factors)
+              done)
+            [ 2; 4; 6; 16 ])
+        [ 16; 101; 400; 2000 ])
+    [ ("run", Onion.run); ("run_poisson", Onion.run_poisson) ];
+  Buffer.contents b
+
 let poisson_suite =
   [
+    ("onion runs golden", `Quick, Test_byte_equality.check_case ("onion_runs", onion_runs_text));
     ("onion poisson args", `Quick, test_onion_poisson_validates_args);
     ("onion poisson layers", `Quick, test_onion_poisson_layers_consistent);
     ("onion poisson succeeds", `Slow, test_onion_poisson_succeeds);
