@@ -1,4 +1,6 @@
 module Prng = Churnet_util.Prng
+module Bitset = Churnet_util.Bitset
+module Codec = Churnet_util.Codec
 
 type result = {
   phases : int;
@@ -10,26 +12,37 @@ type result = {
   growth_factors : float array;
 }
 
-(* Node of age a (1 <= a <= n; the source s has age 0 = just joined).
-   At its birth the alive population consisted of the nodes of current
-   age a+1 .. a+n-1 (n-1 of them); a request target of current age > n-1+?
-   ... any target of current age >= n is already dead at t0. *)
+(* One engine runs both onion-skin processes.  They differ only in the
+   class bounds, the success target, where requests land and whether a
+   node reached for the first time flips a death coin:
 
-(* --- resumable phase state ------------------------------------------ *)
+                young      old               target  coin
+     streaming  1..n/2-1   n/2..n-ceil(ln n)  n/d     none
+     Poisson    1..n/2     n/2+1..n           n/20    ln n / n
 
-(* The streaming onion-skin process consumes ALL of its randomness at
-   materialization ({!start} samples every request up front, deferred
-   decisions made concrete); the phase loop is purely deterministic.
-   The state below is therefore self-contained: serialize it between
-   phases and the resumed process replays identically with no PRNG to
-   restore.  [prev_set] is per-phase staging (cleared before use) and is
-   recreated empty on decode. *)
+   Streaming nodes are named by age at t0.  The node of age a (the
+   source has age 0) drew each request uniformly over the n-1 nodes
+   alive at its birth, now of ages a+1 .. a+n-1; a target of age >= n
+   has died by t0 and is recorded as -1.  Poisson nodes are named by
+   rank 1..n, youngest first, and each request is uniform over the other
+   ranks.
+
+   Every request is drawn up front (deferred decisions made concrete):
+   the source's d, then each young node's d in ascending order.  The
+   streaming phase loop is therefore deterministic, and its state is
+   self-contained; the Poisson loop also draws the death coins, in
+   first-contact order.  [prev_set] is per-phase staging (cleared before
+   use) and is recreated empty on decode. *)
 type state = {
   n : int;
   d : int;
-  young_requests : int array array;
-  y_phase : int array; (* 0 = untouched, k > 0 = joined at phase k *)
-  o_phase : int array;
+  young_last : int;
+  old_lo : int;
+  old_hi : int;
+  target : int;
+  coin : (Prng.t * float) option; (* the death coin's rng and ln n / n *)
+  requests : int array; (* row a at a*d: the source (a = 0), then young a *)
+  cls : int array; (* 0 = untouched, -1 = died on contact, k > 0 = joined at phase k *)
   mutable y_layers : int list; (* head = latest phase *)
   mutable o_layers : int list;
   mutable prev_o_layer : int list;
@@ -37,20 +50,164 @@ type state = {
   mutable total_o : int;
   mutable phase : int;
   mutable running : bool;
-  prev_set : Churnet_util.Bitset.t; (* transient *)
+  prev_set : Bitset.t; (* transient *)
 }
 
 let state_phase st = st.phase
 let state_finished st = not st.running
+let logn_of n = int_of_float (Float.ceil (log (float_of_int n)))
 
-module Codec = Churnet_util.Codec
+let make ~n ~d ~young_last ~old_lo ~old_hi ~target ~coin =
+  { n; d; young_last; old_lo; old_hi; target; coin;
+    requests = Array.make ((young_last + 1) * d) 0; cls = Array.make (n + 1) 0;
+    y_layers = []; o_layers = []; prev_o_layer = []; total_y = 0; total_o = 0;
+    phase = 0; running = true; prev_set = Bitset.create (n + 1) }
+
+let streaming ~n ~d =
+  make ~n ~d ~young_last:((n / 2) - 1) ~old_lo:(n / 2) ~old_hi:(n - logn_of n)
+    ~target:(max 1 (n / d)) ~coin:None
+
+(* First contact with an untouched node: it joins at phase [k] unless
+   the death coin kills it. *)
+let reach st t k =
+  match st.coin with
+  | Some (rng, p_die) when Prng.bernoulli rng p_die ->
+      st.cls.(t) <- -1;
+      false
+  | _ ->
+      st.cls.(t) <- k;
+      true
+
+(* Old nodes first reached through requests [lo .. hi], prepended to
+   [acc]. *)
+let reach_old st k lo hi acc =
+  let acc = ref acc in
+  for i = lo to hi do
+    let t = st.requests.(i) in
+    if t >= st.old_lo && t <= st.old_hi && st.cls.(t) = 0 && reach st t k then acc := t :: !acc
+  done;
+  !acc
+
+let add_old_layer st layer =
+  let size = List.length layer in
+  st.o_layers <- size :: st.o_layers;
+  st.total_o <- st.total_o + size;
+  st.prev_o_layer <- layer;
+  size
+
+(* Draw every request, then phase 0: the old nodes the source's d
+   requests reach form O_0, marked as phase 1. *)
+let begin_state st sample =
+  for i = 0 to Array.length st.requests - 1 do
+    st.requests.(i) <- sample (i / st.d)
+  done;
+  st.running <- add_old_layer st (reach_old st 1 0 (st.d - 1) []) > 0;
+  st
+
+let validate name ~n ~d =
+  if d < 2 || d mod 2 <> 0 then invalid_arg (name ^ ": d must be even and >= 2");
+  if n < 16 then invalid_arg (name ^ ": n too small")
+
+let start ~rng ~n ~d () =
+  validate "Onion.run" ~n ~d;
+  begin_state (streaming ~n ~d) (fun a ->
+      let t = a + 1 + Prng.int rng (n - 1) in
+      if t >= n then -1 else t)
+
+let start_poisson ~rng ~n ~d =
+  validate "Onion.run_poisson" ~n ~d;
+  let fn = float_of_int n and half = n / 2 in
+  let rec other a =
+    let t = 1 + Prng.int rng n in
+    if t = a then other a else t
+  in
+  begin_state
+    (make ~n ~d ~young_last:half ~old_lo:(half + 1) ~old_hi:n ~target:(max 1 (n / 20))
+       ~coin:(Some (rng, log fn /. fn)))
+    other
+
+(* Some request in [i .. last] lands in the previous old layer. *)
+let rec hits st i last =
+  i <= last
+  && ((st.requests.(i) >= 0 && Bitset.mem st.prev_set st.requests.(i)) || hits st (i + 1) last)
+
+let phase_step st =
+  let d = st.d in
+  st.phase <- st.phase + 1;
+  let k = st.phase in
+  (* Step 1: untouched young nodes whose type-B request (indices
+     d/2 .. d-1) hits the previous old layer. *)
+  Bitset.clear st.prev_set;
+  List.iter (Bitset.add st.prev_set) st.prev_o_layer;
+  let new_young = ref [] in
+  for a = 1 to st.young_last do
+    if st.cls.(a) = 0 && hits st ((a * d) + (d / 2)) ((a * d) + d - 1) && reach st a k then
+      new_young := a :: !new_young
+  done;
+  let ny = List.length !new_young in
+  st.y_layers <- ny :: st.y_layers;
+  st.total_y <- st.total_y + ny;
+  (* Step 2: old nodes hit by a type-A request (indices 0 .. d/2-1) of
+     the newly informed young nodes. *)
+  let no =
+    add_old_layer st
+      (List.fold_left
+         (fun acc a -> reach_old st k (a * d) ((a * d) + (d / 2) - 1) acc)
+         [] !new_young)
+  in
+  (* Stop when layers die out, the target is met, or we are clearly in
+     the saturation regime. *)
+  if
+    ny = 0 || no = 0
+    || (st.total_y >= st.target && st.total_o >= st.target)
+    || st.phase > (4 * logn_of st.n) + 8
+  then st.running <- false
+
+let finish_state st =
+  let o = Array.of_list (List.rev st.o_layers) in
+  let y = Array.of_list (List.rev st.y_layers) in
+  (* Layers in temporal order: O_0, Y_1, O_1, Y_2, ..., O_phase. *)
+  let layer i = float_of_int (if i land 1 = 0 then o.(i / 2) else y.(i / 2)) in
+  {
+    phases = st.phase;
+    y_layer_sizes = y;
+    o_layer_sizes = o;
+    total_young = st.total_y;
+    total_old = st.total_o;
+    reached_target = st.total_y >= st.target && st.total_o >= st.target;
+    growth_factors =
+      Array.init (2 * Array.length y) (fun i ->
+          if layer i > 0. then layer (i + 1) /. layer i else nan);
+  }
+
+let run_state st =
+  while st.running do
+    phase_step st
+  done;
+  finish_state st
+
+let run ~rng ~n ~d () = run_state (start ~rng ~n ~d ())
+let run_poisson ~rng ~n ~d () = run_state (start_poisson ~rng ~n ~d)
+
+let success_rate run ~rng ~n ~d ~trials =
+  let ok = ref 0 in
+  for _ = 1 to trials do
+    if (run ~rng:(Prng.split rng) ~n ~d ()).reached_target then incr ok
+  done;
+  float_of_int !ok /. float_of_int trials
+
+let success_probability ~rng ~n ~d ~trials () = success_rate run ~rng ~n ~d ~trials
+
+let success_probability_poisson ~rng ~n ~d ~trials () =
+  success_rate run_poisson ~rng ~n ~d ~trials
+
+(* --- state codec: streaming states only, so no coin is stored --- *)
 
 let encode_state w st =
   Codec.varint w st.n;
   Codec.varint w st.d;
-  Codec.array (fun w a -> Codec.int_array w a) w st.young_requests;
-  Codec.int_array w st.y_phase;
-  Codec.int_array w st.o_phase;
+  Codec.int_array w st.requests;
+  Codec.int_array w st.cls;
   Codec.int_list w st.y_layers;
   Codec.int_list w st.o_layers;
   Codec.int_list w st.prev_o_layer;
@@ -62,9 +219,8 @@ let encode_state w st =
 let decode_state r =
   let n = Codec.read_varint r in
   let d = Codec.read_varint r in
-  let young_requests = Codec.read_array (fun r -> Codec.read_int_array r) r in
-  let y_phase = Codec.read_int_array r in
-  let o_phase = Codec.read_int_array r in
+  let requests = Codec.read_int_array r in
+  let cls = Codec.read_int_array r in
   let y_layers = Codec.read_int_list r in
   let o_layers = Codec.read_int_list r in
   let prev_o_layer = Codec.read_int_list r in
@@ -72,317 +228,22 @@ let decode_state r =
   let total_o = Codec.read_varint r in
   let phase = Codec.read_varint r in
   let running = Codec.read_bool r in
+  let sum_ok layers total =
+    List.for_all (fun l -> l >= 0) layers && List.fold_left ( + ) 0 layers = total
+  in
+  (* Each check relies on the ones before it: n is bounded by the class
+     array's length before any size is computed from it. *)
   if
-    n < 16 || d < 2
-    || Array.length young_requests <> n / 2
-    || Array.length y_phase <> n + 1
-    || Array.length o_phase <> n + 1
-    || phase < 0 || total_y < 0 || total_o < 0
-    || List.length y_layers <> phase
-    || List.length o_layers <> phase + 1
+    n < 16 || d < 2 || d mod 2 <> 0 || Array.length cls <> n + 1
+    || Array.length requests mod d <> 0 || Array.length requests / d <> n / 2
+    || Array.exists (fun t -> t < -1 || t >= n) requests
+    || phase < 0
+    || List.length y_layers <> phase || List.length o_layers <> phase + 1
+    || Array.exists (fun k -> k < 0 || k > max 1 phase) cls
+    || (not (sum_ok y_layers total_y))
+    || (not (sum_ok o_layers total_o))
+    || List.length prev_o_layer <> List.hd o_layers
+    || List.exists (fun t -> t < n / 2 || t > n - logn_of n) prev_o_layer
   then raise (Codec.Error "Onion.decode_state: inconsistent fields");
-  {
-    n;
-    d;
-    young_requests;
-    y_phase;
-    o_phase;
-    y_layers;
-    o_layers;
-    prev_o_layer;
-    total_y;
-    total_o;
-    phase;
-    running;
-    prev_set = Churnet_util.Bitset.create (n + 1);
-  }
-
-let target_of ~n ~d = max 1 (n / d)
-let logn_of n = int_of_float (Float.ceil (log (float_of_int n)))
-
-let start ~rng ~n ~d () =
-  if d < 2 || d mod 2 <> 0 then invalid_arg "Onion.run: d must be even and >= 2";
-  if n < 16 then invalid_arg "Onion.run: n too small";
-  let logn = logn_of n in
-  let half = n / 2 in
-  let is_young a = a >= 1 && a < half in
-  let is_old a = a >= half && a <= n - logn in
-  (* Sample every node's requests once (deferred decision, materialized).
-     requests.(a).(i) = current age of the target of request i of the node
-     with age a; targets with age >= n are dead (encoded as -1). *)
-  let sample_request a =
-    let target_age = a + 1 + Prng.int rng (n - 1) in
-    if target_age >= n then -1 else target_age
-  in
-  (* Source requests: age 0, full d requests allowed (Phase 0). *)
-  let source_requests = Array.init d (fun _ -> sample_request 0) in
-  let young_requests =
-    (* Only young nodes ever reveal requests in phases >= 1. *)
-    Array.init half (fun a -> if is_young a then Array.init d (fun _ -> sample_request a) else [||])
-  in
-  (* Membership per age: 0 = untouched, k>0 = joined at phase k. *)
-  let y_phase = Array.make (n + 1) 0 in
-  let o_phase = Array.make (n + 1) 0 in
-  (* Phase 0: source links to old nodes. *)
-  let o0 = ref [] in
-  Array.iter
-    (fun t -> if t >= 0 && is_old t && o_phase.(t) = 0 then begin
-         o_phase.(t) <- 1;
-         o0 := t :: !o0
-       end)
-    source_requests;
-  {
-    n;
-    d;
-    young_requests;
-    y_phase;
-    o_phase;
-    y_layers = [];
-    o_layers = [ List.length !o0 ];
-    prev_o_layer = !o0;
-    total_y = 0;
-    total_o = List.length !o0;
-    phase = 0;
-    running = List.length !o0 > 0;
-    prev_set = Churnet_util.Bitset.create (n + 1);
-  }
-
-let phase_step st =
-  let n = st.n and d = st.d in
-  let logn = logn_of n in
-  let half = n / 2 in
-  let is_young a = a >= 1 && a < half in
-  let is_old a = a >= half && a <= n - logn in
-  let target = target_of ~n ~d in
-  st.phase <- st.phase + 1;
-  let k = st.phase in
-  (* Step 1: young nodes not yet informed whose type-B request
-     (indices d/2 .. d-1) hits the previous old layer. *)
-  Churnet_util.Bitset.clear st.prev_set;
-  List.iter (fun a -> Churnet_util.Bitset.add st.prev_set a) st.prev_o_layer;
-  let new_young = ref [] in
-  for a = 1 to half - 1 do
-    if is_young a && st.y_phase.(a) = 0 then begin
-      let hit = ref false in
-      for i = d / 2 to d - 1 do
-        let t = st.young_requests.(a).(i) in
-        if t >= 0 && Churnet_util.Bitset.mem st.prev_set t then hit := true
-      done;
-      if !hit then begin
-        st.y_phase.(a) <- k;
-        new_young := a :: !new_young
-      end
-    end
-  done;
-  let ny = List.length !new_young in
-  st.y_layers <- ny :: st.y_layers;
-  st.total_y <- st.total_y + ny;
-  (* Step 2: old nodes hit by a type-A request (indices 0 .. d/2-1)
-     of the newly informed young nodes. *)
-  let new_old = ref [] in
-  List.iter
-    (fun a ->
-      for i = 0 to (d / 2) - 1 do
-        let t = st.young_requests.(a).(i) in
-        if t >= 0 && is_old t && st.o_phase.(t) = 0 then begin
-          st.o_phase.(t) <- k;
-          new_old := t :: !new_old
-        end
-      done)
-    !new_young;
-  let no = List.length !new_old in
-  st.o_layers <- no :: st.o_layers;
-  st.total_o <- st.total_o + no;
-  st.prev_o_layer <- !new_old;
-  (* Stop when layers die out, the target is met, or we are clearly in
-     the saturation regime. *)
-  if ny = 0 || no = 0 then st.running <- false;
-  if st.total_y >= target && st.total_o >= target then st.running <- false;
-  if st.phase > (4 * logn) + 8 then st.running <- false
-
-let finish_state st =
-  let target = target_of ~n:st.n ~d:st.d in
-  let o_layer_sizes = Array.of_list (List.rev st.o_layers) in
-  let y_layer_sizes = Array.of_list (List.rev st.y_layers) in
-  let growth_factors =
-    (* Interleave o/y layers in temporal order: O_0, Y_1, O_1, Y_2, ... *)
-    let temporal = ref [] in
-    let oy = Array.length o_layer_sizes and yy = Array.length y_layer_sizes in
-    for k = 0 to max oy yy - 1 do
-      if k < oy then temporal := float_of_int o_layer_sizes.(k) :: !temporal;
-      if k < yy then temporal := float_of_int y_layer_sizes.(k) :: !temporal
-    done;
-    (* temporal currently holds O_0, Y_1, O_1, ... reversed; restore order *)
-    let temporal = Array.of_list (List.rev !temporal) in
-    (* Note: loop above pushed O_k then Y_k; the paper's order is O_0,
-       Y_1, O_1, Y_2 ... which matches since Y_0 is the source alone. *)
-    let m = Array.length temporal in
-    if m < 2 then [||]
-    else
-      Array.init (m - 1) (fun i ->
-          if temporal.(i) > 0. then temporal.(i + 1) /. temporal.(i) else nan)
-  in
-  {
-    phases = st.phase;
-    y_layer_sizes;
-    o_layer_sizes;
-    total_young = st.total_y;
-    total_old = st.total_o;
-    reached_target = st.total_y >= target && st.total_o >= target;
-    growth_factors;
-  }
-
-let run ~rng ~n ~d () =
-  let st = start ~rng ~n ~d () in
-  while not (state_finished st) do
-    phase_step st
-  done;
-  finish_state st
-
-let success_probability ~rng ~n ~d ~trials () =
-  let ok = ref 0 in
-  for _ = 1 to trials do
-    let r = run ~rng:(Prng.split rng) ~n ~d () in
-    if r.reached_target then incr ok
-  done;
-  float_of_int !ok /. float_of_int trials
-
-(* Extended (Poisson) onion-skin process, Section 7.2.4.
-
-   Population: the m = n nodes alive at t0, ranked 1..n from youngest to
-   oldest.  Young = ranks 1..n/2, old = the rest.  Under deferred
-   decisions a request of any node targets a (near-)uniform member of the
-   population; we sample targets uniformly over 1..n excluding the
-   requester.  Each node reached for the first time flips a death coin
-   with probability ln n / n and, if it dies, joins no layer. *)
-let run_poisson ~rng ~n ~d () =
-  if d < 2 || d mod 2 <> 0 then invalid_arg "Onion.run_poisson: d must be even and >= 2";
-  if n < 16 then invalid_arg "Onion.run_poisson: n too small";
-  let fn = float_of_int n in
-  let p_die = log fn /. fn in
-  let half = n / 2 in
-  let is_young r = r >= 1 && r <= half in
-  let is_old r = r > half && r <= n in
-  let sample_target self =
-    let rec go () =
-      let t = 1 + Prng.int rng n in
-      if t = self then go () else t
-    in
-    go ()
-  in
-  (* Deferred decisions, materialized once per young node (only young
-     nodes ever issue requests in phases >= 1; the source is rank 0,
-     outside the population, with its own d requests). *)
-  let source_requests = Array.init d (fun _ -> 1 + Prng.int rng n) in
-  let young_requests =
-    Array.init (half + 1) (fun r ->
-        if r >= 1 then Array.init d (fun _ -> sample_target r) else [||])
-  in
-  let dead = Array.make (n + 1) false in
-  let roll_death r = if Prng.bernoulli rng p_die then dead.(r) <- true in
-  let y_phase = Array.make (n + 1) 0 in
-  let o_phase = Array.make (n + 1) 0 in
-  let o_layers = ref [] and y_layers = ref [] in
-  (* Phase 0: the source's links to old nodes. *)
-  let o0 = ref [] in
-  Array.iter
-    (fun t ->
-      if is_old t && o_phase.(t) = 0 && not dead.(t) then begin
-        roll_death t;
-        if not dead.(t) then begin
-          o_phase.(t) <- 1;
-          o0 := t :: !o0
-        end
-      end)
-    source_requests;
-  o_layers := [ List.length !o0 ];
-  let prev_o_layer = ref !o0 in
-  let total_y = ref 0 and total_o = ref (List.length !o0) in
-  let target = max 1 (n / 20) in
-  let phase = ref 0 in
-  let logn = int_of_float (Float.ceil (log fn)) in
-  (* Reused across phases: membership of the previous old layer. *)
-  let prev_set = Churnet_util.Bitset.create (n + 1) in
-  let continue = ref (List.length !o0 > 0) in
-  while !continue do
-    incr phase;
-    let k = !phase in
-    Churnet_util.Bitset.clear prev_set;
-    List.iter (fun a -> Churnet_util.Bitset.add prev_set a) !prev_o_layer;
-    (* Step 1: fresh young nodes whose type-B request hits the previous
-       old layer; each flips the death coin on first contact. *)
-    let new_young = ref [] in
-    for r = 1 to half do
-      if is_young r && y_phase.(r) = 0 && not dead.(r) then begin
-        let hit = ref false in
-        for i = d / 2 to d - 1 do
-          if Churnet_util.Bitset.mem prev_set young_requests.(r).(i) then hit := true
-        done;
-        if !hit then begin
-          roll_death r;
-          if not dead.(r) then begin
-            y_phase.(r) <- k;
-            new_young := r :: !new_young
-          end
-        end
-      end
-    done;
-    let ny = List.length !new_young in
-    y_layers := ny :: !y_layers;
-    total_y := !total_y + ny;
-    (* Step 2: old nodes hit by a type-A request of the new young layer. *)
-    let new_old = ref [] in
-    List.iter
-      (fun r ->
-        for i = 0 to (d / 2) - 1 do
-          let t = young_requests.(r).(i) in
-          if is_old t && o_phase.(t) = 0 && not dead.(t) then begin
-            roll_death t;
-            if not dead.(t) then begin
-              o_phase.(t) <- k;
-              new_old := t :: !new_old
-            end
-          end
-        done)
-      !new_young;
-    let no = List.length !new_old in
-    o_layers := no :: !o_layers;
-    total_o := !total_o + no;
-    prev_o_layer := !new_old;
-    if ny = 0 || no = 0 then continue := false;
-    if !total_y >= target && !total_o >= target then continue := false;
-    if !phase > (4 * logn) + 8 then continue := false
-  done;
-  let o_layer_sizes = Array.of_list (List.rev !o_layers) in
-  let y_layer_sizes = Array.of_list (List.rev !y_layers) in
-  let growth_factors =
-    let temporal = ref [] in
-    let oy = Array.length o_layer_sizes and yy = Array.length y_layer_sizes in
-    for k = 0 to max oy yy - 1 do
-      if k < oy then temporal := float_of_int o_layer_sizes.(k) :: !temporal;
-      if k < yy then temporal := float_of_int y_layer_sizes.(k) :: !temporal
-    done;
-    let temporal = Array.of_list (List.rev !temporal) in
-    let m = Array.length temporal in
-    if m < 2 then [||]
-    else
-      Array.init (m - 1) (fun i ->
-          if temporal.(i) > 0. then temporal.(i + 1) /. temporal.(i) else nan)
-  in
-  {
-    phases = !phase;
-    y_layer_sizes;
-    o_layer_sizes;
-    total_young = !total_y;
-    total_old = !total_o;
-    reached_target = !total_y >= target && !total_o >= target;
-    growth_factors;
-  }
-
-let success_probability_poisson ~rng ~n ~d ~trials () =
-  let ok = ref 0 in
-  for _ = 1 to trials do
-    let r = run_poisson ~rng:(Prng.split rng) ~n ~d () in
-    if r.reached_target then incr ok
-  done;
-  float_of_int !ok /. float_of_int trials
+  { (streaming ~n ~d) with requests; cls;
+    y_layers; o_layers; prev_o_layer; total_y; total_o; phase; running }

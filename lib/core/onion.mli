@@ -16,7 +16,14 @@
     decisions) and streaming churn is deterministic, it can be simulated
     from ages alone: a node of age a sampled its requests uniformly over
     the nodes of age a+1 .. a+n-1 at time t0 (those still alive have age
-    < n). *)
+    < n).
+
+    {!run} and {!run_poisson} are one engine: the same phase loop, layer
+    bookkeeping and growth factors, parameterised by the class bounds,
+    the success target, the request sampler and an optional death coin.
+    Each draws the source's d requests, then every young node's d in
+    ascending order; {!run_poisson} also draws its death coins in the
+    phase loop, in first-contact order. *)
 
 type result = {
   phases : int;  (** phases executed before the layers stopped growing *)
@@ -36,7 +43,8 @@ val run : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 
 (** {1 Resumable phase state}
 
-    The streaming process consumes all of its randomness in {!start}
+    These functions cover the streaming process (the Poisson process has
+    no public state).  It consumes all of its randomness in {!start}
     (deferred decisions materialized up front); the phase loop is purely
     deterministic.  A serialized state is therefore self-contained — no
     PRNG needs restoring — and a decoded state replays the remaining
@@ -49,6 +57,12 @@ val state_phase : state -> int
 val state_finished : state -> bool
 val encode_state : Churnet_util.Codec.writer -> state -> unit
 val decode_state : Churnet_util.Codec.reader -> state
+(** Total: bytes that do not describe a consistent streaming state raise
+    [Codec.Error] — odd d, a request outside [-1, n-1], a phase entry
+    outside [0, max 1 phase] (O_0 is marked 1), a previous old layer
+    outside the old class or of the wrong size, layer sizes that are
+    negative or do not sum to the totals.  A decoded state runs
+    {!phase_step} to the end and {!finish_state} without raising. *)
 
 val start : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> state
 (** Materialize every request and run phase 0 (the source's links). *)

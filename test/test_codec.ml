@@ -315,9 +315,10 @@ let warmed_model_bytes =
       model_bytes m)
     Models.all_kinds
 
-let damaged_encoding =
+(* 1-3 overwritten bytes or a truncation of one of [samples]. *)
+let damaged_encoding samples =
   let open QCheck.Gen in
-  let* bytes = oneofl warmed_model_bytes in
+  let* bytes = oneofl samples in
   let len = String.length bytes in
   let mutate =
     let+ edits = list_size (int_range 1 3) (pair (int_bound (len - 1)) (int_bound 255)) in
@@ -333,7 +334,7 @@ let damaged_encoding =
 
 let decode_total_prop =
   QCheck.Test.make ~name:"models decode damaged bytes or raise Codec.Error" ~count:10000
-    (QCheck.make ~print:String.escaped damaged_encoding)
+    (QCheck.make ~print:String.escaped (damaged_encoding warmed_model_bytes))
     (fun bytes ->
       match Models.decode (Codec.reader bytes) with
       | _ -> true
@@ -436,6 +437,31 @@ let test_onion_inflight_roundtrip () =
   done;
   check_bool "identical results" true (Onion.finish_state st = Onion.finish_state st')
 
+(* Decoding an in-flight onion state is total: damaged bytes either
+   raise [Codec.Error] or give a state whose remaining phases run and
+   finish without raising (no out-of-range request, class or layer
+   survives the decoder's checks). *)
+let inflight_onion_bytes =
+  let st = Onion.start ~rng:(Prng.create 51) ~n:400 ~d:6 () in
+  List.init 3 (fun _ ->
+      let bytes = onion_state_bytes st in
+      if not (Onion.state_finished st) then Onion.phase_step st;
+      bytes)
+
+let onion_decode_total_prop =
+  QCheck.Test.make ~name:"onion states decode damaged bytes or raise Codec.Error"
+    ~count:10000
+    (QCheck.make ~print:String.escaped (damaged_encoding inflight_onion_bytes))
+    (fun bytes ->
+      match Onion.decode_state (Codec.reader bytes) with
+      | st ->
+          while not (Onion.state_finished st) do
+            Onion.phase_step st
+          done;
+          ignore (Onion.finish_state st);
+          true
+      | exception Codec.Error _ -> true)
+
 (* --- write_file durability hygiene --- *)
 
 let fresh_dir =
@@ -529,6 +555,7 @@ let qcheck_props =
       QCheck.(array small_signed_int)
       (fun a -> roundtrip Codec.int_array Codec.read_int_array a = a);
     decode_total_prop;
+    onion_decode_total_prop;
   ]
 
 let suite =
