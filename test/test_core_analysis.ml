@@ -242,8 +242,74 @@ let onion_runs_text () =
     [ ("run", Onion.run); ("run_poisson", Onion.run_poisson) ];
   Buffer.contents b
 
+(* --- Exact law of the first old layer --- *)
+
+(* |O_0| is the number of distinct old targets among the source's d
+   uniform draws over u nodes, m of them old:
+     P(K = k) = sum_j C(d,j) (m/u)^j (1-m/u)^(d-j) C(m,k) k! S(j,k) / m^j
+   with S the Stirling numbers of the second kind (j draws land in the
+   old class and cover exactly k of its m nodes).  Streaming draws ages
+   1..n-1 with old ages n/2..n-ceil(ln n); Poisson draws ranks 1..n with
+   old ranks n/2+1..n, and each distinct target then survives its death
+   coin with probability 1 - ln n / n (Binomial thinning). *)
+let first_old_layer_pmf ~d ~u ~m ~survive =
+  let fact k = Array.fold_left ( *. ) 1. (Array.init k (fun i -> float_of_int (i + 1))) in
+  let choose a b = fact a /. (fact b *. fact (a - b)) in
+  let stirling = Array.make_matrix (d + 1) (d + 1) 0. in
+  stirling.(0).(0) <- 1.;
+  for j = 1 to d do
+    for k = 1 to j do
+      stirling.(j).(k) <- (float_of_int k *. stirling.(j - 1).(k)) +. stirling.(j - 1).(k - 1)
+    done
+  done;
+  let p = float_of_int m /. float_of_int u and fm = float_of_int m in
+  let covered =
+    Array.init (d + 1) (fun k ->
+        let falling = ref 1. in
+        for i = 0 to k - 1 do
+          falling := !falling *. (fm -. float_of_int i)
+        done;
+        let total = ref 0. in
+        for j = k to d do
+          total :=
+            !total
+            +. choose d j *. (p ** float_of_int j) *. ((1. -. p) ** float_of_int (d - j))
+               *. !falling *. stirling.(j).(k) /. (fm ** float_of_int j)
+        done;
+        !total)
+  in
+  Array.init (d + 1) (fun k' ->
+      let total = ref 0. in
+      for k = k' to d do
+        total :=
+          !total
+          +. covered.(k) *. choose k k' *. (survive ** float_of_int k')
+             *. ((1. -. survive) ** float_of_int (k - k'))
+      done;
+      !total)
+
+let test_onion_first_old_layer_exact () =
+  let n = 32 and d = 6 and trials = 40_000 in
+  let sample run seed =
+    let rng = Prng.create seed in
+    Array.init trials (fun _ -> (run ~rng:(Prng.split rng) ~n ~d () : Onion.result).o_layer_sizes.(0))
+  in
+  let logn = int_of_float (Float.ceil (log (float_of_int n))) in
+  let check name pmf sample =
+    let z = Test_models.chi_square_z pmf sample in
+    check_bool (Printf.sprintf "%s |O_0|: chi-square z = %.2f < 3.5" name z) true (z < 3.5)
+  in
+  check "streaming"
+    (first_old_layer_pmf ~d ~u:(n - 1) ~m:(n - logn - (n / 2) + 1) ~survive:1.)
+    (sample Onion.run 0x0f01);
+  check "poisson"
+    (first_old_layer_pmf ~d ~u:n ~m:(n / 2)
+       ~survive:(1. -. (log (float_of_int n) /. float_of_int n)))
+    (sample Onion.run_poisson 0x0f02)
+
 let poisson_suite =
   [
+    ("onion first old layer exact", `Quick, test_onion_first_old_layer_exact);
     ("onion runs golden", `Quick, Test_byte_equality.check_case ("onion_runs", onion_runs_text));
     ("onion poisson args", `Quick, test_onion_poisson_validates_args);
     ("onion poisson layers", `Quick, test_onion_poisson_layers_consistent);
