@@ -3,7 +3,8 @@
    serialized module — PRNG, Intvec, Bitset, the graph arena (including
    a populated free list and a slid id window), the Poisson churn clock,
    both models, and the in-flight Flood and Onion states — plus decode
-   totality: damaged model bytes decode or raise [Codec.Error].
+   totality: damaged model bytes and damaged in-flight onion states
+   decode or raise [Codec.Error].
 
    The strongest check used throughout is re-encode byte equality:
    [decode] then [encode] must reproduce the exact bytes, so nothing is
