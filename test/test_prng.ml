@@ -164,6 +164,133 @@ let test_choose () =
     check_bool "member" true (Array.mem v a)
   done
 
+(* Known-answer pins: the exact output stream and checkpoint bytes of a
+   few seeds, so any change to the generator's representation must
+   reproduce xoshiro256** bit for bit.  The bounds 2^61 + 1 and max_int
+   drive [int]'s rejection branch. *)
+let known_answer seed =
+  let b = Buffer.create 512 in
+  let hex_of s = String.concat "" (List.map (Printf.sprintf "%02x") (List.of_seq (Seq.map Char.code (String.to_seq s)))) in
+  let rng = Prng.create seed in
+  Buffer.add_string b "bits64";
+  for _ = 1 to 8 do
+    Printf.bprintf b " %016Lx" (Prng.bits64 rng)
+  done;
+  List.iter
+    (fun bound ->
+      Printf.bprintf b "\nint %d:" bound;
+      for _ = 1 to 4 do
+        Printf.bprintf b " %d" (Prng.int rng bound)
+      done)
+    [ 1; 2; 17; (1 lsl 61) + 1; max_int ];
+  Printf.bprintf b "\nint_in -5 5:";
+  for _ = 1 to 4 do
+    Printf.bprintf b " %d" (Prng.int_in rng (-5) 5)
+  done;
+  Printf.bprintf b "\nunit_float: %h %h" (Prng.unit_float rng) (Prng.unit_float rng);
+  Printf.bprintf b "\nexponential 2: %h" (Dist.exponential rng 2.);
+  Buffer.add_string b "\nbool/bernoulli 0.3:";
+  for _ = 1 to 8 do
+    Printf.bprintf b " %b/%b" (Prng.bool rng) (Prng.bernoulli rng 0.3)
+  done;
+  let a = Array.init 10 Fun.id in
+  Prng.shuffle rng a;
+  Printf.bprintf b "\nshuffle: %s choose: %d"
+    (String.concat "," (Array.to_list (Array.map string_of_int a)))
+    (Prng.choose rng [| 10; 20; 30; 40; 50 |]);
+  let rng = Prng.create seed in
+  for _ = 1 to 5 do
+    ignore (Prng.bits64 rng)
+  done;
+  let w = Codec.writer () in
+  Prng.encode w rng;
+  Printf.bprintf b "\nencode after 5: %s" (hex_of (Codec.contents w));
+  let c = Prng.copy rng in
+  let same = ref true in
+  for _ = 1 to 4 do
+    if Prng.bits64 c <> Prng.bits64 rng then same := false
+  done;
+  let child = Prng.split rng in
+  Printf.bprintf b "\ncopy tracks: %b split: %016Lx parent next: %016Lx" !same
+    (Prng.bits64 child) (Prng.bits64 rng);
+  Buffer.contents b
+
+let known_answers =
+  [
+    ( 0,
+      [
+        "bits64 99ec5f36cb75f2b4 bf6e1f784956452a 1a5f849d4933e6e0 6aa594f1262d2d2c bba5ad4a1f842e59 ffef8375d9ebcaca 6c160deed2f54c98 8920ad648fc30a3f";
+        "int 1: 0 0 0 0";
+        "int 2: 1 1 1 0";
+        "int 17: 16 8 13 15";
+        "int 2305843009213693953: 1440386989308246172 2276659594988686283 1483200616318392841 1395582637495738939";
+        "int 4611686018427387903: 2974940851300190414 4212836036403361206 4555807645458769200 4104742471709594324";
+        "int_in -5 5: 5 -2 3 -5";
+        "unit_float: 0x1.eaee8aeb1771ep-1 0x1.ea88abc05d20cp-1";
+        "exponential 2: 0x1.242a4ccabf311p+0";
+        "bool/bernoulli 0.3: false/true false/false true/false true/true false/false false/false false/false false/false";
+        "shuffle: 3,5,6,4,0,9,7,8,2,1 choose: 20";
+        "encode after 5: acb4eedd8b41c16ce170203e6c7cd2fdf2492fade18a8bc748221527a59bf096";
+        "copy tracks: true split: ed7ee6419994331b parent next: 1d42993fa43f2a54";
+      ] );
+    ( 42,
+      [
+        "bits64 15780b2e0c2ec716 6104d9866d113a7e ae17533239e499a1 ecb8ad4703b360a1 fde6dc7fe2ec5e64 c50da53101795238 b82154855a65ddb2 d99a2743ebe60087";
+        "int 1: 0 0 0 0";
+        "int 2: 1 0 1 0";
+        "int 17: 4 1 10 0";
+        "int 2305843009213693953: 428241451981137462 825596990374639498 2011600583562185327 1448018208105111228";
+        "int 4611686018427387903: 2255998780752563472 1840024857190162741 3639182552279814446 2928682346646271230";
+        "int_in -5 5: 2 -1 2 0";
+        "unit_float: 0x1.a0df458a2a4d1p-1 0x1.e3b7767cf95fp-1";
+        "exponential 2: 0x1.5fd65ece71e93p-1";
+        "bool/bernoulli 0.3: true/false true/false true/false false/false true/false true/false true/false false/false";
+        "shuffle: 6,1,4,9,0,8,3,5,7,2 choose: 50";
+        "encode after 5: a5132aa9beed3f7e8c821cf1a05ba2c914f43970744683c3a56f38f271c255cf";
+        "copy tracks: true split: 792a64f8eac0da22 parent next: aeb53b340c103971";
+      ] );
+    ( -1,
+      [
+        "bits64 8f5520d52a7ead08 c476a018caa1802d 81de31c0d260469e bf658d7e065f3c2f 913593fda1bca32a bb535e93941ba525 5ecda415c3c6dfde c487398fc9de9ae2";
+        "int 1: 0 0 0 0";
+        "int 2: 1 0 1 0";
+        "int 17: 1 12 8 4";
+        "int 2305843009213693953: 249442724413985229 2220802150058703415 1154022253415942639 1120028045302207456";
+        "int 4611686018427387903: 2133149416003768519 2750851753963233378 171156563321518858 2173840820223943272";
+        "int_in -5 5: -3 -4 1 5";
+        "unit_float: 0x1.d40ea129a1be5p-1 0x1.3aa0b563bc86p-2";
+        "exponential 2: 0x1.67bd6cf889dcfp-1";
+        "bool/bernoulli 0.3: false/false true/false true/false true/true false/true true/false false/true false/false";
+        "shuffle: 7,8,0,9,3,6,4,5,1,2 choose: 50";
+        "encode after 5: d8f92dc98aaea5121e3a56784842f77e5edcb19927f3cafe28466bcf1dcabe11";
+        "copy tracks: true split: e2cc2dc8c7f6d10b parent next: 41cf1af9a178c669";
+      ] );
+    ( max_int,
+      [
+        "bits64 6a2df487bd4abde8 7089a21212eab9fc 81c431e01d397a88 367a434d4b649925 3552cc64bfea0899 10dfa2f3c87ebcd8 bfef86687180de25 e6602b4c3a69ef87";
+        "int 1: 0 0 0 0";
+        "int 2: 0 0 0 1";
+        "int 17: 0 10 16 11";
+        "int 2305843009213693953: 1135097301713723451 280751514737636225 1699261200490169322 2143883695809087501";
+        "int 4611686018427387903: 184678601402685416 3232458420677977233 2589341631964827937 7615374870741371";
+        "int_in -5 5: 2 3 3 1";
+        "unit_float: 0x1.2a520e8747e99p-1 0x1.dbbd37ffc528fp-1";
+        "exponential 2: 0x1.7f42b3705e823p-4";
+        "bool/bernoulli 0.3: true/false true/true false/false false/false true/false true/false false/false false/false";
+        "shuffle: 9,3,1,2,8,6,7,5,4,0 choose: 30";
+        "encode after 5: c87d53a8e49554965866db65844889d608f80ff02a87ed3fde6d990b7dc6e698";
+        "copy tracks: true split: 10777a2656bfb465 parent next: e3ae041b4c35fdb4";
+      ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        (String.concat "\n" expected) (known_answer seed))
+    known_answers
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"int always in bound" ~count:500
@@ -215,5 +342,6 @@ let suite =
     ("sample w/o replacement full", `Quick, test_swr_full);
     ("sample paths", `Quick, test_swr_dense_and_sparse_paths);
     ("choose membership", `Quick, test_choose);
+    ("known-answer streams", `Quick, test_known_answers);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
