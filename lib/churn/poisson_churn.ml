@@ -1,11 +1,16 @@
 module Prng = Churnet_util.Prng
 module Dist = Churnet_util.Dist
 
+(* The clock lives in its own all-float record, which OCaml stores flat:
+   advancing it writes the float in place, where a [mutable float] field
+   of [t] (a mixed record) would box a fresh float on every jump. *)
+type clock = { mutable time : float }
+
 type t = {
   lambda : float;
   mu : float;
   rng : Prng.t;
-  mutable time : float;
+  clock : clock;
   mutable round : int;
   mutable births : int;
   mutable deaths : int;
@@ -16,7 +21,15 @@ type decision = Birth | Death
 let create ~rng ?(lambda = 1.) ~n () =
   if n <= 0 then invalid_arg "Poisson_churn.create: n must be positive";
   if lambda <= 0. then invalid_arg "Poisson_churn.create: lambda must be positive";
-  { lambda; mu = lambda /. float_of_int n; rng; time = 0.; round = 0; births = 0; deaths = 0 }
+  {
+    lambda;
+    mu = lambda /. float_of_int n;
+    rng;
+    clock = { time = 0. };
+    round = 0;
+    births = 0;
+    deaths = 0;
+  }
 
 let lambda t = t.lambda
 let mu t = t.mu
@@ -25,7 +38,7 @@ let decide t ~alive =
   if alive < 0 then invalid_arg "Poisson_churn.decide: negative population";
   let total_rate = (float_of_int alive *. t.mu) +. t.lambda in
   let dt = Dist.exponential t.rng total_rate in
-  t.time <- t.time +. dt;
+  t.clock.time <- t.clock.time +. dt;
   t.round <- t.round + 1;
   let p_birth = t.lambda /. total_rate in
   if alive = 0 || Prng.bernoulli t.rng p_birth then begin
@@ -55,17 +68,17 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
   while !continue do
     let total_rate = (float_of_int !alive *. t.mu) +. t.lambda in
     let dt = Dist.exponential t.rng total_rate in
-    t.time <- t.time +. dt;
+    t.clock.time <- t.clock.time +. dt;
     t.round <- t.round + 1;
     let p_birth = t.lambda /. total_rate in
     let birth = !alive = 0 || Prng.bernoulli t.rng p_birth in
     if birth then t.births <- t.births + 1 else t.deaths <- t.deaths + 1;
-    (* [t.time] here equals the caller's clock plus this jump's [dt] (both
-       accumulate the same dts by the same additions in the same order),
-       so this comparison is bitwise the one a [Poisson_model.step] loop
-       makes against [next_jump_time]: a batch stops exactly where
-       stepping one jump at a time would. *)
-    if t.time > deadline then begin
+    (* [t.clock.time] here equals the caller's clock plus this jump's
+       [dt] (both accumulate the same dts by the same additions in the
+       same order), so this comparison is bitwise the one a
+       [Poisson_model.step] loop makes against [next_jump_time]: a batch
+       stops exactly where stepping one jump at a time would. *)
+    if t.clock.time > deadline then begin
       pending := Some ((if birth then Birth else Death), dt);
       continue := false
     end
@@ -79,7 +92,7 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
   done;
   (!count, !pending)
 
-let time t = t.time
+let time t = t.clock.time
 let round t = t.round
 let births t = t.births
 let deaths t = t.deaths
@@ -90,7 +103,7 @@ let encode w t =
   Codec.f64 w t.lambda;
   Codec.f64 w t.mu;
   Prng.encode w t.rng;
-  Codec.f64 w t.time;
+  Codec.f64 w t.clock.time;
   Codec.varint w t.round;
   Codec.varint w t.births;
   Codec.varint w t.deaths
@@ -105,4 +118,4 @@ let decode r =
   let deaths = Codec.read_varint r in
   if lambda <= 0. || mu <= 0. || round < 0 || births < 0 || deaths < 0 then
     raise (Codec.Error "Poisson_churn.decode: inconsistent fields");
-  { lambda; mu; rng; time; round; births; deaths }
+  { lambda; mu; rng; clock = { time }; round; births; deaths }

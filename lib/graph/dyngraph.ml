@@ -195,11 +195,11 @@ let random_alive_excluding t self =
   if t.alive_len = 0 then -1
   else if t.alive_len = 1 && t.alive.(0) = self then -1
   else begin
-    let rec go () =
-      let cand = t.alive.(Prng.int t.rng t.alive_len) in
-      if cand = self then go () else cand
-    in
-    go ()
+    let cand = ref t.alive.(Prng.int t.rng t.alive_len) in
+    while !cand = self do
+      cand := t.alive.(Prng.int t.rng t.alive_len)
+    done;
+    !cand
   end
 
 let fire_hook t ~src ~dst =

@@ -25,14 +25,21 @@ let pop t =
   t.len <- t.len - 1;
   t.buf.(t.len)
 
-let mem t v =
-  let rec go i = i < t.len && (t.buf.(i) = v || go (i + 1)) in
-  go 0
+(* Index of the first [v], or [t.len] when absent.  A [while] loop, not a
+   local recursive function: the kill path calls this per out-edge, and
+   a local closure would be allocated on every call. *)
+let index t v =
+  let i = ref 0 in
+  while !i < t.len && t.buf.(!i) <> v do
+    incr i
+  done;
+  !i
+
+let mem t v = index t v < t.len
 
 let swap_remove_first t v =
-  let rec find i = if i >= t.len then -1 else if t.buf.(i) = v then i else find (i + 1) in
-  let i = find 0 in
-  if i < 0 then false
+  let i = index t v in
+  if i = t.len then false
   else begin
     t.len <- t.len - 1;
     t.buf.(i) <- t.buf.(t.len);

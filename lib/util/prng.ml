@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words s0..s3, little-endian at byte offsets
+   0, 8, 16, 24.  A record of [mutable int64] fields would box the word on
+   every store (this build has no flambda); [Bytes.get_int64_le] and
+   [Bytes.set_int64_le] move them unboxed, so a draw that returns an
+   immediate allocates nothing. *)
+type t = Bytes.t
 
 (* SplitMix64 step, used only for seeding so that nearby seeds yield
    unrelated xoshiro states. *)
@@ -12,54 +17,62 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step.  Every draw below inlines it, so the state
+   words and the result stay in registers; only [bits64] hands a boxed
+   [int64] across the module boundary. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 in
+  let s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 in
+  let s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 (logxor s2 tmp);
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
-let split t =
-  let seed = Int64.to_int (bits64 t) in
-  create seed
+let bits64 t = next t
+let split t = create (Int64.to_int (next t))
+let copy = Bytes.copy
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+(* The top 62 bits of a draw: what fits a native int. *)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits (what fits a native int)
-     to avoid modulo bias. *)
-  let rec go () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then go () else v
-  in
-  go ()
+  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
+  let r = ref (bits62 t) in
+  let v = ref (!r mod bound) in
+  while !r - !v > max_int - bound + 1 do
+    r := bits62 t;
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
-  (* 53 random bits scaled to [0,1). *)
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  r *. 0x1.0p-53
+(* 53 random bits scaled to [0,1). *)
+let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (next t) land 1 = 1
 let bernoulli t p = unit_float t < p
 
 let shuffle t a =
@@ -103,16 +116,16 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int t (Array.length a))
 
-(* Checkpoint support: the full state is the four xoshiro words. *)
+(* Checkpoint support: the full state is the four xoshiro words, written
+   s0..s3 as fixed 8-byte little-endian fields. *)
 let encode w t =
-  Codec.i64 w t.s0;
-  Codec.i64 w t.s1;
-  Codec.i64 w t.s2;
-  Codec.i64 w t.s3
+  for i = 0 to 3 do
+    Codec.i64 w (Bytes.get_int64_le t (8 * i))
+  done
 
 let decode r =
-  let s0 = Codec.read_i64 r in
-  let s1 = Codec.read_i64 r in
-  let s2 = Codec.read_i64 r in
-  let s3 = Codec.read_i64 r in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (Codec.read_i64 r)
+  done;
+  t

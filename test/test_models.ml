@@ -471,3 +471,31 @@ let test_sdgr_slot_destinations_exact () =
 
 let suite =
   suite @ [ ("SDGR slot destinations exact", `Quick, test_sdgr_slot_destinations_exact) ]
+
+(* --- Allocation on the churn path --- *)
+
+(* Steady-state minor words per [advance_batch] unit (a round for
+   streaming models, a time unit for Poisson ones) at n = 2000, d = 4.
+   The settling advance lets the arena, the id window and the in-edge
+   vectors reach their working capacity first, so what is left is the
+   per-jump cost.  Upper bounds, so a build with cross-module inlining
+   (which only allocates less) passes too. *)
+let steady_words_per_unit kind =
+  let m = Models.create ~rng:(Prng.create 11) kind ~n:2000 ~d:4 in
+  Models.warm_up_batch m;
+  Models.advance_batch m 4000;
+  let units = 20_000 in
+  let before = Gc.minor_words () in
+  Models.advance_batch m units;
+  (Gc.minor_words () -. before) /. float_of_int units
+
+let test_churn_allocation () =
+  List.iter
+    (fun (kind, bound) ->
+      let w = steady_words_per_unit kind in
+      check_bool
+        (Printf.sprintf "%s: %.2f words per unit <= %g" (Models.kind_name kind) w bound)
+        true (w <= bound))
+    [ (Models.SDG, 1.); (Models.SDGR, 1.); (Models.PDG, 24.); (Models.PDGR, 24.) ]
+
+let suite = suite @ [ ("steady-state churn allocation", `Quick, test_churn_allocation) ]

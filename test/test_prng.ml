@@ -291,6 +291,35 @@ let test_known_answers () =
         (String.concat "\n" expected) (known_answer seed))
     known_answers
 
+(* Minor words per call over 100 000 calls.  The draws that return an
+   immediate must allocate nothing; a [float] crossing a module boundary
+   is boxed (2 words per box).  Upper bounds, so a build with
+   cross-module inlining, which only allocates less, passes too. *)
+let words_per_call f =
+  let calls = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_draw_allocation () =
+  let rng = Prng.create 59 in
+  let a = Array.init 64 Fun.id in
+  List.iter
+    (fun (name, bound, f) ->
+      let w = words_per_call f in
+      check_bool (Printf.sprintf "%s: %.3f words per call <= %g" name w bound) true (w <= bound))
+    [
+      ("int", 0., fun () -> ignore (Prng.int rng 1000));
+      ("int_in", 0., fun () -> ignore (Prng.int_in rng (-7) 7));
+      ("bool", 0., fun () -> ignore (Prng.bool rng));
+      ("bernoulli", 0., fun () -> ignore (Prng.bernoulli rng 0.3));
+      ("shuffle 64", 0., fun () -> Prng.shuffle rng a);
+      ("unit_float", 2., fun () -> ignore (Prng.unit_float rng));
+      ("Dist.exponential", 4., fun () -> ignore (Dist.exponential rng 1.5));
+    ]
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"int always in bound" ~count:500
@@ -343,5 +372,6 @@ let suite =
     ("sample paths", `Quick, test_swr_dense_and_sparse_paths);
     ("choose membership", `Quick, test_choose);
     ("known-answer streams", `Quick, test_known_answers);
+    ("draw allocation", `Quick, test_draw_allocation);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
