@@ -79,6 +79,8 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
        [Poisson_model.step] loop makes against [next_jump_time]: a batch
        stops exactly where stepping one jump at a time would. *)
     if t.clock.time > deadline then begin
+      (* lint: allow hot-path-alloc — the deadline-crossing jump, at most
+         once per batch. *)
       pending := Some ((if birth then Birth else Death), dt);
       continue := false
     end
@@ -90,6 +92,7 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
       if !count >= cap then continue := false
     end
   done;
+  (* lint: allow hot-path-alloc — one result per batch, not per jump. *)
   (!count, !pending)
 
 let time t = t.clock.time

@@ -85,9 +85,11 @@ let expand_informed graph informed scratch =
   (* informed <= alive: callers prune dead ids after every churn step. *)
   let informed_alive = Bitset.cardinal informed in
   Intvec.clear scratch;
-  (* Hoisted out of the scan loops: closures allocated per scanned node
-     would dominate the hop's allocation budget. *)
+  (* lint: allow hot-path-alloc — hoisted out of the scan loops on
+     purpose: one closure per hop, where a closure per scanned node would
+     dominate the hop's allocation budget. *)
   let stage v = if not (bs_mem informed v) then Intvec.push scratch v in
+  (* lint: allow hot-path-alloc — one closure per hop, as [stage]. *)
   let mark_found u = if bs_mem informed u then raise_notrace Found in
   if informed_alive <= alive - informed_alive then
     Bitset.iter
@@ -125,6 +127,8 @@ let expand_informed graph informed scratch =
    staging order — traces are byte-identical, only cheaper. *)
 let expand_informed_frontier graph informed frontier scratch =
   Intvec.clear scratch;
+  (* lint: allow hot-path-alloc — one closure per hop, hoisted out of the
+     per-node scan. *)
   let stage v = if not (bs_mem informed v) then Intvec.push scratch v in
   Bitset.iter
     (fun u ->

@@ -553,13 +553,78 @@ let no_io_transitive =
 
 (* The registered kernel entry points: the flooding round kernels, the
    churn jump kernels (add_node + kill ARE the jump: the paper's churn
-   process replaces a killed node by a fresh birth), and the per-
-   candidate expansion scorer. *)
+   process replaces a killed node by a fresh birth), the runners that
+   drive them once per round or per batch of Poisson jumps (whose churn
+   draws happen there), and the per-candidate expansion scorer. *)
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
   (m = "Flood" && has_prefix "expand_informed" x)
   || (m = "Dyngraph" && (x = "add_node" || x = "kill"))
+  || (m = "Streaming_model" && x = "step")
+  || (m = "Poisson_model" && x = "run_batch")
   || (m = "Probe" && x = "consider")
+
+(* [tks.(k)] names a type being defined: [type]/[and]/[nonrec], then
+   optional type parameters (the lexer drops their quotes), then [k]. *)
+let is_type_head tks k =
+  let j = ref (k - 1) in
+  while
+    match tok tks !j with
+    | "(" | ")" | "," -> true
+    | t -> String.length t > 0 && t.[0] >= 'a' && t.[0] <= 'z' && t <> "type"
+             && t <> "and" && t <> "nonrec"
+  do
+    decr j
+  done;
+  match tok tks !j with "type" | "and" | "nonrec" -> true | _ -> false
+
+(* The record fields declared in [tks], as [(field, boxed)] where
+   [boxed = Some (record, type)] marks a mutable field whose every store
+   boxes: an [int64] field always, and a [float] field unless all fields
+   of its record are floats (OCaml stores an all-float record flat). *)
+let record_fields (tks : Lint_lexer.token array) =
+  let ntk = Array.length tks in
+  let out = ref [] in
+  let is_float ty = ty = [ "float" ] || ty = [ "Float"; "."; "t" ] in
+  let is_int64 ty = ty = [ "int64" ] || ty = [ "Int64"; "."; "t" ] in
+  for i = 0 to ntk - 1 do
+    if tok tks i = "{" && tok tks (i - 1) = "=" && is_type_head tks (i - 2) then begin
+      (* fields are the depth-0 `;'-separated runs up to the `}' *)
+      let fields = ref [] and cur = ref [] in
+      let j = ref (i + 1) and depth = ref 0 and stop = ref false in
+      while (not !stop) && !j < ntk do
+        let t = tok tks !j in
+        if !depth = 0 && (t = ";" || t = "}") then begin
+          (match List.rev !cur with
+          | "mutable" :: name :: ":" :: ty -> fields := (true, name, ty) :: !fields
+          | name :: ":" :: ty -> fields := (false, name, ty) :: !fields
+          | _ -> ());
+          cur := [];
+          stop := t = "}"
+        end
+        else begin
+          (match t with
+          | "(" | "[" | "{" -> incr depth
+          | ")" | "]" | "}" -> decr depth
+          | _ -> ());
+          cur := t :: !cur
+        end;
+        incr j
+      done;
+      let all_float = List.for_all (fun (_, _, ty) -> is_float ty) !fields in
+      let record = tok tks (i - 2) in
+      List.iter
+        (fun (mut, name, ty) ->
+          let boxed =
+            if mut && is_int64 ty then Some (record, "int64")
+            else if mut && is_float ty && not all_float then Some (record, "float")
+            else None
+          in
+          out := (name, boxed) :: !out)
+        !fields
+    end
+  done;
+  !out
 
 let alloc_list_combinators =
   [
@@ -574,15 +639,39 @@ let hot_path_alloc =
     name;
     doc =
       "functions reachable from the kernel entry points \
-       (Flood.expand_informed*, Dyngraph.add_node/kill, Probe.consider) \
+       (Flood.expand_informed*, Dyngraph.add_node/kill, \
+       Streaming_model.step, Poisson_model.run_batch, Probe.consider) \
        must not allocate per element: no List combinators, per-iteration \
-       closures, tuples or partial applications";
+       closures, local functions, tuples, partial applications or stores \
+       to boxed mutable float/int64 fields";
     check =
       Project
         (fun p ->
           let g = p.p_graph in
           let roots = Lint_graph.find_defs g ~f:kernel_entries in
           let pred = Lint_graph.bfs g ~edges:`Calls ~roots in
+          (* A field resolves to its own unit's declaration when there
+             is one (records are mostly private to their module), else
+             to any lib/ declaration that boxes. *)
+          let fields_of =
+            Array.map
+              (fun (u : Lint_graph.unit_info) ->
+                record_fields u.Lint_graph.u_lex.Lint_lexer.tokens)
+              g.Lint_graph.units
+          in
+          let global_boxed =
+            List.concat
+              (List.filteri
+                 (fun i _ -> under "lib" g.Lint_graph.units.(i).Lint_graph.u_path)
+                 (Array.to_list fields_of))
+          in
+          let boxed_field unit_id field =
+            let local = fields_of.(unit_id) in
+            let from = if List.mem_assoc field local then local else global_boxed in
+            List.find_map
+              (fun (f, boxed) -> if f = field then boxed else None)
+              from
+          in
           let out = ref [] in
           Array.iter
             (fun (d : Lint_graph.def) ->
@@ -624,6 +713,23 @@ let hot_path_alloc =
                   | ":" -> mask_from i [ "="; ")"; "->"; ";" ]
                   | _ -> ()
                 done;
+                (* local functions: a closure is allocated per call
+                   (and its free variables captured) *)
+                Array.iter
+                  (fun (b : Lint_tree.binding) ->
+                    if
+                      (not b.Lint_tree.b_toplevel)
+                      && b.Lint_tree.b_params <> []
+                      && tok tks (b.Lint_tree.b_name_index + 1) <> ","
+                      && Lint_tree.span_within b.Lint_tree.b_span body
+                    then
+                      emit ~at:tks.(b.Lint_tree.b_name_index)
+                        (Printf.sprintf
+                           "local function `%s' allocates a closure on every \
+                            call in a kernel hot path; use a while loop or \
+                            lift it to the top level"
+                           b.Lint_tree.b_name))
+                  tree.Lint_tree.bindings;
                 let depth = ref 0 in
                 for i = max 0 body.Lint_tree.s_first
                     to min (ntk - 1) body.Lint_tree.s_last do
@@ -658,6 +764,19 @@ let hot_path_alloc =
                       "tuple construction in a kernel hot path allocates per \
                        call; return components separately or use a \
                        preallocated record"
+                  (* a store that boxes its float/int64 value *)
+                  else if t = "<-" && tok tks (i - 2) = "." then begin
+                    match boxed_field d.Lint_graph.d_unit (tok tks (i - 1)) with
+                    | None -> ()
+                    | Some (record, ty) ->
+                        emit ~at:tks.(i - 1)
+                          (Printf.sprintf
+                             "store to mutable %s field `%s' of record `%s' \
+                              boxes a fresh value on every write in a kernel \
+                              hot path; keep it in an all-float record or sum \
+                              into a local ref and store once"
+                             ty (tok tks (i - 1)) record)
+                  end
                   (* per-iteration closures *)
                   else if
                     (t = "fun" || t = "function")

@@ -410,6 +410,44 @@ let test_hot_path_alloc_unreachable_ok () =
           ~units:[ ("lib/core/flood.ml", src) ]
           ~interfaces:[]))
 
+let test_hot_path_local_function () =
+  let src =
+    "let step t =\n  t + 1\n\
+     let add_node t =\n  let rec go k = if k > 0 then go (k - 1) else k in\n\
+     \  let a, b = (t, t) in\n  ignore b;\n  step (go a)\n"
+  in
+  let fs =
+    run_project_rule "hot-path-alloc"
+      ~units:[ ("lib/graph/dyngraph.ml", src) ]
+      ~interfaces:[]
+  in
+  check_bool "local function flagged" true
+    (List.exists (fun f -> f.Lint_rules.line = 4) fs);
+  check_bool "a tuple pattern is not a local function" false
+    (List.exists (fun f -> f.Lint_rules.line = 5 && f.Lint_rules.col = 7) fs);
+  check_bool "a top-level helper is not flagged" false
+    (List.exists (fun f -> f.Lint_rules.line <= 2) fs)
+
+let test_hot_path_boxed_store () =
+  let src =
+    "type clock = { mutable time : float }\n\
+     type t = { mutable n : int; mutable w : float; clock : clock }\n\
+     type s = { mutable s0 : int64 }\n\
+     let kill t s =\n  t.n <- t.n + 1;\n  t.clock.time <- 1.;\n\
+     \  t.w <- 2.;\n  s.s0 <- 3L\n\
+     let report t =\n  t.w <- 0.\n"
+  in
+  let fs =
+    run_project_rule "hot-path-alloc"
+      ~units:[ ("lib/graph/dyngraph.ml", src) ]
+      ~interfaces:[]
+  in
+  let lines = List.sort_uniq Int.compare (List.map (fun f -> f.Lint_rules.line) fs) in
+  Alcotest.(check (list int))
+    "float field of a mixed record and int64 field flagged; int field, \
+     all-float record and code outside the kernel cone not"
+    [ 7; 8 ] lines
+
 let test_dead_export () =
   let thing = "let used x = x\nlet unused x = x\n" in
   let user = "let go x =\n  Thing.used x\n" in
@@ -730,6 +768,8 @@ let suite =
       test_no_io_transitive_report_layer_ok );
     ("rule: hot-path-alloc", `Quick, test_hot_path_alloc);
     ("rule: hot-path-alloc unreachable", `Quick, test_hot_path_alloc_unreachable_ok);
+    ("rule: hot-path-alloc local function", `Quick, test_hot_path_local_function);
+    ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
     ("rule: dead-export", `Quick, test_dead_export);
     ("engine: finds and locates", `Quick, test_engine_finds_and_sorts);
     ("engine: pragma suppression", `Quick, test_pragma_suppression);
