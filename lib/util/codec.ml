@@ -182,10 +182,14 @@ let unframe ~schema:tag data =
   if String.length data < mlen || String.sub data 0 mlen <> magic then
     fail "Codec: bad magic (expected %S)" tag;
   if String.length data < mlen + 8 then fail "Codec: truncated header";
-  let payload_len =
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string data) mlen)
-  in
-  if payload_len < 0 || String.length data < mlen + 8 + payload_len + 4 then
+  (* Range-check the 64-bit length before narrowing it: [Int64.to_int]
+     drops bit 63, so a frame with that bit flipped would otherwise pass
+     for intact. *)
+  let declared = Bytes.get_int64_le (Bytes.unsafe_of_string data) mlen in
+  if declared < 0L || declared > Int64.of_int (String.length data) then
+    fail "Codec: truncated payload (declared %Ld bytes)" declared;
+  let payload_len = Int64.to_int declared in
+  if String.length data < mlen + 8 + payload_len + 4 then
     fail "Codec: truncated payload (declared %d bytes)" payload_len;
   if String.length data > mlen + 8 + payload_len + 4 then
     fail "Codec: %d trailing bytes after the frame"

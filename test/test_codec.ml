@@ -3,8 +3,9 @@
    serialized module — PRNG, Intvec, Bitset, the graph arena (including
    a populated free list and a slid id window), the Poisson churn clock,
    both models, and the in-flight Flood and Onion states — plus decode
-   totality: damaged model bytes and damaged in-flight onion states
-   decode or raise [Codec.Error].
+   totality: damaged model bytes, in-flight onion states and frames
+   decode or raise [Codec.Error], and damaged JSON, sweep configs and
+   event logs parse to [Ok] or [Error].
 
    The strongest check used throughout is re-encode byte equality:
    [decode] then [encode] must reproduce the exact bytes, so nothing is
@@ -18,6 +19,8 @@ module Models = Churnet_core.Models
 module Flood = Churnet_core.Flood
 module Onion = Churnet_core.Onion
 module Poisson_churn = Churnet_churn.Poisson_churn
+module Event_log = Churnet_graph.Event_log
+module Sweep = Churnet_experiments.Sweep
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -114,7 +117,14 @@ let test_frame_rejects_corruption () =
       Codec.unframe ~schema:"churnet-ckpt/999" data);
   (* Trailing garbage after the CRC. *)
   expect_codec_error "trailing bytes" (fun () ->
-      Codec.unframe ~schema:Codec.schema (data ^ "x"))
+      Codec.unframe ~schema:Codec.schema (data ^ "x"));
+  (* Bit 63 of the length field: narrowing the length to a native int
+     used to drop it and accept the frame. *)
+  let high = Bytes.of_string data in
+  let top = String.length Codec.schema + 1 + 7 in
+  Bytes.set high top (Char.chr (Char.code (Bytes.get high top) lxor 0x80));
+  expect_codec_error "length bit 63" (fun () ->
+      Codec.unframe ~schema:Codec.schema (Bytes.to_string high))
 
 (* --- Prng --- *)
 
@@ -316,22 +326,32 @@ let warmed_model_bytes =
       model_bytes m)
     Models.all_kinds
 
-(* 1-3 overwritten bytes or a truncation of one of [samples]. *)
+(* One of [samples], damaged: 1-3 overwritten bytes, 1-3 flipped bits,
+   a truncation, or a varint overflow (up to ten 0xff continuation bytes
+   written from a random offset). *)
 let damaged_encoding samples =
   let open QCheck.Gen in
   let* bytes = oneofl samples in
   let len = String.length bytes in
-  let mutate =
+  let edit f =
     let+ edits = list_size (int_range 1 3) (pair (int_bound (len - 1)) (int_bound 255)) in
     let b = Bytes.of_string bytes in
-    List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
+    List.iter (fun (i, v) -> Bytes.set b i (f (Bytes.get b i) v)) edits;
     Bytes.to_string b
   in
+  let overwrite = edit (fun _ v -> Char.chr v) in
+  let flip = edit (fun c v -> Char.chr (Char.code c lxor (1 lsl (v land 7)))) in
   let truncate =
     let+ k = int_bound (len - 1) in
     String.sub bytes 0 k
   in
-  frequency [ (4, mutate); (1, truncate) ]
+  let overflow =
+    let+ at = int_bound (len - 1) in
+    let b = Bytes.of_string bytes in
+    Bytes.fill b at (min 10 (len - at)) '\xff';
+    Bytes.to_string b
+  in
+  frequency [ (3, overwrite); (3, flip); (1, truncate); (1, overflow) ]
 
 let decode_total_prop =
   QCheck.Test.make ~name:"models decode damaged bytes or raise Codec.Error" ~count:10000
@@ -340,6 +360,89 @@ let decode_total_prop =
       match Models.decode (Codec.reader bytes) with
       | _ -> true
       | exception Codec.Error _ -> true)
+
+(* --- the other decoders --- *)
+
+(* Each decoder below fails only in its declared way — [Codec.Error] for
+   the frame, an [Error _] result for the text formats — whatever the
+   damage: any other exception escapes the property and fails it. *)
+
+let framed_samples =
+  Codec.frame ~schema:Codec.schema (fun _ -> ())
+  :: Codec.frame ~schema:Codec.schema (fun w -> Codec.varint w 42)
+  :: List.map
+       (fun b -> Codec.frame ~schema:Codec.schema (fun w -> Codec.string w b))
+       warmed_model_bytes
+
+(* The envelope covers every byte (magic, length, payload, CRC), so a
+   damaged frame must never unframe; a CRC32 collision is the only way
+   through, at odds of 2^-32 per case. *)
+let unframe_total_prop =
+  QCheck.Test.make ~name:"unframe accepts only intact frames, else Codec.Error" ~count:10000
+    (QCheck.make ~print:String.escaped (damaged_encoding framed_samples))
+    (fun bytes ->
+      match Codec.unframe ~schema:Codec.schema bytes with
+      | _ -> List.mem bytes framed_samples
+      | exception Codec.Error _ -> true)
+
+let sweep_config_samples =
+  [
+    {|{"schema": "churnet-sweep-config/1", "name": "grid",
+       "grid": {"models": ["SDGR", "PDG"], "n": [120, 240], "d": [3],
+                "lambda": [1.0, 0.5], "seeds": [7, 8]}}|};
+    {|{"schema": "churnet-sweep-config/1", "name": "both",
+       "grid": {"models": ["SDG"], "n": [60], "d": [2], "seeds": [1]},
+       "experiments": {"ids": ["E1", "F5"], "seeds": [42], "scale": "smoke"}}|};
+  ]
+
+let json_samples =
+  {|[1, -2.5e3, 0.125, 1E-7, true, false, null, "é
+"x\\",
+     {"": [], "k": {"nested": [[]]}}, 12345678901234567890]|}
+  :: sweep_config_samples
+
+let json_total_prop =
+  QCheck.Test.make ~name:"Json.of_string returns Ok or Error on damaged text" ~count:10000
+    (QCheck.make ~print:String.escaped (damaged_encoding json_samples))
+    (fun text -> match Json.of_string text with Ok _ | Error _ -> true)
+
+let sweep_config_total_prop =
+  QCheck.Test.make ~name:"Sweep.config_of_json returns Ok or Error on damaged configs"
+    ~count:10000
+    (QCheck.make ~print:String.escaped (damaged_encoding sweep_config_samples))
+    (fun text ->
+      match Json.of_string text with
+      | Error _ -> true
+      | Ok json -> ( match Sweep.config_of_json json with Ok _ | Error _ -> true))
+
+let event_log_samples =
+  List.map
+    (fun regenerate ->
+      let g = Dyngraph.create ~rng:(Prng.create 5) ~d:3 ~regenerate () in
+      let log = Event_log.create () in
+      Event_log.attach log g;
+      let rng = Prng.create 6 in
+      for i = 1 to 60 do
+        if Dyngraph.alive_count g > 3 && Prng.bernoulli rng 0.45 then
+          Dyngraph.kill g (Dyngraph.random_alive g)
+        else ignore (Dyngraph.add_node g ~birth:i)
+      done;
+      Event_log.detach log g;
+      Event_log.to_string log)
+    [ false; true ]
+
+(* A log that parses must also replay. *)
+let event_log_total_prop =
+  QCheck.Test.make ~name:"Event_log.of_string returns Ok or Error on damaged logs"
+    ~count:10000
+    (QCheck.make ~print:String.escaped (damaged_encoding event_log_samples))
+    (fun text ->
+      match Event_log.of_string text with
+      | Error _ -> true
+      | Ok log ->
+          ignore (Event_log.replay log);
+          ignore (Event_log.population_series log);
+          true)
 
 (* --- in-flight Flood state --- *)
 
@@ -557,6 +660,10 @@ let qcheck_props =
       (fun a -> roundtrip Codec.int_array Codec.read_int_array a = a);
     decode_total_prop;
     onion_decode_total_prop;
+    unframe_total_prop;
+    json_total_prop;
+    sweep_config_total_prop;
+    event_log_total_prop;
   ]
 
 let suite =
