@@ -99,13 +99,13 @@ let run_batch t ~deadline ~limit =
       ~deadline ~limit ~decisions:t.batch_dec ~dts:t.batch_dts
   in
   Dyngraph.churn_batch t.graph ~decisions:t.batch_dec ~count ~birth0:(round0 + 1);
-  (* The per-jump sum runs in a local float, which stays unboxed; a store
-     into the mixed record [t] boxes, so it happens once per batch. *)
   let time = ref t.time in
   for i = 0 to count - 1 do
     time := !time +. t.batch_dts.(i)
   done;
-  (* lint: allow hot-path-alloc — one boxed store per batch, not per jump. *)
+  (* lint: allow hot-path-alloc — the per-jump sum above stays unboxed in a
+     local; a store into the mixed record [t] boxes, so it runs once per
+     batch. *)
   t.time <- !time;
   t.pending <- pending;
   count

@@ -26,8 +26,8 @@ let pop t =
   t.buf.(t.len)
 
 (* Index of the first [v], or [t.len] when absent.  A [while] loop, not a
-   local recursive function: the kill path calls this per out-edge, and
-   a local closure would be allocated on every call. *)
+   local recursive function: the churn and flood paths call this per
+   edge, and a local closure would be allocated on every call. *)
 let index t v =
   let i = ref 0 in
   while !i < t.len && t.buf.(!i) <> v do

@@ -568,15 +568,15 @@ let kernel_entries (d : Lint_graph.def) =
    optional type parameters (the lexer drops their quotes), then [k]. *)
 let is_type_head tks k =
   let j = ref (k - 1) in
+  let is_keyword t = t = "type" || t = "and" || t = "nonrec" in
   while
     match tok tks !j with
     | "(" | ")" | "," -> true
-    | t -> String.length t > 0 && t.[0] >= 'a' && t.[0] <= 'z' && t <> "type"
-             && t <> "and" && t <> "nonrec"
+    | t -> String.length t > 0 && t.[0] >= 'a' && t.[0] <= 'z' && not (is_keyword t)
   do
     decr j
   done;
-  match tok tks !j with "type" | "and" | "nonrec" -> true | _ -> false
+  is_keyword (tok tks !j)
 
 (* The record fields declared in [tks], as [(field, boxed)] where
    [boxed = Some (record, type)] marks a mutable field whose every store

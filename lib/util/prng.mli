@@ -7,7 +7,15 @@
     and passes BigCrush. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.
+
+    Allocation: [int], [int_in], [bool] and [bernoulli] allocate
+    nothing, nor do [shuffle] and [choose] on any array but a
+    [float array]; they are safe on the churn hot path.
+    Results of type [float] or [int64] ([unit_float], [float],
+    [bits64]) come back boxed, as any such value returned across a
+    module boundary does in this build; [create], [split], [copy],
+    [decode] and [sample_without_replacement] allocate their result. *)
 
 val create : int -> t
 (** [create seed] builds a generator deterministically from [seed]
@@ -53,7 +61,9 @@ val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val encode : Codec.writer -> t -> unit
-(** Serialize the generator state (4 fixed int64 words) for checkpoints. *)
+(** Serialize the generator state for checkpoints: the four xoshiro256**
+    words s0, s1, s2, s3, each as 8 little-endian bytes (32 bytes in
+    all).  This layout is fixed: existing checkpoints depend on it. *)
 
 val decode : Codec.reader -> t
 (** Rebuild a generator with exactly the encoded future output stream. *)
