@@ -230,3 +230,84 @@ let suite =
       ("local update invariants", `Quick, test_local_update_invariants);
       ("disconnect primitive", `Quick, test_disconnect_primitive);
     ]
+
+(* --- Pinned runs --- *)
+
+(* Every protocol-driven model, pinned run by run: the MD5 of the arena's
+   checkpoint bytes after [warm_up], then the completion round and peak
+   coverage of a flood from that state.  The F10/X1 goldens cover only a
+   couple of trials at one n; this grid lets a refactor of the repair
+   loops or neighbour picks show it kept every draw in place.
+   Regenerating (only after an intentional behavior change):
+     CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
+       test p2p *)
+let p2p_runs_text () =
+  let b = Buffer.create 8192 in
+  let graph_md5 g =
+    let w = Churnet_util.Codec.writer () in
+    Dyngraph.encode w g;
+    Digest.to_hex (Digest.string (Churnet_util.Codec.contents w))
+  in
+  let d = 4 in
+  let runs =
+    [
+      ( "bitcoin",
+        fun rng ~n ->
+          let m = Bitcoin_like.create ~rng ~n () in
+          Bitcoin_like.warm_up m;
+          (Bitcoin_like.graph m, fun () -> Bitcoin_like.flood ~max_rounds:80 m) );
+      ( "rw",
+        fun rng ~n ->
+          let m = Rw_streaming.create ~rng ~n ~d () in
+          Rw_streaming.warm_up m;
+          (Rw_streaming.graph m, fun () -> Rw_streaming.flood ~max_rounds:80 m) );
+      ( "cache",
+        fun rng ~n ->
+          let m = Cache_protocol.create ~rng ~n ~d () in
+          Cache_protocol.warm_up m;
+          (Cache_protocol.graph m, fun () -> Cache_protocol.flood ~max_rounds:80 m) );
+      ( "local",
+        fun rng ~n ->
+          let m = Local_update.create ~rng ~n ~d () in
+          Local_update.warm_up m;
+          (Local_update.graph m, fun () -> Local_update.flood ~max_rounds:80 m) );
+      ( "capped-d+1",
+        fun rng ~n ->
+          let m = Churnet_core.Capped_model.create ~rng ~n ~d ~cap:(d + 1) () in
+          Churnet_core.Capped_model.warm_up m;
+          ( Churnet_core.Capped_model.graph m,
+            fun () -> Churnet_core.Capped_model.flood ~max_rounds:80 m ) );
+      ( "capped-inf",
+        fun rng ~n ->
+          let m = Churnet_core.Capped_model.create ~rng ~n ~d ~cap:max_int () in
+          Churnet_core.Capped_model.warm_up m;
+          ( Churnet_core.Capped_model.graph m,
+            fun () -> Churnet_core.Capped_model.flood ~max_rounds:80 m ) );
+      ( "lazy-regen",
+        fun rng ~n ->
+          let m = Churnet_core.Lazy_regen_model.create ~rng ~n ~d ~period:1.0 () in
+          Churnet_core.Lazy_regen_model.warm_up m;
+          ( Churnet_core.Lazy_regen_model.graph m,
+            fun () -> Churnet_core.Lazy_regen_model.flood ~max_rounds:80 m ) );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun n ->
+          for seed = 1 to 5 do
+            let g, flood = run (Prng.create seed) ~n in
+            let md5 = graph_md5 g in
+            let tr = flood () in
+            Printf.bprintf b "%s n=%d seed=%d graph=%s completion=%s peak=%h\n" name n seed md5
+              (match tr.Churnet_core.Flood.completion_round with
+              | Some r -> string_of_int r
+              | None -> "-")
+              tr.Churnet_core.Flood.peak_coverage
+          done)
+        [ 50; 300 ])
+    runs;
+  Buffer.contents b
+
+let suite =
+  suite @ [ ("p2p runs golden", `Quick, Test_byte_equality.check_case ("p2p_runs", p2p_runs_text)) ]
