@@ -3,8 +3,10 @@ module Dist = Churnet_util.Dist
 
 (* The clock lives in its own all-float record, which OCaml stores flat:
    advancing it writes the float in place, where a [mutable float] field
-   of [t] (a mixed record) would box a fresh float on every jump. *)
-type clock = { mutable time : float }
+   of [t] (a mixed record) would box a fresh float on every jump.
+   [last_dt] is the latest jump's elapsed time, scratch rather than
+   state: it lets [decide_birth] hand back a bool instead of a tuple. *)
+type clock = { mutable time : float; mutable last_dt : float }
 
 type t = {
   lambda : float;
@@ -25,7 +27,7 @@ let create ~rng ?(lambda = 1.) ~n () =
     lambda;
     mu = lambda /. float_of_int n;
     rng;
-    clock = { time = 0. };
+    clock = { time = 0.; last_dt = 0. };
     round = 0;
     births = 0;
     deaths = 0;
@@ -34,21 +36,26 @@ let create ~rng ?(lambda = 1.) ~n () =
 let lambda t = t.lambda
 let mu t = t.mu
 
-let decide t ~alive =
+let decide_birth t ~alive =
   if alive < 0 then invalid_arg "Poisson_churn.decide: negative population";
   let total_rate = (float_of_int alive *. t.mu) +. t.lambda in
   let dt = Dist.exponential t.rng total_rate in
   t.clock.time <- t.clock.time +. dt;
+  t.clock.last_dt <- dt;
   t.round <- t.round + 1;
   let p_birth = t.lambda /. total_rate in
   if alive = 0 || Prng.bernoulli t.rng p_birth then begin
     t.births <- t.births + 1;
-    (Birth, dt)
+    true
   end
   else begin
     t.deaths <- t.deaths + 1;
-    (Death, dt)
+    false
   end
+
+let decide t ~alive =
+  let birth = decide_birth t ~alive in
+  ((if birth then Birth else Death), t.clock.last_dt)
 
 (* Bulk version of [decide].  The churn PRNG is independent of the graph
    PRNG (the model splits them at creation), so a whole run of jumps can
@@ -66,13 +73,8 @@ let decide_batch t ~alive ~deadline ~limit ~decisions ~dts =
   let pending = ref None in
   let continue = ref (cap > 0) in
   while !continue do
-    let total_rate = (float_of_int !alive *. t.mu) +. t.lambda in
-    let dt = Dist.exponential t.rng total_rate in
-    t.clock.time <- t.clock.time +. dt;
-    t.round <- t.round + 1;
-    let p_birth = t.lambda /. total_rate in
-    let birth = !alive = 0 || Prng.bernoulli t.rng p_birth in
-    if birth then t.births <- t.births + 1 else t.deaths <- t.deaths + 1;
+    let birth = decide_birth t ~alive:!alive in
+    let dt = t.clock.last_dt in
     (* [t.clock.time] here equals the caller's clock plus this jump's
        [dt] (both accumulate the same dts by the same additions in the
        same order), so this comparison is bitwise the one a
@@ -121,4 +123,4 @@ let decode r =
   let deaths = Codec.read_varint r in
   if lambda <= 0. || mu <= 0. || round < 0 || births < 0 || deaths < 0 then
     raise (Codec.Error "Poisson_churn.decode: inconsistent fields");
-  { lambda; mu; rng; clock = { time }; round; births; deaths }
+  { lambda; mu; rng; clock = { time; last_dt = 0. }; round; births; deaths }

@@ -28,6 +28,12 @@ val decide : t -> alive:int -> decision * float
     dt ~ Exp(alive * mu + lambda).  When [alive = 0] the only possible
     event is a birth. *)
 
+val decide_birth : t -> alive:int -> bool
+(** [decide_birth t ~alive] is [decide] without the result tuple: the
+    same draws, returning [true] for a birth.  The elapsed time is only
+    added to {!time}, so a caller that keeps its clock there allocates
+    nothing per jump. *)
+
 val decide_batch :
   t ->
   alive:int ->

@@ -1,6 +1,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Poisson_churn = Churnet_churn.Poisson_churn
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type t = {
   n : int;
@@ -11,7 +12,8 @@ type t = {
   graph : Dyngraph.t;
   churn : Poisson_churn.t;
   deficient : (int, unit) Hashtbl.t; (* nodes with empty slots to repair *)
-  mutable time : float;
+  orphans : Intvec.t; (* scratch: a victim's in-neighbours *)
+  pending : Intvec.t; (* scratch: the repair pass's queue *)
 }
 
 let create ~rng ?(retries = 16) ~n ~d ~cap () =
@@ -27,74 +29,73 @@ let create ~rng ?(retries = 16) ~n ~d ~cap () =
     graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
     churn = Poisson_churn.create ~rng:churn_rng ~n ();
     deficient = Hashtbl.create 256;
-    time = 0.;
+    orphans = Intvec.create ();
+    pending = Intvec.create ();
   }
 
 let n t = t.n
 let d t = t.d
 let cap t = t.cap
 let graph t = t.graph
-let time t = t.time
+let time t = Poisson_churn.time t.churn
 
-(* Sample a uniform alive candidate below the in-degree cap. *)
+(* A uniform alive candidate below the in-degree cap (up to [retries]
+   draws), or -1. *)
 let sample_below_cap t ~self =
-  let alive = Dyngraph.alive_count t.graph in
-  if alive < 2 then None
+  if Dyngraph.alive_count t.graph < 2 then -1
   else begin
-    let rec go tries =
-      if tries = 0 then None
-      else begin
-        let cand = Dyngraph.random_alive t.graph in
-        if cand <> self && Dyngraph.in_degree t.graph cand < t.cap then Some cand
-        else go (tries - 1)
-      end
-    in
-    go t.retries
+    let cand = ref (-1) and tries = ref t.retries in
+    while !cand < 0 && !tries > 0 do
+      decr tries;
+      let c = Dyngraph.random_alive t.graph in
+      if c <> self && Dyngraph.in_degree t.graph c < t.cap then cand := c
+    done;
+    !cand
   end
 
 let try_fill t id =
   if Dyngraph.is_alive t.graph id then begin
-    let missing () = t.d - Dyngraph.out_degree t.graph id in
     let progress = ref true in
-    while missing () > 0 && !progress do
-      match sample_below_cap t ~self:id with
-      | Some cand -> if not (Dyngraph.connect t.graph ~src:id ~dst:cand) then progress := false
-      | None -> progress := false
+    while Dyngraph.out_degree t.graph id < t.d && !progress do
+      let cand = sample_below_cap t ~self:id in
+      if cand < 0 || not (Dyngraph.connect t.graph ~src:id ~dst:cand) then progress := false
     done;
-    if missing () > 0 then Hashtbl.replace t.deficient id ()
+    if Dyngraph.out_degree t.graph id < t.d then Hashtbl.replace t.deficient id ()
     else Hashtbl.remove t.deficient id
   end
   else Hashtbl.remove t.deficient id
 
 let step t =
   let alive = Dyngraph.alive_count t.graph in
-  let decision, dt = Poisson_churn.decide t.churn ~alive in
-  t.time <- t.time +. dt;
-  (match decision with
-  | Poisson_churn.Birth ->
-      let id =
-        Dyngraph.add_node_with_targets t.graph ~birth:(Poisson_churn.round t.churn)
-          ~targets:[||]
-      in
-      Hashtbl.replace t.deficient id ()
-  | Poisson_churn.Death ->
-      let victim = Dyngraph.random_alive t.graph in
-      let orphans = Dyngraph.in_neighbors t.graph victim in
-      Dyngraph.kill t.graph victim;
-      Hashtbl.remove t.deficient victim;
-      List.iter
-        (fun u -> if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ())
-        orphans);
-  (* Repair pass. *)
+  if Poisson_churn.decide_birth t.churn ~alive then begin
+    let id =
+      Dyngraph.add_node_with_targets t.graph ~birth:(Poisson_churn.round t.churn) ~targets:[||]
+    in
+    Hashtbl.replace t.deficient id ()
+  end
+  else begin
+    let victim = Dyngraph.random_alive t.graph in
+    Dyngraph.in_neighbors_into t.graph victim t.orphans;
+    Dyngraph.kill t.graph victim;
+    Hashtbl.remove t.deficient victim;
+    for i = 0 to Intvec.length t.orphans - 1 do
+      let u = Intvec.get t.orphans i in
+      if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ()
+    done
+  end;
+  (* Repair pass, last-visited entry first (see DESIGN.md §4). *)
+  Intvec.clear t.pending;
   (* lint: allow no-hashtbl-order — repair order follows the table's
      insertion history, itself a pure function of the seed; replays are
      bit-identical. *)
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
-  List.iter (try_fill t) pending
+  Hashtbl.iter (fun id () -> Intvec.push t.pending id) t.deficient;
+  for i = Intvec.length t.pending - 1 downto 0 do
+    try_fill t (Intvec.get t.pending i)
+  done
 
 let advance_time t span =
-  let deadline = t.time +. span in
-  while t.time < deadline do
+  let deadline = time t +. span in
+  while time t < deadline do
     step t
   done
 

@@ -1,5 +1,6 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type strategy = Push | Pull | Push_pull
 
@@ -53,10 +54,13 @@ let run ?max_rounds ~rng ~strategy model =
   let extinct = ref false in
   let extinction_round = ref None in
   let r = ref 0 in
+  (* A uniform neighbour of [id], or -1 when it has none: the same draw
+     [Prng.choose] makes over [Dyngraph.neighbors], without the list. *)
+  let neigh = Intvec.create () in
   let random_neighbor id =
-    match Dyngraph.neighbors graph id with
-    | [] -> None
-    | neigh -> Some (Prng.choose rng (Array.of_list neigh))
+    Dyngraph.neighbors_into graph id neigh;
+    let k = Intvec.length neigh in
+    if k = 0 then -1 else Intvec.get neigh (Prng.int rng k)
   in
   while (not !completed) && (not !extinct) && !r < max_rounds do
     incr r;
@@ -69,21 +73,21 @@ let run ?max_rounds ~rng ~strategy model =
       Hashtbl.iter
         (fun u () ->
           if Dyngraph.is_alive graph u then begin
-            match random_neighbor u with
-            | Some v ->
-                incr messages;
-                if not (Hashtbl.mem informed v) then newly := v :: !newly
-            | None -> ()
+            let v = random_neighbor u in
+            if v >= 0 then begin
+              incr messages;
+              if not (Hashtbl.mem informed v) then newly := v :: !newly
+            end
           end)
         informed;
     if strategy = Pull || strategy = Push_pull then
       Dyngraph.iter_alive graph (fun v ->
           if not (Hashtbl.mem informed v) then begin
-            match random_neighbor v with
-            | Some u ->
-                incr messages;
-                if Hashtbl.mem informed u then newly := v :: !newly
-            | None -> ()
+            let u = random_neighbor v in
+            if u >= 0 then begin
+              incr messages;
+              if Hashtbl.mem informed u then newly := v :: !newly
+            end
           end);
     List.iter (fun v -> Hashtbl.replace informed v ()) !newly;
     (* Churn advances one round / unit of time. *)

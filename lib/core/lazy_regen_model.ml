@@ -1,6 +1,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Poisson_churn = Churnet_churn.Poisson_churn
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type t = {
   n : int;
@@ -11,7 +12,8 @@ type t = {
   churn : Poisson_churn.t;
   broken : (int, unit) Hashtbl.t; (* nodes with empty slots awaiting repair *)
   mutable next_tick : float;
-  mutable time : float;
+  orphans : Intvec.t; (* scratch: a victim's in-neighbours *)
+  pending : Intvec.t; (* scratch: the repair pass's queue *)
 }
 
 let create ~rng ~n ~d ~period () =
@@ -27,67 +29,73 @@ let create ~rng ~n ~d ~period () =
     churn = Poisson_churn.create ~rng:churn_rng ~n ();
     broken = Hashtbl.create 256;
     next_tick = period;
-    time = 0.;
+    orphans = Intvec.create ();
+    pending = Intvec.create ();
   }
 
 let n t = t.n
 let d t = t.d
 let period t = t.period
 let graph t = t.graph
-let time t = t.time
+let time t = Poisson_churn.time t.churn
+
+(* A uniform alive node other than [id] (up to 8 draws), or -1. *)
+let pick_other t id =
+  let cand = ref (-1) and tries = ref 8 in
+  while !cand < 0 && !tries > 0 do
+    decr tries;
+    let c = Dyngraph.random_alive t.graph in
+    if c <> id then cand := c
+  done;
+  !cand
 
 let repair t id =
   if Dyngraph.is_alive t.graph id then begin
-    let missing () = t.d - Dyngraph.out_degree t.graph id in
     let progress = ref true in
-    while missing () > 0 && !progress do
+    while Dyngraph.out_degree t.graph id < t.d && !progress do
       if Dyngraph.alive_count t.graph < 2 then progress := false
       else begin
-        let rec pick tries =
-          if tries = 0 then None
-          else begin
-            let cand = Dyngraph.random_alive t.graph in
-            if cand <> id then Some cand else pick (tries - 1)
-          end
-        in
-        match pick 8 with
-        | Some cand -> if not (Dyngraph.connect t.graph ~src:id ~dst:cand) then progress := false
-        | None -> progress := false
+        let cand = pick_other t id in
+        if cand < 0 || not (Dyngraph.connect t.graph ~src:id ~dst:cand) then progress := false
       end
     done
   end
 
+(* Repair every broken node, last-visited entry first (see DESIGN.md §4). *)
 let maintenance t =
+  Intvec.clear t.pending;
   (* lint: allow no-hashtbl-order — repair order follows the table's
      insertion history, itself a pure function of the seed; replays are
      bit-identical. *)
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.broken [] in
+  Hashtbl.iter (fun id () -> Intvec.push t.pending id) t.broken;
   Hashtbl.reset t.broken;
-  List.iter (repair t) pending
+  for i = Intvec.length t.pending - 1 downto 0 do
+    repair t (Intvec.get t.pending i)
+  done
 
 let step t =
   let alive = Dyngraph.alive_count t.graph in
-  let decision, dt = Poisson_churn.decide t.churn ~alive in
-  t.time <- t.time +. dt;
-  (match decision with
-  | Poisson_churn.Birth ->
-      ignore (Dyngraph.add_node t.graph ~birth:(Poisson_churn.round t.churn))
-  | Poisson_churn.Death ->
-      let victim = Dyngraph.random_alive t.graph in
-      let orphans = Dyngraph.in_neighbors t.graph victim in
-      Dyngraph.kill t.graph victim;
-      Hashtbl.remove t.broken victim;
-      List.iter
-        (fun u -> if Dyngraph.is_alive t.graph u then Hashtbl.replace t.broken u ())
-        orphans);
-  while t.time >= t.next_tick do
+  if Poisson_churn.decide_birth t.churn ~alive then
+    ignore (Dyngraph.add_node t.graph ~birth:(Poisson_churn.round t.churn))
+  else begin
+    let victim = Dyngraph.random_alive t.graph in
+    Dyngraph.in_neighbors_into t.graph victim t.orphans;
+    Dyngraph.kill t.graph victim;
+    Hashtbl.remove t.broken victim;
+    for i = 0 to Intvec.length t.orphans - 1 do
+      let u = Intvec.get t.orphans i in
+      if Dyngraph.is_alive t.graph u then Hashtbl.replace t.broken u ()
+    done
+  end;
+  while time t >= t.next_tick do
     maintenance t;
+    (* lint: allow hot-path-alloc — boxes once per repair period, not per jump. *)
     t.next_tick <- t.next_tick +. t.period
   done
 
 let advance_time t span =
-  let deadline = t.time +. span in
-  while t.time < deadline do
+  let deadline = time t +. span in
+  while time t < deadline do
     step t
   done
 

@@ -265,14 +265,14 @@ let add_node_with_targets t ~birth ~targets =
   let id = t.id_of_slot.(s) in
   let row = s * t.d in
   let slot = ref 0 in
-  Array.iter
-    (fun target_id ->
-      if !slot < t.d && target_id <> id && is_alive t target_id then begin
-        t.out.(row + !slot) <- target_id;
-        Intvec.push t.in_edges.(slot_of t target_id) id;
-        incr slot
-      end)
-    targets;
+  for i = 0 to Array.length targets - 1 do
+    let target_id = targets.(i) in
+    if !slot < t.d && target_id <> id && is_alive t target_id then begin
+      t.out.(row + !slot) <- target_id;
+      Intvec.push t.in_edges.(slot_of t target_id) id;
+      incr slot
+    end
+  done;
   finish_birth t id s ~birth
 
 let peek_next_id t = t.next_id
@@ -465,22 +465,46 @@ let out_slot t id slot =
   if slot < 0 || slot >= t.d then invalid_arg "Dyngraph.out_slot: slot out of range";
   t.out.((s * t.d) + slot)
 
-let in_neighbors t id =
-  let s = get_slot t id in
-  let acc = ref [] in
-  Intvec.iter (fun src -> acc := src :: !acc) t.in_edges.(s);
-  List.sort_uniq Int.compare !acc
+(* The list queries below are wrappers over these buffer fills, so one
+   sort-and-dedupe serves both. *)
+let in_neighbors_into t id buf =
+  let inv = t.in_edges.(get_slot t id) in
+  Intvec.clear buf;
+  for i = 0 to Intvec.length inv - 1 do
+    Intvec.push buf (Intvec.get inv i)
+  done;
+  Intvec.sort_uniq buf
 
-let neighbors t id =
+let neighbors_into t id buf =
   let s = get_slot t id in
-  let acc = ref [] in
   let row = s * t.d in
+  let inv = t.in_edges.(s) in
+  Intvec.clear buf;
   for i = 0 to t.d - 1 do
     let target = t.out.(row + i) in
-    if target >= 0 then acc := target :: !acc
+    if target >= 0 then Intvec.push buf target
   done;
-  Intvec.iter (fun src -> acc := src :: !acc) t.in_edges.(s);
-  List.sort_uniq Int.compare !acc
+  for i = 0 to Intvec.length inv - 1 do
+    Intvec.push buf (Intvec.get inv i)
+  done;
+  Intvec.sort_uniq buf
+
+let list_of_intvec buf =
+  let acc = ref [] in
+  for i = Intvec.length buf - 1 downto 0 do
+    acc := Intvec.get buf i :: !acc
+  done;
+  !acc
+
+let in_neighbors t id =
+  let buf = Intvec.create () in
+  in_neighbors_into t id buf;
+  list_of_intvec buf
+
+let neighbors t id =
+  let buf = Intvec.create () in
+  neighbors_into t id buf;
+  list_of_intvec buf
 
 (* Allocation-free neighborhood iteration for the simulation hot loops.
    Distinctness without a scratch set: an out-slot target is skipped when

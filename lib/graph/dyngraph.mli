@@ -132,6 +132,20 @@ val in_neighbors : t -> node_id -> node_id list
 val neighbors : t -> node_id -> node_id list
 (** Distinct neighbors = out targets U in-neighbors, sorted ascending. *)
 
+val in_neighbors_into : t -> node_id -> Churnet_util.Intvec.t -> unit
+(** [in_neighbors_into t id buf] replaces the contents of [buf] with
+    {!in_neighbors}[ t id]: the distinct alive in-neighbors, sorted
+    ascending.  [buf] is owned by the caller, who keeps it across calls;
+    once it has grown to the largest neighbourhood queried, the call
+    allocates nothing. *)
+
+val neighbors_into : t -> node_id -> Churnet_util.Intvec.t -> unit
+(** [neighbors_into t id buf] replaces the contents of [buf] with
+    {!neighbors}[ t id] (sorted ascending, distinct), under the same
+    caller-owned-buffer contract as {!in_neighbors_into}.  Random
+    neighbour picks index into it, so a pick is the same draw
+    [Prng.choose] makes on the list version. *)
+
 val iter_neighbors : t -> node_id -> (node_id -> unit) -> unit
 (** [iter_neighbors t id f] calls [f] exactly once per distinct neighbor
     of [id] (same set as {!neighbors}, unspecified order) without

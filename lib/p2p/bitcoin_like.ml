@@ -1,6 +1,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Poisson_churn = Churnet_churn.Poisson_churn
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type peer_state = {
   table : int array; (* known addresses; -1 = empty entry *)
@@ -19,8 +20,8 @@ type t = {
   churn : Poisson_churn.t;
   peers : (int, peer_state) Hashtbl.t;
   deficient : (int, unit) Hashtbl.t; (* nodes below target out-degree *)
-  mutable time : float;
-  mutable newest : int;
+  orphans : Intvec.t; (* scratch: a victim's in-neighbours *)
+  pending : Intvec.t; (* scratch: the maintenance pass's queue *)
 }
 
 let create ~rng ?(target_out = 8) ?(max_in = 125) ?(table_size = 64) ?(seed_size = 16)
@@ -39,77 +40,91 @@ let create ~rng ?(target_out = 8) ?(max_in = 125) ?(table_size = 64) ?(seed_size
     churn = Poisson_churn.create ~rng:churn_rng ~n ();
     peers = Hashtbl.create 1024;
     deficient = Hashtbl.create 256;
-    time = 0.;
-    newest = -1;
+    orphans = Intvec.create ();
+    pending = Intvec.create ();
   }
 
 let n t = t.n
 let graph t = t.graph
-let time t = t.time
+let time t = Poisson_churn.time t.churn
+
+(* Index of [addr] in the filled prefix of [peer]'s table, or -1.
+   Entries are distinct, and everything past [fill] is empty. *)
+let table_index peer addr =
+  let idx = ref (-1) and i = ref 0 in
+  while !idx < 0 && !i < peer.fill do
+    if peer.table.(!i) = addr then idx := !i;
+    incr i
+  done;
+  !idx
 
 let table_insert t peer addr =
-  if addr >= 0 then begin
-    let exists = Array.exists (fun a -> a = addr) peer.table in
-    if not exists then
-      if peer.fill < t.table_size then begin
-        peer.table.(peer.fill) <- addr;
-        peer.fill <- peer.fill + 1
-      end
-      else begin
-        (* Random replacement keeps the table a moving sample. *)
-        let i = Prng.int t.rng t.table_size in
-        peer.table.(i) <- addr
-      end
+  if addr >= 0 && table_index peer addr < 0 then
+    if peer.fill < t.table_size then begin
+      peer.table.(peer.fill) <- addr;
+      peer.fill <- peer.fill + 1
+    end
+    else begin
+      (* Random replacement keeps the table a moving sample. *)
+      let i = Prng.int t.rng t.table_size in
+      peer.table.(i) <- addr
+    end
+
+(* A uniform entry of [peer]'s table, or -1 when it is empty. *)
+let table_random t peer = if peer.fill = 0 then -1 else peer.table.(Prng.int t.rng peer.fill)
+
+(* Forget a dead address. *)
+let table_forget peer addr =
+  let idx = table_index peer addr in
+  if idx >= 0 then begin
+    peer.table.(idx) <- peer.table.(peer.fill - 1);
+    peer.table.(peer.fill - 1) <- -1;
+    peer.fill <- peer.fill - 1
   end
 
-let table_random t peer =
-  if peer.fill = 0 then None else Some peer.table.(Prng.int t.rng peer.fill)
-
-let peer_of t id = Hashtbl.find_opt t.peers id
+(* Whether one of [id]'s out-slots already points at [v]. *)
+let links_to g id v =
+  let found = ref false in
+  for i = 0 to Dyngraph.d g - 1 do
+    if Dyngraph.out_slot g id i = v then found := true
+  done;
+  !found
 
 (* Connected peers advertise a few random table entries to each other. *)
 let gossip t a b =
-  match (peer_of t a, peer_of t b) with
-  | Some pa, Some pb ->
-      for _ = 1 to t.gossip_size do
-        (match table_random t pa with Some addr -> table_insert t pb addr | None -> ());
-        match table_random t pb with Some addr -> table_insert t pa addr | None -> ()
-      done;
-      table_insert t pa b;
-      table_insert t pb a
-  | _ -> ()
+  match Hashtbl.find t.peers a with
+  | exception Not_found -> ()
+  | pa -> (
+      match Hashtbl.find t.peers b with
+      | exception Not_found -> ()
+      | pb ->
+          for _ = 1 to t.gossip_size do
+            table_insert t pb (table_random t pa);
+            table_insert t pa (table_random t pb)
+          done;
+          table_insert t pa b;
+          table_insert t pb a)
 
 let try_fill t id =
-  match peer_of t id with
-  | None -> ()
-  | Some peer ->
-      let missing () = t.target_out - Dyngraph.out_degree t.graph id in
+  match Hashtbl.find t.peers id with
+  | exception Not_found -> ()
+  | peer ->
       let attempts = ref (4 * t.target_out) in
-      while missing () > 0 && !attempts > 0 do
+      while Dyngraph.out_degree t.graph id < t.target_out && !attempts > 0 do
         decr attempts;
-        match table_random t peer with
-        | None -> attempts := 0
-        | Some cand ->
-            if
-              cand <> id
-              && Dyngraph.is_alive t.graph cand
-              && Dyngraph.in_degree t.graph cand < t.max_in
-              && not (List.mem cand (Dyngraph.out_targets t.graph id))
-            then begin
-              if Dyngraph.connect t.graph ~src:id ~dst:cand then gossip t id cand
-            end
-            else if not (Dyngraph.is_alive t.graph cand) then begin
-              (* Forget a dead address. *)
-              let idx = ref (-1) in
-              Array.iteri (fun i a -> if a = cand then idx := i) peer.table;
-              if !idx >= 0 then begin
-                peer.table.(!idx) <- peer.table.(peer.fill - 1);
-                peer.table.(peer.fill - 1) <- -1;
-                peer.fill <- peer.fill - 1
-              end
-            end
+        let cand = table_random t peer in
+        if cand < 0 then attempts := 0
+        else if
+          cand <> id
+          && Dyngraph.is_alive t.graph cand
+          && Dyngraph.in_degree t.graph cand < t.max_in
+          && not (links_to t.graph id cand)
+        then begin
+          if Dyngraph.connect t.graph ~src:id ~dst:cand then gossip t id cand
+        end
+        else if not (Dyngraph.is_alive t.graph cand) then table_forget peer cand
       done;
-      if missing () > 0 then Hashtbl.replace t.deficient id ()
+      if Dyngraph.out_degree t.graph id < t.target_out then Hashtbl.replace t.deficient id ()
       else Hashtbl.remove t.deficient id
 
 let birth t =
@@ -122,39 +137,42 @@ let birth t =
     let cand = Dyngraph.random_alive t.graph in
     if cand <> id then table_insert t peer cand
   done;
-  Hashtbl.replace t.deficient id ();
-  t.newest <- id
+  Hashtbl.replace t.deficient id ()
 
 let death t =
   let victim = Dyngraph.random_alive t.graph in
   (* Whoever pointed at the victim becomes deficient. *)
-  let orphans = Dyngraph.in_neighbors t.graph victim in
+  Dyngraph.in_neighbors_into t.graph victim t.orphans;
   Dyngraph.kill t.graph victim;
   Hashtbl.remove t.peers victim;
   Hashtbl.remove t.deficient victim;
-  List.iter (fun u -> if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ())
-    orphans;
-  if victim = t.newest then t.newest <- -1
+  for i = 0 to Intvec.length t.orphans - 1 do
+    let u = Intvec.get t.orphans i in
+    if Dyngraph.is_alive t.graph u then Hashtbl.replace t.deficient u ()
+  done
 
+(* Serve every deficient node, last-visited entry first (see DESIGN.md
+   §4); the dead are dropped from the set. *)
 let maintenance t =
-  let pending = Hashtbl.fold (fun id () acc -> id :: acc) t.deficient [] in
-  List.iter
-    (fun id -> if Dyngraph.is_alive t.graph id then try_fill t id else Hashtbl.remove t.deficient id)
-    pending
+  Intvec.clear t.pending;
+  (* lint: allow no-hashtbl-order — service order follows the table's
+     insertion history, itself a pure function of the seed; replays are
+     bit-identical. *)
+  Hashtbl.iter (fun id () -> Intvec.push t.pending id) t.deficient;
+  for i = Intvec.length t.pending - 1 downto 0 do
+    let id = Intvec.get t.pending i in
+    if Dyngraph.is_alive t.graph id then try_fill t id else Hashtbl.remove t.deficient id
+  done
 
 let step t =
   let alive = Dyngraph.alive_count t.graph in
-  let decision, dt = Poisson_churn.decide t.churn ~alive in
-  t.time <- t.time +. dt;
-  (match decision with
-  | Poisson_churn.Birth -> birth t
-  | Poisson_churn.Death -> death t);
+  if Poisson_churn.decide_birth t.churn ~alive then birth t else death t;
   maintenance t
 
 let advance_time t span =
-  let deadline = t.time +. span in
+  let deadline = time t +. span in
   (* Conservative: execute jumps until the clock passes the deadline. *)
-  while t.time < deadline do
+  while time t < deadline do
     step t
   done
 
@@ -165,13 +183,9 @@ let warm_up t =
 
 let snapshot t = Dyngraph.snapshot t.graph
 
-let newest t =
-  if t.newest >= 0 && Dyngraph.is_alive t.graph t.newest then Some t.newest
-  else begin
-    let best = ref (-1) in
-    Dyngraph.iter_alive t.graph (fun id -> if id > !best then best := id);
-    if !best >= 0 then Some !best else None
-  end
+(* Ids are monotone with birth, so the arena's birth-list tail is the
+   youngest alive node. *)
+let newest t = Dyngraph.newest_alive t.graph
 
 let flood ?max_rounds t =
   let default = int_of_float (8. *. log (float_of_int t.n)) + 60 in
@@ -202,6 +216,7 @@ let mean_out_degree t =
 
 let mean_table_fill t =
   let acc = ref 0 and count = ref 0 in
+  (* lint: allow no-hashtbl-order — pure sum over entries; addition commutes. *)
   Hashtbl.iter
     (fun _ peer ->
       acc := !acc + peer.fill;

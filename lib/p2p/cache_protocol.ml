@@ -12,6 +12,7 @@ type t = {
   mutable round : int;
   birth_ids : int array;
   mutable newest : int;
+  targets : int array; (* scratch: the newborn's d cache picks *)
 }
 
 let create ~rng ?(cache_size = 32) ?(join_probability = 0.5) ~n ~d () =
@@ -28,6 +29,7 @@ let create ~rng ?(cache_size = 32) ?(join_probability = 0.5) ~n ~d () =
     round = 0;
     birth_ids = Array.make n (-1);
     newest = -1;
+    targets = Array.make d (-1);
   }
 
 let n t = t.n
@@ -37,11 +39,11 @@ let graph t = t.graph
 let refresh_cache t =
   (* Replace dead (or empty) entries with uniform alive nodes. *)
   if Dyngraph.alive_count t.graph > 0 then
-    Array.iteri
-      (fun i entry ->
-        if entry < 0 || not (Dyngraph.is_alive t.graph entry) then
-          t.cache.(i) <- Dyngraph.random_alive t.graph)
-      t.cache
+    for i = 0 to t.cache_size - 1 do
+      let entry = t.cache.(i) in
+      if entry < 0 || not (Dyngraph.is_alive t.graph entry) then
+        t.cache.(i) <- Dyngraph.random_alive t.graph
+    done
 
 let step t =
   t.round <- t.round + 1;
@@ -49,12 +51,10 @@ let step t =
   let dying = t.birth_ids.(slot) in
   if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
   refresh_cache t;
-  let targets =
-    Array.init t.d (fun _ ->
-        let entry = t.cache.(Prng.int t.rng t.cache_size) in
-        entry)
-  in
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets in
+  for i = 0 to t.d - 1 do
+    t.targets.(i) <- t.cache.(Prng.int t.rng t.cache_size)
+  done;
+  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets:t.targets in
   if Prng.bernoulli t.rng t.join_probability then
     t.cache.(Prng.int t.rng t.cache_size) <- id;
   t.birth_ids.(slot) <- id;

@@ -1,5 +1,6 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type t = {
   n : int;
@@ -9,6 +10,12 @@ type t = {
   mutable round : int;
   birth_ids : int array;
   mutable newest : int;
+  (* Scratch, reused every round so a step allocates nothing. *)
+  orphans : Intvec.t; (* the dying node's in-neighbours, ascending *)
+  inherited : Intvec.t; (* its out-targets, in slot order *)
+  adopt : Intvec.t; (* the newborn's targets, in donor-draw order *)
+  donors : Intvec.t; (* donors that gave up a link, in draw order *)
+  targets : int array; (* [adopt] reversed, padded with -1 *)
 }
 
 let create ~rng ~n ~d () =
@@ -22,6 +29,11 @@ let create ~rng ~n ~d () =
     round = 0;
     birth_ids = Array.make n (-1);
     newest = -1;
+    orphans = Intvec.create ();
+    inherited = Intvec.create ();
+    adopt = Intvec.create ();
+    donors = Intvec.create ();
+    targets = Array.make d (-1);
   }
 
 let n t = t.n
@@ -34,19 +46,33 @@ let graph t = t.graph
    the newborn ends with up to d).  Deletion hands the dying node's
    out-targets over to its orphaned in-neighbors. *)
 
+(* A uniform alive node other than [self] (up to 16 tries), or -1. *)
 let random_alive_other t self =
   let g = t.graph in
-  if Dyngraph.alive_count g < 2 then None
+  if Dyngraph.alive_count g < 2 then -1
   else begin
-    let rec go tries =
-      if tries = 0 then None
-      else begin
-        let cand = Dyngraph.random_alive g in
-        if cand = self then go (tries - 1) else Some cand
-      end
-    in
-    go 16
+    let cand = ref (-1) and tries = ref 16 in
+    while !cand < 0 && !tries > 0 do
+      decr tries;
+      let c = Dyngraph.random_alive g in
+      if c <> self then cand := c
+    done;
+    !cand
   end
+
+(* The target of the [k]-th filled out-slot of [id] (0-based, slot order):
+   the [k]-th element of [Dyngraph.out_targets]. *)
+let nth_target g id k =
+  let slot = ref 0 and seen = ref 0 and found = ref (-1) in
+  while !found < 0 do
+    let v = Dyngraph.out_slot g id !slot in
+    if v >= 0 then begin
+      if !seen = k then found := v;
+      incr seen
+    end;
+    incr slot
+  done;
+  !found
 
 let step t =
   t.round <- t.round + 1;
@@ -55,53 +81,58 @@ let step t =
   let slot = t.round mod t.n in
   let dying = t.birth_ids.(slot) in
   if dying >= 0 && Dyngraph.is_alive g dying then begin
-    let inherited = Dyngraph.out_targets g dying in
-    let orphans = Dyngraph.in_neighbors g dying in
+    Intvec.clear t.inherited;
+    for i = 0 to t.d - 1 do
+      let v = Dyngraph.out_slot g dying i in
+      if v >= 0 then Intvec.push t.inherited v
+    done;
+    Dyngraph.in_neighbors_into g dying t.orphans;
     Dyngraph.kill g dying;
-    (* Pair orphaned in-neighbors with the dead node's former targets. *)
-    let rec pair orphans targets =
-      match (orphans, targets) with
-      | [], _ -> ()
-      | w :: ws, t0 :: ts ->
-          if Dyngraph.is_alive g w && Dyngraph.is_alive g t0 && w <> t0 then
-            ignore (Dyngraph.connect g ~src:w ~dst:t0);
-          pair ws ts
-      | w :: ws, [] ->
-          (match random_alive_other t w with
-          | Some cand when Dyngraph.is_alive g w ->
-              ignore (Dyngraph.connect g ~src:w ~dst:cand)
-          | _ -> ());
-          pair ws []
-    in
-    pair orphans inherited
+    (* Pair orphaned in-neighbors with the dead node's former targets;
+       orphans left over once the targets run out re-sample uniformly. *)
+    let paired = Intvec.length t.inherited in
+    for i = 0 to Intvec.length t.orphans - 1 do
+      let w = Intvec.get t.orphans i in
+      if i < paired then begin
+        let t0 = Intvec.get t.inherited i in
+        if Dyngraph.is_alive g w && Dyngraph.is_alive g t0 && w <> t0 then
+          ignore (Dyngraph.connect g ~src:w ~dst:t0)
+      end
+      else begin
+        let cand = random_alive_other t w in
+        if cand >= 0 && Dyngraph.is_alive g w then ignore (Dyngraph.connect g ~src:w ~dst:cand)
+      end
+    done
   end;
   (* Birth by takeover. *)
   let newborn_id = Dyngraph.peek_next_id g in
   let alive = Dyngraph.alive_count g in
-  let adopt = ref [] in
-  let donors = ref [] in
+  Intvec.clear t.adopt;
+  Intvec.clear t.donors;
   if alive > 0 then
     for _ = 1 to t.d do
       let donor = Dyngraph.random_alive g in
-      match Dyngraph.out_targets g donor with
-      | [] -> adopt := donor :: !adopt (* donor has nothing to give: link to it *)
-      | targets ->
-          let target = Prng.choose t.rng (Array.of_list targets) in
-          if Dyngraph.disconnect g ~src:donor ~dst:target then begin
-            adopt := target :: !adopt;
-            donors := donor :: !donors
-          end
+      let k = Dyngraph.out_degree g donor in
+      if k = 0 then Intvec.push t.adopt donor (* donor has nothing to give: link to it *)
+      else begin
+        let target = nth_target g donor (Prng.int t.rng k) in
+        if Dyngraph.disconnect g ~src:donor ~dst:target then begin
+          Intvec.push t.adopt target;
+          Intvec.push t.donors donor
+        end
+      end
     done;
-  let id =
-    Dyngraph.add_node_with_targets g ~birth:t.round
-      ~targets:(Array.of_list (List.filter (fun x -> x <> newborn_id) !adopt))
-  in
+  (* The newborn's slots take the adopted targets latest draw first. *)
+  let m = Intvec.length t.adopt in
+  for i = 0 to t.d - 1 do
+    t.targets.(i) <- (if i < m then Intvec.get t.adopt (m - 1 - i) else -1)
+  done;
+  let id = Dyngraph.add_node_with_targets g ~birth:t.round ~targets:t.targets in
   assert (id = newborn_id);
-  List.iter
-    (fun donor ->
-      if Dyngraph.is_alive g donor && donor <> id then
-        ignore (Dyngraph.connect g ~src:donor ~dst:id))
-    !donors;
+  for i = Intvec.length t.donors - 1 downto 0 do
+    let donor = Intvec.get t.donors i in
+    if Dyngraph.is_alive g donor && donor <> id then ignore (Dyngraph.connect g ~src:donor ~dst:id)
+  done;
   t.birth_ids.(slot) <- id;
   t.newest <- id
 

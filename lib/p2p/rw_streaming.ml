@@ -1,5 +1,6 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
+module Intvec = Churnet_util.Intvec
 
 type t = {
   n : int;
@@ -10,6 +11,8 @@ type t = {
   mutable round : int;
   birth_ids : int array;
   mutable newest : int;
+  neigh : Intvec.t; (* scratch: the walk's current neighbourhood *)
+  targets : int array; (* scratch: the newborn's d walk endpoints *)
 }
 
 let create ~rng ?walk_length ~n ~d () =
@@ -29,6 +32,8 @@ let create ~rng ?walk_length ~n ~d () =
     round = 0;
     birth_ids = Array.make n (-1);
     newest = -1;
+    neigh = Intvec.create ();
+    targets = Array.make d (-1);
   }
 
 let n t = t.n
@@ -42,11 +47,10 @@ let walk t =
   else begin
     let pos = ref (Dyngraph.random_alive t.graph) in
     for _ = 1 to t.walk_length do
-      match Dyngraph.neighbors t.graph !pos with
-      | [] -> pos := Dyngraph.random_alive t.graph
-      | neigh ->
-          let arr = Array.of_list neigh in
-          pos := Prng.choose t.rng arr
+      Dyngraph.neighbors_into t.graph !pos t.neigh;
+      let k = Intvec.length t.neigh in
+      if k = 0 then pos := Dyngraph.random_alive t.graph
+      else pos := Intvec.get t.neigh (Prng.int t.rng k)
     done;
     !pos
   end
@@ -56,8 +60,10 @@ let step t =
   let slot = t.round mod t.n in
   let dying = t.birth_ids.(slot) in
   if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
-  let targets = Array.init t.d (fun _ -> walk t) in
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets in
+  for i = 0 to t.d - 1 do
+    t.targets.(i) <- walk t
+  done;
+  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets:t.targets in
   t.birth_ids.(slot) <- id;
   t.newest <- id
 

@@ -46,6 +46,30 @@ let swap_remove_first t v =
     true
   end
 
+(* Sort ascending and drop duplicates, in place: an insertion sort, since
+   the callers' vectors hold a neighbourhood of size O(d). *)
+let sort_uniq t =
+  let a = t.buf in
+  for i = 1 to t.len - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  if t.len > 1 then begin
+    let m = ref 1 in
+    for i = 1 to t.len - 1 do
+      if a.(i) <> a.(!m - 1) then begin
+        a.(!m) <- a.(i);
+        incr m
+      end
+    done;
+    t.len <- !m
+  end
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.buf.(i)

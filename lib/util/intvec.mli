@@ -32,6 +32,12 @@ val swap_remove_first : t -> int -> bool
     the value is absent.  This is the multiset-decrement of the graph
     arena's in-edge lists, where duplicates encode edge multiplicity. *)
 
+val sort_uniq : t -> unit
+(** Sort ascending and remove duplicates, in place and without
+    allocating: afterwards the vector holds exactly the elements of
+    [List.sort_uniq Int.compare] over its old contents.  Insertion sort,
+    meant for the short vectors of the graph's neighbourhood queries. *)
+
 val iter : (int -> unit) -> t -> unit
 
 val encode : Codec.writer -> t -> unit

@@ -134,7 +134,7 @@ let no_polymorphic_sort =
 (* no-hashtbl-order                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let hashtbl_restricted_dirs = [ "lib/graph"; "lib/core"; "lib/experiments" ]
+let hashtbl_restricted_dirs = [ "lib/graph"; "lib/core"; "lib/p2p"; "lib/experiments" ]
 
 let hashtbl_order_sensitive =
   [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
@@ -145,8 +145,8 @@ let no_hashtbl_order =
     name;
     doc =
       "Hashtbl.iter/fold leak table order into results in lib/graph, \
-       lib/core, lib/experiments; rewrite order-insensitively or suppress \
-       with a reason";
+       lib/core, lib/p2p, lib/experiments; rewrite order-insensitively or \
+       suppress with a reason";
     check =
       File
         (fun ctx ->
@@ -555,12 +555,17 @@ let no_io_transitive =
    churn jump kernels (add_node + kill ARE the jump: the paper's churn
    process replaces a killed node by a fresh birth), the runners that
    drive them once per round or per batch of Poisson jumps (whose churn
-   draws happen there), and the per-candidate expansion scorer. *)
+   draws happen there), the per-jump steps of the protocol-driven models
+   (their neighbour picks and repair loops), and the per-candidate
+   expansion scorer. *)
+let kernel_steps =
+  [ "Streaming_model"; "Bitcoin_like"; "Capped_model"; "Lazy_regen_model"; "Rw_streaming" ]
+
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
   (m = "Flood" && has_prefix "expand_informed" x)
   || (m = "Dyngraph" && (x = "add_node" || x = "kill"))
-  || (m = "Streaming_model" && x = "step")
+  || (x = "step" && List.mem m kernel_steps)
   || (m = "Poisson_model" && x = "run_batch")
   || (m = "Probe" && x = "consider")
 
@@ -639,8 +644,9 @@ let hot_path_alloc =
     name;
     doc =
       "functions reachable from the kernel entry points \
-       (Flood.expand_informed*, Dyngraph.add_node/kill, \
-       Streaming_model.step, Poisson_model.run_batch, Probe.consider) \
+       (Flood.expand_informed*, Dyngraph.add_node/kill, the step of \
+       Streaming_model, Bitcoin_like, Capped_model, Lazy_regen_model and \
+       Rw_streaming, Poisson_model.run_batch, Probe.consider) \
        must not allocate per element: no List combinators, per-iteration \
        closures, local functions, tuples, partial applications or stores \
        to boxed mutable float/int64 fields";

@@ -171,6 +171,57 @@ let test_run_until_time_vs_step () =
   Poisson_model.run_until_time b deadline;
   check_bool "no-op deadline stays byte-identical" true (encoded a = encoded b)
 
+(* --- Buffer-filling neighbourhood queries ------------------------- *)
+
+(* The buffer-filling queries against the list queries and against an
+   independent construction (out-targets plus in-neighbours, sorted and
+   deduplicated by the stdlib), on every alive node.  One buffer serves
+   every node, as in the simulators, so stale contents would show. *)
+module Intvec = Churnet_util.Intvec
+
+let into_agrees g =
+  let buf = Intvec.create ~capacity:1 () in
+  let contents () = List.init (Intvec.length buf) (Intvec.get buf) in
+  let ok = ref true in
+  Dyngraph.iter_alive g (fun id ->
+      let ins = ref [] in
+      Dyngraph.iter_in_neighbors g id (fun v -> ins := v :: !ins);
+      let ins = List.sort_uniq Int.compare !ins in
+      Dyngraph.in_neighbors_into g id buf;
+      if contents () <> ins || contents () <> Dyngraph.in_neighbors g id then ok := false;
+      let all = List.sort_uniq Int.compare (Dyngraph.out_targets g id @ ins) in
+      Dyngraph.neighbors_into g id buf;
+      if contents () <> all || contents () <> Dyngraph.neighbors g id then ok := false);
+  !ok
+
+(* A churned graph with regeneration: births, then kills of uniformly
+   chosen alive nodes, each re-pointing its in-neighbours' slots. *)
+let regen_graph ~seed ~script =
+  let g = Dyngraph.create ~rng:(Prng.create seed) ~d:3 ~regenerate:true () in
+  List.iteri
+    (fun i kill ->
+      if kill && Dyngraph.alive_count g > 1 then Dyngraph.kill g (Dyngraph.random_alive g)
+      else ignore (Dyngraph.add_node g ~birth:i))
+    script;
+  g
+
+let test_into_churned () =
+  let rng = Prng.create 10 in
+  let script =
+    List.init 80 (fun _ -> false) @ List.init 300 (fun _ -> Prng.bernoulli rng 0.5)
+  in
+  let g, _ = run_pair ~seed:29 ~script in
+  check_bool "_into queries agree without regeneration" true (into_agrees g);
+  check_bool "_into queries agree with regeneration" true
+    (into_agrees (regen_graph ~seed:29 ~script));
+  List.iter
+    (fun regenerate ->
+      let m = pm 53 ~regenerate in
+      Poisson_model.warm_up m;
+      check_bool "_into queries agree on a warmed Poisson graph" true
+        (into_agrees (Poisson_model.graph m)))
+    [ false; true ]
+
 (* --- Stream_stats vs Snapshot / Metrics ----------------------------- *)
 
 module Stream_stats = Churnet_graph.Stream_stats
@@ -255,6 +306,13 @@ let qcheck_props =
       (fun (seed, script) ->
         let g, _ = run_pair ~seed ~script in
         iterators_agree g);
+    QCheck.Test.make ~name:"neighbors_into == neighbors on random scripts" ~count:60
+      QCheck.(triple bool small_int (list_of_size (Gen.int_range 10 150) bool))
+      (fun (regenerate, seed, script) ->
+        if regenerate then into_agrees (regen_graph ~seed ~script)
+        else
+          let g, _ = run_pair ~seed ~script in
+          into_agrees g);
   ]
 
 let suite =
@@ -264,6 +322,7 @@ let suite =
     ("heavy deaths", `Quick, test_heavy_deaths);
     ("iter_neighbors mixed churn", `Quick, test_iter_neighbors_mixed_script);
     ("iter_neighbors heavy deaths", `Quick, test_iter_neighbors_heavy_deaths);
+    ("neighbors_into churned graphs", `Quick, test_into_churned);
     ("batched run_rounds byte-identical", `Quick, test_run_rounds_vs_step);
     ("batched warm_up byte-identical", `Quick, test_warm_up_vs_step);
     ("batched run_until_time byte-identical", `Quick, test_run_until_time_vs_step);

@@ -219,6 +219,8 @@ let test_hashtbl_order () =
     (rules_fired "no-hashtbl-order" ~path:"lib/graph/fake.ml" bad);
   check_int "Hashtbl.iter caught in lib/core" 1
     (rules_fired "no-hashtbl-order" ~path:"lib/core/fake.ml" bad);
+  check_int "Hashtbl.iter caught in lib/p2p" 1
+    (rules_fired "no-hashtbl-order" ~path:"lib/p2p/fake.ml" bad);
   check_int "lib/util not restricted" 0
     (rules_fired "no-hashtbl-order" ~path:"lib/util/fake.ml" bad);
   let ok = "let v = Hashtbl.find_opt tbl k" in
@@ -408,6 +410,29 @@ let test_hot_path_alloc_unreachable_ok () =
     (List.length
        (run_project_rule "hot-path-alloc"
           ~units:[ ("lib/core/flood.ml", src) ]
+          ~interfaces:[]))
+
+let test_hot_path_protocol_steps () =
+  (* The per-jump step of every protocol-driven model is a kernel entry;
+     another function of the same module is not. *)
+  let src = "let step t =\n  (t, t)\nlet report t =\n  (t, t)\n" in
+  List.iter
+    (fun path ->
+      let fs = run_project_rule "hot-path-alloc" ~units:[ (path, src) ] ~interfaces:[] in
+      Alcotest.(check (list int))
+        (path ^ ": step flagged, report not")
+        [ 2 ]
+        (List.map (fun f -> f.Lint_rules.line) fs))
+    [
+      "lib/p2p/bitcoin_like.ml";
+      "lib/p2p/rw_streaming.ml";
+      "lib/core/capped_model.ml";
+      "lib/core/lazy_regen_model.ml";
+    ];
+  check_int "a step outside the registered models is not an entry" 0
+    (List.length
+       (run_project_rule "hot-path-alloc"
+          ~units:[ ("lib/p2p/cache_protocol.ml", src) ]
           ~interfaces:[]))
 
 let test_hot_path_local_function () =
@@ -768,6 +793,7 @@ let suite =
       test_no_io_transitive_report_layer_ok );
     ("rule: hot-path-alloc", `Quick, test_hot_path_alloc);
     ("rule: hot-path-alloc unreachable", `Quick, test_hot_path_alloc_unreachable_ok);
+    ("rule: hot-path-alloc protocol steps", `Quick, test_hot_path_protocol_steps);
     ("rule: hot-path-alloc local function", `Quick, test_hot_path_local_function);
     ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
     ("rule: dead-export", `Quick, test_dead_export);

@@ -311,3 +311,50 @@ let p2p_runs_text () =
 
 let suite =
   suite @ [ ("p2p runs golden", `Quick, Test_byte_equality.check_case ("p2p_runs", p2p_runs_text)) ]
+
+(* --- Allocation on the protocol step --- *)
+
+(* Steady-state minor words per [step] at n = 300, d = 8, after
+   [warm_up] and a settling run that lets the scratch vectors and hash
+   tables reach their working size.  What is left is the per-jump cost:
+   for the Poisson-churn models the boxed float of the exponential draw,
+   and, per birth, the new node's table entries (Bitcoin-like: also its
+   address table).  Upper bounds, so a build with cross-module inlining
+   (which only allocates less) passes too. *)
+let steady_words_per_step ~warm_up ~step =
+  warm_up ();
+  for _ = 1 to 2000 do
+    step ()
+  done;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    step ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int steps
+
+let test_step_allocation () =
+  let n = 300 and d = 8 in
+  let rw = Rw_streaming.create ~rng:(Prng.create 51) ~n ~d () in
+  let btc = Bitcoin_like.create ~rng:(Prng.create 52) ~target_out:d ~n () in
+  let capped = Churnet_core.Capped_model.create ~rng:(Prng.create 53) ~n ~d ~cap:(d + 1) () in
+  List.iter
+    (fun (name, bound, warm_up, step) ->
+      let w = steady_words_per_step ~warm_up ~step in
+      check_bool (Printf.sprintf "%s: %.2f words per step <= %g" name w bound) true (w <= bound))
+    [
+      ( "Rw_streaming",
+        2.,
+        (fun () -> Rw_streaming.warm_up rw),
+        fun () -> Rw_streaming.step rw );
+      ( "Bitcoin_like",
+        90.,
+        (fun () -> Bitcoin_like.warm_up btc),
+        fun () -> Bitcoin_like.step btc );
+      ( "Capped_model",
+        45.,
+        (fun () -> Churnet_core.Capped_model.warm_up capped),
+        fun () -> Churnet_core.Capped_model.step capped );
+    ]
+
+let suite = suite @ [ ("steady-state step allocation", `Quick, test_step_allocation) ]

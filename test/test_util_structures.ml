@@ -421,6 +421,28 @@ let test_bar_all_negative () =
   check_bool "renders without crash" true (String.length s > 0);
   check_bool "no # bars" true (not (String.contains s '#'))
 
+(* --- Intvec --- *)
+
+(* [sort_uniq] in place against the stdlib's list version: small values
+   so duplicates are common, a capacity-1 vector so the buffer regrows,
+   and a second fill of the same vector so stale cells would show. *)
+let intvec_qcheck =
+  let contents v = List.init (Intvec.length v) (Intvec.get v) in
+  let sorted_of v xs =
+    Intvec.clear v;
+    List.iter (Intvec.push v) xs;
+    Intvec.sort_uniq v;
+    contents v
+  in
+  [
+    QCheck.Test.make ~name:"intvec sort_uniq = List.sort_uniq" ~count:500
+      QCheck.(pair (list (int_range (-20) 20)) (list small_nat))
+      (fun (xs, ys) ->
+        let v = Intvec.create ~capacity:1 () in
+        sorted_of v xs = List.sort_uniq Int.compare xs
+        && sorted_of v ys = List.sort_uniq Int.compare ys);
+  ]
+
 let suite =
   [
     ("entropy uniform", `Quick, test_entropy_uniform);
@@ -457,7 +479,7 @@ let suite =
     ("bar all negative", `Quick, test_bar_all_negative);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false)
-      (kl_qcheck @ heap_qcheck @ bitset_qcheck)
+      (kl_qcheck @ heap_qcheck @ bitset_qcheck @ intvec_qcheck)
 
 (* --- Parallel --- *)
 
