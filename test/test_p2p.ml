@@ -289,6 +289,29 @@ let p2p_runs_text () =
           Churnet_core.Lazy_regen_model.warm_up m;
           ( Churnet_core.Lazy_regen_model.graph m,
             fun () -> Churnet_core.Lazy_regen_model.flood ~max_rounds:80 m ) );
+      ( "lazy-regen-0.25",
+        fun rng ~n ->
+          let m = Churnet_core.Lazy_regen_model.create ~rng ~n ~d ~period:0.25 () in
+          Churnet_core.Lazy_regen_model.warm_up m;
+          ( Churnet_core.Lazy_regen_model.graph m,
+            fun () -> Churnet_core.Lazy_regen_model.flood ~max_rounds:80 m ) );
+      ( "lazy-regen-4",
+        fun rng ~n ->
+          let m = Churnet_core.Lazy_regen_model.create ~rng ~n ~d ~period:4.0 () in
+          Churnet_core.Lazy_regen_model.warm_up m;
+          ( Churnet_core.Lazy_regen_model.graph m,
+            fun () -> Churnet_core.Lazy_regen_model.flood ~max_rounds:80 m ) );
+      ( "capped-2d-retries4",
+        fun rng ~n ->
+          let m = Churnet_core.Capped_model.create ~rng ~retries:4 ~n ~d ~cap:(2 * d) () in
+          Churnet_core.Capped_model.warm_up m;
+          ( Churnet_core.Capped_model.graph m,
+            fun () -> Churnet_core.Capped_model.flood ~max_rounds:80 m ) );
+      ( "bitcoin-in5",
+        fun rng ~n ->
+          let m = Bitcoin_like.create ~rng ~max_in:5 ~n () in
+          Bitcoin_like.warm_up m;
+          (Bitcoin_like.graph m, fun () -> Bitcoin_like.flood ~max_rounds:80 m) );
     ]
   in
   List.iter
