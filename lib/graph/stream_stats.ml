@@ -1,5 +1,3 @@
-module Bitset = Churnet_util.Bitset
-
 type t = {
   population : int;
   isolated : int;
@@ -75,36 +73,3 @@ let collect g =
     degree_histogram = Array.sub !counts 0 (!max_degree + 1);
     degree_gini = gini_of_histogram ~population !counts;
   }
-
-(* [Bitset.mem] raises outside [0, capacity); neighbor ids keep growing
-   under churn, so membership of an id beyond a set's capacity just means
-   "not a member". *)
-let bs_mem b i = i < Bitset.capacity b && Bitset.mem b i
-
-let boundary_size ?scratch g set =
-  let seen =
-    match scratch with
-    | Some b ->
-        Bitset.clear b;
-        b
-    | None -> Bitset.create 1024
-  in
-  let count = ref 0 in
-  (* Hoisted for the same reason as in [Snapshot.boundary_size]: a
-     closure per frontier node would dominate the probe's allocation. *)
-  let visit v =
-    if (not (bs_mem set v)) && not (bs_mem seen v) then begin
-      Bitset.ensure_capacity seen (v + 1);
-      Bitset.add seen v;
-      incr count
-    end
-  in
-  Bitset.iter
-    (fun u -> if Dyngraph.is_alive g u then Dyngraph.iter_neighbors g u visit)
-    set;
-  !count
-
-let expansion ?scratch g set =
-  let s = Bitset.cardinal set in
-  if s = 0 then nan
-  else float_of_int (boundary_size ?scratch g set) /. float_of_int s

@@ -2,10 +2,11 @@
 
     {!Snapshot} freezes the topology into a flat CSR before anything can
     be measured — an O(n·d) copy that dominates peak RSS once n reaches
-    the XL tier (10⁶ nodes and up).  This module computes the statistics
-    the experiment checks actually consume by row-local iteration
-    ([Dyngraph.iter_alive] + [Dyngraph.iter_neighbors]), holding only
-    O(n) counters.
+    the XL tier (10⁶ nodes and up).  This module computes the degree
+    statistics the experiment checks actually consume by row-local
+    iteration ([Dyngraph.iter_alive] + [Dyngraph.iter_neighbors]),
+    holding only O(n) counters.  Vertex expansion is not here: [Probe]
+    measures it on a snapshot with [Snapshot.expansion].
 
     Every field is {e bit-identical} to the corresponding CSR-side
     computation ([Snapshot.mean_degree], [Snapshot.degree_histogram],
@@ -28,16 +29,3 @@ type t = {
 
 val collect : Dyngraph.t -> t
 (** One pass over the alive set; O(n) time and counters, no CSR. *)
-
-val boundary_size :
-  ?scratch:Churnet_util.Bitset.t -> Dyngraph.t -> Churnet_util.Bitset.t -> int
-(** [boundary_size g set] counts the distinct alive nodes adjacent to —
-    but outside — [set], which here holds {e node ids} (not snapshot
-    indices).  Dead ids in [set] are ignored.  [?scratch] is cleared and
-    reused as the seen-set, saving the allocation when probing many sets
-    of similar size. *)
-
-val expansion :
-  ?scratch:Churnet_util.Bitset.t -> Dyngraph.t -> Churnet_util.Bitset.t -> float
-(** [boundary_size / cardinal]; nan for the empty set — mirroring
-    [Snapshot.expansion]. *)
