@@ -5,7 +5,6 @@ type t = {
   n : int;
   d : int;
   cache_size : int;
-  join_probability : float;
   rng : Prng.t;
   graph : Dyngraph.t;
   cache : int array; (* -1 = empty entry *)
@@ -15,14 +14,16 @@ type t = {
   targets : int array; (* scratch: the newborn's d cache picks *)
 }
 
-let create ~rng ?(cache_size = 32) ?(join_probability = 0.5) ~n ~d () =
+(* Chance that a newborn takes a uniform cache entry's place. *)
+let join_probability = 0.5
+
+let create ~rng ?(cache_size = 32) ~n ~d () =
   if n < 2 then invalid_arg "Cache_protocol.create: n must be >= 2";
   let graph_rng = Prng.split rng in
   {
     n;
     d;
     cache_size;
-    join_probability;
     rng;
     graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
     cache = Array.make cache_size (-1);
@@ -55,7 +56,7 @@ let step t =
     t.targets.(i) <- t.cache.(Prng.int t.rng t.cache_size)
   done;
   let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets:t.targets in
-  if Prng.bernoulli t.rng t.join_probability then
+  if Prng.bernoulli t.rng join_probability then
     t.cache.(Prng.int t.rng t.cache_size) <- id;
   t.birth_ids.(slot) <- id;
   t.newest <- id

@@ -13,12 +13,12 @@ type t
 val create :
   rng:Churnet_util.Prng.t ->
   ?cache_size:int ->
-  ?join_probability:float ->
   n:int ->
   d:int ->
   unit ->
   t
-(** Defaults: [cache_size = 32], [join_probability = 0.5]. *)
+(** [cache_size] defaults to 32; a newborn joins the cache with
+    probability 0.5. *)
 
 val n : t -> int
 val d : t -> int

@@ -15,13 +15,9 @@ type t = {
   targets : int array; (* scratch: the newborn's d walk endpoints *)
 }
 
-let create ~rng ?walk_length ~n ~d () =
+let create ~rng ~n ~d () =
   if n < 2 then invalid_arg "Rw_streaming.create: n must be >= 2";
-  let walk_length =
-    match walk_length with
-    | Some l -> l
-    | None -> 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.))
-  in
+  let walk_length = 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.)) in
   let graph_rng = Prng.split rng in
   {
     n;

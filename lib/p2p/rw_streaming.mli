@@ -8,15 +8,9 @@
 
 type t
 
-val create :
-  rng:Churnet_util.Prng.t ->
-  ?walk_length:int ->
-  n:int ->
-  d:int ->
-  unit ->
-  t
-(** [walk_length] defaults to [2 * ceil(log2 n)] steps — enough mixing on
-    a low-diameter graph. *)
+val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
+(** Each walk takes [2 * ceil(log2 n)] steps — enough mixing on a
+    low-diameter graph. *)
 
 val n : t -> int
 val d : t -> int
