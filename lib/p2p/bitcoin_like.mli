@@ -16,17 +16,10 @@
 
 type t
 
-val create :
-  rng:Churnet_util.Prng.t ->
-  ?target_out:int ->
-  ?max_in:int ->
-  ?table_size:int ->
-  ?seed_size:int ->
-  ?gossip_size:int ->
-  n:int ->
-  unit ->
-  t
-(** [n] is the stationary population (lambda = 1, mu = 1/n). *)
+val create : rng:Churnet_util.Prng.t -> ?target_out:int -> ?max_in:int -> n:int -> unit -> t
+(** [n] is the stationary population (lambda = 1, mu = 1/n).  Address
+    tables hold 64 entries, a newborn's DNS seed gives it 16 addresses,
+    and each side of a gossip exchange advertises 8 entries. *)
 
 val n : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t

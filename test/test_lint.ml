@@ -433,7 +433,24 @@ let test_hot_path_protocol_steps () =
     (List.length
        (run_project_rule "hot-path-alloc"
           ~units:[ ("lib/p2p/cache_protocol.ml", src) ]
-          ~interfaces:[]))
+          ~interfaces:[]));
+  (* The cone crosses units: a step's callee in another module is
+     checked too, and the witness walks there from the step. *)
+  let fs =
+    run_project_rule "hot-path-alloc"
+      ~units:
+        [
+          ("lib/core/capped_model.ml", "let step t =\n  Repair_churn.jump t\n");
+          ("lib/core/repair_churn.ml", "let jump t =\n  (t, t)\nlet report t =\n  (t, t)\n");
+        ]
+      ~interfaces:[]
+  in
+  match fs with
+  | [ f ] ->
+      Alcotest.(check string) "file" "lib/core/repair_churn.ml" f.Lint_rules.file;
+      check_int "line" 2 f.Lint_rules.line;
+      check_strings "witness" [ "Capped_model.step"; "Repair_churn.jump" ] f.Lint_rules.witness
+  | other -> Alcotest.failf "expected 1 cross-unit finding, got %d" (List.length other)
 
 let test_hot_path_local_function () =
   let src =

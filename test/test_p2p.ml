@@ -381,3 +381,78 @@ let test_step_allocation () =
     ]
 
 let suite = suite @ [ ("steady-state step allocation", `Quick, test_step_allocation) ]
+
+(* --- Repair_churn contract --- *)
+
+module Repair_churn = Churnet_core.Repair_churn
+module Intvec = Churnet_util.Intvec
+
+(* The owing set in table order, copied out of the scratch queue. *)
+let owing rc =
+  let q = Repair_churn.queue rc in
+  List.init (Intvec.length q) (Intvec.get q)
+
+let test_repair_churn_death () =
+  let rc = Repair_churn.create ~rng:(Prng.create 61) ~n:40 ~d:3 in
+  let g = Repair_churn.graph rc in
+  let deaths = ref 0 and orphaned = ref 0 in
+  for k = 1 to 400 do
+    let alive = ref [] in
+    Dyngraph.iter_alive g (fun id -> alive := id :: !alive);
+    let in_before = List.map (fun id -> (id, Dyngraph.in_neighbors g id)) !alive in
+    (* Even jumps start with every alive node owing, so the victim's exit
+       shows; odd ones start empty, so the queue is exactly the orphans. *)
+    Repair_churn.forgive_all rc;
+    if k mod 2 = 0 then List.iter (Repair_churn.owe rc) !alive;
+    let victim = Repair_churn.jump rc in
+    if victim < 0 then ignore (Dyngraph.add_node g ~birth:(Repair_churn.round rc))
+    else begin
+      incr deaths;
+      let q = owing rc in
+      let orphans = List.filter (Dyngraph.is_alive g) (List.assoc victim in_before) in
+      orphaned := !orphaned + List.length orphans;
+      check_bool "victim not queued" false (List.mem victim q);
+      List.iter (fun u -> check_bool "alive in-neighbour queued" true (List.mem u q)) orphans;
+      if k mod 2 = 1 then
+        Alcotest.(check (list int)) "queue = alive in-neighbours" orphans (List.sort Int.compare q)
+    end
+  done;
+  check_bool "deaths with orphans happened" true (!deaths > 50 && !orphaned > 50)
+
+let test_repair_churn_forgive_all () =
+  let rc = Repair_churn.create ~rng:(Prng.create 62) ~n:20 ~d:2 in
+  let g = Repair_churn.graph rc in
+  for i = 1 to 10 do
+    Repair_churn.owe rc (Dyngraph.add_node_with_targets g ~birth:i ~targets:[||])
+  done;
+  check_int "ten owing" 10 (List.length (owing rc));
+  check_int "two slots each" 20 (Repair_churn.missing_slots rc);
+  Repair_churn.forgive_all rc;
+  check_int "nothing owing" 0 (List.length (owing rc));
+  check_int "nothing missing" 0 (Repair_churn.missing_slots rc)
+
+let test_repair_churn_queue_pass () =
+  let rc = Repair_churn.create ~rng:(Prng.create 63) ~n:20 ~d:2 in
+  List.iter (Repair_churn.owe rc) [ 3; 1; 4; 15; 9; 2; 6 ];
+  let before = owing rc in
+  let q = Repair_churn.queue rc and served = ref [] in
+  while Intvec.length q > 0 do
+    let id = Intvec.pop q in
+    served := id :: !served;
+    Repair_churn.settle rc id;
+    Repair_churn.owe rc (id + 100);
+    if id = 4 then Repair_churn.settle rc 9
+  done;
+  Alcotest.(check (list int)) "the pass serves the set it started with, last-visited first" before
+    !served;
+  Alcotest.(check (list int)) "changes made during the pass show in the next one"
+    (List.map (fun id -> id + 100) (List.sort Int.compare before))
+    (List.sort Int.compare (owing rc))
+
+let suite =
+  suite
+  @ [
+      ("repair churn death", `Quick, test_repair_churn_death);
+      ("repair churn forgive_all", `Quick, test_repair_churn_forgive_all);
+      ("repair churn queue pass", `Quick, test_repair_churn_queue_pass);
+    ]
