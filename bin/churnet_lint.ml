@@ -9,8 +9,8 @@
    (stdlib [Arg] only): the linter is part of the correctness gate and
    must never be the thing that fails to build. *)
 
-module Lint_engine = Churnet_util.Lint_engine
-module Lint_rules = Churnet_util.Lint_rules
+module Lint_engine = Churnet_lint.Lint_engine
+module Lint_rules = Churnet_lint.Lint_rules
 
 let default_paths = [ "lib"; "bin"; "test"; "examples" ]
 

@@ -1,3 +1,5 @@
+module Json = Churnet_util.Json
+
 type config = {
   paths : string list;
   root : string option;

@@ -63,7 +63,7 @@ val render : outcome -> string
     [file:line:col: [rule] message [path: A -> B]] line per finding
     plus a summary line (and expired-baseline notices). *)
 
-val to_json : outcome -> Json.t
+val to_json : outcome -> Churnet_util.Json.t
 (** The [churnet-lint/2] report document: each finding carries its
     rule's one-line doc and (for graph rules) the witness call path. *)
 

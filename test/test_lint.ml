@@ -4,6 +4,7 @@
    never sees it as code. *)
 
 open Churnet_util
+open Churnet_lint
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

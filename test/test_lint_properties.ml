@@ -10,7 +10,7 @@
      properly nested — the invariant the call graph's innermost-wins
      attribution rests on. *)
 
-open Churnet_util
+open Churnet_lint
 
 let check_bool = Alcotest.(check bool)
 
