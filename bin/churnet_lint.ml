@@ -1,11 +1,10 @@
 (* churnet-lint: determinism & hygiene linter for the churnet sources.
 
-   Usage: churnet-lint [--root DIR] [--baseline FILE] [--json FILE]
-                       [--update-baseline] [--list-rules] [--quiet]
+   Usage: churnet-lint [--root DIR] [--json FILE] [--list-rules] [--quiet]
                        [PATHS...]
 
-   Exit status: 0 when no new findings, 1 when any rule fires outside
-   the baseline, 2 on usage or I/O errors.  Dependency-free by design
+   Exit status: 0 when no findings, 1 when any rule fires outside a
+   suppression pragma, 2 on usage or I/O errors.  Dependency-free by design
    (stdlib [Arg] only): the linter is part of the correctness gate and
    must never be the thing that fails to build. *)
 
@@ -15,15 +14,13 @@ module Lint_rules = Churnet_lint.Lint_rules
 let default_paths = [ "lib"; "bin"; "test"; "examples" ]
 
 let usage =
-  "churnet-lint [--root DIR] [--baseline FILE] [--json FILE] \
-   [--update-baseline] [--list-rules] [--quiet] [PATHS...]\n\
+  "churnet-lint [--root DIR] [--json FILE] [--list-rules] [--quiet] \
+   [PATHS...]\n\
    Static determinism & hygiene checks over the churnet OCaml sources."
 
 let () =
-  let baseline = ref None in
   let json = ref None in
   let root = ref None in
-  let update_baseline = ref false in
   let list_rules = ref false in
   let quiet = ref false in
   let paths = ref [] in
@@ -34,15 +31,9 @@ let () =
         "DIR interpret PATHS (and report findings) relative to DIR; rules \
          key off repo-relative prefixes like lib/, so fixture trees lint \
          with their own root" );
-      ( "--baseline",
-        Arg.String (fun s -> baseline := Some s),
-        "FILE baseline of grandfathered findings (they do not fail the run)" );
       ( "--json",
         Arg.String (fun s -> json := Some s),
-        "FILE write a churnet-lint/2 JSON report to FILE" );
-      ( "--update-baseline",
-        Arg.Set update_baseline,
-        " rewrite the baseline file to the current findings and exit 0" );
+        "FILE write a churnet-lint/3 JSON report to FILE" );
       ( "--list-rules",
         Arg.Set list_rules,
         " print the rule catalogue and exit" );
@@ -59,10 +50,6 @@ let () =
         print_endline (Printf.sprintf "%-22s %s" r.Lint_rules.name r.Lint_rules.doc))
       Lint_rules.all;
     exit 0
-  end;
-  if !update_baseline && !baseline = None then begin
-    prerr_endline "churnet-lint: --update-baseline requires --baseline FILE";
-    exit 2
   end;
   let exists p =
     Sys.file_exists
@@ -81,33 +68,16 @@ let () =
         else found
     | ps -> ps
   in
-  let config =
-    {
-      Lint_engine.paths;
-      root = !root;
-      baseline_path = !baseline;
-      json_path = !json;
-      update_baseline = !update_baseline;
-    }
-  in
-  match Lint_engine.run config with
+  match
+    Lint_engine.run { Lint_engine.paths; root = !root; json_path = !json }
+  with
   | Error msg ->
       prerr_endline ("churnet-lint: " ^ msg);
       exit 2
   | Ok outcome ->
-      let report = Lint_engine.render outcome in
       if !quiet then
         List.iter
-          (fun (f : Lint_rules.finding) ->
-            let base =
-              Printf.sprintf "%s:%d:%d: [%s] %s" f.Lint_rules.file
-                f.Lint_rules.line f.Lint_rules.col f.Lint_rules.rule
-                f.Lint_rules.message
-            in
-            print_endline
-              (match f.Lint_rules.witness with
-              | [] -> base
-              | w -> base ^ " [path: " ^ String.concat " -> " w ^ "]"))
+          (fun f -> print_endline (Lint_engine.render_finding f))
           outcome.Lint_engine.findings
-      else print_string report;
+      else print_string (Lint_engine.render outcome);
       exit (Lint_engine.exit_code outcome)

@@ -3,25 +3,19 @@ module Json = Churnet_util.Json
 type config = {
   paths : string list;
   root : string option;
-  baseline_path : string option;
   json_path : string option;
-  update_baseline : bool;
 }
-
-type baseline_entry = { b_rule : string; b_file : string; b_line : int }
 
 type outcome = {
   findings : Lint_rules.finding list;
-  baselined : int;
   suppressed : int;
-  expired : baseline_entry list;
   files_scanned : int;
 }
 
 (* Rules implemented by the engine itself rather than the catalogue:
    bad-pragma (a malformed suppression) and bad-syntax (the lexer hit a
    construct it could not finish — unterminated comment/string).  They
-   are valid pragma and baseline targets. *)
+   are valid pragma targets. *)
 let bad_pragma_rule = "bad-pragma"
 let bad_syntax_rule = "bad-syntax"
 let engine_rules = [ bad_pragma_rule; bad_syntax_rule ]
@@ -221,111 +215,6 @@ let suppressing_pragma pragmas (f : Lint_rules.finding) =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let parse_baseline_line ~lineno line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then Ok None
-  else
-    match split_words line with
-    | [ rule; loc ] -> (
-        match String.rindex_opt loc ':' with
-        | None ->
-            Error
-              (Printf.sprintf "baseline line %d: expected `rule file:line'"
-                 lineno)
-        | Some i -> (
-            let file = String.sub loc 0 i in
-            let num = String.sub loc (i + 1) (String.length loc - i - 1) in
-            match int_of_string_opt num with
-            | None ->
-                Error
-                  (Printf.sprintf "baseline line %d: bad line number %S" lineno
-                     num)
-            | Some l ->
-                if known_rule rule then
-                  Ok
-                    (Some
-                       { b_rule = rule; b_file = normalize_path file; b_line = l })
-                else
-                  Error
-                    (Printf.sprintf "baseline line %d: unknown rule %S" lineno
-                       rule)))
-    | _ ->
-        Error
-          (Printf.sprintf "baseline line %d: expected `rule file:line'" lineno)
-
-let parse_baseline content =
-  let lines = String.split_on_char '\n' content in
-  let rec go lineno acc lines =
-    match lines with
-    | [] -> Ok (List.rev acc)
-    | line :: tl -> (
-        match parse_baseline_line ~lineno line with
-        | Ok None -> go (lineno + 1) acc tl
-        | Ok (Some e) -> go (lineno + 1) (e :: acc) tl
-        | Error _ as e -> e)
-  in
-  go 1 [] lines
-
-let load_baseline = function
-  | None -> Ok []
-  | Some path ->
-      if not (Sys.file_exists path) then
-        Error ("baseline file not found: " ^ path)
-      else (
-        match read_file path with
-        | content -> parse_baseline content
-        | exception Sys_error msg -> Error msg)
-
-let compare_entries a b =
-  let c = String.compare a.b_file b.b_file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.b_line b.b_line in
-    if c <> 0 then c else String.compare a.b_rule b.b_rule
-
-(* Subtract the baseline from the findings (multiset semantics: one
-   entry absorbs one finding).  Returns the surviving findings, the
-   number absorbed, and the entries that matched nothing. *)
-let apply_baseline entries findings =
-  let remaining = ref entries in
-  let absorbed = ref 0 in
-  let survives (f : Lint_rules.finding) =
-    let matches e =
-      e.b_rule = f.Lint_rules.rule
-      && e.b_file = f.Lint_rules.file
-      && e.b_line = f.Lint_rules.line
-    in
-    match List.partition matches !remaining with
-    | [], _ -> true
-    | _ :: extra, rest ->
-        remaining := extra @ rest;
-        incr absorbed;
-        false
-  in
-  let fresh = List.filter survives findings in
-  (fresh, !absorbed, List.sort compare_entries !remaining)
-
-let baseline_header =
-  "# churnet-lint baseline: grandfathered findings, one `rule file:line' per\n\
-   # line.  New code must stay clean; shrink this file, never grow it.\n"
-
-let write_baseline path findings =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc baseline_header;
-      List.iter
-        (fun (f : Lint_rules.finding) ->
-          output_string oc
-            (Printf.sprintf "%s %s:%d\n" f.Lint_rules.rule f.Lint_rules.file
-               f.Lint_rules.line))
-        findings)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,17 +284,9 @@ let to_json outcome =
             (List.map (fun w -> Json.String w) f.Lint_rules.witness) );
       ]
   in
-  let entry_json e =
-    Json.Obj
-      [
-        ("rule", Json.String e.b_rule);
-        ("file", Json.String e.b_file);
-        ("line", Json.Int e.b_line);
-      ]
-  in
   Json.Obj
     [
-      ("schema", Json.String "churnet-lint/2");
+      ("schema", Json.String "churnet-lint/3");
       ("files_scanned", Json.Int outcome.files_scanned);
       ( "rules",
         Json.Arr
@@ -418,184 +299,155 @@ let to_json outcome =
                  ])
              Lint_rules.all) );
       ("findings", Json.Arr (List.map finding_json outcome.findings));
-      ("baselined", Json.Int outcome.baselined);
       ("suppressed", Json.Int outcome.suppressed);
-      ("expired_baseline", Json.Arr (List.map entry_json outcome.expired));
     ]
 
 let run config =
   match collect_files ~root:config.root config.paths with
   | Error _ as e -> e
   | Ok (mls, mlis) -> (
-      match load_baseline config.baseline_path with
+      (* Phase 1: read, lex and parse every file exactly once. *)
+      let rec load_all acc ~is_ml files =
+        match files with
+        | [] -> Ok (List.rev acc)
+        | f :: tl -> (
+            match load_parsed ~is_ml f with
+            | Error _ as e -> e
+            | Ok p -> load_all (p :: acc) ~is_ml tl)
+      in
+      match load_all [] ~is_ml:true mls with
       | Error _ as e -> e
-      | Ok entries -> (
-          (* Phase 1: read, lex and parse every file exactly once. *)
-          let rec load_all acc ~is_ml files =
-            match files with
-            | [] -> Ok (List.rev acc)
-            | f :: tl -> (
-                match load_parsed ~is_ml f with
-                | Error _ as e -> e
-                | Ok p -> load_all (p :: acc) ~is_ml tl)
-          in
-          match load_all [] ~is_ml:true mls with
+      | Ok ml_parsed -> (
+          match load_all [] ~is_ml:false mlis with
           | Error _ as e -> e
-          | Ok ml_parsed -> (
-              match load_all [] ~is_ml:false mlis with
-              | Error _ as e -> e
-              | Ok mli_parsed ->
-                  let all_parsed = ml_parsed @ mli_parsed in
-                  (* Phase 2: rules.  File rules per unit; project rules
-                     once over the shared parse. *)
-                  let file_findings =
-                    List.concat_map
-                      (fun p ->
-                        let ctx =
-                          {
-                            Lint_rules.path = p.ps_rel;
-                            lex = p.ps_lex;
-                            has_mli = p.ps_has_mli;
-                          }
-                        in
-                        List.concat_map
-                          (fun (r : Lint_rules.rule) ->
-                            match r.Lint_rules.check with
-                            | Lint_rules.File check -> check ctx
-                            | Lint_rules.Project _ | Lint_rules.Synthetic -> [])
-                          Lint_rules.all)
-                      ml_parsed
-                  in
-                  let project =
-                    {
-                      Lint_rules.p_graph =
-                        Lint_graph.build
-                          (List.filter_map
-                             (fun p ->
-                               match p.ps_tree with
-                               | Some tree -> Some (p.ps_rel, p.ps_lex, tree)
-                               | None -> None)
-                             ml_parsed);
-                      p_interfaces =
-                        List.map (fun p -> (p.ps_rel, p.ps_lex)) mli_parsed;
-                    }
-                  in
-                  let project_findings =
+          | Ok mli_parsed ->
+              let all_parsed = ml_parsed @ mli_parsed in
+              (* Phase 2: rules.  File rules per unit; project rules
+                 once over the shared parse. *)
+              let file_findings =
+                List.concat_map
+                  (fun p ->
+                    let ctx =
+                      {
+                        Lint_rules.path = p.ps_rel;
+                        lex = p.ps_lex;
+                        has_mli = p.ps_has_mli;
+                      }
+                    in
                     List.concat_map
                       (fun (r : Lint_rules.rule) ->
                         match r.Lint_rules.check with
-                        | Lint_rules.Project check -> check project
-                        | Lint_rules.File _ | Lint_rules.Synthetic -> [])
-                      Lint_rules.all
-                  in
-                  let syntax_findings =
-                    List.concat_map diagnostics_findings all_parsed
-                  in
-                  let pragmas, bad_pragma_findings =
-                    List.fold_left
-                      (fun (ps, bad) p ->
-                        let ps', bad' =
-                          pragmas_of ~path:p.ps_rel p.ps_lex
-                        in
-                        (ps @ ps', bad @ bad'))
-                      ([], []) all_parsed
-                  in
-                  (* Phase 3: suppression, then stale-pragma detection.
-                     Hits are counted by [suppressing_pragma]; a pragma
-                     allowing unused-pragma earns its keep by
-                     suppressing one. *)
-                  let raw =
-                    file_findings @ project_findings @ syntax_findings
-                  in
-                  let kept, dropped =
-                    List.partition
-                      (fun f -> not (suppressing_pragma pragmas f))
-                      raw
-                  in
-                  let unused0 =
-                    List.filter
-                      (fun p ->
-                        p.pg_hits = 0 && p.pg_rule <> "unused-pragma")
-                      pragmas
-                  in
-                  let unused_findings0 =
-                    List.map
-                      (fun p ->
-                        {
-                          Lint_rules.rule = "unused-pragma";
-                          file = p.pg_file;
-                          line = p.pg_line;
-                          col = 1;
-                          message =
-                            Printf.sprintf
-                              "pragma allows %S but suppresses nothing; the \
-                               code it excused is gone, so remove it"
-                              p.pg_rule;
-                          witness = [];
-                        })
-                      unused0
-                  in
-                  let unused_kept, unused_dropped =
-                    List.partition
-                      (fun f -> not (suppressing_pragma pragmas f))
-                      unused_findings0
-                  in
-                  (* unused-pragma pragmas that themselves suppressed
-                     nothing (no second level: kept deliberately simple) *)
-                  let stale_meta =
-                    List.filter
-                      (fun p ->
-                        p.pg_hits = 0 && p.pg_rule = "unused-pragma")
-                      pragmas
-                    |> List.map (fun p ->
-                           {
-                             Lint_rules.rule = "unused-pragma";
-                             file = p.pg_file;
-                             line = p.pg_line;
-                             col = 1;
-                             message =
-                               "pragma allows \"unused-pragma\" but \
-                                suppresses nothing; remove it";
-                             witness = [];
-                           })
-                  in
-                  let suppressed =
-                    List.length dropped + List.length unused_dropped
-                  in
-                  let found =
+                        | Lint_rules.File check -> check ctx
+                        | Lint_rules.Project _ | Lint_rules.Synthetic -> [])
+                      Lint_rules.all)
+                  ml_parsed
+              in
+              let project =
+                {
+                  Lint_rules.p_graph =
+                    Lint_graph.build
+                      (List.filter_map
+                         (fun p ->
+                           match p.ps_tree with
+                           | Some tree -> Some (p.ps_rel, p.ps_lex, tree)
+                           | None -> None)
+                         ml_parsed);
+                  p_interfaces =
+                    List.map (fun p -> (p.ps_rel, p.ps_lex)) mli_parsed;
+                }
+              in
+              let project_findings =
+                List.concat_map
+                  (fun (r : Lint_rules.rule) ->
+                    match r.Lint_rules.check with
+                    | Lint_rules.Project check -> check project
+                    | Lint_rules.File _ | Lint_rules.Synthetic -> [])
+                  Lint_rules.all
+              in
+              let syntax_findings =
+                List.concat_map diagnostics_findings all_parsed
+              in
+              let pragmas, bad_pragma_findings =
+                List.fold_left
+                  (fun (ps, bad) p ->
+                    let ps', bad' =
+                      pragmas_of ~path:p.ps_rel p.ps_lex
+                    in
+                    (ps @ ps', bad @ bad'))
+                  ([], []) all_parsed
+              in
+              (* Phase 3: suppression, then stale-pragma detection.
+                 Hits are counted by [suppressing_pragma]; a pragma
+                 allowing unused-pragma earns its keep by
+                 suppressing one. *)
+              let raw =
+                file_findings @ project_findings @ syntax_findings
+              in
+              let kept, dropped =
+                List.partition
+                  (fun f -> not (suppressing_pragma pragmas f))
+                  raw
+              in
+              let unused0 =
+                List.filter
+                  (fun p ->
+                    p.pg_hits = 0 && p.pg_rule <> "unused-pragma")
+                  pragmas
+              in
+              let unused_findings0 =
+                List.map
+                  (fun p ->
+                    {
+                      Lint_rules.rule = "unused-pragma";
+                      file = p.pg_file;
+                      line = p.pg_line;
+                      col = 1;
+                      message =
+                        Printf.sprintf
+                          "pragma allows %S but suppresses nothing; the \
+                           code it excused is gone, so remove it"
+                          p.pg_rule;
+                      witness = [];
+                    })
+                  unused0
+              in
+              let unused_kept, unused_dropped =
+                List.partition
+                  (fun f -> not (suppressing_pragma pragmas f))
+                  unused_findings0
+              in
+              (* unused-pragma pragmas that themselves suppressed
+                 nothing (no second level: kept deliberately simple) *)
+              let stale_meta =
+                List.filter
+                  (fun p ->
+                    p.pg_hits = 0 && p.pg_rule = "unused-pragma")
+                  pragmas
+                |> List.map (fun p ->
+                       {
+                         Lint_rules.rule = "unused-pragma";
+                         file = p.pg_file;
+                         line = p.pg_line;
+                         col = 1;
+                         message =
+                           "pragma allows \"unused-pragma\" but \
+                            suppresses nothing; remove it";
+                         witness = [];
+                       })
+              in
+              let outcome =
+                {
+                  findings =
                     List.sort Lint_rules.compare_findings
-                      (bad_pragma_findings @ kept @ unused_kept @ stale_meta)
-                  in
-                  let fresh, baselined, expired =
-                    apply_baseline entries found
-                  in
-                  let files_scanned = List.length all_parsed in
-                  let outcome =
-                    if config.update_baseline then begin
-                      (match config.baseline_path with
-                      | Some p -> write_baseline p found
-                      | None -> ());
-                      {
-                        findings = [];
-                        baselined = List.length found;
-                        suppressed;
-                        expired = [];
-                        files_scanned;
-                      }
-                    end
-                    else
-                      {
-                        findings = fresh;
-                        baselined;
-                        suppressed;
-                        expired;
-                        files_scanned;
-                      }
-                  in
-                  (match config.json_path with
-                  | Some p -> Json.write_file p (to_json outcome)
-                  | None -> ());
-                  Ok outcome)))
+                      (bad_pragma_findings @ kept @ unused_kept @ stale_meta);
+                  suppressed = List.length dropped + List.length unused_dropped;
+                  files_scanned = List.length all_parsed;
+                }
+              in
+              (match config.json_path with
+              | Some p -> Json.write_file p (to_json outcome)
+              | None -> ());
+              Ok outcome))
 
 let render_finding (f : Lint_rules.finding) =
   let base =
@@ -613,20 +465,11 @@ let render outcome =
       Buffer.add_string buf (render_finding f);
       Buffer.add_char buf '\n')
     outcome.findings;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "churnet-lint: baseline entry no longer fires: %s %s:%d (remove it \
-            or rerun with --update-baseline)\n"
-           e.b_rule e.b_file e.b_line))
-    outcome.expired;
   Buffer.add_string buf
     (Printf.sprintf
-       "churnet-lint: %d finding(s), %d baselined, %d suppressed, %d file(s) \
-        scanned\n"
+       "churnet-lint: %d finding(s), %d suppressed, %d file(s) scanned\n"
        (List.length outcome.findings)
-       outcome.baselined outcome.suppressed outcome.files_scanned);
+       outcome.suppressed outcome.files_scanned);
   Buffer.contents buf
 
 let exit_code outcome = if outcome.findings = [] then 0 else 1

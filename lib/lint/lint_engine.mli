@@ -1,6 +1,5 @@
 (** churnet-lint driver: file discovery, the shared per-file parse
-    cache, suppression pragmas, baseline bookkeeping and report
-    assembly.
+    cache, suppression pragmas and report assembly.
 
     Every scanned file is read, lexed and (for [.ml]) structurally
     parsed exactly once; file rules, project rules (symbol index + call
@@ -24,11 +23,7 @@
     is reported under the synthetic rule [bad-syntax] at the position
     of the offending opener.
 
-    The baseline file grandfathers known findings: one [rule file:line]
-    entry per line, ['#'] comments allowed.  Findings matching a
-    baseline entry do not fail the run; baseline entries that no longer
-    fire are reported as {e expired} so the file shrinks monotonically
-    to empty. *)
+    There is no baseline: every unsuppressed finding fails the run. *)
 
 type config = {
   paths : string list;  (** files or directories to scan *)
@@ -36,35 +31,30 @@ type config = {
       (** interpret [paths] (and report findings) relative to this
           directory; rules key off repo-relative prefixes like "lib/",
           so fixture trees are linted with their own root *)
-  baseline_path : string option;
-  json_path : string option;  (** write a [churnet-lint/2] report here *)
-  update_baseline : bool;
-      (** rewrite the baseline to exactly the current findings *)
+  json_path : string option;  (** write a [churnet-lint/3] report here *)
 }
 
-type baseline_entry = { b_rule : string; b_file : string; b_line : int }
-
 type outcome = {
-  findings : Lint_rules.finding list;
-      (** new findings (not baselined, not suppressed), sorted *)
-  baselined : int;  (** findings absorbed by the baseline *)
+  findings : Lint_rules.finding list;  (** unsuppressed findings, sorted *)
   suppressed : int;  (** findings silenced by pragmas *)
-  expired : baseline_entry list;  (** baseline entries that no longer fire *)
   files_scanned : int;  (** [.ml] and [.mli] files *)
 }
 
 val run : config -> (outcome, string) result
-(** Scan, lint, apply pragmas and baseline, and honor [json_path] /
-    [update_baseline].  [Error msg] reports unusable inputs (missing
-    path, malformed baseline); it never raises. *)
+(** Scan, lint, apply pragmas, and honor [json_path].  [Error msg]
+    reports unusable inputs (a missing path, an unreadable file); it
+    never raises. *)
+
+val render_finding : Lint_rules.finding -> string
+(** One [file:line:col: [rule] message [path: A -> B]] line, without
+    the newline; the path part only for graph rules. *)
 
 val render : outcome -> string
-(** Human-readable report: one
-    [file:line:col: [rule] message [path: A -> B]] line per finding
-    plus a summary line (and expired-baseline notices). *)
+(** Human-readable report: {!render_finding} per finding plus a
+    summary line. *)
 
 val to_json : outcome -> Churnet_util.Json.t
-(** The [churnet-lint/2] report document: each finding carries its
+(** The [churnet-lint/3] report document: each finding carries its
     rule's one-line doc and (for graph rules) the witness call path. *)
 
 val exit_code : outcome -> int

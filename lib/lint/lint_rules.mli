@@ -69,7 +69,7 @@ val names : string list
 
 val is_rule : string -> bool
 (** [is_rule name] is true when [name] names a rule in {!all} (used to
-    validate suppression pragmas and baseline entries). *)
+    validate suppression pragmas). *)
 
 val compare_findings : finding -> finding -> int
 (** Total order: file, then line, then column, then rule name. *)

@@ -1,5 +1,5 @@
 (* churnet-lint: lexer corner cases, rule detection, pragma suppression
-   and baseline round-trips.  Every synthetic bad sample lives inside a
+   and the engine's report.  Every synthetic bad sample lives inside a
    string literal, so the repo's own lint pass (which scans test/ too)
    never sees it as code. *)
 
@@ -510,7 +510,7 @@ let test_dead_export () =
         (List.length other)
 
 (* ------------------------------------------------------------------ *)
-(* Engine: temp trees, pragmas, baseline                               *)
+(* Engine: temp trees, pragmas, reports                                *)
 (* ------------------------------------------------------------------ *)
 
 let rec rm_rf path =
@@ -547,12 +547,8 @@ let in_temp_tree f =
       rm_rf root)
     f
 
-let run_engine ?baseline ?json ?root ?(update_baseline = false) paths =
-  match
-    Lint_engine.run
-      { Lint_engine.paths; root; baseline_path = baseline; json_path = json;
-        update_baseline }
-  with
+let run_engine ?json ?root paths =
+  match Lint_engine.run { Lint_engine.paths; root; json_path = json } with
   | Ok outcome -> outcome
   | Error msg -> Alcotest.failf "engine error: %s" msg
 
@@ -620,41 +616,6 @@ let test_pragma_unknown_rule () =
       | [ f ] -> check_bool "bad-pragma" true (f.Lint_rules.rule = "bad-pragma")
       | other -> Alcotest.failf "expected 1 finding, got %d" (List.length other))
 
-let test_baseline_roundtrip () =
-  in_temp_tree (fun () ->
-      write_file "lib/core/bad.ml" bad_sort_ml;
-      write_file "lib/core/bad.mli" "";
-      (* 1. Finding fires with an empty baseline. *)
-      write_file "baseline.txt" "# empty\n";
-      let before = run_engine ~baseline:"baseline.txt" [ "lib" ] in
-      check_int "fires before baselining" 1
-        (List.length before.Lint_engine.findings);
-      (* 2. Record it. *)
-      let updated =
-        run_engine ~baseline:"baseline.txt" ~update_baseline:true [ "lib" ]
-      in
-      check_int "update leaves no findings" 0
-        (List.length updated.Lint_engine.findings);
-      check_int "update counts baselined" 1 updated.Lint_engine.baselined;
-      (* 3. Grandfathered now. *)
-      let after = run_engine ~baseline:"baseline.txt" [ "lib" ] in
-      check_int "baselined finding does not fire" 0
-        (List.length after.Lint_engine.findings);
-      check_int "absorbed by baseline" 1 after.Lint_engine.baselined;
-      (* 4. Fix the file: the entry expires. *)
-      write_file "lib/core/bad.ml" good_sort_ml;
-      let fixed = run_engine ~baseline:"baseline.txt" [ "lib" ] in
-      check_int "no findings after fix" 0
-        (List.length fixed.Lint_engine.findings);
-      check_int "entry expired" 1 (List.length fixed.Lint_engine.expired);
-      check_int "exit code stays 0" 0 (Lint_engine.exit_code fixed);
-      (* 5. --update-baseline drops the expired entry. *)
-      let _ =
-        run_engine ~baseline:"baseline.txt" ~update_baseline:true [ "lib" ]
-      in
-      let final = run_engine ~baseline:"baseline.txt" [ "lib" ] in
-      check_int "baseline empty again" 0 (List.length final.Lint_engine.expired))
-
 let test_json_report () =
   in_temp_tree (fun () ->
       write_file "lib/core/bad.ml" bad_sort_ml;
@@ -668,7 +629,7 @@ let test_json_report () =
         (Json.member "schema" doc
          |> Option.map Json.as_string
          |> Option.join
-         = Some "churnet-lint/2");
+         = Some "churnet-lint/3");
       match Json.member "findings" doc with
       | Some (Json.Arr [ f ]) ->
           check_bool "finding rule in json" true
@@ -757,11 +718,11 @@ let test_to_json_witness_and_doc () =
       write_file "lib/core/gossip.mli" "";
       let outcome = run_engine [ "lib" ] in
       let doc = Lint_engine.to_json outcome in
-      check_bool "schema is churnet-lint/2" true
+      check_bool "schema is churnet-lint/3" true
         (Json.member "schema" doc
          |> Option.map Json.as_string
          |> Option.join
-        = Some "churnet-lint/2");
+        = Some "churnet-lint/3");
       match Json.member "findings" doc with
       | Some (Json.Arr fs) ->
           check_bool "at least one finding serialized" true (fs <> []);
@@ -820,7 +781,6 @@ let suite =
     ("engine: allow-file pragma", `Quick, test_pragma_allow_file);
     ("engine: pragma needs reason", `Quick, test_pragma_needs_reason);
     ("engine: unknown rule pragma", `Quick, test_pragma_unknown_rule);
-    ("engine: baseline roundtrip", `Quick, test_baseline_roundtrip);
     ("engine: json report", `Quick, test_json_report);
     ("engine: exit codes", `Quick, test_exit_codes);
     ("engine: unused pragma", `Quick, test_unused_pragma);
