@@ -5,7 +5,6 @@ module Dist = Churnet_util.Dist
 
 type t = {
   n : int;
-  d : int;
   graph : Dyngraph.t;
   churn : Poisson_churn.t;
   rng : Prng.t;
@@ -30,7 +29,6 @@ let create ~rng ?lambda ~n ~d ~regenerate () =
   let churn = Poisson_churn.create ~rng:churn_rng ?lambda ~n () in
   {
     n;
-    d;
     graph;
     churn;
     rng;
@@ -41,7 +39,7 @@ let create ~rng ?lambda ~n ~d ~regenerate () =
   }
 
 let n t = t.n
-let d t = t.d
+let d t = Dyngraph.d t.graph
 let regenerates t = Dyngraph.regenerate t.graph
 let graph t = t.graph
 let round t = Poisson_churn.round t.churn
@@ -155,7 +153,7 @@ module Codec = Churnet_util.Codec
 
 let encode w t =
   Codec.varint w t.n;
-  Codec.varint w t.d;
+  Codec.varint w (d t);
   Dyngraph.encode w t.graph;
   Poisson_churn.encode w t.churn;
   Prng.encode w t.rng;
@@ -191,10 +189,10 @@ let decode r =
       r
   in
   let time = Codec.read_f64 r in
-  if n < 2 || d < 1 then raise (Codec.Error "Poisson_model.decode: inconsistent fields");
+  if n < 2 || d <> Dyngraph.d graph then
+    raise (Codec.Error "Poisson_model.decode: inconsistent fields");
   {
     n;
-    d;
     graph;
     churn;
     rng;

@@ -3,7 +3,6 @@ module Prng = Churnet_util.Prng
 
 type t = {
   n : int;
-  d : int;
   graph : Dyngraph.t;
   mutable round : int;
   (* id of the node born at round r is [birth_ids.(r mod (n+1))]; the
@@ -15,10 +14,10 @@ type t = {
 let create ~rng ~n ~d ~regenerate () =
   if n < 2 then invalid_arg "Streaming_model.create: n must be >= 2";
   let graph = Dyngraph.create ~rng ~d ~regenerate () in
-  { n; d; graph; round = 0; birth_ids = Array.make n (-1); newest = -1 }
+  { n; graph; round = 0; birth_ids = Array.make n (-1); newest = -1 }
 
 let n t = t.n
-let d t = t.d
+let d t = Dyngraph.d t.graph
 let regenerates t = Dyngraph.regenerate t.graph
 let round t = t.round
 let graph t = t.graph
@@ -54,7 +53,7 @@ module Codec = Churnet_util.Codec
 
 let encode w t =
   Codec.varint w t.n;
-  Codec.varint w t.d;
+  Codec.varint w (d t);
   Dyngraph.encode w t.graph;
   Codec.varint w t.round;
   Codec.int_array w t.birth_ids;
@@ -67,6 +66,6 @@ let decode r =
   let round = Codec.read_varint r in
   let birth_ids = Codec.read_int_array r in
   let newest = Codec.read_varint r in
-  if n < 2 || d < 1 || round < 0 || Array.length birth_ids <> n then
-    raise (Codec.Error "Streaming_model.decode: inconsistent fields");
-  { n; d; graph; round; birth_ids; newest }
+  if n < 2 || d <> Dyngraph.d graph || round < 0 || Array.length birth_ids <> n
+  then raise (Codec.Error "Streaming_model.decode: inconsistent fields");
+  { n; graph; round; birth_ids; newest }

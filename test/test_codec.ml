@@ -311,7 +311,20 @@ let test_models_dispatch () =
   expect_codec_error "bad model tag" (fun () ->
       let w = Codec.writer () in
       Codec.u8 w 9;
-      Models.decode (Codec.reader (Codec.contents w)))
+      Models.decode (Codec.reader (Codec.contents w)));
+  (* The model's [d] varint must agree with its arena's degree.  Byte 0
+     is the kind tag and byte 1 the one-byte varint n = 40, so [d] is
+     byte 2 (varints are zigzag-coded: d = 3 is 6, d = 5 is 10). *)
+  List.iter
+    (fun kind ->
+      let m = Models.create ~rng:(Prng.create 35) kind ~n:40 ~d:3 in
+      Models.warm_up_batch m;
+      let b = Bytes.of_string (model_bytes m) in
+      check_int "d varint at byte 2" 6 (Char.code (Bytes.get b 2));
+      Bytes.set b 2 '\010';
+      expect_codec_error ("d disagrees with the arena: " ^ Models.kind_name kind)
+        (fun () -> Models.decode (Codec.reader (Bytes.to_string b))))
+    [ Models.SDGR; Models.PDGR ]
 
 (* Decoding is total: a damaged payload of any model kind either
    decodes or raises [Codec.Error] — never an out-of-bounds index or any
