@@ -4,9 +4,9 @@
                        [PATHS...]
 
    Exit status: 0 when no findings, 1 when any rule fires outside a
-   suppression pragma, 2 on usage or I/O errors.  Dependency-free by design
-   (stdlib [Arg] only): the linter is part of the correctness gate and
-   must never be the thing that fails to build. *)
+   suppression pragma, 2 on usage or I/O errors.  Dependency-free by
+   design (stdlib [Arg] only): the linter is part of the correctness
+   gate and must never be the thing that fails to build. *)
 
 module Lint_engine = Churnet_lint.Lint_engine
 module Lint_rules = Churnet_lint.Lint_rules

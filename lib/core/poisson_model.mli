@@ -74,3 +74,6 @@ val encode : Churnet_util.Codec.writer -> t -> unit
     pending jump (already taken from the churn PRNG, hence state). *)
 
 val decode : Churnet_util.Codec.reader -> t
+(** Inverse of {!encode}.  Raises [Codec.Error] on malformed or
+    inconsistent bytes, such as a [d] that disagrees with the decoded
+    arena's. *)

@@ -45,3 +45,6 @@ val encode : Churnet_util.Codec.writer -> t -> unit
 (** Serialize the model (graph arena included) for checkpoints. *)
 
 val decode : Churnet_util.Codec.reader -> t
+(** Inverse of {!encode}.  Raises [Codec.Error] on malformed or
+    inconsistent bytes, such as a [d] that disagrees with the decoded
+    arena's. *)
