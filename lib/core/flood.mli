@@ -79,8 +79,20 @@ val state_round : state -> int
 val state_finished : state -> bool
 (** The flood has completed, gone extinct, or hit its round bound. *)
 
+val state_informed : state -> Churnet_util.Bitset.t
+(** The informed set after the rounds so far, as a bitset over node ids
+    pruned to alive nodes.  A live view, not a copy: callers must not
+    mutate it. *)
+
 val encode_state : Churnet_util.Codec.writer -> state -> unit
+
 val decode_state : Churnet_util.Codec.reader -> state
+(** Inverse of {!encode_state}.  The checkpoint carries no frontier: the
+    decoded state's frontier is the whole informed set, a superset of
+    the exact one.  Both drivers scan only the frontier, and scanning a
+    superset finds the same uninformed neighbors (and, in the
+    discretized driver, the same candidate edges), so a resumed flood is
+    identical to one that never stopped. *)
 
 val sync_start :
   max_rounds:int ->
@@ -111,7 +123,16 @@ val poisson_start : max_rounds:int -> Poisson_model.t -> state
 
 val poisson_round : Poisson_model.t -> state -> unit
 (** One discretized flooding round (Definition 4.3) over a unit interval
-    of model time. *)
+    of model time.  Records the informed-to-uninformed edges present at
+    the start of the interval, runs the churn for one time unit, then
+    informs the uninformed endpoint of every such edge that survived.
+    Only the frontier is scanned: the informed nodes that learned last
+    round or gained an edge to an uninformed node during the churn
+    (re-armed, as in {!sync_round}, by an edge hook chained to any
+    installed one and restored after).  The candidate edges, and hence
+    the trace, are exactly those of a scan of the whole informed set;
+    a round costs its frontier plus the births of the interval, not the
+    whole graph. *)
 
 val finish_state : state -> trace
 (** Assemble the final trace from a finished (or abandoned) state. *)

@@ -56,6 +56,9 @@ let draw_pending t =
 
 let execute t (decision, dt) =
   t.pending <- None;
+  (* lint: allow hot-path-alloc — the kernels reach this store only for
+     the one pending jump a [run_until_time] call executes before it
+     batches; the batch path stores the clock once per batch. *)
   t.time <- t.time +. dt;
   match decision with
   | Poisson_churn.Birth ->
@@ -109,16 +112,19 @@ let run_batch t ~deadline ~limit =
   count
 
 let run_until_time t deadline =
-  let rec batches () =
-    let count = run_batch t ~deadline ~limit:batch_cap in
-    if count = batch_cap && t.pending = None then batches ()
+  let more =
+    ref
+      (match t.pending with
+      | Some (_, dt) when t.time +. dt > deadline -> false
+      | Some p ->
+          execute t p;
+          true
+      | None -> true)
   in
-  match t.pending with
-  | Some (_, dt) when t.time +. dt > deadline -> ()
-  | Some p ->
-      execute t p;
-      batches ()
-  | None -> batches ()
+  while !more do
+    let count = run_batch t ~deadline ~limit:batch_cap in
+    more := count = batch_cap && t.pending = None
+  done
 
 (* A pre-drawn pending jump is the next jump of the chain: executing it
    counts towards [k], exactly as [step] would.  A batch with no deadline

@@ -563,7 +563,7 @@ let kernel_steps =
 
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
-  (m = "Flood" && has_prefix "expand_informed" x)
+  (m = "Flood" && (has_prefix "expand_informed" x || x = "poisson_round"))
   || (m = "Dyngraph" && (x = "add_node" || x = "kill"))
   || (x = "step" && List.mem m kernel_steps)
   || (m = "Poisson_model" && x = "run_batch")
@@ -644,7 +644,8 @@ let hot_path_alloc =
     name;
     doc =
       "functions reachable from the kernel entry points \
-       (Flood.expand_informed*, Dyngraph.add_node/kill, the step of \
+       (Flood.expand_informed*, Flood.poisson_round, \
+       Dyngraph.add_node/kill, the step of \
        Streaming_model, Bitcoin_like, Capped_model, Lazy_regen_model and \
        Rw_streaming, Poisson_model.run_batch, Probe.consider) \
        must not allocate per element: no List combinators, per-iteration \

@@ -371,6 +371,154 @@ let test_frontier_flood_equals_full_rescan () =
       done)
     runs
 
+let test_discretized_frontier_equals_full_rescan () =
+  (* The discretized driver scans only its frontier and finds the young
+     uninformed nodes among the ids born during the interval.  The
+     reference below is the historical round body: candidate edges from
+     every informed node, and completion by a pass over every alive
+     node.  On equal-seeded models the informed set must agree after
+     every round, and so must the trace.  The lambda = 8 cases churn
+     about 16 jumps per round: at lambda = 1 the Poisson clock stalls
+     after the first inter-jump gap longer than one time unit (a known
+     defect, see ROADMAP), so those floods soon run on a frozen graph
+     and never need the frontier re-armed by a churn edge. *)
+  let module Dyngraph = Churnet_graph.Dyngraph in
+  let module Bitset = Churnet_util.Bitset in
+  let module Intvec = Churnet_util.Intvec in
+  let members bs =
+    let acc = ref [] in
+    Bitset.iter (fun v -> acc := v :: !acc) bs;
+    List.rev !acc
+  in
+  let mem bs v = v < Bitset.capacity bs && Bitset.mem bs v in
+  (* One rescan round; returns [(informed, alive, completed)]. *)
+  let rescan_round m informed candidates =
+    let g = Poisson_model.graph m in
+    let d = Dyngraph.d g in
+    Intvec.clear candidates;
+    let push owner slot other learner =
+      List.iter (Intvec.push candidates) [ owner; slot; other; learner ]
+    in
+    Bitset.iter
+      (fun u ->
+        if Dyngraph.is_alive g u then begin
+          for i = 0 to d - 1 do
+            let w = Dyngraph.out_slot g u i in
+            if w >= 0 && not (mem informed w) then push u i w w
+          done;
+          Dyngraph.iter_in_neighbors g u (fun v ->
+              if not (mem informed v) then
+                for j = 0 to d - 1 do
+                  if Dyngraph.out_slot g v j = u then push v j u v
+                done)
+        end)
+      informed;
+    let birth_round_start = Poisson_model.round m in
+    Poisson_model.run_until_time m (Poisson_model.time m +. 1.0);
+    for k = 0 to (Intvec.length candidates / 4) - 1 do
+      let owner = Intvec.get candidates (4 * k) in
+      let slot = Intvec.get candidates ((4 * k) + 1) in
+      let other = Intvec.get candidates ((4 * k) + 2) in
+      let learner = Intvec.get candidates ((4 * k) + 3) in
+      if
+        Dyngraph.is_alive g owner && Dyngraph.is_alive g other
+        && Dyngraph.out_slot g owner slot = other
+      then begin
+        Bitset.ensure_capacity informed (learner + 1);
+        Bitset.add informed learner
+      end
+    done;
+    List.iter (Bitset.remove informed)
+      (List.filter (fun v -> not (Dyngraph.is_alive g v)) (members informed));
+    let all_covered = ref true in
+    Dyngraph.iter_alive g (fun id ->
+        if (not (mem informed id)) && Dyngraph.birth_of g id <= birth_round_start then
+          all_covered := false);
+    let inf = Bitset.cardinal informed in
+    (inf, Dyngraph.alive_count g, !all_covered && inf > 1)
+  in
+  let max_rounds = 80 in
+  let compare_case ~label ~hooked ~churny make =
+    let m = make () and ref_m = make () in
+    let g = Poisson_model.graph m and ref_g = Poisson_model.graph ref_m in
+    (* With [hooked], both graphs carry a counting edge hook from the
+       start: the frontier driver must chain to it, so it sees every
+       edge the reference's sees, and must put it back after the round. *)
+    let seen = ref 0 and ref_seen = ref 0 in
+    let hook ~src:_ ~dst:_ = incr seen in
+    if hooked then begin
+      Dyngraph.set_edge_hook g (Some hook);
+      Dyngraph.set_edge_hook ref_g (Some (fun ~src:_ ~dst:_ -> incr ref_seen))
+    end;
+    let st = Flood.poisson_start ~max_rounds m in
+    let src = Poisson_model.step_until_birth ref_m in
+    let jumps0 = Poisson_model.round m in
+    seen := 0;
+    ref_seen := 0;
+    let informed = Bitset.create (src + 64) in
+    Bitset.add informed src;
+    let candidates = Intvec.create ~capacity:64 () in
+    let log = ref [ (1, Dyngraph.alive_count ref_g) ] in
+    let completion = ref None and extinction = ref None in
+    let round = ref 0 in
+    while !completion = None && !extinction = None && !round < max_rounds do
+      incr round;
+      Flood.poisson_round m st;
+      let inf, alive, completed = rescan_round ref_m informed candidates in
+      log := (inf, alive) :: !log;
+      if completed then completion := Some !round
+      else if inf = 0 then extinction := Some !round;
+      if members (Flood.state_informed st) <> members informed then
+        Alcotest.failf "%s: informed sets differ after round %d" label !round;
+      if hooked then begin
+        check_int (label ^ ": hook saw every edge event") !ref_seen !seen;
+        check_bool (label ^ ": hook restored") true
+          (match Dyngraph.edge_hook g with Some f -> f == hook | None -> false)
+      end
+    done;
+    check_bool (label ^ ": driver finished with the reference") true
+      (Flood.state_finished st);
+    if hooked then check_bool (label ^ ": hook fired during the rounds") true (!seen > 0);
+    let tr = Flood.finish_state st in
+    if churny then
+      check_bool (label ^ ": churn ran during the rounds") true
+        (Poisson_model.round m - jumps0 >= 4 * tr.rounds);
+    let expected = List.rev !log in
+    check_bool (label ^ ": per-round trace") true
+      (Array.to_list
+         (Array.mapi (fun i inf -> (inf, tr.population_per_round.(i))) tr.informed_per_round)
+      = expected);
+    check_int (label ^ ": rounds") (List.length expected - 1) tr.rounds;
+    check_bool (label ^ ": completion") true
+      (tr.completed = (!completion <> None) && tr.completion_round = !completion);
+    check_bool (label ^ ": extinction") true
+      (tr.extinct = (!extinction <> None) && tr.extinction_round = !extinction)
+  in
+  List.iter
+    (fun (regenerate, d, lambda) ->
+      for seed = 201 to 203 do
+        let make () =
+          let m =
+            Poisson_model.create ~rng:(Prng.create seed) ~lambda ~n:200 ~d ~regenerate ()
+          in
+          Poisson_model.warm_up m;
+          m
+        in
+        let label =
+          Printf.sprintf "%s d=%d lambda=%g seed %d"
+            (if regenerate then "PDGR" else "PDG")
+            d lambda seed
+        in
+        let churny = lambda > 1. in
+        compare_case ~label ~hooked:false ~churny make;
+        if regenerate && d = 6 && churny && seed = 201 then
+          compare_case ~label:(label ^ " hooked") ~hooked:true ~churny make
+      done)
+    (List.concat_map
+       (fun regenerate ->
+         List.concat_map (fun d -> [ (regenerate, d, 1.); (regenerate, d, 8.) ]) [ 2; 6 ])
+       [ false; true ])
+
 let test_async_completion_time_from_completing_event () =
   (* completion_time is stamped by the event that completed coverage, so
      it is at least one delivery delay and never past the deadline. *)
@@ -398,6 +546,8 @@ let suite =
       ("async: no delivery past deadline", `Quick, test_async_no_delivery_past_deadline);
       ("coverage nan on empty population", `Quick, test_coverage_nan_on_empty_population);
       ("frontier flood = full rescan", `Quick, test_frontier_flood_equals_full_rescan);
+      ("discretized frontier round = full rescan", `Quick,
+       test_discretized_frontier_equals_full_rescan);
       ("async: completion time from completing event", `Quick,
        test_async_completion_time_from_completing_event);
     ]

@@ -453,6 +453,20 @@ let test_hot_path_protocol_steps () =
       check_strings "witness" [ "Capped_model.step"; "Repair_churn.jump" ] f.Lint_rules.witness
   | other -> Alcotest.failf "expected 1 cross-unit finding, got %d" (List.length other)
 
+let test_hot_path_discretized_round () =
+  (* The discretized flooding round is a kernel entry; its driver loop,
+     which only calls it, is not. *)
+  let src =
+    "let poisson_round m st =\n  (m, st)\nlet run_poisson_discretized m =\n  (m, m)\n"
+  in
+  let fs =
+    run_project_rule "hot-path-alloc" ~units:[ ("lib/core/flood.ml", src) ] ~interfaces:[]
+  in
+  Alcotest.(check (list int)) "poisson_round flagged, its driver not" [ 2 ]
+    (List.map (fun f -> f.Lint_rules.line) fs);
+  check_bool "witness starts at the round" true
+    (List.for_all (fun f -> f.Lint_rules.witness = [ "Flood.poisson_round" ]) fs)
+
 let test_hot_path_local_function () =
   let src =
     "let step t =\n  t + 1\n\
@@ -773,6 +787,7 @@ let suite =
     ("rule: hot-path-alloc", `Quick, test_hot_path_alloc);
     ("rule: hot-path-alloc unreachable", `Quick, test_hot_path_alloc_unreachable_ok);
     ("rule: hot-path-alloc protocol steps", `Quick, test_hot_path_protocol_steps);
+    ("rule: hot-path-alloc discretized round", `Quick, test_hot_path_discretized_round);
     ("rule: hot-path-alloc local function", `Quick, test_hot_path_local_function);
     ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
     ("rule: dead-export", `Quick, test_dead_export);
