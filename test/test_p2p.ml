@@ -313,6 +313,18 @@ let p2p_runs_text () =
           Bitcoin_like.warm_up m;
           (Bitcoin_like.graph m, fun () -> Bitcoin_like.flood ~max_rounds:80 m) );
     ]
+    @ List.map
+        (fun (name, size) ->
+          ( name,
+            fun rng ~n ->
+              let m =
+                Churnet_core.Burst_model.create ~rng ~n ~d ~burst_every:4
+                  ~burst_size:(size n) ()
+              in
+              Churnet_core.Burst_model.warm_up m;
+              ( Churnet_core.Burst_model.graph m,
+                fun () -> Churnet_core.Burst_model.flood ~max_rounds:80 m ) ))
+        [ ("burst-0", fun _ -> 0); ("burst-n/20", fun n -> n / 20); ("burst-n/5", fun n -> n / 5) ]
   in
   List.iter
     (fun (name, run) ->
