@@ -1,87 +1,43 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
 
-type t = {
-  n : int;
-  d : int;
-  burst_every : int;
-  burst_size : int;
-  rng : Prng.t;
-  base : Streaming_model.t;
-  mutable bursts : int;
-}
+type t = { n : int; burst_every : int; burst_size : int; graph : Dyngraph.t }
 
-let create ~rng ~n ~d ~burst_every ~burst_size () =
-  if burst_every < 1 then invalid_arg "Burst_model.create: burst_every must be >= 1";
-  if burst_size < 0 || burst_size >= n then
-    invalid_arg "Burst_model.create: burst_size must be in [0, n)";
-  let base_rng = Prng.split rng in
-  {
-    n;
-    d;
-    burst_every;
-    burst_size;
-    rng;
-    base = Streaming_model.create ~rng:base_rng ~n ~d ~regenerate:true ();
-    bursts = 0;
-  }
-
-let n t = t.n
-let d t = t.d
-let graph t = Streaming_model.graph t.base
-let round t = Streaming_model.round t.base
+(* A uniform alive node, redrawn (up to 8 times) while it is [newborn]. *)
+let rec victim g ~newborn tries =
+  let v = Dyngraph.random_alive g in
+  if v <> newborn || tries = 0 then v else victim g ~newborn (tries - 1)
 
 (* The adversary removes [burst_size] uniformly random alive nodes
    (excluding this round's newborn so a flooding source cannot be erased
    by the burst that coincides with its birth) and inserts the same
    number of fresh nodes, each creating its d uniform requests. *)
-let fire_burst t =
-  t.bursts <- t.bursts + 1;
-  let g = graph t in
-  let newborn = Streaming_model.newest t.base in
+let fire_burst t ~newborn ~birth =
+  let g = t.graph in
   for _ = 1 to t.burst_size do
-    if Dyngraph.alive_count g > 2 then begin
-      let rec victim tries =
-        let v = Dyngraph.random_alive g in
-        if v <> newborn || tries = 0 then v else victim (tries - 1)
-      in
-      Dyngraph.kill g (victim 8)
-    end
+    if Dyngraph.alive_count g > 2 then Dyngraph.kill g (victim g ~newborn 8)
   done;
   for _ = 1 to t.burst_size do
-    ignore (Dyngraph.add_node g ~birth:(Streaming_model.round t.base))
+    ignore (Dyngraph.add_node g ~birth)
   done
 
-let step t =
-  Streaming_model.step t.base;
+let policy t ~dying ~birth =
+  let g = t.graph in
+  if dying >= 0 then Dyngraph.kill g dying;
+  let newborn = Dyngraph.add_node g ~birth in
   (* A node killed early by a burst leaves a hole in the deterministic
      death schedule (its scheduled round kills nobody); compensate with a
      uniformly random death so the population stays pinned at n. *)
-  let g = graph t in
-  let newborn = Streaming_model.newest t.base in
   while Dyngraph.alive_count g > t.n do
-    let rec victim tries =
-      let v = Dyngraph.random_alive g in
-      if v <> newborn || tries = 0 then v else victim (tries - 1)
-    in
-    Dyngraph.kill g (victim 8)
+    Dyngraph.kill g (victim g ~newborn 8)
   done;
-  if Streaming_model.round t.base mod t.burst_every = 0 && t.burst_size > 0 then
-    fire_burst t
+  if birth mod t.burst_every = 0 && t.burst_size > 0 then fire_burst t ~newborn ~birth;
+  newborn
 
-let run t k =
-  for _ = 1 to k do
-    step t
-  done
-
-let warm_up t = run t (2 * t.n)
-let newest t = Streaming_model.newest t.base
-let snapshot t = Streaming_model.snapshot t.base
-
-let flood ?max_rounds t =
-  Flood.run_custom ?max_rounds ~graph:(graph t)
-    ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
-
-let bursts_fired t = t.bursts
+let create ~rng ~n ~d ~burst_every ~burst_size () =
+  if burst_every < 1 then invalid_arg "Burst_model.create: burst_every must be >= 1";
+  if burst_size < 0 || burst_size >= n then
+    invalid_arg "Burst_model.create: burst_size must be in [0, n)";
+  let graph = Dyngraph.create ~rng:(Prng.split rng) ~d ~regenerate:true () in
+  let t = { n; burst_every; burst_size; graph } in
+  Streaming_model.of_policy ~n graph (fun ~dying ~birth -> policy t ~dying ~birth)

@@ -18,8 +18,6 @@
     adversarial lifetimes — a strictly harsher regime than
     Definition 3.2. *)
 
-type t
-
 val create :
   rng:Churnet_util.Prng.t ->
   n:int ->
@@ -27,19 +25,6 @@ val create :
   burst_every:int ->
   burst_size:int ->
   unit ->
-  t
-
-val n : t -> int
-val d : t -> int
-val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-(** One base streaming round; additionally fires a burst when the round
-    counter hits a multiple of [burst_every]. *)
-
-val run : t -> int -> unit
-val warm_up : t -> unit
-val round : t -> int
-val newest : t -> Churnet_graph.Dyngraph.node_id
-val snapshot : t -> Churnet_graph.Snapshot.t
-val flood : ?max_rounds:int -> t -> Flood.trace
-val bursts_fired : t -> int
+  Streaming_model.t
+(** An edge policy of {!Streaming_model}: the uniform SDGR round, then a
+    burst whenever the round is a multiple of [burst_every]. *)

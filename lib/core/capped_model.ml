@@ -12,9 +12,6 @@ let create ~rng ?(retries = 16) ~n ~d ~cap () =
   if cap < 1 then invalid_arg "Capped_model.create: cap must be >= 1";
   { d; cap; retries; base = Repair_churn.create ~rng ~n ~d }
 
-let n t = Repair_churn.n t.base
-let d t = t.d
-let cap t = t.cap
 let graph t = Repair_churn.graph t.base
 let time t = Repair_churn.time t.base
 
@@ -59,7 +56,6 @@ let step t =
 let advance_time t span = Repair_churn.advance_time t.base ~step:(fun () -> step t) span
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
-let newest t = Dyngraph.newest_alive (graph t)
 let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)
 
 let max_in_degree t =

@@ -26,9 +26,6 @@ val create :
     must be >= 1.  [retries] bounds sampling attempts per request
     (default 16). *)
 
-val n : t -> int
-val d : t -> int
-val cap : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump plus a repair pass over nodes with parked slots. *)
@@ -37,7 +34,6 @@ val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
-val newest : t -> Churnet_graph.Dyngraph.node_id option
 
 val flood : ?max_rounds:int -> t -> Flood.trace
 (** Synchronous flooding with one round per unit of time, from the next

@@ -1,8 +1,9 @@
 (** The flooding processes of the paper.
 
     - {!run_streaming}: the synchronous flooding of Definition 3.3 over a
-      streaming model (SDG / SDGR).  The source is the node joining the
-      network at the starting round, as in the paper.
+      streaming model (SDG / SDGR, or any other edge policy of
+      {!Streaming_model}).  The source is the node joining the network
+      at the starting round, as in the paper.
     - {!run_poisson_discretized}: the discretized flooding of
       Definition 4.3 over a Poisson model (PDG / PDGR): informed nodes
       transmit at integer times, and a message crosses an edge only if
@@ -148,7 +149,7 @@ val run_custom :
 (** Synchronous flooding (Definition 3.3 semantics) over any round-based
     dynamic graph: [step] advances one churn round, [newest] names the
     node born in the latest round.  Used by {!run_streaming} and by the
-    protocol baselines in [churnet_p2p]. *)
+    Poisson repair models ([Repair_churn.flood]). *)
 
 val run_streaming : ?max_rounds:int -> Streaming_model.t -> trace
 (** Inserts the source with the next round's newborn and floods until

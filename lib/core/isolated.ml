@@ -53,18 +53,14 @@ let watch_until_death graph isolated_ids ~max_track ~step ~max_steps =
   done;
   (!forever, List.length tracked)
 
-let census_streaming ?(max_track = 2000) ?(watch = true) model =
-  let graph = Streaming_model.graph model in
+(* Count the isolated nodes of [graph]; with [watch], run [step] (at most
+   [max_steps] times) until every tracked one died or got an edge. *)
+let census ~max_track ~watch graph ~step ~max_steps =
   let population = Dyngraph.alive_count graph in
   let isolated = collect_isolated graph in
   let isolated_now = List.length isolated in
-  let n = Streaming_model.n model in
   let forever, tracked =
-    if watch then
-      watch_until_death graph isolated ~max_track
-        ~step:(fun () -> Streaming_model.step model)
-        ~max_steps:(n + 1)
-    else (0, 0)
+    if watch then watch_until_death graph isolated ~max_track ~step ~max_steps else (0, 0)
   in
   {
     population;
@@ -76,28 +72,13 @@ let census_streaming ?(max_track = 2000) ?(watch = true) model =
       (if tracked = 0 then nan else float_of_int forever /. float_of_int tracked);
   }
 
+let census_streaming ?(max_track = 2000) ?(watch = true) model =
+  census ~max_track ~watch (Streaming_model.graph model)
+    ~step:(fun () -> Streaming_model.step model)
+    ~max_steps:(Streaming_model.n model + 1)
+
 let census_poisson ?(max_track = 2000) ?(watch = true) model =
-  let graph = Poisson_model.graph model in
-  let population = Dyngraph.alive_count graph in
-  let isolated = collect_isolated graph in
-  let isolated_now = List.length isolated in
   let n = Poisson_model.n model in
-  let max_steps =
-    int_of_float (20. *. float_of_int n *. log (float_of_int (max 3 n)))
-  in
-  let forever, tracked =
-    if watch then
-      watch_until_death graph isolated ~max_track
-        ~step:(fun () -> Poisson_model.step model)
-        ~max_steps
-    else (0, 0)
-  in
-  {
-    population;
-    isolated_now;
-    isolated_forever = forever;
-    tracked;
-    isolated_frac = float_of_int isolated_now /. float_of_int population;
-    forever_frac_of_tracked =
-      (if tracked = 0 then nan else float_of_int forever /. float_of_int tracked);
-  }
+  census ~max_track ~watch (Poisson_model.graph model)
+    ~step:(fun () -> Poisson_model.step model)
+    ~max_steps:(int_of_float (20. *. float_of_int n *. log (float_of_int (max 3 n))))

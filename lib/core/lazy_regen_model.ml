@@ -12,9 +12,6 @@ let create ~rng ~n ~d ~period () =
   if period <= 0. then invalid_arg "Lazy_regen_model.create: period must be positive";
   { d; period; base = Repair_churn.create ~rng ~n ~d; next_tick = period }
 
-let n t = Repair_churn.n t.base
-let d t = t.d
-let period t = t.period
 let graph t = Repair_churn.graph t.base
 let time t = Repair_churn.time t.base
 
@@ -61,6 +58,5 @@ let step t =
 let advance_time t span = Repair_churn.advance_time t.base ~step:(fun () -> step t) span
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
-let newest t = Dyngraph.newest_alive (graph t)
 let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)
 let broken_slots t = Repair_churn.missing_slots t.base

@@ -13,16 +13,12 @@ val create :
   rng:Churnet_util.Prng.t -> n:int -> d:int -> period:float -> unit -> t
 (** [period] > 0 in continuous-time units. *)
 
-val n : t -> int
-val d : t -> int
-val period : t -> float
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
-val newest : t -> Churnet_graph.Dyngraph.node_id option
 val flood : ?max_rounds:int -> t -> Flood.trace
 val broken_slots : t -> int
 (** Out-slots currently awaiting the next maintenance tick. *)

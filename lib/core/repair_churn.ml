@@ -24,7 +24,6 @@ let create ~rng ~n ~d =
     pending = Intvec.create ();
   }
 
-let n t = t.n
 let graph t = t.graph
 let time t = Poisson_churn.time t.churn
 let round t = Poisson_churn.round t.churn

@@ -15,7 +15,6 @@ val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> t
     the stationary population (lambda = 1, mu = 1/n); [d] the out-slots
     per node. *)
 
-val n : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
 val time : t -> float
 val round : t -> int

@@ -1,20 +1,36 @@
 module Dyngraph = Churnet_graph.Dyngraph
-module Prng = Churnet_util.Prng
+
+type policy = dying:Dyngraph.node_id -> birth:int -> Dyngraph.node_id
 
 type t = {
   n : int;
   graph : Dyngraph.t;
+  policy : policy;
+  encodable : bool; (* SDG/SDGR, the only models [decode] can rebuild *)
   mutable round : int;
-  (* id of the node born at round r is [birth_ids.(r mod (n+1))]; the
+  (* id of the node born at round r is [birth_ids.(r mod n)]; the
      streaming schedule is deterministic so a circular buffer suffices. *)
   birth_ids : int array;
   mutable newest : int;
 }
 
-let create ~rng ~n ~d ~regenerate () =
+(* SDG/SDGR's edge policy: the newborn samples its d requests uniformly
+   among the nodes alive after the death. *)
+let uniform graph ~dying ~birth =
+  if dying >= 0 then Dyngraph.kill graph dying;
+  Dyngraph.add_node graph ~birth
+
+let uniform_policy graph : policy = fun ~dying ~birth -> uniform graph ~dying ~birth
+
+let make ~n ~encodable graph policy =
   if n < 2 then invalid_arg "Streaming_model.create: n must be >= 2";
+  { n; graph; policy; encodable; round = 0; birth_ids = Array.make n (-1); newest = -1 }
+
+let create ~rng ~n ~d ~regenerate () =
   let graph = Dyngraph.create ~rng ~d ~regenerate () in
-  { n; graph; round = 0; birth_ids = Array.make n (-1); newest = -1 }
+  make ~n ~encodable:true graph (uniform_policy graph)
+
+let of_policy ~n graph policy = make ~n ~encodable:false graph policy
 
 let n t = t.n
 let d t = Dyngraph.d t.graph
@@ -30,8 +46,8 @@ let step t =
      holds the node born exactly n rounds ago, which dies now. *)
   let slot = t.round mod t.n in
   let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
-  let id = Dyngraph.add_node t.graph ~birth:t.round in
+  let dying = if dying >= 0 && Dyngraph.is_alive t.graph dying then dying else -1 in
+  let id = t.policy ~dying ~birth:t.round in
   t.birth_ids.(slot) <- id;
   t.newest <- id
 
@@ -52,6 +68,7 @@ let snapshot t = Dyngraph.snapshot t.graph
 module Codec = Churnet_util.Codec
 
 let encode w t =
+  if not t.encodable then invalid_arg "Streaming_model.encode: only SDG/SDGR can be encoded";
   Codec.varint w t.n;
   Codec.varint w (d t);
   Dyngraph.encode w t.graph;
@@ -66,6 +83,12 @@ let decode r =
   let round = Codec.read_varint r in
   let birth_ids = Codec.read_int_array r in
   let newest = Codec.read_varint r in
-  if n < 2 || d <> Dyngraph.d graph || round < 0 || Array.length birth_ids <> n
+  (* Every recorded id is -1 (no birth yet) or one the arena has issued. *)
+  let next_id = Dyngraph.peek_next_id graph in
+  let bad_id id = id < -1 || id >= next_id in
+  if
+    n < 2 || d <> Dyngraph.d graph || round < 0 || Array.length birth_ids <> n
+    || (newest = -1 && round > 0)
+    || bad_id newest || Array.exists bad_id birth_ids
   then raise (Codec.Error "Streaming_model.decode: inconsistent fields");
-  { n; graph; round; birth_ids; newest }
+  { n; graph; policy = uniform_policy graph; encodable = true; round; birth_ids; newest }

@@ -1,16 +1,35 @@
-(** The streaming dynamic graphs of Section 3: SDG (Definition 3.4,
-    [regenerate = false]) and SDGR (Definition 3.13, [regenerate = true]).
+(** The streaming churn engine of Section 3 and the streaming dynamic
+    graphs built on it: SDG (Definition 3.4, [regenerate = false]) and
+    SDGR (Definition 3.13, [regenerate = true]).
 
     Node churn follows Definition 3.2: one node is born per round and
     lives exactly [n] rounds, so after round [n] the population is pinned
     at [n] and every round replaces the oldest node with a fresh one.
     Within a round the dying node leaves {e before} the newborn samples
-    its [d] connection requests, matching N_t in the paper. *)
+    its [d] connection requests, matching N_t in the paper.
+
+    The engine owns that schedule (the round counter, the ring of birth
+    ids, the newest node); what a birth and a death do to the edges is an
+    {!policy}.  SDG/SDGR use the uniform policy; the protocol-driven
+    overlays ([Rw_streaming], [Cache_protocol], [Local_update],
+    [Burst_model]) are other policies on the same engine. *)
 
 type t
 
+type policy =
+  dying:Churnet_graph.Dyngraph.node_id -> birth:int -> Churnet_graph.Dyngraph.node_id
+(** Called once per round.  [dying] is the node the schedule retires
+    (born [n] rounds ago), or [-1] if it is already dead.  The policy
+    removes it, adds the newborn with birth round [birth], and returns
+    the newborn's id, which becomes {!newest}. *)
+
 val create :
   rng:Churnet_util.Prng.t -> n:int -> d:int -> regenerate:bool -> unit -> t
+(** SDG/SDGR: the uniform policy ([kill], then [Dyngraph.add_node]). *)
+
+val of_policy : n:int -> Churnet_graph.Dyngraph.t -> policy -> t
+(** A streaming model over [graph] (empty, created by the caller) whose
+    rounds run [policy].  Raises [Invalid_argument] if [n < 2]. *)
 
 val n : t -> int
 val d : t -> int
@@ -20,8 +39,8 @@ val round : t -> int
 
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
-(** Execute one round: kill the node of age [n] (if any), then insert a
-    newborn that issues its [d] requests. *)
+(** Execute one round: hand the node of age [n] (if alive) and the round
+    to the policy, and record the newborn it returns. *)
 
 val run : t -> int -> unit
 (** [run t k] executes [k] rounds. *)
@@ -42,9 +61,11 @@ val age_of : t -> Churnet_graph.Dyngraph.node_id -> int
 val snapshot : t -> Churnet_graph.Snapshot.t
 
 val encode : Churnet_util.Codec.writer -> t -> unit
-(** Serialize the model (graph arena included) for checkpoints. *)
+(** Serialize an SDG/SDGR model (graph arena included) for checkpoints.
+    Raises [Invalid_argument] on a model built by {!of_policy}, whose
+    policy state the bytes could not carry. *)
 
 val decode : Churnet_util.Codec.reader -> t
 (** Inverse of {!encode}.  Raises [Codec.Error] on malformed or
     inconsistent bytes, such as a [d] that disagrees with the decoded
-    arena's. *)
+    arena's, or a newest or ring id the arena never issued. *)

@@ -178,8 +178,8 @@ let x3 ~seed ~scale =
       let traces =
         Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
             let m = Burst_model.create ~rng ~n ~d ~burst_every ~burst_size () in
-            Burst_model.warm_up m;
-            Burst_model.flood
+            Streaming_model.warm_up m;
+            Flood.run_streaming
               ~max_rounds:(int_of_float (20. *. log (float_of_int n)) + 40) m)
       in
       Array.iter

@@ -26,16 +26,19 @@ let f12 ~seed ~scale =
       ("Bitcoin-like", lazy (let m = Churnet_p2p.Bitcoin_like.create ~rng:(Prng.split rng) ~n () in
                              Churnet_p2p.Bitcoin_like.warm_up m;
                              Churnet_p2p.Bitcoin_like.snapshot m));
-      ("rw tokens", lazy (let m = Churnet_p2p.Rw_streaming.create ~rng:(Prng.split rng) ~n ~d () in
-                          Churnet_p2p.Rw_streaming.warm_up m;
-                          Churnet_p2p.Rw_streaming.snapshot m));
-      ("central cache", lazy (let m = Churnet_p2p.Cache_protocol.create ~rng:(Prng.split rng) ~n ~d () in
-                              Churnet_p2p.Cache_protocol.warm_up m;
-                              Churnet_p2p.Cache_protocol.snapshot m));
-      ("local update", lazy (let m = Churnet_p2p.Local_update.create ~rng:(Prng.split rng) ~n ~d () in
-                             Churnet_p2p.Local_update.warm_up m;
-                             Churnet_p2p.Local_update.snapshot m));
     ]
+    @ List.map
+        (fun (name, create) ->
+          ( name,
+            lazy
+              (let m : Streaming_model.t = create (Prng.split rng) in
+               Streaming_model.warm_up m;
+               Streaming_model.snapshot m) ))
+        [
+          ("rw tokens", fun rng -> Churnet_p2p.Rw_streaming.create ~rng ~n ~d ());
+          ("central cache", fun rng -> Churnet_p2p.Cache_protocol.create ~rng ~n ~d ());
+          ("local update", fun rng -> Churnet_p2p.Local_update.create ~rng ~n ~d ());
+        ]
   in
   let table =
     Table.create

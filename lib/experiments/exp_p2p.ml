@@ -63,41 +63,30 @@ let f10 ~seed ~scale =
         Churnet_p2p.Bitcoin_like.warm_up m;
         Churnet_p2p.Bitcoin_like.snapshot m)
   in
-  let rw =
-    summarize "random-walk tokens (Cooper et al.)"
+  (* The streaming overlays: edge policies of the same Definition 3.2
+     schedule, flooded with a common round budget. *)
+  let overlay (name, create) =
+    let warmed rng =
+      let m : Streaming_model.t = create rng in
+      Streaming_model.warm_up m;
+      m
+    in
+    summarize name
       (fun rng ->
-        let m = Churnet_p2p.Rw_streaming.create ~rng ~n ~d () in
-        Churnet_p2p.Rw_streaming.warm_up m;
-        Churnet_p2p.Rw_streaming.flood ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40) m)
-      (fun rng ->
-        let m = Churnet_p2p.Rw_streaming.create ~rng ~n ~d () in
-        Churnet_p2p.Rw_streaming.warm_up m;
-        Churnet_p2p.Rw_streaming.snapshot m)
+        Flood.run_streaming ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40) (warmed rng))
+      (fun rng -> Streaming_model.snapshot (warmed rng))
   in
-  let cache =
-    summarize "central cache (Pandurangan et al.)"
-      (fun rng ->
-        let m = Churnet_p2p.Cache_protocol.create ~rng ~n ~d () in
-        Churnet_p2p.Cache_protocol.warm_up m;
-        Churnet_p2p.Cache_protocol.flood ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40) m)
-      (fun rng ->
-        let m = Churnet_p2p.Cache_protocol.create ~rng ~n ~d () in
-        Churnet_p2p.Cache_protocol.warm_up m;
-        Churnet_p2p.Cache_protocol.snapshot m)
+  let overlays =
+    List.map overlay
+      [
+        ("random-walk tokens (Cooper et al.)", fun rng -> Churnet_p2p.Rw_streaming.create ~rng ~n ~d ());
+        ( "central cache (Pandurangan et al.)",
+          fun rng -> Churnet_p2p.Cache_protocol.create ~rng ~n ~d () );
+        ("local update (Duchon-Duvignau)", fun rng -> Churnet_p2p.Local_update.create ~rng ~n ~d ());
+      ]
   in
-  let local =
-    summarize "local update (Duchon-Duvignau)"
-      (fun rng ->
-        let m = Churnet_p2p.Local_update.create ~rng ~n ~d () in
-        Churnet_p2p.Local_update.warm_up m;
-        Churnet_p2p.Local_update.flood
-          ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40) m)
-      (fun rng ->
-        let m = Churnet_p2p.Local_update.create ~rng ~n ~d () in
-        Churnet_p2p.Local_update.warm_up m;
-        Churnet_p2p.Local_update.snapshot m)
-  in
-  let rows = [ pdgr; bitcoin; rw; cache; local ] in
+  let rw = List.nth overlays 0 and cache = List.nth overlays 1 in
+  let rows = pdgr :: bitcoin :: overlays in
   let table =
     Table.create
       [ "network"; "flood rounds"; "peak coverage"; "max deg"; "mean deg"; "giant comp" ]

@@ -556,16 +556,20 @@ let no_io_transitive =
    process replaces a killed node by a fresh birth), the runners that
    drive them once per round or per batch of Poisson jumps (whose churn
    draws happen there), the per-jump steps of the protocol-driven models
-   (their neighbour picks and repair loops), and the per-candidate
-   expansion scorer. *)
-let kernel_steps =
-  [ "Streaming_model"; "Bitcoin_like"; "Capped_model"; "Lazy_regen_model"; "Rw_streaming" ]
+   (their neighbour picks and repair loops), the edge policies the
+   streaming engine's step runs once per round (through a closure, which
+   the call graph cannot follow, so each is an entry of its own), and the
+   per-candidate expansion scorer. *)
+let kernel_steps = [ "Streaming_model"; "Bitcoin_like"; "Capped_model"; "Lazy_regen_model" ]
+let kernel_policies = [ "Rw_streaming"; "Cache_protocol"; "Local_update"; "Burst_model" ]
 
 let kernel_entries (d : Lint_graph.def) =
   let m = d.Lint_graph.d_module and x = d.Lint_graph.d_name in
   (m = "Flood" && (has_prefix "expand_informed" x || x = "poisson_round"))
   || (m = "Dyngraph" && (x = "add_node" || x = "kill"))
   || (x = "step" && List.mem m kernel_steps)
+  || (m = "Streaming_model" && x = "uniform")
+  || (x = "policy" && List.mem m kernel_policies)
   || (m = "Poisson_model" && x = "run_batch")
   || (m = "Probe" && x = "consider")
 
@@ -646,8 +650,10 @@ let hot_path_alloc =
       "functions reachable from the kernel entry points \
        (Flood.expand_informed*, Flood.poisson_round, \
        Dyngraph.add_node/kill, the step of \
-       Streaming_model, Bitcoin_like, Capped_model, Lazy_regen_model and \
-       Rw_streaming, Poisson_model.run_batch, Probe.consider) \
+       Streaming_model, Bitcoin_like, Capped_model and Lazy_regen_model, \
+       Streaming_model.uniform and the policy of Rw_streaming, \
+       Cache_protocol, Local_update and Burst_model, \
+       Poisson_model.run_batch, Probe.consider) \
        must not allocate per element: no List combinators, per-iteration \
        closures, local functions, tuples, partial applications or stores \
        to boxed mutable float/int64 fields";

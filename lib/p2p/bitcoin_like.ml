@@ -26,7 +26,6 @@ let create ~rng ?(target_out = 8) ?(max_in = 125) ~n () =
   let base = Repair_churn.create ~rng ~n ~d:target_out in
   { target_out; max_in; rng; base; peers = Hashtbl.create 1024 }
 
-let n t = Repair_churn.n t.base
 let graph t = Repair_churn.graph t.base
 let time t = Repair_churn.time t.base
 
@@ -140,7 +139,6 @@ let step t =
 let advance_time t span = Repair_churn.advance_time t.base ~step:(fun () -> step t) span
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
-let newest t = Dyngraph.newest_alive (graph t)
 let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)
 let mean_out_degree t = Repair_churn.mean_out_degree t.base
 

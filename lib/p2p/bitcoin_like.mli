@@ -21,7 +21,6 @@ val create : rng:Churnet_util.Prng.t -> ?target_out:int -> ?max_in:int -> n:int 
     tables hold 64 entries, a newborn's DNS seed gives it 16 addresses,
     and each side of a gossip exchange advertises 8 entries. *)
 
-val n : t -> int
 val graph : t -> Churnet_graph.Dyngraph.t
 val step : t -> unit
 (** One churn jump followed by one maintenance pass over deficient nodes. *)
@@ -32,7 +31,6 @@ val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
-val newest : t -> Churnet_graph.Dyngraph.node_id option
 
 val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
 (** Synchronous flooding with one round per unit of continuous time,

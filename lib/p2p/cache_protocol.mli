@@ -8,24 +8,12 @@
     algorithmic alternative the paper contrasts with its algorithm-free
     models. *)
 
-type t
-
 val create :
   rng:Churnet_util.Prng.t ->
   ?cache_size:int ->
   n:int ->
   d:int ->
   unit ->
-  t
-(** [cache_size] defaults to 32; a newborn joins the cache with
-    probability 0.5. *)
-
-val n : t -> int
-val d : t -> int
-val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-val run : t -> int -> unit
-val warm_up : t -> unit
-val newest : t -> Churnet_graph.Dyngraph.node_id
-val snapshot : t -> Churnet_graph.Snapshot.t
-val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
+  Churnet_core.Streaming_model.t
+(** An edge policy of {!Churnet_core.Streaming_model}.  [cache_size]
+    defaults to 32; a newborn joins the cache with probability 0.5. *)

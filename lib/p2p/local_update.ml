@@ -3,13 +3,9 @@ module Prng = Churnet_util.Prng
 module Intvec = Churnet_util.Intvec
 
 type t = {
-  n : int;
   d : int;
   rng : Prng.t;
   graph : Dyngraph.t;
-  mutable round : int;
-  birth_ids : int array;
-  mutable newest : int;
   (* Scratch, reused every round so a step allocates nothing. *)
   orphans : Intvec.t; (* the dying node's in-neighbours, ascending *)
   inherited : Intvec.t; (* its out-targets, in slot order *)
@@ -17,28 +13,6 @@ type t = {
   donors : Intvec.t; (* donors that gave up a link, in draw order *)
   targets : int array; (* [adopt] reversed, padded with -1 *)
 }
-
-let create ~rng ~n ~d () =
-  if n < 2 then invalid_arg "Local_update.create: n must be >= 2";
-  let graph_rng = Prng.split rng in
-  {
-    n;
-    d;
-    rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
-    round = 0;
-    birth_ids = Array.make n (-1);
-    newest = -1;
-    orphans = Intvec.create ();
-    inherited = Intvec.create ();
-    adopt = Intvec.create ();
-    donors = Intvec.create ();
-    targets = Array.make d (-1);
-  }
-
-let n t = t.n
-let d t = t.d
-let graph t = t.graph
 
 (* Birth by takeover: each donor picks one of its out-links, disconnects
    it, redirects it to the newborn; the newborn adopts the donor's old
@@ -74,13 +48,10 @@ let nth_target g id k =
   done;
   !found
 
-let step t =
-  t.round <- t.round + 1;
+let policy t ~dying ~birth =
   let g = t.graph in
   (* Death first (streaming schedule), with edge takeover. *)
-  let slot = t.round mod t.n in
-  let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive g dying then begin
+  if dying >= 0 then begin
     Intvec.clear t.inherited;
     for i = 0 to t.d - 1 do
       let v = Dyngraph.out_slot g dying i in
@@ -127,30 +98,27 @@ let step t =
   for i = 0 to t.d - 1 do
     t.targets.(i) <- (if i < m then Intvec.get t.adopt (m - 1 - i) else -1)
   done;
-  let id = Dyngraph.add_node_with_targets g ~birth:t.round ~targets:t.targets in
+  let id = Dyngraph.add_node_with_targets g ~birth ~targets:t.targets in
   assert (id = newborn_id);
   for i = Intvec.length t.donors - 1 downto 0 do
     let donor = Intvec.get t.donors i in
     if Dyngraph.is_alive g donor && donor <> id then ignore (Dyngraph.connect g ~src:donor ~dst:id)
   done;
-  t.birth_ids.(slot) <- id;
-  t.newest <- id
+  id
 
-let run t k =
-  for _ = 1 to k do
-    step t
-  done
-
-let warm_up t = run t (2 * t.n)
-
-let newest t =
-  if t.newest < 0 then invalid_arg "Local_update.newest: no rounds executed";
-  t.newest
-
-let snapshot t = Dyngraph.snapshot t.graph
-
-let flood ?max_rounds t =
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
-    ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+let create ~rng ~n ~d () =
+  if n < 2 then invalid_arg "Local_update.create: n must be >= 2";
+  let graph = Dyngraph.create ~rng:(Prng.split rng) ~d ~regenerate:false () in
+  let t =
+    {
+      d;
+      rng;
+      graph;
+      orphans = Intvec.create ();
+      inherited = Intvec.create ();
+      adopt = Intvec.create ();
+      donors = Intvec.create ();
+      targets = Array.make d (-1);
+    }
+  in
+  Churnet_core.Streaming_model.of_policy ~n graph (fun ~dying ~birth -> policy t ~dying ~birth)

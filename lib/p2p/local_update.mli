@@ -15,15 +15,6 @@
     second, equally decentralized way to keep the topology well-connected
     under churn — and its fingerprint differences (F10/F12). *)
 
-type t
-
-val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
-val n : t -> int
-val d : t -> int
-val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-val run : t -> int -> unit
-val warm_up : t -> unit
-val newest : t -> Churnet_graph.Dyngraph.node_id
-val snapshot : t -> Churnet_graph.Snapshot.t
-val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
+val create :
+  rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> Churnet_core.Streaming_model.t
+(** An edge policy of {!Churnet_core.Streaming_model}. *)

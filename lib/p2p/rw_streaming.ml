@@ -3,38 +3,13 @@ module Prng = Churnet_util.Prng
 module Intvec = Churnet_util.Intvec
 
 type t = {
-  n : int;
   d : int;
   walk_length : int;
   rng : Prng.t;
   graph : Dyngraph.t;
-  mutable round : int;
-  birth_ids : int array;
-  mutable newest : int;
   neigh : Intvec.t; (* scratch: the walk's current neighbourhood *)
   targets : int array; (* scratch: the newborn's d walk endpoints *)
 }
-
-let create ~rng ~n ~d () =
-  if n < 2 then invalid_arg "Rw_streaming.create: n must be >= 2";
-  let walk_length = 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.)) in
-  let graph_rng = Prng.split rng in
-  {
-    n;
-    d;
-    walk_length;
-    rng;
-    graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
-    round = 0;
-    birth_ids = Array.make n (-1);
-    newest = -1;
-    neigh = Intvec.create ();
-    targets = Array.make d (-1);
-  }
-
-let n t = t.n
-let d t = t.d
-let graph t = t.graph
 
 (* One token walk: start uniform, take [walk_length] uniform-neighbor
    steps (restarting from a uniform node when stuck on a degree-0 node). *)
@@ -51,33 +26,18 @@ let walk t =
     !pos
   end
 
-let step t =
-  t.round <- t.round + 1;
-  let slot = t.round mod t.n in
-  let dying = t.birth_ids.(slot) in
-  if dying >= 0 && Dyngraph.is_alive t.graph dying then Dyngraph.kill t.graph dying;
+let policy t ~dying ~birth =
+  if dying >= 0 then Dyngraph.kill t.graph dying;
   for i = 0 to t.d - 1 do
     t.targets.(i) <- walk t
   done;
-  let id = Dyngraph.add_node_with_targets t.graph ~birth:t.round ~targets:t.targets in
-  t.birth_ids.(slot) <- id;
-  t.newest <- id
+  Dyngraph.add_node_with_targets t.graph ~birth ~targets:t.targets
 
-let run t k =
-  for _ = 1 to k do
-    step t
-  done
-
-let warm_up t = run t (2 * t.n)
-
-let newest t =
-  if t.newest < 0 then invalid_arg "Rw_streaming.newest: no rounds executed";
-  t.newest
-
-let snapshot t = Dyngraph.snapshot t.graph
-
-let flood ?max_rounds t =
-  Churnet_core.Flood.run_custom ?max_rounds ~graph:t.graph
-    ~step:(fun () -> step t)
-    ~newest:(fun () -> newest t)
-    ~default_max_rounds:(4 * t.n) ()
+let create ~rng ~n ~d () =
+  if n < 2 then invalid_arg "Rw_streaming.create: n must be >= 2";
+  let walk_length = 2 * int_of_float (Float.ceil (log (float_of_int n) /. log 2.)) in
+  let graph = Dyngraph.create ~rng:(Prng.split rng) ~d ~regenerate:false () in
+  let t =
+    { d; walk_length; rng; graph; neigh = Intvec.create (); targets = Array.make d (-1) }
+  in
+  Churnet_core.Streaming_model.of_policy ~n graph (fun ~dying ~birth -> policy t ~dying ~birth)

@@ -6,18 +6,7 @@
     connected without edge regeneration — the algorithmic contrast the
     paper's related-work section draws. *)
 
-type t
-
-val create : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> t
-(** Each walk takes [2 * ceil(log2 n)] steps — enough mixing on a
-    low-diameter graph. *)
-
-val n : t -> int
-val d : t -> int
-val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
-val run : t -> int -> unit
-val warm_up : t -> unit
-val newest : t -> Churnet_graph.Dyngraph.node_id
-val snapshot : t -> Churnet_graph.Snapshot.t
-val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
+val create :
+  rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> Churnet_core.Streaming_model.t
+(** An edge policy of {!Churnet_core.Streaming_model}.  Each walk takes
+    [2 * ceil(log2 n)] steps — enough mixing on a low-diameter graph. *)

@@ -285,6 +285,65 @@ let test_streaming_model_roundtrip () =
     (String.escaped (encode_bytes Streaming_model.encode m))
     (String.escaped (encode_bytes Streaming_model.encode m'))
 
+(* Every id [Streaming_model.decode] reads back must be -1 or one the
+   arena has issued, and a model past round 0 has a newest node.  The
+   fields after the arena are parsed out of a real encoding and written
+   back with one of them patched. *)
+let test_streaming_model_rejects_bad_ids () =
+  let fresh = Streaming_model.create ~rng:(Prng.create 36) ~n:40 ~d:3 ~regenerate:false () in
+  ignore (Streaming_model.decode (Codec.reader (encode_bytes Streaming_model.encode fresh)));
+  let m = Streaming_model.create ~rng:(Prng.create 36) ~n:40 ~d:3 ~regenerate:false () in
+  (* 25 < n rounds: the ring holds both issued ids and -1 slots. *)
+  Streaming_model.run m 25;
+  let bytes = encode_bytes Streaming_model.encode m in
+  let r = Codec.reader bytes in
+  let n = Codec.read_varint r in
+  let d = Codec.read_varint r in
+  let graph = Dyngraph.decode r in
+  let round = Codec.read_varint r in
+  let ring = Codec.read_int_array r in
+  let newest = Codec.read_varint r in
+  let encode_with ~ring ~newest =
+    let w = Codec.writer () in
+    Codec.varint w n;
+    Codec.varint w d;
+    Dyngraph.encode w graph;
+    Codec.varint w round;
+    Codec.int_array w ring;
+    Codec.varint w newest;
+    Codec.contents w
+  in
+  check_string "unpatched fields re-encode" (String.escaped bytes)
+    (String.escaped (encode_with ~ring ~newest));
+  check_int "slot 0 not yet filled" (-1) ring.(0);
+  let next_id = Dyngraph.peek_next_id graph in
+  let ring_with v =
+    let a = Array.copy ring in
+    a.(0) <- v;
+    a
+  in
+  List.iter
+    (fun (what, ring, newest) ->
+      expect_codec_error what (fun () ->
+          Streaming_model.decode (Codec.reader (encode_with ~ring ~newest))))
+    [
+      ("no newest after round 0", ring, -1);
+      ("newest below -1", ring, -2);
+      ("newest never issued", ring, next_id);
+      ("ring entry below -1", ring_with (-2), newest);
+      ("ring entry never issued", ring_with next_id, newest);
+    ]
+
+(* Only the uniform policy can be rebuilt by [decode], so a model built
+   on another policy refuses to encode. *)
+let test_policy_model_refuses_encode () =
+  let m = Churnet_p2p.Rw_streaming.create ~rng:(Prng.create 37) ~n:30 ~d:3 () in
+  Streaming_model.run m 10;
+  check_bool "encode raises Invalid_argument" true
+    (match encode_bytes Streaming_model.encode m with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_poisson_model_roundtrip () =
   let m = Poisson_model.create ~rng:(Prng.create 32) ~n:120 ~d:6 ~regenerate:true () in
   Poisson_model.warm_up m;
@@ -697,6 +756,8 @@ let suite =
     ("dyngraph rejects corruption", `Quick, test_dyngraph_decode_rejects_corruption);
     ("poisson churn round-trip", `Quick, test_poisson_churn_roundtrip);
     ("streaming model round-trip", `Quick, test_streaming_model_roundtrip);
+    ("streaming model rejects bad ids", `Quick, test_streaming_model_rejects_bad_ids);
+    ("policy model refuses encode", `Quick, test_policy_model_refuses_encode);
     ("poisson model round-trip", `Quick, test_poisson_model_roundtrip);
     ("models dispatch", `Quick, test_models_dispatch);
     ("flood sync in-flight round-trip", `Quick, test_flood_sync_inflight_roundtrip);

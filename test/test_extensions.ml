@@ -216,25 +216,38 @@ let test_lazy_regen_invariants () =
 let test_burst_population_stays_n () =
   let n = 200 in
   let m = Burst_model.create ~rng:(Prng.create 31) ~n ~d:6 ~burst_every:5 ~burst_size:20 () in
-  Burst_model.warm_up m;
-  check_int "population n" n (Dyngraph.alive_count (Burst_model.graph m))
+  Streaming_model.warm_up m;
+  check_int "population n" n (Dyngraph.alive_count (Streaming_model.graph m))
+
+(* Births per round over the next [rounds] rounds, counted through the
+   arena's birth hook: the schedule's newborn, plus [burst_size] more on
+   every burst round. *)
+let births_per_round m rounds =
+  let births = Array.make (Streaming_model.round m + rounds + 1) 0 in
+  let g = Streaming_model.graph m in
+  Dyngraph.set_birth_hook g (Some (fun _ ~birth -> births.(birth) <- births.(birth) + 1));
+  Streaming_model.run m rounds;
+  Dyngraph.set_birth_hook g None;
+  births
 
 let test_burst_fires () =
   let m = Burst_model.create ~rng:(Prng.create 32) ~n:100 ~d:4 ~burst_every:10 ~burst_size:5 () in
-  Burst_model.run m 100;
-  check_bool "bursts fired" true (Burst_model.bursts_fired m >= 9)
+  let births = births_per_round m 100 in
+  for r = 1 to 100 do
+    check_int (Printf.sprintf "births in round %d" r) (if r mod 10 = 0 then 6 else 1) births.(r)
+  done
 
 let test_burst_zero_size_is_plain_sdgr () =
   let m = Burst_model.create ~rng:(Prng.create 33) ~n:150 ~d:8 ~burst_every:3 ~burst_size:0 () in
-  Burst_model.warm_up m;
-  check_int "no bursts" 0 (Burst_model.bursts_fired m);
-  let tr = Burst_model.flood m in
+  let births = births_per_round m 300 in
+  check_int "no bursts: one birth per round" 300 (Array.fold_left ( + ) 0 births);
+  let tr = Flood.run_streaming m in
   check_bool "completes" true tr.completed
 
 let test_burst_flood_survives_moderate_bursts () =
   let m = Burst_model.create ~rng:(Prng.create 34) ~n:300 ~d:10 ~burst_every:4 ~burst_size:15 () in
-  Burst_model.warm_up m;
-  let tr = Burst_model.flood ~max_rounds:120 m in
+  Streaming_model.warm_up m;
+  let tr = Flood.run_streaming ~max_rounds:120 m in
   check_bool "high coverage under bursts" true (tr.peak_coverage > 0.9)
 
 let test_burst_invalid_args () =
@@ -251,8 +264,8 @@ let test_burst_invalid_args () =
 
 let test_burst_invariants () =
   let m = Burst_model.create ~rng:(Prng.create 35) ~n:150 ~d:5 ~burst_every:4 ~burst_size:10 () in
-  Burst_model.warm_up m;
-  match Dyngraph.check_invariants (Burst_model.graph m) with
+  Streaming_model.warm_up m;
+  match Dyngraph.check_invariants (Streaming_model.graph m) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 

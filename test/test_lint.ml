@@ -414,8 +414,8 @@ let test_hot_path_alloc_unreachable_ok () =
           ~interfaces:[]))
 
 let test_hot_path_protocol_steps () =
-  (* The per-jump step of every protocol-driven model is a kernel entry;
-     another function of the same module is not. *)
+  (* The per-jump step of every Poisson-churn protocol model is a kernel
+     entry; another function of the same module is not. *)
   let src = "let step t =\n  (t, t)\nlet report t =\n  (t, t)\n" in
   List.iter
     (fun path ->
@@ -424,17 +424,30 @@ let test_hot_path_protocol_steps () =
         (path ^ ": step flagged, report not")
         [ 2 ]
         (List.map (fun f -> f.Lint_rules.line) fs))
-    [
-      "lib/p2p/bitcoin_like.ml";
-      "lib/p2p/rw_streaming.ml";
-      "lib/core/capped_model.ml";
-      "lib/core/lazy_regen_model.ml";
-    ];
+    [ "lib/p2p/bitcoin_like.ml"; "lib/core/capped_model.ml"; "lib/core/lazy_regen_model.ml" ];
   check_int "a step outside the registered models is not an entry" 0
     (List.length
        (run_project_rule "hot-path-alloc"
           ~units:[ ("lib/p2p/cache_protocol.ml", src) ]
           ~interfaces:[]));
+  (* The streaming engine calls its edge policy through a closure, so
+     each policy is an entry of its own: the uniform one of SDG/SDGR and
+     the [policy] of every overlay. *)
+  List.iter
+    (fun (path, entry) ->
+      let src = Printf.sprintf "let %s t =\n  (t, t)\nlet report t =\n  (t, t)\n" entry in
+      let fs = run_project_rule "hot-path-alloc" ~units:[ (path, src) ] ~interfaces:[] in
+      Alcotest.(check (list int))
+        (path ^ ": " ^ entry ^ " flagged, report not")
+        [ 2 ]
+        (List.map (fun f -> f.Lint_rules.line) fs))
+    [
+      ("lib/core/streaming_model.ml", "uniform");
+      ("lib/p2p/rw_streaming.ml", "policy");
+      ("lib/p2p/cache_protocol.ml", "policy");
+      ("lib/p2p/local_update.ml", "policy");
+      ("lib/core/burst_model.ml", "policy");
+    ];
   (* The cone crosses units: a step's callee in another module is
      checked too, and the witness walks there from the step. *)
   let fs =

@@ -2,6 +2,8 @@ open Churnet_p2p
 module Dyngraph = Churnet_graph.Dyngraph
 module Snapshot = Churnet_graph.Snapshot
 module Prng = Churnet_util.Prng
+module Streaming_model = Churnet_core.Streaming_model
+module Flood = Churnet_core.Flood
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -68,13 +70,13 @@ let test_bitcoin_time_advances () =
 
 let test_rw_population () =
   let m = Rw_streaming.create ~rng:(Prng.create 11) ~n:150 ~d:3 () in
-  Rw_streaming.warm_up m;
-  check_int "population n" 150 (Dyngraph.alive_count (Rw_streaming.graph m))
+  Streaming_model.warm_up m;
+  check_int "population n" 150 (Dyngraph.alive_count (Streaming_model.graph m))
 
 let test_rw_connected () =
   let m = Rw_streaming.create ~rng:(Prng.create 12) ~n:300 ~d:3 () in
-  Rw_streaming.warm_up m;
-  let s = Rw_streaming.snapshot m in
+  Streaming_model.warm_up m;
+  let s = Streaming_model.snapshot m in
   let frac = float_of_int (Snapshot.largest_component s) /. float_of_int (Snapshot.n s) in
   (* The simplified token protocol (no constant recirculation) still loses
      a few old nodes; it must keep a giant component nonetheless. *)
@@ -82,8 +84,8 @@ let test_rw_connected () =
 
 let test_rw_flood_completes () =
   let m = Rw_streaming.create ~rng:(Prng.create 13) ~n:250 ~d:4 () in
-  Rw_streaming.warm_up m;
-  let tr = Rw_streaming.flood ~max_rounds:120 m in
+  Streaming_model.warm_up m;
+  let tr = Flood.run_streaming ~max_rounds:120 m in
   check_bool "high coverage" true (tr.Churnet_core.Flood.peak_coverage > 0.85)
 
 let test_rw_degree_bias () =
@@ -91,14 +93,14 @@ let test_rw_degree_bias () =
      more skewed than the uniform model's.  Smoke check: max degree is
      noticeably above d+average. *)
   let m = Rw_streaming.create ~rng:(Prng.create 14) ~n:400 ~d:3 () in
-  Rw_streaming.warm_up m;
-  let s = Rw_streaming.snapshot m in
+  Streaming_model.warm_up m;
+  let s = Streaming_model.snapshot m in
   check_bool "skewed degrees" true (Snapshot.max_degree s >= 10)
 
 let test_rw_invariants () =
   let m = Rw_streaming.create ~rng:(Prng.create 15) ~n:150 ~d:3 () in
-  Rw_streaming.warm_up m;
-  match Dyngraph.check_invariants (Rw_streaming.graph m) with
+  Streaming_model.warm_up m;
+  match Dyngraph.check_invariants (Streaming_model.graph m) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
@@ -106,35 +108,35 @@ let test_rw_invariants () =
 
 let test_cache_population () =
   let m = Cache_protocol.create ~rng:(Prng.create 21) ~n:150 ~d:3 () in
-  Cache_protocol.warm_up m;
-  check_int "population n" 150 (Dyngraph.alive_count (Cache_protocol.graph m))
+  Streaming_model.warm_up m;
+  check_int "population n" 150 (Dyngraph.alive_count (Streaming_model.graph m))
 
 let test_cache_connected_core () =
   let m = Cache_protocol.create ~rng:(Prng.create 22) ~n:300 ~d:3 () in
-  Cache_protocol.warm_up m;
-  let s = Cache_protocol.snapshot m in
+  Streaming_model.warm_up m;
+  let s = Streaming_model.snapshot m in
   let frac = float_of_int (Snapshot.largest_component s) /. float_of_int (Snapshot.n s) in
   check_bool "giant component" true (frac > 0.8)
 
 let test_cache_flood_mostly_covers () =
   let m = Cache_protocol.create ~rng:(Prng.create 23) ~n:250 ~d:4 () in
-  Cache_protocol.warm_up m;
-  let tr = Cache_protocol.flood ~max_rounds:120 m in
+  Streaming_model.warm_up m;
+  let tr = Flood.run_streaming ~max_rounds:120 m in
   check_bool "high coverage" true (tr.Churnet_core.Flood.peak_coverage > 0.75)
 
 let test_cache_invariants () =
   let m = Cache_protocol.create ~rng:(Prng.create 24) ~n:150 ~d:3 () in
-  Cache_protocol.warm_up m;
-  match Dyngraph.check_invariants (Cache_protocol.graph m) with
+  Streaming_model.warm_up m;
+  match Dyngraph.check_invariants (Streaming_model.graph m) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
 let test_cache_newborn_targets_from_cache () =
   (* With cache_size 1 the newborn always connects to the cached node. *)
   let m = Cache_protocol.create ~rng:(Prng.create 25) ~cache_size:1 ~n:50 ~d:2 () in
-  Cache_protocol.run m 30;
-  let g = Cache_protocol.graph m in
-  let newest = Cache_protocol.newest m in
+  Streaming_model.run m 30;
+  let g = Streaming_model.graph m in
+  let newest = Streaming_model.newest m in
   let targets = Dyngraph.out_targets g newest in
   check_bool "targets identical" true
     (match targets with
@@ -167,8 +169,8 @@ let suite =
 
 let test_local_update_degree_conservation () =
   let m = Local_update.create ~rng:(Prng.create 41) ~n:300 ~d:4 () in
-  Local_update.warm_up m;
-  let g = Local_update.graph m in
+  Streaming_model.warm_up m;
+  let g = Streaming_model.graph m in
   (* Takeover conserves out-degrees: everyone sits at exactly d, except
      possibly a couple of nodes hit by donor collisions. *)
   let below = ref 0 in
@@ -182,27 +184,27 @@ let test_local_update_bounded_in_degree () =
   (* The takeover dynamics also keep in-degrees small (no Theta(log n)
      hubs) — the interesting contrast with SDGR. *)
   let m = Local_update.create ~rng:(Prng.create 42) ~n:400 ~d:4 () in
-  Local_update.warm_up m;
-  let s = Local_update.snapshot m in
+  Streaming_model.warm_up m;
+  let s = Streaming_model.snapshot m in
   check_bool "max degree stays ~ 2d + slack" true (Snapshot.max_degree s <= 16)
 
 let test_local_update_connected () =
   let m = Local_update.create ~rng:(Prng.create 43) ~n:400 ~d:4 () in
-  Local_update.warm_up m;
-  let s = Local_update.snapshot m in
+  Streaming_model.warm_up m;
+  let s = Streaming_model.snapshot m in
   let frac = float_of_int (Snapshot.largest_component s) /. float_of_int (Snapshot.n s) in
   check_bool "giant component" true (frac > 0.95)
 
 let test_local_update_flood () =
   let m = Local_update.create ~rng:(Prng.create 44) ~n:300 ~d:5 () in
-  Local_update.warm_up m;
-  let tr = Local_update.flood ~max_rounds:120 m in
+  Streaming_model.warm_up m;
+  let tr = Flood.run_streaming ~max_rounds:120 m in
   check_bool "high coverage" true (tr.Churnet_core.Flood.peak_coverage > 0.9)
 
 let test_local_update_invariants () =
   let m = Local_update.create ~rng:(Prng.create 45) ~n:200 ~d:3 () in
-  Local_update.warm_up m;
-  match Dyngraph.check_invariants (Local_update.graph m) with
+  Streaming_model.warm_up m;
+  match Dyngraph.check_invariants (Streaming_model.graph m) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
@@ -259,18 +261,18 @@ let p2p_runs_text () =
       ( "rw",
         fun rng ~n ->
           let m = Rw_streaming.create ~rng ~n ~d () in
-          Rw_streaming.warm_up m;
-          (Rw_streaming.graph m, fun () -> Rw_streaming.flood ~max_rounds:80 m) );
+          Streaming_model.warm_up m;
+          (Streaming_model.graph m, fun () -> Flood.run_streaming ~max_rounds:80 m) );
       ( "cache",
         fun rng ~n ->
           let m = Cache_protocol.create ~rng ~n ~d () in
-          Cache_protocol.warm_up m;
-          (Cache_protocol.graph m, fun () -> Cache_protocol.flood ~max_rounds:80 m) );
+          Streaming_model.warm_up m;
+          (Streaming_model.graph m, fun () -> Flood.run_streaming ~max_rounds:80 m) );
       ( "local",
         fun rng ~n ->
           let m = Local_update.create ~rng ~n ~d () in
-          Local_update.warm_up m;
-          (Local_update.graph m, fun () -> Local_update.flood ~max_rounds:80 m) );
+          Streaming_model.warm_up m;
+          (Streaming_model.graph m, fun () -> Flood.run_streaming ~max_rounds:80 m) );
       ( "capped-d+1",
         fun rng ~n ->
           let m = Churnet_core.Capped_model.create ~rng ~n ~d ~cap:(d + 1) () in
@@ -321,9 +323,9 @@ let p2p_runs_text () =
                 Churnet_core.Burst_model.create ~rng ~n ~d ~burst_every:4
                   ~burst_size:(size n) ()
               in
-              Churnet_core.Burst_model.warm_up m;
-              ( Churnet_core.Burst_model.graph m,
-                fun () -> Churnet_core.Burst_model.flood ~max_rounds:80 m ) ))
+              Streaming_model.warm_up m;
+              ( Streaming_model.graph m,
+                fun () -> Flood.run_streaming ~max_rounds:80 m ) ))
         [ ("burst-0", fun _ -> 0); ("burst-n/20", fun n -> n / 20); ("burst-n/5", fun n -> n / 5) ]
   in
   List.iter
@@ -380,8 +382,8 @@ let test_step_allocation () =
     [
       ( "Rw_streaming",
         2.,
-        (fun () -> Rw_streaming.warm_up rw),
-        fun () -> Rw_streaming.step rw );
+        (fun () -> Streaming_model.warm_up rw),
+        fun () -> Streaming_model.step rw );
       ( "Bitcoin_like",
         90.,
         (fun () -> Bitcoin_like.warm_up btc),
