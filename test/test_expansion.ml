@@ -152,6 +152,71 @@ let test_spectral_tiny_graph () =
   let r = Spectral.analyze (Snapshot.of_edges ~n:1 []) in
   check_int "degenerate" 1 r.component_size
 
+(* --- Spectral runs pinned byte for byte --- *)
+
+(* One line per [Spectral.analyze] call over snapshots of the four paper
+   models plus a few hand-built graphs: every report float in hex, the
+   sweep set size and the component size, and one line per snapshot with
+   the MD5 of [Spectral.sweep_sets].  The cell goldens print the gap to
+   3-4 digits only, so a reordered float sum shows up here first.
+   Regenerating (only after an intentional behavior change):
+     CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
+       test expansion *)
+let spectral_iters = [ 1; 120; 150; 300 ]
+
+let sets_digest sets =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun set ->
+      Array.iter (fun v -> Printf.bprintf b "%d," v) set;
+      Buffer.add_char b ';')
+    sets;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let spectral_lines b name snap =
+  List.iter
+    (fun iters ->
+      let (r : Spectral.report) = Spectral.analyze ~iters snap in
+      Printf.bprintf b
+        "%s iters=%d lambda2=%h gap=%h cheeger=%h sweep=%h size=%d comp=%d\n" name iters
+        r.lambda2 r.spectral_gap r.cheeger_lower r.sweep_conductance r.sweep_set_size
+        r.component_size)
+    spectral_iters;
+  let sets = Spectral.sweep_sets snap in
+  Printf.bprintf b "%s sweep_sets=%d md5=%s\n" name (List.length sets) (sets_digest sets)
+
+(* Three components (a path, a chorded cycle, an edge) and isolated
+   vertices; the largest component is not the one holding index 0. *)
+let disconnected () =
+  let ring = List.init 12 (fun i -> (5 + i, 5 + ((i + 1) mod 12))) in
+  Snapshot.of_edges ~n:20 ([ (0, 1); (1, 2); (5, 10); (7, 14); (18, 19) ] @ ring)
+
+let spectral_runs_text () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun d ->
+              for seed = 1 to 3 do
+                let m =
+                  Churnet_core.Models.create ~rng:(Prng.create seed) kind ~n ~d
+                in
+                Churnet_core.Models.warm_up_batch m;
+                spectral_lines b
+                  (Printf.sprintf "%s n=%d d=%d seed=%d"
+                     (Churnet_core.Models.kind_name kind) n d seed)
+                  (Churnet_core.Models.snapshot m)
+              done)
+            [ 2; 8 ])
+        [ 60; 500 ])
+    Churnet_core.Models.all_kinds;
+  spectral_lines b "disconnected" (disconnected ());
+  spectral_lines b "one-node" (Snapshot.of_edges ~n:1 []);
+  spectral_lines b "three-node" (path 3);
+  Buffer.contents b
+
 (* --- Cross-validation: probe against exact on random graphs --- *)
 
 let qcheck_props =
@@ -195,6 +260,9 @@ let suite =
     ("spectral dumbbell", `Quick, test_spectral_sweep_on_dumbbell);
     ("spectral sweep sets", `Quick, test_spectral_sweep_sets_usable);
     ("spectral tiny", `Quick, test_spectral_tiny_graph);
+    ( "spectral runs golden",
+      `Quick,
+      Test_byte_equality.check_case ("spectral_runs", spectral_runs_text) );
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
 
