@@ -133,7 +133,7 @@ let random_sets rng snap ~sizes ~samples =
         List.init samples (fun _ -> Prng.sample_without_replacement rng s n))
     sizes
 
-let probe ~rng ?(min_size = 1) ?max_size ?(samples_per_size = 8) snap =
+let probe ~rng ?(min_size = 1) ?max_size ?(samples_per_size = 8) ?sweep_sets snap =
   let n = Snapshot.n snap in
   let max_size = Option.value ~default:(n / 2) max_size in
   let acc = new_acc snap in
@@ -167,7 +167,10 @@ let probe ~rng ?(min_size = 1) ?max_size ?(samples_per_size = 8) snap =
   List.iter (consider ~family:"random")
     (random_sets rng snap ~sizes ~samples:samples_per_size);
   (* Spectral sweep cuts. *)
-  List.iter (consider ~family:"sweep-cut") (Spectral.sweep_sets snap);
+  let sweep_sets =
+    match sweep_sets with Some sets -> sets | None -> Spectral.sweep_sets snap
+  in
+  List.iter (consider ~family:"sweep-cut") sweep_sets;
   {
     min_expansion = acc.best.expansion;
     witness = acc.best;

@@ -31,11 +31,15 @@ val probe :
   ?min_size:int ->
   ?max_size:int ->
   ?samples_per_size:int ->
+  ?sweep_sets:int array list ->
   Churnet_graph.Snapshot.t ->
   report
 (** [probe snap] searches sets with [min_size <= |S| <= max_size]
     (defaults 1 and n/2).  [samples_per_size] (default 8) controls the
-    random-family effort. *)
+    random-family effort.  [sweep_sets] are the sweep-cut candidates,
+    [Spectral.sweep_sets snap] when absent; a caller that also wants the
+    spectral certificate passes those of
+    {!Spectral.analyze_with_sweep_sets} and saves a power iteration. *)
 
 val expansion_profile :
   rng:Churnet_util.Prng.t ->

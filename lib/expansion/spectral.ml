@@ -9,105 +9,164 @@ type report = {
   component_size : int;
 }
 
-(* Extract the largest component as (members, local adjacency). *)
-let largest_component_graph snap =
+(* The largest component as a local CSR: [members] maps a local index to
+   its snapshot index, ascending, and local row [i] is
+   [rows.(offsets.(i)) .. rows.(offsets.(i + 1) - 1)], the snapshot row of
+   [members.(i)] mapped to local indices.  The map is monotone, so local
+   rows stay ascending like the snapshot's. *)
+type component = { members : int array; offsets : int array; rows : int array }
+
+let largest_component snap =
   let label, k = Snapshot.components snap in
-  if k = 0 then ([||], [||])
+  if k = 0 then { members = [||]; offsets = [| 0 |]; rows = [||] }
   else begin
+    let n = Snapshot.n snap in
     let sizes = Array.make k 0 in
-    Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) label;
-    let best = ref 0 in
-    Array.iteri (fun c s -> if s > sizes.(!best) then best := c) sizes;
-    let members =
-      Array.of_list
-        (List.filter (fun v -> label.(v) = !best)
-           (List.init (Snapshot.n snap) Fun.id))
-    in
-    let local_of = Array.make (Snapshot.n snap) (-1) in
-    Array.iteri (fun i v -> local_of.(v) <- i) members;
-    let adj =
-      Array.map
-        (fun v ->
-          let row = Array.make (Snapshot.degree snap v) 0 in
-          let k = ref 0 in
-          Snapshot.iter_neighbors snap v (fun w ->
-              row.(!k) <- local_of.(w);
-              incr k);
-          row)
-        members
-    in
-    (members, adj)
-  end
-
-(* Second eigenvector of the lazy walk W = (I + D^-1 A)/2 by power
-   iteration with deflation against the stationary distribution (which is
-   degree-proportional for a reversible chain). *)
-let second_eigen adj iters =
-  let m = Array.length adj in
-  if m < 2 then (1., [||])
-  else begin
-    let deg = Array.map (fun a -> float_of_int (max 1 (Array.length a))) adj in
-    let total_deg = Array.fold_left ( +. ) 0. deg in
-    let x = Array.init m (fun i -> Float.sin (float_of_int ((i * 7919) mod 104729))) in
-    let deflate v =
-      (* Remove the component along the constant (right) eigenvector in
-         the degree-weighted inner product. *)
-      let proj = ref 0. in
-      Array.iteri (fun i vi -> proj := !proj +. (deg.(i) *. vi)) v;
-      let c = !proj /. total_deg in
-      Array.iteri (fun i vi -> v.(i) <- vi -. c) v
-    in
-    let normalize v =
-      let norm = sqrt (Array.fold_left (fun acc vi -> acc +. (vi *. vi)) 0. v) in
-      if norm > 0. then Array.iteri (fun i vi -> v.(i) <- vi /. norm) v
-    in
-    deflate x;
-    normalize x;
-    let y = Array.make m 0. in
-    let lambda = ref 1. in
-    for _ = 1 to iters do
-      for i = 0 to m - 1 do
-        let acc = ref 0. in
-        Array.iter (fun j -> acc := !acc +. x.(j)) adj.(i);
-        y.(i) <- 0.5 *. (x.(i) +. (!acc /. deg.(i)))
-      done;
-      (* Rayleigh quotient in the degree-weighted inner product. *)
-      let num = ref 0. and den = ref 0. in
-      for i = 0 to m - 1 do
-        num := !num +. (deg.(i) *. y.(i) *. x.(i));
-        den := !den +. (deg.(i) *. x.(i) *. x.(i))
-      done;
-      if !den > 0. then lambda := !num /. !den;
-      Array.blit y 0 x 0 m;
-      deflate x;
-      normalize x
+    for v = 0 to n - 1 do
+      sizes.(label.(v)) <- sizes.(label.(v)) + 1
     done;
-    (!lambda, x)
+    let best = ref 0 in
+    for c = 1 to k - 1 do
+      if sizes.(c) > sizes.(!best) then best := c
+    done;
+    let m = sizes.(!best) in
+    let members = Array.make m 0 and local_of = Array.make n (-1) in
+    let next = ref 0 in
+    for v = 0 to n - 1 do
+      if label.(v) = !best then begin
+        members.(!next) <- v;
+        local_of.(v) <- !next;
+        incr next
+      end
+    done;
+    let offsets = Array.make (m + 1) 0 in
+    for i = 0 to m - 1 do
+      offsets.(i + 1) <- offsets.(i) + Snapshot.degree snap members.(i)
+    done;
+    let rows = Array.make offsets.(m) 0 in
+    for i = 0 to m - 1 do
+      let v = members.(i) in
+      for k = 0 to Snapshot.degree snap v - 1 do
+        rows.(offsets.(i) + k) <- local_of.(Snapshot.neighbor snap v k)
+      done
+    done;
+    { members; offsets; rows }
   end
 
-let conductance_of_sweep adj order =
-  let m = Array.length adj in
-  let deg = Array.map Array.length adj in
-  let total_vol = Array.fold_left ( + ) 0 deg in
+(* Power iteration of the lazy walk W = (I + D^-1 A)/2 with deflation
+   against the stationary distribution (which is degree-proportional for
+   a reversible chain).  [x] is the iterate, [y] scratch, and
+   [lambda.(0)] the latest Rayleigh quotient. *)
+type walk = {
+  comp : component;
+  deg : float array;
+  total_deg : float;
+  x : float array;
+  y : float array;
+  lambda : float array;
+}
+
+(* Remove the component along the constant (right) eigenvector in the
+   degree-weighted inner product. *)
+let deflate deg total_deg v =
+  let proj = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    proj := !proj +. (deg.(i) *. v.(i))
+  done;
+  let c = !proj /. total_deg in
+  for i = 0 to Array.length v - 1 do
+    v.(i) <- v.(i) -. c
+  done
+
+let normalize v =
+  let sq = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    sq := !sq +. (v.(i) *. v.(i))
+  done;
+  let norm = sqrt !sq in
+  if norm > 0. then
+    for i = 0 to Array.length v - 1 do
+      v.(i) <- v.(i) /. norm
+    done
+
+(* One power step: y = W x, the Rayleigh quotient of x in the
+   degree-weighted inner product, then x = normalize (deflate y). *)
+let power_step w =
+  let { comp; deg; x; y; _ } = w in
+  let m = Array.length x in
+  for i = 0 to m - 1 do
+    let acc = ref 0. in
+    for k = comp.offsets.(i) to comp.offsets.(i + 1) - 1 do
+      acc := !acc +. x.(comp.rows.(k))
+    done;
+    y.(i) <- 0.5 *. (x.(i) +. (!acc /. deg.(i)))
+  done;
+  let num = ref 0. and den = ref 0. in
+  for i = 0 to m - 1 do
+    num := !num +. (deg.(i) *. y.(i) *. x.(i));
+    den := !den +. (deg.(i) *. x.(i) *. x.(i))
+  done;
+  if !den > 0. then w.lambda.(0) <- !num /. !den;
+  Array.blit y 0 x 0 m;
+  deflate deg w.total_deg x;
+  normalize x
+
+(* [last] power steps on a component of at least 2 vertices, from a fixed
+   start vector.  Returns (lambda, x) after step [keep] (at most [last])
+   and after step [last]; step k depends only on step k - 1, so one run
+   serves both. *)
+let power_iteration comp ~keep ~last =
+  let m = Array.length comp.members in
+  let deg = Array.create_float m in
+  for i = 0 to m - 1 do
+    deg.(i) <- float_of_int (max 1 (comp.offsets.(i + 1) - comp.offsets.(i)))
+  done;
+  let total_deg = ref 0. in
+  for i = 0 to m - 1 do
+    total_deg := !total_deg +. deg.(i)
+  done;
+  let x = Array.create_float m in
+  for i = 0 to m - 1 do
+    x.(i) <- Float.sin (float_of_int ((i * 7919) mod 104729))
+  done;
+  let w =
+    { comp; deg; total_deg = !total_deg; x; y = Array.make m 0.; lambda = [| 1. |] }
+  in
+  deflate deg w.total_deg x;
+  normalize x;
+  let kept = ref (1., x) in
+  for step = 1 to last do
+    if step - 1 = keep && keep < last then kept := (w.lambda.(0), Array.copy x);
+    power_step w
+  done;
+  if keep = last then kept := (w.lambda.(0), x);
+  (!kept, (w.lambda.(0), x))
+
+let conductance_of_sweep comp order =
+  let m = Array.length comp.members in
+  let offsets = comp.offsets in
+  let total_vol = offsets.(m) in
   let in_set = Array.make m false in
   let vol = ref 0 and cut = ref 0 in
   let best = ref infinity and best_size = ref 0 in
-  Array.iteri
-    (fun idx v ->
-      in_set.(v) <- true;
-      vol := !vol + deg.(v);
-      Array.iter (fun w -> if in_set.(w) then cut := !cut - 1 else cut := !cut + 1) adj.(v);
-      if idx < m - 1 then begin
-        let denom = min !vol (total_vol - !vol) in
-        if denom > 0 then begin
-          let phi = float_of_int !cut /. float_of_int denom in
-          if phi < !best then begin
-            best := phi;
-            best_size := idx + 1
-          end
+  for idx = 0 to m - 1 do
+    let v = order.(idx) in
+    in_set.(v) <- true;
+    vol := !vol + (offsets.(v + 1) - offsets.(v));
+    for k = offsets.(v) to offsets.(v + 1) - 1 do
+      if in_set.(comp.rows.(k)) then decr cut else incr cut
+    done;
+    if idx < m - 1 then begin
+      let denom = min !vol (total_vol - !vol) in
+      if denom > 0 then begin
+        let phi = float_of_int !cut /. float_of_int denom in
+        if phi < !best then begin
+          best := phi;
+          best_size := idx + 1
         end
-      end)
-    order;
+      end
+    end
+  done;
   (!best, !best_size)
 
 let sorted_order vec =
@@ -115,40 +174,62 @@ let sorted_order vec =
   Array.sort (fun a b -> Float.compare vec.(a) vec.(b)) order;
   order
 
-let analyze ?(iters = 300) snap =
-  let members, adj = largest_component_graph snap in
-  let m = Array.length members in
-  if m < 2 then
-    { lambda2 = 1.; spectral_gap = 0.; cheeger_lower = 0.; sweep_conductance = nan;
-      sweep_set_size = 0; component_size = m }
-  else begin
-    let lambda2, vec = second_eigen adj iters in
-    let order = sorted_order vec in
-    let sweep_conductance, sweep_set_size = conductance_of_sweep adj order in
-    {
-      lambda2;
-      spectral_gap = 1. -. lambda2;
-      cheeger_lower = (1. -. lambda2) /. 2.;
-      sweep_conductance;
-      sweep_set_size;
-      component_size = m;
-    }
-  end
+(* The sweep vector is the iterate after this many steps. *)
+let sweep_iters = 150
 
-let sweep_sets snap =
-  let members, adj = largest_component_graph snap in
-  let m = Array.length members in
+let report_of comp (lambda2, vec) =
+  let sweep_conductance, sweep_set_size = conductance_of_sweep comp (sorted_order vec) in
+  {
+    lambda2;
+    spectral_gap = 1. -. lambda2;
+    cheeger_lower = (1. -. lambda2) /. 2.;
+    sweep_conductance;
+    sweep_set_size;
+    component_size = Array.length comp.members;
+  }
+
+let degenerate_report m =
+  { lambda2 = 1.; spectral_gap = 0.; cheeger_lower = 0.; sweep_conductance = nan;
+    sweep_set_size = 0; component_size = m }
+
+(* Prefixes of the sweep order at geometric sizes up to half the
+   component, mapped back to snapshot indices. *)
+let sets_of comp vec =
+  let m = Array.length comp.members in
   if m < 4 then []
   else begin
-    let _, vec = second_eigen adj 150 in
     let order = sorted_order vec in
-    (* Prefixes at geometric sizes up to half the component. *)
     let sets = ref [] in
     let size = ref 2 in
     while !size <= m / 2 do
-      let prefix = Array.sub order 0 !size in
-      sets := Array.map (fun local -> members.(local)) prefix :: !sets;
+      sets := Array.init !size (fun k -> comp.members.(order.(k))) :: !sets;
       size := max (!size + 1) (!size * 3 / 2)
     done;
     List.rev !sets
+  end
+
+let analyze ?(iters = 300) snap =
+  let comp = largest_component snap in
+  let m = Array.length comp.members in
+  if m < 2 then degenerate_report m
+  else report_of comp (snd (power_iteration comp ~keep:iters ~last:iters))
+
+let sweep_sets snap =
+  let comp = largest_component snap in
+  if Array.length comp.members < 4 then []
+  else
+    let _, (_, vec) = power_iteration comp ~keep:sweep_iters ~last:sweep_iters in
+    sets_of comp vec
+
+let analyze_with_sweep_sets ?(iters = 300) snap =
+  let iters = max 0 iters in
+  let comp = largest_component snap in
+  let m = Array.length comp.members in
+  if m < 2 then (degenerate_report m, [])
+  else begin
+    let early, late =
+      power_iteration comp ~keep:(min iters sweep_iters) ~last:(max iters sweep_iters)
+    in
+    let at_iters, at_sweep = if iters <= sweep_iters then (early, late) else (late, early) in
+    (report_of comp at_iters, sets_of comp (snd at_sweep))
   end

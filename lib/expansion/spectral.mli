@@ -21,4 +21,10 @@ val analyze : ?iters:int -> Churnet_graph.Snapshot.t -> report
 
 val sweep_sets : Churnet_graph.Snapshot.t -> int array list
 (** Prefix sets (component indices, mapped back to snapshot indices) of
-    the eigenvector sweep, for use as vertex-expansion candidates. *)
+    the eigenvector sweep after 150 power-iteration steps, for use as
+    vertex-expansion candidates. *)
+
+val analyze_with_sweep_sets :
+  ?iters:int -> Churnet_graph.Snapshot.t -> report * int array list
+(** [(analyze ~iters snap, sweep_sets snap)], bit for bit, from one power
+    iteration of [max iters 150] steps instead of two. *)

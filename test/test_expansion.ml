@@ -217,6 +217,47 @@ let spectral_runs_text () =
   spectral_lines b "three-node" (path 3);
   Buffer.contents b
 
+(* The fused call is the two separate ones, bit for bit: below, at and
+   above the 150 sweep steps, on components too small for a sweep or for
+   any power step, and on graphs with isolated vertices. *)
+let test_spectral_fused_matches_separate () =
+  let bits msg a b = Alcotest.(check int64) msg (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let graphs =
+    [
+      ("empty", Snapshot.of_edges ~n:0 []);
+      ("one-node", Snapshot.of_edges ~n:1 []);
+      ("isolated only", Snapshot.of_edges ~n:4 []);
+      ("one edge and isolated", Snapshot.of_edges ~n:5 [ (1, 3) ]);
+      ("three-node", path 3);
+      ("triangle and isolated", Snapshot.of_edges ~n:6 [ (2, 3); (3, 4); (2, 4) ]);
+      ("disconnected", disconnected ());
+      ("cycle", cycle 30);
+    ]
+    @ List.map
+        (fun kind ->
+          let m = Churnet_core.Models.create ~rng:(Prng.create 17) kind ~n:300 ~d:3 in
+          Churnet_core.Models.warm_up_batch m;
+          (Churnet_core.Models.kind_name kind, Churnet_core.Models.snapshot m))
+        Churnet_core.Models.all_kinds
+  in
+  List.iter
+    (fun (name, snap) ->
+      let sets = Spectral.sweep_sets snap in
+      List.iter
+        (fun iters ->
+          let msg field = Printf.sprintf "%s iters=%d %s" name iters field in
+          let (a : Spectral.report) = Spectral.analyze ~iters snap in
+          let (f : Spectral.report), fsets = Spectral.analyze_with_sweep_sets ~iters snap in
+          bits (msg "lambda2") a.lambda2 f.lambda2;
+          bits (msg "spectral_gap") a.spectral_gap f.spectral_gap;
+          bits (msg "cheeger_lower") a.cheeger_lower f.cheeger_lower;
+          bits (msg "sweep_conductance") a.sweep_conductance f.sweep_conductance;
+          check_int (msg "sweep_set_size") a.sweep_set_size f.sweep_set_size;
+          check_int (msg "component_size") a.component_size f.component_size;
+          check_bool (msg "sweep sets") true (sets = fsets))
+        [ 0; 1; 2; 120; 149; 150; 151; 300 ])
+    graphs
+
 (* --- Cross-validation: probe against exact on random graphs --- *)
 
 let qcheck_props =
@@ -260,6 +301,7 @@ let suite =
     ("spectral dumbbell", `Quick, test_spectral_sweep_on_dumbbell);
     ("spectral sweep sets", `Quick, test_spectral_sweep_sets_usable);
     ("spectral tiny", `Quick, test_spectral_tiny_graph);
+    ("spectral fused = separate", `Quick, test_spectral_fused_matches_separate);
     ( "spectral runs golden",
       `Quick,
       Test_byte_equality.check_case ("spectral_runs", spectral_runs_text) );
