@@ -518,6 +518,31 @@ let test_hot_path_boxed_store () =
      all-float record and code outside the kernel cone not"
     [ 7; 8 ] lines
 
+let test_hot_path_spectral_step () =
+  (* The spectral power step is a kernel entry: a row sum through a
+     closure that captures a float ref boxes per edge endpoint. *)
+  let src body =
+    Printf.sprintf
+      "let power_step x adj y =\n  for i = 0 to Array.length y - 1 do\n\
+       \    let acc = ref 0. in\n%s\n    y.(i) <- !acc\n  done\n\
+       let analyze adj =\n  Array.map (fun row -> Array.length row) adj\n"
+      body
+  in
+  let lines body =
+    List.map
+      (fun f -> f.Lint_rules.line)
+      (run_project_rule "hot-path-alloc"
+         ~units:[ ("lib/expansion/spectral.ml", src body) ]
+         ~interfaces:[])
+  in
+  Alcotest.(check (list int))
+    "closure in the step flagged, the caller outside the cone not" [ 4 ]
+    (lines "    Array.iter (fun j -> acc := !acc +. x.(j)) adj.(i);");
+  Alcotest.(check (list int)) "the same sum as a for loop is clean" []
+    (lines
+       "    for k = 0 to Array.length adj.(i) - 1 do\n\
+       \      acc := !acc +. x.(adj.(i).(k))\n    done;")
+
 let test_dead_export () =
   let thing = "let used x = x\nlet unused x = x\n" in
   let user = "let go x =\n  Thing.used x\n" in
@@ -803,6 +828,7 @@ let suite =
     ("rule: hot-path-alloc discretized round", `Quick, test_hot_path_discretized_round);
     ("rule: hot-path-alloc local function", `Quick, test_hot_path_local_function);
     ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
+    ("rule: hot-path-alloc spectral step", `Quick, test_hot_path_spectral_step);
     ("rule: dead-export", `Quick, test_dead_export);
     ("engine: finds and locates", `Quick, test_engine_finds_and_sorts);
     ("engine: pragma suppression", `Quick, test_pragma_suppression);
