@@ -123,11 +123,11 @@ let run ?max_rounds ~rng ~strategy model =
   let population_per_round = Array.of_list (List.rev !population_log) in
   let peak_coverage =
     let best = ref 0. in
-    Array.iteri
-      (fun i inf ->
-        let pop = population_per_round.(i) in
-        if pop > 0 then best := Float.max !best (float_of_int inf /. float_of_int pop))
-      informed_per_round;
+    for i = 0 to Array.length informed_per_round - 1 do
+      let pop = population_per_round.(i) in
+      if pop > 0 then
+        best := Float.max !best (float_of_int informed_per_round.(i) /. float_of_int pop)
+    done;
     !best
   in
   {

@@ -66,16 +66,16 @@ let sample_bfs ~rng ?(sources = 16) snap =
 let mean_distance ~rng ?sources snap =
   let runs = sample_bfs ~rng ?sources snap in
   let acc = ref 0. and count = ref 0 in
-  Array.iter
-    (fun dist ->
-      Array.iter
-        (fun d ->
-          if d > 0 then begin
-            acc := !acc +. float_of_int d;
-            incr count
-          end)
-        dist)
-    runs;
+  for r = 0 to Array.length runs - 1 do
+    let dist = runs.(r) in
+    for v = 0 to Array.length dist - 1 do
+      let d = dist.(v) in
+      if d > 0 then begin
+        acc := !acc +. float_of_int d;
+        incr count
+      end
+    done
+  done;
   if !count = 0 then nan else !acc /. float_of_int !count
 
 let diameter_estimate ~rng ?sources snap =
@@ -90,11 +90,17 @@ let degree_gini snap =
   else begin
     let degs = Array.init n (fun v -> float_of_int (Snapshot.degree snap v)) in
     Array.sort Float.compare degs;
-    let total = Array.fold_left ( +. ) 0. degs in
+    let total = ref 0. in
+    for i = 0 to n - 1 do
+      total := !total +. degs.(i)
+    done;
+    let total = !total in
     if total <= 0. then 0.
     else begin
       let weighted = ref 0. in
-      Array.iteri (fun i d -> weighted := !weighted +. (float_of_int (i + 1) *. d)) degs;
+      for i = 0 to n - 1 do
+        weighted := !weighted +. (float_of_int (i + 1) *. degs.(i))
+      done;
       let fn = float_of_int n in
       ((2. *. !weighted) /. (fn *. total)) -. ((fn +. 1.) /. fn)
     end

@@ -7,12 +7,11 @@ let check_lengths p q =
 let kl_divergence p q =
   check_lengths p q;
   let acc = ref 0. in
-  Array.iteri
-    (fun i pi ->
-      if pi > 0. then
-        if q.(i) <= 0. then acc := infinity
-        else acc := !acc +. (pi *. log (pi /. q.(i))))
-    p;
+  for i = 0 to Array.length p - 1 do
+    let pi = p.(i) in
+    if pi > 0. then
+      if q.(i) <= 0. then acc := infinity else acc := !acc +. (pi *. log (pi /. q.(i)))
+  done;
   !acc
 
 let normalize v =
@@ -25,15 +24,17 @@ let of_counts counts = normalize (Array.map float_of_int counts)
 let cross_entropy p q =
   check_lengths p q;
   let acc = ref 0. in
-  Array.iteri
-    (fun i pi ->
-      if pi > 0. then
-        if q.(i) <= 0. then acc := infinity else acc := !acc -. (pi *. log q.(i)))
-    p;
+  for i = 0 to Array.length p - 1 do
+    let pi = p.(i) in
+    if pi > 0. then
+      if q.(i) <= 0. then acc := infinity else acc := !acc -. (pi *. log q.(i))
+  done;
   !acc
 
 let total_variation p q =
   check_lengths p q;
   let acc = ref 0. in
-  Array.iteri (fun i pi -> acc := !acc +. Float.abs (pi -. q.(i))) p;
+  for i = 0 to Array.length p - 1 do
+    acc := !acc +. Float.abs (p.(i) -. q.(i))
+  done;
   !acc /. 2.

@@ -143,13 +143,13 @@ let linear_fit pts =
   else begin
     let fn = float_of_int n in
     let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
-    Array.iter
-      (fun (x, y) ->
-        sx := !sx +. x;
-        sy := !sy +. y;
-        sxx := !sxx +. (x *. x);
-        sxy := !sxy +. (x *. y))
-      pts;
+    for i = 0 to n - 1 do
+      let x, y = pts.(i) in
+      sx := !sx +. x;
+      sy := !sy +. y;
+      sxx := !sxx +. (x *. x);
+      sxy := !sxy +. (x *. y)
+    done;
     let denom = (fn *. !sxx) -. (!sx *. !sx) in
     if Float.abs denom < 1e-12 then { slope = nan; intercept = nan; r2 = nan }
     else begin
@@ -157,12 +157,12 @@ let linear_fit pts =
       let intercept = (!sy -. (slope *. !sx)) /. fn in
       let ybar = !sy /. fn in
       let ss_tot = ref 0. and ss_res = ref 0. in
-      Array.iter
-        (fun (x, y) ->
-          let pred = (slope *. x) +. intercept in
-          ss_tot := !ss_tot +. ((y -. ybar) *. (y -. ybar));
-          ss_res := !ss_res +. ((y -. pred) *. (y -. pred)))
-        pts;
+      for i = 0 to n - 1 do
+        let x, y = pts.(i) in
+        let pred = (slope *. x) +. intercept in
+        ss_tot := !ss_tot +. ((y -. ybar) *. (y -. ybar));
+        ss_res := !ss_res +. ((y -. pred) *. (y -. pred))
+      done;
       let r2 = if !ss_tot <= 0. then 1. else 1. -. (!ss_res /. !ss_tot) in
       { slope; intercept; r2 }
     end
@@ -179,12 +179,12 @@ let pearson pts =
     let xs = Array.map fst pts and ys = Array.map snd pts in
     let mx = mean xs and my = mean ys in
     let num = ref 0. and dx = ref 0. and dy = ref 0. in
-    Array.iter
-      (fun (x, y) ->
-        num := !num +. ((x -. mx) *. (y -. my));
-        dx := !dx +. ((x -. mx) *. (x -. mx));
-        dy := !dy +. ((y -. my) *. (y -. my)))
-      pts;
+    for i = 0 to n - 1 do
+      let x, y = pts.(i) in
+      num := !num +. ((x -. mx) *. (y -. my));
+      dx := !dx +. ((x -. mx) *. (x -. mx));
+      dy := !dy +. ((y -. my) *. (y -. my))
+    done;
     if !dx <= 0. || !dy <= 0. then nan else !num /. sqrt (!dx *. !dy)
   end
 
@@ -222,11 +222,10 @@ let ks_statistic xs cdf =
     Array.sort Float.compare sorted;
     let fn = float_of_int n in
     let worst = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let f = cdf x in
-        let lo = float_of_int i /. fn and hi = float_of_int (i + 1) /. fn in
-        worst := Float.max !worst (Float.max (Float.abs (f -. lo)) (Float.abs (hi -. f))))
-      sorted;
+    for i = 0 to n - 1 do
+      let f = cdf sorted.(i) in
+      let lo = float_of_int i /. fn and hi = float_of_int (i + 1) /. fn in
+      worst := Float.max !worst (Float.max (Float.abs (f -. lo)) (Float.abs (hi -. f)))
+    done;
     !worst
   end
