@@ -114,8 +114,9 @@ let power_step w =
 (* [last] power steps on a component of at least 2 vertices, from a fixed
    start vector.  Returns (lambda, x) after step [keep] (at most [last])
    and after step [last]; step k depends only on step k - 1, so one run
-   serves both. *)
+   serves both.  A negative count means no step. *)
 let power_iteration comp ~keep ~last =
+  let keep = max 0 keep and last = max 0 last in
   let m = Array.length comp.members in
   let deg = Array.create_float m in
   for i = 0 to m - 1 do
@@ -222,7 +223,6 @@ let sweep_sets snap =
     sets_of comp vec
 
 let analyze_with_sweep_sets ?(iters = 300) snap =
-  let iters = max 0 iters in
   let comp = largest_component snap in
   let m = Array.length comp.members in
   if m < 2 then (degenerate_report m, [])

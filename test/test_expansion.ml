@@ -255,7 +255,7 @@ let test_spectral_fused_matches_separate () =
           check_int (msg "sweep_set_size") a.sweep_set_size f.sweep_set_size;
           check_int (msg "component_size") a.component_size f.component_size;
           check_bool (msg "sweep sets") true (sets = fsets))
-        [ 0; 1; 2; 120; 149; 150; 151; 300 ])
+        [ -1; 0; 1; 2; 120; 149; 150; 151; 300 ])
     graphs
 
 (* --- Cross-validation: probe against exact on random graphs --- *)
