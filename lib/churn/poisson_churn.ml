@@ -1,5 +1,4 @@
 module Prng = Churnet_util.Prng
-module Dist = Churnet_util.Dist
 
 (* The clock lives in its own all-float record, which OCaml stores flat:
    advancing it writes the float in place, where a [mutable float] field
@@ -13,6 +12,7 @@ type t = {
   mu : float;
   rng : Prng.t;
   clock : clock;
+  draw : float array; (* one-cell scratch for a jump's uniforms, see [decide_birth] *)
   mutable round : int;
   mutable births : int;
   mutable deaths : int;
@@ -28,6 +28,7 @@ let create ~rng ?(lambda = 1.) ~n () =
     mu = lambda /. float_of_int n;
     rng;
     clock = { time = 0.; last_dt = 0. };
+    draw = [| 0. |];
     round = 0;
     births = 0;
     deaths = 0;
@@ -36,15 +37,26 @@ let create ~rng ?(lambda = 1.) ~n () =
 let lambda t = t.lambda
 let mu t = t.mu
 
+(* The draws of [Dist.exponential t.rng total_rate] and
+   [Prng.bernoulli t.rng (lambda /. total_rate)], written out over
+   [t.draw] with the same operations in the same order, so every dt and
+   every coin is bit-identical to theirs while no float crosses a module
+   boundary boxed.  [total_rate] is positive because [lambda] is. *)
 let decide_birth t ~alive =
   if alive < 0 then invalid_arg "Poisson_churn.decide: negative population";
   let total_rate = (float_of_int alive *. t.mu) +. t.lambda in
-  let dt = Dist.exponential t.rng total_rate in
+  Prng.unit_float_into t.rng t.draw 0;
+  let dt = -.log (1. -. t.draw.(0)) /. total_rate in
   t.clock.time <- t.clock.time +. dt;
   t.clock.last_dt <- dt;
   t.round <- t.round + 1;
-  let p_birth = t.lambda /. total_rate in
-  if alive = 0 || Prng.bernoulli t.rng p_birth then begin
+  (* At [alive = 0] the only event is a birth, and no coin is drawn. *)
+  let birth =
+    alive = 0
+    || (Prng.unit_float_into t.rng t.draw 0;
+        t.draw.(0) < t.lambda /. total_rate)
+  in
+  if birth then begin
     t.births <- t.births + 1;
     true
   end
@@ -123,4 +135,13 @@ let decode r =
   let deaths = Codec.read_varint r in
   if lambda <= 0. || mu <= 0. || round < 0 || births < 0 || deaths < 0 then
     raise (Codec.Error "Poisson_churn.decode: inconsistent fields");
-  { lambda; mu; rng; clock = { time; last_dt = 0. }; round; births; deaths }
+  {
+    lambda;
+    mu;
+    rng;
+    clock = { time; last_dt = 0. };
+    draw = [| 0. |];
+    round;
+    births;
+    deaths;
+  }

@@ -47,6 +47,8 @@ type t = {
   mutable next_id : int;
   mutable kill_srcs : int array; (* scratch for kill's canonical regen order *)
   mutable kill_cnts : int array; (* per-src slot multiplicity, parallel to kill_srcs *)
+  mutable seen : int array; (* per-slot stamps for in_degree; empty until its first call *)
+  mutable seen_epoch : int; (* the stamp of the latest in_degree call *)
   mutable edge_hook : (src:node_id -> dst:node_id -> unit) option;
   mutable death_hook : (node_id -> unit) option;
   mutable birth_hook : (node_id -> birth:int -> unit) option;
@@ -80,6 +82,8 @@ let create ~rng ~d ~regenerate () =
     next_id = 0;
     kill_srcs = Array.make 16 0;
     kill_cnts = Array.make 16 0;
+    seen = [||];
+    seen_epoch = 0;
     edge_hook = None;
     death_hook = None;
     birth_hook = None;
@@ -315,7 +319,9 @@ let disconnect t ~src ~dst =
   end
 
 (* Number of distinct values in [v]; O(k^2) backward scan with k of the
-   order of d, where it beats any allocated dedup structure. *)
+   order of d, where it beats any allocated dedup structure.  The same
+   rule as [iter_neighbors]' in-edge pass: an entry counts at its first
+   occurrence. *)
 let distinct_count v =
   let k = Intvec.length v in
   let c = ref 0 in
@@ -329,7 +335,28 @@ let distinct_count v =
   done;
   !c
 
-let in_degree t id = distinct_count t.in_edges.(get_slot t id)
+(* O(k) over the in-edge multiset: a source counts the first time its
+   slot is stamped with this call's epoch.  The stamp array is sized on
+   the first call and regrown with the arena, so models that never ask
+   for in-degrees pay nothing for it. *)
+let in_degree t id =
+  let inv = t.in_edges.(get_slot t id) in
+  if Array.length t.seen < t.cap then begin
+    t.seen <- Array.make t.cap 0;
+    t.seen_epoch <- 0
+  end;
+  let epoch = t.seen_epoch + 1 in
+  t.seen_epoch <- epoch;
+  let seen = t.seen in
+  let c = ref 0 in
+  for i = 0 to Intvec.length inv - 1 do
+    let ss = slot_of t (Intvec.get inv i) in
+    if ss >= 0 && seen.(ss) <> epoch then begin
+      seen.(ss) <- epoch;
+      incr c
+    end
+  done;
+  !c
 
 let sort_range a lo n =
   for i = lo + 1 to lo + n - 1 do
@@ -548,9 +575,23 @@ let iter_in_neighbors t id f =
     if not !dup then f src
   done
 
+(* [iter_neighbors] counted, as plain loops with its dedup rule: a
+   counting closure would allocate on every call. *)
 let degree t id =
-  let count = ref 0 in
-  iter_neighbors t id (fun _ -> incr count);
+  let s = get_slot t id in
+  let row = s * t.d in
+  let inv = t.in_edges.(s) in
+  let count = ref (distinct_count inv) in
+  for i = 0 to t.d - 1 do
+    let v = t.out.(row + i) in
+    if v >= 0 && not (Intvec.mem inv v) then begin
+      let dup = ref false in
+      for j = 0 to i - 1 do
+        if t.out.(row + j) = v then dup := true
+      done;
+      if not !dup then incr count
+    end
+  done;
   !count
 
 let out_degree t id =
@@ -735,8 +776,9 @@ module Codec = Churnet_util.Codec
    birth recycles, the dense alive array's order is what random_alive
    indexes into, and the id-window base shifts nothing observable but is
    kept so a decode/encode cycle is byte-identical.  Deliberately NOT
-   serialized: the three hooks (observers re-attach after resume) and
-   the kill_srcs scratch buffer (rebuilt empty). *)
+   serialized: the three hooks (observers re-attach after resume), the
+   kill_srcs scratch buffer (rebuilt empty) and the in_degree stamps
+   (sized again on first use). *)
 let encode w t =
   Codec.varint w t.d;
   Codec.bool w t.regenerate;
@@ -870,6 +912,8 @@ let decode r =
       next_id;
       kill_srcs = Array.make 16 0;
       kill_cnts = Array.make 16 0;
+      seen = [||];
+      seen_epoch = 0;
       edge_hook = None;
       death_hook = None;
       birth_hook = None;

@@ -78,7 +78,9 @@ val disconnect : t -> src:node_id -> dst:node_id -> bool
     edges die only with an endpoint, so do not log runs that disconnect. *)
 
 val in_degree : t -> node_id -> int
-(** Number of distinct alive in-neighbors. *)
+(** Number of distinct alive in-neighbors, in time linear in the number
+    of in-edges (multi-edges included).  The first call sizes a scratch
+    array of one int per arena slot. *)
 
 val kill : t -> node_id -> unit
 (** Death: remove the node and all incident edges; trigger regeneration on
@@ -156,7 +158,8 @@ val iter_in_neighbors : t -> node_id -> (node_id -> unit) -> unit
     must not mutate the graph. *)
 
 val degree : t -> node_id -> int
-(** Number of distinct neighbors. *)
+(** Number of distinct neighbors (the count {!iter_neighbors} visits),
+    without allocating. *)
 
 val out_degree : t -> node_id -> int
 (** Number of filled out-slots (<= d). *)

@@ -559,8 +559,9 @@ let no_io_transitive =
    (their neighbour picks and repair loops), the edge policies the
    streaming engine's step runs once per round (through a closure, which
    the call graph cannot follow, so each is an entry of its own), the
-   per-candidate expansion scorer, and the spectral power step, run up to
-   300 times per snapshot over the whole component. *)
+   per-candidate expansion scorer, the spectral power step, run up to
+   300 times per snapshot over the whole component, and the streaming
+   degree census, one pass over every alive node per statistics sample. *)
 let kernel_steps = [ "Streaming_model"; "Bitcoin_like"; "Capped_model"; "Lazy_regen_model" ]
 let kernel_policies = [ "Rw_streaming"; "Cache_protocol"; "Local_update"; "Burst_model" ]
 
@@ -574,6 +575,7 @@ let kernel_entries (d : Lint_graph.def) =
   || (m = "Poisson_model" && x = "run_batch")
   || (m = "Probe" && x = "consider")
   || (m = "Spectral" && x = "power_step")
+  || (m = "Stream_stats" && x = "collect")
 
 (* [tks.(k)] names a type being defined: [type]/[and]/[nonrec], then
    optional type parameters (the lexer drops their quotes), then [k]. *)
@@ -655,7 +657,8 @@ let hot_path_alloc =
        Streaming_model, Bitcoin_like, Capped_model and Lazy_regen_model, \
        Streaming_model.uniform and the policy of Rw_streaming, \
        Cache_protocol, Local_update and Burst_model, \
-       Poisson_model.run_batch, Probe.consider, Spectral.power_step) \
+       Poisson_model.run_batch, Probe.consider, Spectral.power_step, \
+       Stream_stats.collect) \
        must not allocate per element: no List combinators, per-iteration \
        closures, local functions, tuples, partial applications or stores \
        to boxed mutable float/int64 fields";

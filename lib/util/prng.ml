@@ -71,6 +71,10 @@ let int_in t lo hi =
 (* 53 random bits scaled to [0,1). *)
 let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
+(* The store into a [float array] is unboxed, so unlike [unit_float]
+   this hands its draw across the module boundary without a box. *)
+let unit_float_into t a i = a.(i) <- unit_float t
+
 let float t bound = unit_float t *. bound
 let bool t = Int64.to_int (next t) land 1 = 1
 let bernoulli t p = unit_float t < p

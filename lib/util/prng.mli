@@ -9,13 +9,15 @@
 type t
 (** Mutable generator state.
 
-    Allocation: [int], [int_in], [bool] and [bernoulli] allocate
-    nothing, nor do [shuffle] and [choose] on any array but a
-    [float array]; they are safe on the churn hot path.
+    Allocation: [int], [int_in], [bool], [bernoulli] and
+    [unit_float_into] allocate nothing, nor do [shuffle] and [choose] on
+    any array but a [float array]; they are safe on the churn hot path.
     Results of type [float] or [int64] ([unit_float], [float],
     [bits64]) come back boxed, as any such value returned across a
-    module boundary does in this build; [create], [split], [copy],
-    [decode] and [sample_without_replacement] allocate their result. *)
+    module boundary does in this build; a caller that needs a float
+    draw without the box takes it through [unit_float_into], as the
+    Poisson churn clock does.  [create], [split], [copy], [decode] and
+    [sample_without_replacement] allocate their result. *)
 
 val create : int -> t
 (** [create seed] builds a generator deterministically from [seed]
@@ -43,6 +45,11 @@ val float : t -> float -> float
 
 val unit_float : t -> float
 (** Uniform on [0,1) with 53 bits of precision. *)
+
+val unit_float_into : t -> float array -> int -> unit
+(** [unit_float_into t a i] stores the next [unit_float t] draw in
+    [a.(i)], bit for bit the value [unit_float] would return, without
+    boxing it. *)
 
 val bool : t -> bool
 (** Fair coin. *)

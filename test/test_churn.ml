@@ -152,3 +152,63 @@ let suite =
       ("lambda parameter", `Quick, test_lambda_parameter);
       ("lambda invalid", `Quick, test_lambda_invalid);
     ]
+
+(* --- decide_birth against the library draws it writes out --- *)
+
+module Dist = Churnet_util.Dist
+
+(* [decide_birth] draws its dt and its coin over a scratch cell instead
+   of calling [Dist.exponential] and [Prng.bernoulli].  The reference
+   makes those two calls on a copy of the generator; every decision, the
+   bits of every dt and of the clock, and the next raw draw must agree.
+   The population follows the decisions and drops back to 0 now and
+   then, so the no-coin [alive = 0] branch is taken throughout. *)
+let test_decide_birth_bit_identical () =
+  List.iter
+    (fun (seed, lambda, n) ->
+      let rng = Prng.create seed in
+      let reference = Prng.copy rng in
+      let c = Poisson_churn.create ~rng ~lambda ~n () in
+      let mu = Poisson_churn.mu c in
+      let resets = Prng.create (seed + 1) in
+      let clock = ref 0. and alive = ref 0 and empty = ref 0 in
+      let first_mismatch = ref None in
+      let mismatch jump what =
+        if !first_mismatch = None then first_mismatch := Some (jump, what)
+      in
+      let jumps = 100_000 in
+      for jump = 1 to jumps do
+        if Prng.int resets 2000 = 0 then alive := 0;
+        let a = !alive in
+        if a = 0 then incr empty;
+        let total_rate = (float_of_int a *. mu) +. lambda in
+        let dt = Dist.exponential reference total_rate in
+        let expected = a = 0 || Prng.bernoulli reference (lambda /. total_rate) in
+        clock := !clock +. dt;
+        (* [decide] is [decide_birth] plus its dt; alternate the two *)
+        let birth =
+          if jump land 1 = 0 then begin
+            let decision, got_dt = Poisson_churn.decide c ~alive:a in
+            if Int64.bits_of_float got_dt <> Int64.bits_of_float dt then mismatch jump "dt";
+            decision = Poisson_churn.Birth
+          end
+          else Poisson_churn.decide_birth c ~alive:a
+        in
+        if birth <> expected then mismatch jump "decision";
+        if Int64.bits_of_float (Poisson_churn.time c) <> Int64.bits_of_float !clock then
+          mismatch jump "clock";
+        alive := if birth then a + 1 else a - 1
+      done;
+      let label = Printf.sprintf "seed %d lambda %g" seed lambda in
+      (match !first_mismatch with
+      | None -> ()
+      | Some (jump, what) -> Alcotest.failf "%s: %s differs at jump %d" label what jump);
+      check_bool (label ^ ": alive = 0 visited") true (!empty > 10);
+      Alcotest.(check int) (label ^ ": rounds") jumps (Poisson_churn.round c);
+      Alcotest.(check int64)
+        (label ^ ": next raw draw")
+        (Prng.bits64 reference) (Prng.bits64 rng))
+    [ (0xD1CE, 1., 300); (-17, 1.7, 1000) ]
+
+let suite =
+  suite @ [ ("decide_birth = Dist.exponential + bernoulli", `Quick, test_decide_birth_bit_identical) ]

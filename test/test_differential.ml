@@ -222,6 +222,72 @@ let test_into_churned () =
         (into_agrees (Poisson_model.graph m)))
     [ false; true ]
 
+(* --- in_degree and degree vs a naive count ---------------------------- *)
+
+(* Distinct in-neighbours of [id] by the definition: the alive nodes with
+   at least one out-slot on it.  Independent of the in-edge multisets. *)
+let naive_in_neighbors g id =
+  List.filter
+    (fun u -> Array.mem id (Dyngraph.out_slots_raw g u))
+    (Array.to_list (Dyngraph.alive_ids g))
+
+let naive_in_degree g id = List.length (naive_in_neighbors g id)
+
+let naive_degree g id =
+  List.length
+    (List.sort_uniq Int.compare (Dyngraph.out_targets g id @ naive_in_neighbors g id))
+
+let degrees_agree g =
+  let ok = ref true in
+  Dyngraph.iter_alive g (fun id ->
+      if Dyngraph.in_degree g id <> naive_in_degree g id then ok := false;
+      if Dyngraph.degree g id <> naive_degree g id then ok := false);
+  !ok
+
+(* A random arena: births (some with repeated explicit targets), kills,
+   [connect] twice to one target and [disconnect], so in-edge multisets
+   carry multiplicities and stale entries would show.  [in_degree] is
+   also asked of random nodes along the way, so its stamps live through
+   arena growth past 256 slots and slot recycling. *)
+let multi_edge_arena ~regenerate ~seed ~ops =
+  let ops_rng = Prng.create (seed + 1000) in
+  let g = Dyngraph.create ~rng:(Prng.create seed) ~d:3 ~regenerate () in
+  let ok = ref true in
+  for i = 1 to ops do
+    let alive = Dyngraph.alive_count g in
+    let pick () = Dyngraph.random_alive g in
+    (match Prng.int ops_rng 10 with
+    | 0 | 1 when alive > 2 -> Dyngraph.kill g (pick ())
+    | 3 when alive > 1 ->
+        let a = pick () and b = pick () in
+        ignore (Dyngraph.add_node_with_targets g ~birth:i ~targets:[| a; a; b |])
+    | 4 | 5 when alive > 1 ->
+        let src = pick () and dst = pick () in
+        ignore (Dyngraph.connect g ~src ~dst);
+        ignore (Dyngraph.connect g ~src ~dst)
+    | 6 when alive > 1 ->
+        let src = pick () in
+        List.iter
+          (fun dst -> if Prng.bool ops_rng then ignore (Dyngraph.disconnect g ~src ~dst))
+          (Dyngraph.out_targets g src)
+    | _ -> ignore (Dyngraph.add_node g ~birth:i));
+    if Dyngraph.alive_count g > 0 && Prng.int ops_rng 4 = 0 then begin
+      let id = pick () in
+      if Dyngraph.in_degree g id <> naive_in_degree g id then ok := false
+    end
+  done;
+  (g, !ok)
+
+let test_degrees_multi_edges () =
+  List.iter
+    (fun regenerate ->
+      let g, ok = multi_edge_arena ~regenerate ~seed:71 ~ops:2000 in
+      check_bool "arena invariants" true (Dyngraph.check_invariants g = Ok ());
+      check_bool "grew past the initial 256 slots" true (Dyngraph.alive_count g > 256);
+      check_bool "in_degree along the way = naive count" true ok;
+      check_bool "in_degree and degree of every node = naive counts" true (degrees_agree g))
+    [ false; true ]
+
 (* --- Stream_stats vs Snapshot ----------------------------------------- *)
 
 module Stream_stats = Churnet_graph.Stream_stats
@@ -266,6 +332,11 @@ let qcheck_props =
         stream_stats_agree g);
   ]
   @ [
+    QCheck.Test.make ~name:"in_degree, degree == naive counts on random arenas" ~count:40
+      QCheck.(triple bool small_int (int_range 1 400))
+      (fun (regenerate, seed, ops) ->
+        let g, ok = multi_edge_arena ~regenerate ~seed ~ops in
+        ok && degrees_agree g);
     QCheck.Test.make ~name:"dyngraph == reference oracle on random scripts" ~count:60
       QCheck.(pair small_int (list_of_size (Gen.int_range 10 150) bool))
       (fun (seed, script) ->
@@ -296,6 +367,7 @@ let suite =
     ("batched run_rounds byte-identical", `Quick, test_run_rounds_vs_step);
     ("batched warm_up byte-identical", `Quick, test_warm_up_vs_step);
     ("batched run_until_time byte-identical", `Quick, test_run_until_time_vs_step);
+    ("in_degree, degree vs naive counts with multi-edges", `Quick, test_degrees_multi_edges);
     ("stream stats: empty graph", `Quick, test_stream_stats_empty);
     ("stream stats: churned graph", `Quick, test_stream_stats_churned);
     ("stream stats: warmed Poisson graph", `Quick, test_stream_stats_poisson);

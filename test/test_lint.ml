@@ -543,6 +543,46 @@ let test_hot_path_spectral_step () =
        "    for k = 0 to Array.length adj.(i) - 1 do\n\
        \      acc := !acc +. x.(adj.(i).(k))\n    done;")
 
+let test_hot_path_stream_stats () =
+  (* The streaming degree census is a kernel entry: a closure per alive
+     node is flagged, and so is a per-call closure in the degree count
+     it reaches in another unit. *)
+  let stats body =
+    Printf.sprintf
+      "let collect g =\n  let total = ref 0 in\n  Dyngraph.iter_alive g (fun id ->\n\
+       \      %s);\n  !total\n\
+       let summary rows =\n  List.map (fun r -> r) rows\n"
+      body
+  in
+  let run ~stats_body ~degree =
+    run_project_rule "hot-path-alloc"
+      ~units:
+        [
+          ("lib/graph/stream_stats.ml", stats stats_body);
+          ("lib/graph/dyngraph.ml", "let degree g id =\n" ^ degree);
+        ]
+      ~interfaces:[]
+  in
+  let count_loop =
+    "  let c = ref 0 in\n  for i = 0 to id do\n    if g.(i) then incr c\n  done;\n  !c\n"
+  in
+  let where fs = List.map (fun f -> (f.Lint_rules.file, f.Lint_rules.line)) fs in
+  Alcotest.(check (list (pair string int)))
+    "a closure per node flagged, the caller outside the cone not"
+    [ ("lib/graph/stream_stats.ml", 4) ]
+    (where
+       (run ~stats_body:"Dyngraph.iter_neighbors g id (fun _ -> incr total)" ~degree:count_loop));
+  (match run ~stats_body:"total := !total + Dyngraph.degree g id" ~degree:
+           "  let rec go k = if k > id then 0 else 1 + go (k + 1) in\n  go 0\n"
+   with
+  | [ f ] ->
+      Alcotest.(check (pair string int)) "local function in the degree count"
+        ("lib/graph/dyngraph.ml", 2) (f.Lint_rules.file, f.Lint_rules.line);
+      check_strings "witness" [ "Stream_stats.collect"; "Dyngraph.degree" ] f.Lint_rules.witness
+  | other -> Alcotest.failf "expected 1 finding in the degree count, got %d" (List.length other));
+  Alcotest.(check (list (pair string int))) "plain loops are clean" []
+    (where (run ~stats_body:"total := !total + Dyngraph.degree g id" ~degree:count_loop))
+
 let test_dead_export () =
   let thing = "let used x = x\nlet unused x = x\n" in
   let user = "let go x =\n  Thing.used x\n" in
@@ -829,6 +869,7 @@ let suite =
     ("rule: hot-path-alloc local function", `Quick, test_hot_path_local_function);
     ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
     ("rule: hot-path-alloc spectral step", `Quick, test_hot_path_spectral_step);
+    ("rule: hot-path-alloc stream stats", `Quick, test_hot_path_stream_stats);
     ("rule: dead-export", `Quick, test_dead_export);
     ("engine: finds and locates", `Quick, test_engine_finds_and_sorts);
     ("engine: pragma suppression", `Quick, test_pragma_suppression);

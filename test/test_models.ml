@@ -496,6 +496,36 @@ let test_churn_allocation () =
       check_bool
         (Printf.sprintf "%s: %.2f words per unit <= %g" (Models.kind_name kind) w bound)
         true (w <= bound))
-    [ (Models.SDG, 1.); (Models.SDGR, 1.); (Models.PDG, 24.); (Models.PDGR, 24.) ]
+    [ (Models.SDG, 1.); (Models.SDGR, 1.); (Models.PDG, 1.); (Models.PDGR, 1.) ]
 
-let suite = suite @ [ ("steady-state churn allocation", `Quick, test_churn_allocation) ]
+(* [Stream_stats.collect] counts every alive node's degree in place: its
+   allocation per call is a constant (the result record and the pass's
+   own refs and closure), the same at n = 1 000 as at n = 20 000. *)
+let collect_words ~n =
+  let g = Dyngraph.create ~rng:(Prng.create 13) ~d:4 ~regenerate:true () in
+  for i = 1 to n do
+    ignore (Dyngraph.add_node g ~birth:i)
+  done;
+  for _ = 1 to n / 5 do
+    Dyngraph.kill g (Dyngraph.random_alive g)
+  done;
+  ignore (Churnet_graph.Stream_stats.collect g);
+  let calls = 5 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Churnet_graph.Stream_stats.collect g)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_stream_stats_allocation () =
+  let small = collect_words ~n:1_000 and large = collect_words ~n:20_000 in
+  check_bool
+    (Printf.sprintf "%.1f words per call at n = 1000, %.1f at n = 20000" small large)
+    true (small = large)
+
+let suite =
+  suite
+  @ [
+      ("steady-state churn allocation", `Quick, test_churn_allocation);
+      ("stream stats allocation independent of n", `Quick, test_stream_stats_allocation);
+    ]

@@ -354,10 +354,10 @@ let suite =
 (* Steady-state minor words per [step] at n = 300, d = 8, after
    [warm_up] and a settling run that lets the scratch vectors and hash
    tables reach their working size.  What is left is the per-jump cost:
-   for the Poisson-churn models the boxed float of the exponential draw,
-   and, per birth, the new node's table entries (Bitcoin-like: also its
-   address table).  Upper bounds, so a build with cross-module inlining
-   (which only allocates less) passes too. *)
+   for the Poisson-churn models, per birth, the new node's table entries
+   (Bitcoin-like: also its address table) and the repair tables' cells.
+   Upper bounds, so a build with cross-module inlining (which only
+   allocates less) passes too. *)
 let steady_words_per_step ~warm_up ~step =
   warm_up ();
   for _ = 1 to 2000 do

@@ -306,6 +306,7 @@ let words_per_call f =
 let test_draw_allocation () =
   let rng = Prng.create 59 in
   let a = Array.init 64 Fun.id in
+  let cell = [| 0. |] in
   List.iter
     (fun (name, bound, f) ->
       let w = words_per_call f in
@@ -316,9 +317,24 @@ let test_draw_allocation () =
       ("bool", 0., fun () -> ignore (Prng.bool rng));
       ("bernoulli", 0., fun () -> ignore (Prng.bernoulli rng 0.3));
       ("shuffle 64", 0., fun () -> Prng.shuffle rng a);
+      ("unit_float_into", 0., fun () -> Prng.unit_float_into rng cell 0);
       ("unit_float", 2., fun () -> ignore (Prng.unit_float rng));
       ("Dist.exponential", 4., fun () -> ignore (Dist.exponential rng 1.5));
     ]
+
+(* [unit_float_into] stores exactly the draw [unit_float] returns, in
+   the named cell only. *)
+let test_unit_float_into () =
+  let rng = Prng.create 61 in
+  let reference = Prng.copy rng in
+  let a = [| -1.; -1.; -1. |] in
+  for _ = 1 to 1000 do
+    Prng.unit_float_into rng a 1;
+    check_bool "same bits as unit_float" true
+      (Int64.bits_of_float a.(1) = Int64.bits_of_float (Prng.unit_float reference))
+  done;
+  check_bool "other cells untouched" true (a.(0) = -1. && a.(2) = -1.);
+  check_bool "streams still in step" true (Prng.bits64 rng = Prng.bits64 reference)
 
 let qcheck_props =
   [
@@ -372,6 +388,7 @@ let suite =
     ("sample paths", `Quick, test_swr_dense_and_sparse_paths);
     ("choose membership", `Quick, test_choose);
     ("known-answer streams", `Quick, test_known_answers);
+    ("unit_float_into = unit_float", `Quick, test_unit_float_into);
     ("draw allocation", `Quick, test_draw_allocation);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
