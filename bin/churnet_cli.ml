@@ -444,9 +444,10 @@ let sweep_cmd =
 (* State-level checkpointing demo: the scripted record/replay run of the
    byte-equality suite (graph seed 4242, script seed 999, d = 3, 150
    steps), checkpointed as a full state snapshot — step counter, script
-   PRNG, graph arena, event log — rather than a work-unit journal.  This
-   exercises every state codec end-to-end: a run killed at any step and
-   resumed must print the identical event stream and replay DOT. *)
+   PRNG, graph arena, event log — rather than a work-unit journal.  It
+   runs the [Prng] and [Dyngraph] state codecs end-to-end (the event log
+   travels in its own text format): a run killed at any step and resumed
+   must print the identical event stream and replay DOT. *)
 let record_replay_cmd =
   let module Dyngraph = Churnet_graph.Dyngraph in
   let module Event_log = Churnet_graph.Event_log in

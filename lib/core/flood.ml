@@ -186,24 +186,19 @@ let prune_dead graph informed scratch =
     informed;
   Intvec.iter (fun id -> Bitset.remove informed id) scratch
 
-(* --- resumable cross-round state ------------------------------------ *)
+(* --- cross-round state ------------------------------------------------ *)
 
-(* Everything flooding carries from one round to the next, factored out
-   of the run loops so it can be serialized mid-flood (checkpointing)
-   and so both the synchronous and discretized drivers share one shape.
-   [frontier] is the set of informed nodes that may still have
-   uninformed neighbors; both drivers scan it instead of the whole
-   informed set.  It is an optimization cache, not state — rebuilding it
-   conservatively as the whole informed set (what {!decode_state} does)
-   changes nothing observable, so the checkpoint format carries no
-   frontier field.  [scratch] and [candidates] (the discretized driver's
-   staging vector of candidate edges) are per-round staging space:
-   cleared before every use, hence transient and recreated on decode. *)
+(* Everything flooding carries from one round to the next, shared by the
+   synchronous and discretized drivers.  [frontier] is the set of
+   informed nodes that may still have uninformed neighbors; both drivers
+   scan it instead of the whole informed set.  [scratch] and
+   [candidates] (the discretized driver's candidate edges) are per-round
+   staging space, cleared before every use. *)
 type state = {
   informed : Bitset.t;
-  frontier : Bitset.t; (* transient cache; see above *)
-  scratch : Intvec.t; (* transient *)
-  candidates : Intvec.t; (* transient; the discretized driver's staging *)
+  frontier : Bitset.t;
+  scratch : Intvec.t;
+  candidates : Intvec.t;
   mutable informed_log : int list; (* head = latest round *)
   mutable population_log : int list;
   mutable round : int;
@@ -214,7 +209,6 @@ type state = {
   mutable extinction_round : int option;
 }
 
-let state_round st = st.round
 let state_informed st = st.informed
 let state_finished st = st.completed || st.extinct || st.round >= st.max_rounds
 
@@ -222,54 +216,6 @@ let finish_state st =
   finish ~completed:st.completed ~completion_round:st.completion_round
     ~extinct:st.extinct ~extinction_round:st.extinction_round st.informed_log
     st.population_log
-
-module Codec = Churnet_util.Codec
-
-let encode_state w st =
-  Bitset.encode w st.informed;
-  Codec.int_list w st.informed_log;
-  Codec.int_list w st.population_log;
-  Codec.varint w st.round;
-  Codec.varint w st.max_rounds;
-  Codec.bool w st.completed;
-  Codec.option (fun w r -> Codec.varint w r) w st.completion_round;
-  Codec.bool w st.extinct;
-  Codec.option (fun w r -> Codec.varint w r) w st.extinction_round
-
-let decode_state r =
-  let informed = Bitset.decode r in
-  let informed_log = Codec.read_int_list r in
-  let population_log = Codec.read_int_list r in
-  let round = Codec.read_varint r in
-  let max_rounds = Codec.read_varint r in
-  let completed = Codec.read_bool r in
-  let completion_round = Codec.read_option (fun r -> Codec.read_varint r) r in
-  let extinct = Codec.read_bool r in
-  let extinction_round = Codec.read_option (fun r -> Codec.read_varint r) r in
-  if
-    round < 0 || max_rounds < 0
-    || List.length informed_log <> round + 1
-    || List.length population_log <> round + 1
-    || (completed && completion_round = None)
-    || (extinct && extinction_round = None)
-  then raise (Codec.Error "Flood.decode_state: inconsistent fields");
-  {
-    informed;
-    (* Conservative frontier: rescanning every informed node on the first
-       post-resume hop yields the same newly-informed set as the exact
-       frontier would (scanning a superset never changes the result). *)
-    frontier = Bitset.copy informed;
-    scratch = Intvec.create ~capacity:256 ();
-    candidates = Intvec.create ~capacity:1024 ();
-    informed_log;
-    population_log;
-    round;
-    max_rounds;
-    completed;
-    completion_round;
-    extinct;
-    extinction_round;
-  }
 
 let make_state ~max_rounds ~source ~population =
   let informed = Bitset.create (source + 64) in
@@ -291,12 +237,6 @@ let make_state ~max_rounds ~source ~population =
     extinction_round = None;
   }
 
-let sync_start ~max_rounds ~graph ~step ~newest =
-  (* The source is the node joining the network at round t0. *)
-  step ();
-  let source = newest () in
-  make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph)
-
 (* Run [churn ()] with the graph's edge hook chained to keep the
    frontier invariant (see expand_informed_frontier): during churn, an
    edge with exactly one informed endpoint can put an uninformed node
@@ -316,6 +256,8 @@ let with_frontier_arming graph st churn =
   churn ();
   Dyngraph.set_edge_hook graph prev_hook
 
+(* One synchronous flooding round (Definition 3.3): adaptive expand,
+   churn, prune, log, then test completion and extinction. *)
 let sync_round ~graph ~step ~newest st =
   st.round <- st.round + 1;
   (* I_t = (I_{t-1} U boundary in G_{t-1}) /\ N_t *)
@@ -342,7 +284,10 @@ let sync_round ~graph ~step ~newest st =
 
 let run_custom ?max_rounds ~graph ~step ~newest ~default_max_rounds () =
   let max_rounds = Option.value ~default:default_max_rounds max_rounds in
-  let st = sync_start ~max_rounds ~graph ~step ~newest in
+  (* The source is the node joining the network at round t0. *)
+  step ();
+  let source = newest () in
+  let st = make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph) in
   while not (state_finished st) do
     sync_round ~graph ~step ~newest st
   done;
@@ -499,41 +444,44 @@ module Async = struct
     let source = Poisson_model.step_until_birth model in
     let t0 = Poisson_model.time model in
     let deadline = t0 +. max_time in
-    let informed : (int, float) Hashtbl.t = Hashtbl.create 1024 in
+    let informed = Bitset.create (source + 64) in
     let deliveries : int Churnet_util.Heap.t = Churnet_util.Heap.create () in
     let ever_informed = ref 0 in
+    (* Exact O(1) coverage bookkeeping: [informed_alive] counts informed
+       nodes that are still alive; the death hook keeps it current. *)
+    let informed_alive = ref 0 in
     let inform id at =
-      if (not (Hashtbl.mem informed id)) && Dyngraph.is_alive graph id then begin
-        Hashtbl.replace informed id at;
+      if (not (bs_mem informed id)) && Dyngraph.is_alive graph id then begin
+        bs_add informed id;
         incr ever_informed;
+        incr informed_alive;
         Dyngraph.iter_neighbors graph id (fun v ->
-            if not (Hashtbl.mem informed v) then
+            if not (bs_mem informed v) then
               Churnet_util.Heap.push deliveries (at +. 1.) v)
       end
     in
     (* New edges towards informed nodes trigger a delivery one unit later
-       (Definition 4.2: neighbor at instant t => informed at t + 1). *)
+       (Definition 4.2: neighbor at instant t => informed at t + 1).  Both
+       hooks chain to the ones already installed (e.g. an event recorder)
+       and are restored afterwards. *)
+    let prev_edge_hook = Dyngraph.edge_hook graph in
+    let prev_death_hook = Dyngraph.death_hook graph in
     Dyngraph.set_edge_hook graph
       (Some
          (fun ~src ~dst ->
+           (match prev_edge_hook with None -> () | Some f -> f ~src ~dst);
            let now = Poisson_model.time model in
-           let src_informed = Hashtbl.mem informed src in
-           let dst_informed = Hashtbl.mem informed dst in
+           let src_informed = bs_mem informed src in
+           let dst_informed = bs_mem informed dst in
            if src_informed && not dst_informed then
              Churnet_util.Heap.push deliveries (now +. 1.) dst
            else if dst_informed && not src_informed then
              Churnet_util.Heap.push deliveries (now +. 1.) src));
-    (* Exact O(1) coverage bookkeeping: [informed_alive] counts informed
-       nodes that are still alive; the death hook keeps it current. *)
-    let informed_alive = ref 0 in
     Dyngraph.set_death_hook graph
-      (Some (fun id -> if Hashtbl.mem informed id then decr informed_alive));
-    let inform id at =
-      if (not (Hashtbl.mem informed id)) && Dyngraph.is_alive graph id then begin
-        inform id at;
-        incr informed_alive
-      end
-    in
+      (Some
+         (fun id ->
+           (match prev_death_hook with None -> () | Some f -> f id);
+           if bs_mem informed id then decr informed_alive));
     inform source t0;
     let events = ref 0 in
     let completed = ref false in
@@ -584,13 +532,9 @@ module Async = struct
         end
       end
     done;
-    Dyngraph.set_edge_hook graph None;
-    Dyngraph.set_death_hook graph None;
+    Dyngraph.set_edge_hook graph prev_edge_hook;
+    Dyngraph.set_death_hook graph prev_death_hook;
     let alive = Dyngraph.alive_count graph in
-    let informed_alive = ref 0 in
-    (* lint: allow no-hashtbl-order — pure count over entries; addition
-       commutes. *)
-    Hashtbl.iter (fun id _ -> if Dyngraph.is_alive graph id then incr informed_alive) informed;
     {
       completed = !completed;
       completion_time = !completion_time;

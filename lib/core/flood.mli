@@ -63,19 +63,13 @@ val expand_informed_frontier :
     [frontier] (the synchronous driver does this from the graph's edge
     hook). *)
 
-(** {1 Resumable flooding state}
+(** {1 Round-by-round discretized flooding}
 
-    Both round-based drivers (synchronous and discretized) carry the same
-    cross-round state, factored into an explicit value so an in-flight
-    flood can be checkpointed between rounds and resumed elsewhere.  The
-    per-round staging vectors are transient: {!decode_state} recreates
-    them empty, which is indistinguishable because every round clears
-    them before use. *)
+    {!run_poisson_discretized} is {!poisson_start} followed by
+    {!poisson_round} until {!state_finished}, then {!finish_state}.
+    Exposed so a caller can observe or time each round. *)
 
 type state
-
-val state_round : state -> int
-(** Rounds executed so far. *)
 
 val state_finished : state -> bool
 (** The flood has completed, gone extinct, or hit its round bound. *)
@@ -84,39 +78,6 @@ val state_informed : state -> Churnet_util.Bitset.t
 (** The informed set after the rounds so far, as a bitset over node ids
     pruned to alive nodes.  A live view, not a copy: callers must not
     mutate it. *)
-
-val encode_state : Churnet_util.Codec.writer -> state -> unit
-
-val decode_state : Churnet_util.Codec.reader -> state
-(** Inverse of {!encode_state}.  The checkpoint carries no frontier: the
-    decoded state's frontier is the whole informed set, a superset of
-    the exact one.  Both drivers scan only the frontier, and scanning a
-    superset finds the same uninformed neighbors (and, in the
-    discretized driver, the same candidate edges), so a resumed flood is
-    identical to one that never stopped. *)
-
-val sync_start :
-  max_rounds:int ->
-  graph:Churnet_graph.Dyngraph.t ->
-  step:(unit -> unit) ->
-  newest:(unit -> Churnet_graph.Dyngraph.node_id) ->
-  state
-(** Advance one churn round, inform the newborn source, and return the
-    initial state (round 0 logged). *)
-
-val sync_round :
-  graph:Churnet_graph.Dyngraph.t ->
-  step:(unit -> unit) ->
-  newest:(unit -> Churnet_graph.Dyngraph.node_id) ->
-  state ->
-  unit
-(** One synchronous flooding round (Definition 3.3): adaptive expand
-    (per round, whichever of {!expand_informed_frontier} and
-    {!expand_informed} a cost model predicts is cheaper), churn, prune,
-    log, then test completion/extinction.  During [step] the graph's
-    edge hook is temporarily chained (and restored after) to keep the
-    frontier invariant of {!expand_informed_frontier}; the result is
-    byte-identical to a full rescan per hop, only faster. *)
 
 val poisson_start : max_rounds:int -> Poisson_model.t -> state
 (** Advance churn until a birth occurs, inform that newborn, and return
@@ -129,8 +90,8 @@ val poisson_round : Poisson_model.t -> state -> unit
     informs the uninformed endpoint of every such edge that survived.
     Only the frontier is scanned: the informed nodes that learned last
     round or gained an edge to an uninformed node during the churn
-    (re-armed, as in {!sync_round}, by an edge hook chained to any
-    installed one and restored after).  The candidate edges, and hence
+    (re-armed, as in the synchronous driver, by an edge hook chained to
+    any installed one and restored after).  The candidate edges, and hence
     the trace, are exactly those of a scan of the whole informed set;
     a round costs its frontier plus the births of the interval, not the
     whole graph. *)
@@ -149,7 +110,14 @@ val run_custom :
 (** Synchronous flooding (Definition 3.3 semantics) over any round-based
     dynamic graph: [step] advances one churn round, [newest] names the
     node born in the latest round.  Used by {!run_streaming} and by the
-    Poisson repair models ([Repair_churn.flood]). *)
+    Poisson repair models ([Repair_churn.flood]).
+
+    Each round expands the informed set by whichever of
+    {!expand_informed_frontier} and {!expand_informed} a cost model
+    predicts is cheaper, then runs [step] with the graph's edge hook
+    temporarily chained (and restored after) to keep the frontier
+    invariant; the result is byte-identical to a full rescan per hop,
+    only faster. *)
 
 val run_streaming : ?max_rounds:int -> Streaming_model.t -> trace
 (** Inserts the source with the next round's newborn and floods until

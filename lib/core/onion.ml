@@ -1,6 +1,5 @@
 module Prng = Churnet_util.Prng
 module Bitset = Churnet_util.Bitset
-module Codec = Churnet_util.Codec
 
 type result = {
   phases : int;
@@ -29,10 +28,9 @@ type result = {
 
    Every request is drawn up front (deferred decisions made concrete):
    the source's d, then each young node's d in ascending order.  The
-   streaming phase loop is therefore deterministic, and its state is
-   self-contained; the Poisson loop also draws the death coins, in
-   first-contact order.  [prev_set] is per-phase staging (cleared before
-   use) and is recreated empty on decode. *)
+   streaming phase loop is therefore deterministic; the Poisson loop
+   also draws the death coins, in first-contact order.  [prev_set] is
+   per-phase staging, cleared before use. *)
 type state = {
   n : int;
   d : int;
@@ -50,11 +48,9 @@ type state = {
   mutable total_o : int;
   mutable phase : int;
   mutable running : bool;
-  prev_set : Bitset.t; (* transient *)
+  prev_set : Bitset.t;
 }
 
-let state_phase st = st.phase
-let state_finished st = not st.running
 let logn_of n = int_of_float (Float.ceil (log (float_of_int n)))
 
 let make ~n ~d ~young_last ~old_lo ~old_hi ~target ~coin =
@@ -62,10 +58,6 @@ let make ~n ~d ~young_last ~old_lo ~old_hi ~target ~coin =
     requests = Array.make ((young_last + 1) * d) 0; cls = Array.make (n + 1) 0;
     y_layers = []; o_layers = []; prev_o_layer = []; total_y = 0; total_o = 0;
     phase = 0; running = true; prev_set = Bitset.create (n + 1) }
-
-let streaming ~n ~d =
-  make ~n ~d ~young_last:((n / 2) - 1) ~old_lo:(n / 2) ~old_hi:(n - logn_of n)
-    ~target:(max 1 (n / d)) ~coin:None
 
 (* First contact with an untouched node: it joins at phase [k] unless
    the death coin kills it. *)
@@ -108,9 +100,12 @@ let validate name ~n ~d =
   if d < 2 || d mod 2 <> 0 then invalid_arg (name ^ ": d must be even and >= 2");
   if n < 16 then invalid_arg (name ^ ": n too small")
 
-let start ~rng ~n ~d () =
+let start_streaming ~rng ~n ~d =
   validate "Onion.run" ~n ~d;
-  begin_state (streaming ~n ~d) (fun a ->
+  begin_state
+    (make ~n ~d ~young_last:((n / 2) - 1) ~old_lo:(n / 2) ~old_hi:(n - logn_of n)
+       ~target:(max 1 (n / d)) ~coin:None)
+    (fun a ->
       let t = a + 1 + Prng.int rng (n - 1) in
       if t >= n then -1 else t)
 
@@ -131,7 +126,7 @@ let rec hits st i last =
   i <= last
   && ((st.requests.(i) >= 0 && Bitset.mem st.prev_set st.requests.(i)) || hits st (i + 1) last)
 
-let phase_step st =
+let next_phase st =
   let d = st.d in
   st.phase <- st.phase + 1;
   let k = st.phase in
@@ -182,11 +177,11 @@ let finish_state st =
 
 let run_state st =
   while st.running do
-    phase_step st
+    next_phase st
   done;
   finish_state st
 
-let run ~rng ~n ~d () = run_state (start ~rng ~n ~d ())
+let run ~rng ~n ~d () = run_state (start_streaming ~rng ~n ~d)
 let run_poisson ~rng ~n ~d () = run_state (start_poisson ~rng ~n ~d)
 
 let success_rate run ~rng ~n ~d ~trials =
@@ -200,50 +195,3 @@ let success_probability ~rng ~n ~d ~trials () = success_rate run ~rng ~n ~d ~tri
 
 let success_probability_poisson ~rng ~n ~d ~trials () =
   success_rate run_poisson ~rng ~n ~d ~trials
-
-(* --- state codec: streaming states only, so no coin is stored --- *)
-
-let encode_state w st =
-  Codec.varint w st.n;
-  Codec.varint w st.d;
-  Codec.int_array w st.requests;
-  Codec.int_array w st.cls;
-  Codec.int_list w st.y_layers;
-  Codec.int_list w st.o_layers;
-  Codec.int_list w st.prev_o_layer;
-  Codec.varint w st.total_y;
-  Codec.varint w st.total_o;
-  Codec.varint w st.phase;
-  Codec.bool w st.running
-
-let decode_state r =
-  let n = Codec.read_varint r in
-  let d = Codec.read_varint r in
-  let requests = Codec.read_int_array r in
-  let cls = Codec.read_int_array r in
-  let y_layers = Codec.read_int_list r in
-  let o_layers = Codec.read_int_list r in
-  let prev_o_layer = Codec.read_int_list r in
-  let total_y = Codec.read_varint r in
-  let total_o = Codec.read_varint r in
-  let phase = Codec.read_varint r in
-  let running = Codec.read_bool r in
-  let sum_ok layers total =
-    List.for_all (fun l -> l >= 0) layers && List.fold_left ( + ) 0 layers = total
-  in
-  (* Each check relies on the ones before it: n is bounded by the class
-     array's length before any size is computed from it. *)
-  if
-    n < 16 || d < 2 || d mod 2 <> 0 || Array.length cls <> n + 1
-    || Array.length requests mod d <> 0 || Array.length requests / d <> n / 2
-    || Array.exists (fun t -> t < -1 || t >= n) requests
-    || phase < 0
-    || List.length y_layers <> phase || List.length o_layers <> phase + 1
-    || Array.exists (fun k -> k < 0 || k > max 1 phase) cls
-    || (not (sum_ok y_layers total_y))
-    || (not (sum_ok o_layers total_o))
-    || List.length prev_o_layer <> List.hd o_layers
-    || List.exists (fun t -> t < n / 2 || t > n - logn_of n) prev_o_layer
-  then raise (Codec.Error "Onion.decode_state: inconsistent fields");
-  { (streaming ~n ~d) with requests; cls;
-    y_layers; o_layers; prev_o_layer; total_y; total_o; phase; running }

@@ -38,40 +38,7 @@ type result = {
 val run : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 (** Simulate one realization of the onion-skin process on a fresh SDG
     age structure with parameters [n] (population) and [d] (requests,
-    must be even and >= 2).  Equivalent to {!start} followed by
-    {!phase_step} until {!state_finished}, then {!finish_state}. *)
-
-(** {1 Resumable phase state}
-
-    These functions cover the streaming process (the Poisson process has
-    no public state).  It consumes all of its randomness in {!start}
-    (deferred decisions materialized up front); the phase loop is purely
-    deterministic.  A serialized state is therefore self-contained — no
-    PRNG needs restoring — and a decoded state replays the remaining
-    phases identically.  The per-phase staging bitset is transient and
-    recreated empty by {!decode_state}. *)
-
-type state
-
-val state_phase : state -> int
-val state_finished : state -> bool
-val encode_state : Churnet_util.Codec.writer -> state -> unit
-val decode_state : Churnet_util.Codec.reader -> state
-(** Total: bytes that do not describe a consistent streaming state raise
-    [Codec.Error] — odd d, a request outside [-1, n-1], a phase entry
-    outside [0, max 1 phase] (O_0 is marked 1), a previous old layer
-    outside the old class or of the wrong size, layer sizes that are
-    negative or do not sum to the totals.  A decoded state runs
-    {!phase_step} to the end and {!finish_state} without raising. *)
-
-val start : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> state
-(** Materialize every request and run phase 0 (the source's links). *)
-
-val phase_step : state -> unit
-(** One phase: the young layer reached through type-B requests into the
-    previous old layer, then the old layer hit by their type-A requests. *)
-
-val finish_state : state -> result
+    must be even and >= 2). *)
 
 val success_probability :
   rng:Churnet_util.Prng.t -> n:int -> d:int -> trials:int -> unit -> float

@@ -48,9 +48,6 @@ let clear t =
   Bytes.fill t.words 0 (Bytes.length t.words) '\000';
   t.cardinal <- 0
 
-let copy t =
-  { words = Bytes.copy t.words; capacity = t.capacity; cardinal = t.cardinal }
-
 (* Index of the lowest set bit per byte value; entry 0 is never read. *)
 let ctz8 =
   let a = Array.make 256 0 in
@@ -60,13 +57,6 @@ let ctz8 =
       incr i
     done;
     a.(v) <- !i
-  done;
-  a
-
-let popcount8 =
-  let a = Array.make 256 0 in
-  for v = 1 to 255 do
-    a.(v) <- a.(v lsr 1) + (v land 1)
   done;
   a
 
@@ -124,27 +114,3 @@ let iter_words f t =
     done;
     f (!b lsl 3) !w
   end
-
-(* Checkpoint support: capacity, cardinal and the raw words.  The words
-   array length is pinned to (capacity + 7) / 8 by construction, so the
-   decoder validates it and a decode/encode cycle is byte-identical. *)
-let encode w t =
-  Codec.varint w t.capacity;
-  Codec.varint w t.cardinal;
-  Codec.string w (Bytes.to_string t.words)
-
-let decode r =
-  let capacity = Codec.read_varint r in
-  let cardinal = Codec.read_varint r in
-  let s = Codec.read_string r in
-  if capacity < 0 || cardinal < 0 || String.length s <> (capacity + 7) / 8 then
-    raise (Codec.Error "Bitset.decode: inconsistent fields");
-  (* A length-consistent but bit-corrupted payload would desync
-     [cardinal] from the actual bits — and Flood uses [cardinal] for
-     completion/extinction detection on resume — so the popcount is
-     validated, not trusted. *)
-  let pop = ref 0 in
-  String.iter (fun c -> pop := !pop + popcount8.(Char.code c)) s;
-  if !pop <> cardinal then
-    raise (Codec.Error "Bitset.decode: cardinal does not match words popcount");
-  { words = Bytes.of_string s; capacity; cardinal }

@@ -23,9 +23,6 @@ val remove : t -> int -> unit
 val cardinal : t -> int
 val clear : t -> unit
 
-val copy : t -> t
-(** Independent copy: mutations on either side never reach the other. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Ascending order.  The scan is word-level: all-zero 8-byte words are
     skipped with one load, and only set bits pay per-bit work.  [f] may
@@ -39,11 +36,3 @@ val iter_words : (int -> int64 -> unit) -> t -> unit
     (a multiple of 64).  The final word is zero-padded when the store is
     not a multiple of 8 bytes.  Bit [i] of [word] set means
     [mem t (offset + i)]. *)
-
-val encode : Codec.writer -> t -> unit
-(** Serialize capacity, cardinal and the raw bit words for checkpoints. *)
-
-val decode : Codec.reader -> t
-(** Rejects (with [Codec.Error]) a payload whose recorded cardinal does
-    not equal the popcount of the decoded words, in addition to the
-    structural length checks. *)

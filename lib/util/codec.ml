@@ -123,21 +123,6 @@ let read_array dec r =
 let int_array w a = array varint w a
 let read_int_array r = read_array read_varint r
 
-(* Lists are encoded front-to-back; decode rebuilds the same order. *)
-let int_list w l =
-  varint w (List.length l);
-  List.iter (fun v -> varint w v) l
-
-let read_int_list r =
-  let len = read_varint r in
-  if len < 0 then fail "Codec: negative list length %d" len;
-  if len > remaining r then fail "Codec: list length %d exceeds input" len;
-  let acc = ref [] in
-  for _ = 1 to len do
-    acc := read_varint r :: !acc
-  done;
-  List.rev !acc
-
 (* --- CRC-32 (IEEE 802.3, reflected), table-driven --- *)
 
 let crc_table =

@@ -38,7 +38,6 @@ val string : writer -> string -> unit
 val option : (writer -> 'a -> unit) -> writer -> 'a option -> unit
 val array : (writer -> 'a -> unit) -> writer -> 'a array -> unit
 val int_array : writer -> int array -> unit
-val int_list : writer -> int list -> unit
 
 (** {1 Reading} *)
 
@@ -61,7 +60,6 @@ val read_string : reader -> string
 val read_option : (reader -> 'a) -> reader -> 'a option
 val read_array : (reader -> 'a) -> reader -> 'a array
 val read_int_array : reader -> int array
-val read_int_list : reader -> int list
 
 (** {1 Framing and files} *)
 

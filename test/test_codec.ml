@@ -1,11 +1,10 @@
 (* Tests for the checkpoint codec: primitive round-trips, frame
    integrity (schema, length, CRC), and a state round-trip for every
-   serialized module — PRNG, Intvec, Bitset, the graph arena (including
-   a populated free list and a slid id window), the Poisson churn clock,
-   both models, and the in-flight Flood and Onion states — plus decode
-   totality: damaged model bytes, in-flight onion states and frames
-   decode or raise [Codec.Error], and damaged JSON, sweep configs and
-   event logs parse to [Ok] or [Error].
+   serialized module — PRNG, Intvec, the graph arena (including a
+   populated free list and a slid id window), the Poisson churn clock
+   and both models — plus decode totality: damaged model bytes and
+   frames decode or raise [Codec.Error], and damaged JSON, sweep configs
+   and event logs parse to [Ok] or [Error].
 
    The strongest check used throughout is re-encode byte equality:
    [decode] then [encode] must reproduce the exact bytes, so nothing is
@@ -16,8 +15,6 @@ module Dyngraph = Churnet_graph.Dyngraph
 module Streaming_model = Churnet_core.Streaming_model
 module Poisson_model = Churnet_core.Poisson_model
 module Models = Churnet_core.Models
-module Flood = Churnet_core.Flood
-module Onion = Churnet_core.Onion
 module Poisson_churn = Churnet_churn.Poisson_churn
 module Event_log = Churnet_graph.Event_log
 module Sweep = Churnet_experiments.Sweep
@@ -74,8 +71,6 @@ let test_string_option_containers () =
     = [| 3; -1; 4; 1; 5; max_int |]);
   check_bool "int_array empty" true
     (roundtrip Codec.int_array Codec.read_int_array [||] = [||]);
-  check_bool "int_list order" true
-    (roundtrip Codec.int_list Codec.read_int_list [ 9; 8; 7; -6 ] = [ 9; 8; 7; -6 ]);
   check_bool "nested array of arrays" true
     (roundtrip (Codec.array Codec.int_array)
        (Codec.read_array Codec.read_int_array)
@@ -139,7 +134,7 @@ let test_prng_roundtrip () =
       (Prng.int rng' 1_000_000)
   done
 
-(* --- Intvec / Bitset --- *)
+(* --- Intvec --- *)
 
 let test_intvec_roundtrip () =
   let v = Intvec.create ~capacity:4 () in
@@ -157,47 +152,6 @@ let test_intvec_roundtrip () =
   let e' = roundtrip Intvec.encode Intvec.decode empty in
   Intvec.push e' 7;
   check_int "push after decode" 7 (Intvec.get e' 0)
-
-let test_bitset_roundtrip () =
-  let b = Bitset.create 77 in
-  List.iter (fun i -> Bitset.add b i) [ 0; 1; 13; 31; 32; 33; 76 ];
-  let b' = roundtrip Bitset.encode Bitset.decode b in
-  check_int "capacity" (Bitset.capacity b) (Bitset.capacity b');
-  check_int "cardinal" (Bitset.cardinal b) (Bitset.cardinal b');
-  for i = 0 to 76 do
-    check_bool (Printf.sprintf "mem %d" i) (Bitset.mem b i) (Bitset.mem b' i)
-  done
-
-let test_bitset_rejects_bad_words () =
-  (* capacity says 9 bits (2 bytes) but the words string has 1 byte. *)
-  let w = Codec.writer () in
-  Codec.varint w 9;
-  Codec.varint w 0;
-  Codec.string w "\x00";
-  expect_codec_error "short words" (fun () ->
-      Bitset.decode (Codec.reader (Codec.contents w)))
-
-let test_bitset_rejects_cardinal_mismatch () =
-  (* Structurally valid payloads whose recorded cardinal disagrees with
-     the popcount of the words — a flipped count or a flipped bit in a
-     checkpoint must not produce a bitset that silently miscounts. *)
-  let payload ~cardinal ~words ~capacity =
-    let w = Codec.writer () in
-    Codec.varint w capacity;
-    Codec.varint w cardinal;
-    Codec.string w words;
-    Codec.contents w
-  in
-  (* 3 bits set, cardinal claims 2 *)
-  expect_codec_error "cardinal too small" (fun () ->
-      Bitset.decode (Codec.reader (payload ~capacity:16 ~cardinal:2 ~words:"\x07\x00")));
-  (* 1 bit set, cardinal claims 4 *)
-  expect_codec_error "cardinal too large" (fun () ->
-      Bitset.decode (Codec.reader (payload ~capacity:16 ~cardinal:4 ~words:"\x10\x00")));
-  (* the agreeing payload decodes fine, so the two above failed on the
-     count check and not on something structural *)
-  let b = Bitset.decode (Codec.reader (payload ~capacity:16 ~cardinal:3 ~words:"\x07\x00")) in
-  check_int "control payload decodes" 3 (Bitset.cardinal b)
 
 (* --- Dyngraph --- *)
 
@@ -516,128 +470,6 @@ let event_log_total_prop =
           ignore (Event_log.population_series log);
           true)
 
-(* --- in-flight Flood state --- *)
-
-let flood_state_bytes st = encode_bytes Flood.encode_state st
-
-let sync_harness seed =
-  let m = Streaming_model.create ~rng:(Prng.create seed) ~n:150 ~d:6 ~regenerate:true () in
-  Streaming_model.warm_up m;
-  ( (fun () -> Streaming_model.step m),
-    (fun () -> Streaming_model.newest m),
-    Streaming_model.graph m )
-
-let test_flood_sync_inflight_roundtrip () =
-  let step_a, newest_a, graph_a = sync_harness 41 in
-  let step_b, newest_b, graph_b = sync_harness 41 in
-  let st_a = Flood.sync_start ~max_rounds:600 ~graph:graph_a ~step:step_a ~newest:newest_a in
-  let st_b = Flood.sync_start ~max_rounds:600 ~graph:graph_b ~step:step_b ~newest:newest_b in
-  for _ = 1 to 3 do
-    if not (Flood.state_finished st_a) then begin
-      Flood.sync_round ~graph:graph_a ~step:step_a ~newest:newest_a st_a;
-      Flood.sync_round ~graph:graph_b ~step:step_b ~newest:newest_b st_b
-    end
-  done;
-  let bytes = flood_state_bytes st_a in
-  let st' = Flood.decode_state (Codec.reader bytes) in
-  check_string "re-encode byte-identical" (String.escaped bytes)
-    (String.escaped (flood_state_bytes st'));
-  check_int "round preserved" (Flood.state_round st_a) (Flood.state_round st');
-  (* Continue the original on model A and the decoded state on the
-     identical twin model B: the final traces must agree. *)
-  while not (Flood.state_finished st_a) do
-    Flood.sync_round ~graph:graph_a ~step:step_a ~newest:newest_a st_a
-  done;
-  while not (Flood.state_finished st') do
-    Flood.sync_round ~graph:graph_b ~step:step_b ~newest:newest_b st'
-  done;
-  let tr = Flood.finish_state st_a and tr' = Flood.finish_state st' in
-  check_bool "identical traces" true (tr = tr')
-
-let test_flood_poisson_inflight_roundtrip () =
-  let make () =
-    let m = Poisson_model.create ~rng:(Prng.create 42) ~n:150 ~d:6 ~regenerate:true () in
-    Poisson_model.warm_up m;
-    m
-  in
-  let m_a = make () and m_b = make () in
-  let st_a = Flood.poisson_start ~max_rounds:100 m_a in
-  let st_b = Flood.poisson_start ~max_rounds:100 m_b in
-  for _ = 1 to 2 do
-    if not (Flood.state_finished st_a) then begin
-      Flood.poisson_round m_a st_a;
-      Flood.poisson_round m_b st_b
-    end
-  done;
-  let bytes = flood_state_bytes st_a in
-  let st' = Flood.decode_state (Codec.reader bytes) in
-  check_string "re-encode byte-identical" (String.escaped bytes)
-    (String.escaped (flood_state_bytes st'));
-  while not (Flood.state_finished st_a) do
-    Flood.poisson_round m_a st_a
-  done;
-  while not (Flood.state_finished st') do
-    Flood.poisson_round m_b st'
-  done;
-  check_bool "identical traces" true (Flood.finish_state st_a = Flood.finish_state st')
-
-let test_flood_state_rejects_inconsistency () =
-  let step, newest, graph = sync_harness 43 in
-  let st = Flood.sync_start ~max_rounds:600 ~graph ~step ~newest in
-  Flood.sync_round ~graph ~step ~newest st;
-  let bytes = flood_state_bytes st in
-  expect_codec_error "truncated flood state" (fun () ->
-      Flood.decode_state (Codec.reader (String.sub bytes 0 (String.length bytes - 2))))
-
-(* --- in-flight Onion state --- *)
-
-let onion_state_bytes st = encode_bytes Onion.encode_state st
-
-let test_onion_inflight_roundtrip () =
-  let st = Onion.start ~rng:(Prng.create 51) ~n:400 ~d:6 () in
-  for _ = 1 to 2 do
-    if not (Onion.state_finished st) then Onion.phase_step st
-  done;
-  let bytes = onion_state_bytes st in
-  let st' = Onion.decode_state (Codec.reader bytes) in
-  check_string "re-encode byte-identical" (String.escaped bytes)
-    (String.escaped (onion_state_bytes st'));
-  check_int "phase preserved" (Onion.state_phase st) (Onion.state_phase st');
-  (* The phase loop is deterministic (all randomness was consumed at
-     start), so both copies must finish identically. *)
-  while not (Onion.state_finished st) do
-    Onion.phase_step st
-  done;
-  while not (Onion.state_finished st') do
-    Onion.phase_step st'
-  done;
-  check_bool "identical results" true (Onion.finish_state st = Onion.finish_state st')
-
-(* Decoding an in-flight onion state is total: damaged bytes either
-   raise [Codec.Error] or give a state whose remaining phases run and
-   finish without raising (no out-of-range request, class or layer
-   survives the decoder's checks). *)
-let inflight_onion_bytes =
-  let st = Onion.start ~rng:(Prng.create 51) ~n:400 ~d:6 () in
-  List.init 3 (fun _ ->
-      let bytes = onion_state_bytes st in
-      if not (Onion.state_finished st) then Onion.phase_step st;
-      bytes)
-
-let onion_decode_total_prop =
-  QCheck.Test.make ~name:"onion states decode damaged bytes or raise Codec.Error"
-    ~count:10000
-    (QCheck.make ~print:String.escaped (damaged_encoding inflight_onion_bytes))
-    (fun bytes ->
-      match Onion.decode_state (Codec.reader bytes) with
-      | st ->
-          while not (Onion.state_finished st) do
-            Onion.phase_step st
-          done;
-          ignore (Onion.finish_state st);
-          true
-      | exception Codec.Error _ -> true)
-
 (* --- write_file durability hygiene --- *)
 
 let fresh_dir =
@@ -731,7 +563,6 @@ let qcheck_props =
       QCheck.(array small_signed_int)
       (fun a -> roundtrip Codec.int_array Codec.read_int_array a = a);
     decode_total_prop;
-    onion_decode_total_prop;
     unframe_total_prop;
     json_total_prop;
     sweep_config_total_prop;
@@ -748,9 +579,6 @@ let suite =
     ("frame rejects corruption", `Quick, test_frame_rejects_corruption);
     ("prng round-trip", `Quick, test_prng_roundtrip);
     ("intvec round-trip", `Quick, test_intvec_roundtrip);
-    ("bitset round-trip", `Quick, test_bitset_roundtrip);
-    ("bitset rejects bad words", `Quick, test_bitset_rejects_bad_words);
-    ("bitset rejects cardinal mismatch", `Quick, test_bitset_rejects_cardinal_mismatch);
     ("dyngraph round-trip with free list", `Quick, test_dyngraph_roundtrip_free_list);
     ("dyngraph round-trip with slid window", `Quick, test_dyngraph_roundtrip_slid_window);
     ("dyngraph rejects corruption", `Quick, test_dyngraph_decode_rejects_corruption);
@@ -760,10 +588,6 @@ let suite =
     ("policy model refuses encode", `Quick, test_policy_model_refuses_encode);
     ("poisson model round-trip", `Quick, test_poisson_model_roundtrip);
     ("models dispatch", `Quick, test_models_dispatch);
-    ("flood sync in-flight round-trip", `Quick, test_flood_sync_inflight_roundtrip);
-    ("flood poisson in-flight round-trip", `Quick, test_flood_poisson_inflight_roundtrip);
-    ("flood state rejects inconsistency", `Quick, test_flood_state_rejects_inconsistency);
-    ("onion in-flight round-trip", `Quick, test_onion_inflight_roundtrip);
     ("write_file leaves no tmp", `Quick, test_write_file_leaves_no_tmp);
     ("write_file failure removes tmp", `Quick, test_write_file_failure_removes_tmp);
     ("write_file unwritable dir", `Quick, test_write_file_unwritable_dir);

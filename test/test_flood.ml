@@ -116,6 +116,36 @@ let test_async_completes_on_pdgr () =
   | None -> Alcotest.fail "no completion time");
   check_bool "coverage 1" true (r.final_coverage > 0.999)
 
+(* Async flooding chains to the edge and death hooks it finds (an
+   [Event_log], say) and restores them afterwards; observing the run
+   changes nothing, so the result equals that of an unobserved twin. *)
+let test_async_keeps_installed_hooks () =
+  let m = pdgr ~seed:29 ~n:200 () in
+  let g = Poisson_model.graph m in
+  let edges = ref 0 and deaths = ref 0 in
+  let edge_hook ~src:_ ~dst:_ = incr edges in
+  let death_hook _ = incr deaths in
+  Churnet_graph.Dyngraph.set_edge_hook g (Some edge_hook);
+  Churnet_graph.Dyngraph.set_death_hook g (Some death_hook);
+  let round0 = Poisson_model.round m and pop0 = Poisson_model.population m in
+  let r = Flood.Async.run m in
+  check_bool "edge hook fired" true (!edges > 0);
+  check_bool "death hook fired" true (!deaths > 0);
+  (* Every jump is a birth or a death, so the deaths of the run follow
+     from the jump count and the population change. *)
+  let jumps = Poisson_model.round m - round0 in
+  check_int "death hook saw every death"
+    ((jumps - (Poisson_model.population m - pop0)) / 2)
+    !deaths;
+  check_bool "edge hook still installed" true
+    (match Churnet_graph.Dyngraph.edge_hook g with Some f -> f == edge_hook | None -> false);
+  check_bool "death hook still installed" true
+    (match Churnet_graph.Dyngraph.death_hook g with
+    | Some f -> f == death_hook
+    | None -> false);
+  check_bool "same result as an unobserved run" true
+    (r = Flood.Async.run (pdgr ~seed:29 ~n:200 ()))
+
 let test_async_faster_or_equal_discretized () =
   (* Async flooding (Def 4.2) dominates discretized (Def 4.3): on the same
      parameters its completion time should not be dramatically larger. *)
@@ -196,6 +226,7 @@ let suite =
     ("PDGR discretized coverage", `Quick, test_pdgr_discretized_coverage);
     ("PDG partial coverage (Thm 4.13)", `Quick, test_pdg_flood_partial_coverage);
     ("async completes on PDGR", `Quick, test_async_completes_on_pdgr);
+    ("async keeps installed hooks", `Quick, test_async_keeps_installed_hooks);
     ("async vs discretized", `Slow, test_async_faster_or_equal_discretized);
     ("async extinction possible", `Slow, test_async_extinction_possible_pdg_small_d);
     ("coverage_at", `Quick, test_coverage_at);

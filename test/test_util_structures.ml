@@ -1,4 +1,4 @@
-(* Tests for Kl, Heap, Union_find, Bitset, Table, Asciiplot. *)
+(* Tests for Kl, Heap, Bitset, Table, Asciiplot, Intvec and Parallel. *)
 open Churnet_util
 
 let check_bool = Alcotest.(check bool)
@@ -214,30 +214,6 @@ let heap_qcheck =
           ops;
         !ok && Heap.length h = List.length !model);
   ]
-
-(* --- Union_find --- *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  check_int "initial count" 5 (Union_find.count uf);
-  check_bool "union new" true (Union_find.union uf 0 1);
-  check_bool "union repeat" false (Union_find.union uf 0 1);
-  check_bool "same" true (Union_find.same uf 0 1);
-  check_bool "not same" false (Union_find.same uf 0 2);
-  check_int "count after union" 4 (Union_find.count uf)
-
-let test_uf_transitivity () =
-  let uf = Union_find.create 6 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  check_bool "transitive" true (Union_find.same uf 0 2)
-
-let test_uf_component_sizes () =
-  let uf = Union_find.create 5 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 2 3);
-  let sizes = List.sort Int.compare (Union_find.component_sizes uf) in
-  Alcotest.(check (list int)) "sizes" [ 1; 2; 2 ] sizes
 
 (* --- Bitset --- *)
 
@@ -460,9 +436,6 @@ let suite =
     ("heap clear", `Quick, test_heap_clear);
     ("heap growth", `Quick, test_heap_growth);
     ("heap FIFO across growth boundary", `Quick, test_heap_fifo_interleaved_growth);
-    ("union-find basic", `Quick, test_uf_basic);
-    ("union-find transitivity", `Quick, test_uf_transitivity);
-    ("union-find sizes", `Quick, test_uf_component_sizes);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset iter", `Quick, test_bitset_iter);
     ("bitset clear", `Quick, test_bitset_clear);
