@@ -13,7 +13,6 @@ let create ~rng ?(retries = 16) ~n ~d ~cap () =
   { d; cap; retries; base = Repair_churn.create ~rng ~n ~d }
 
 let graph t = Repair_churn.graph t.base
-let time t = Repair_churn.time t.base
 
 (* A uniform alive candidate below the in-degree cap (up to [retries]
    draws), or -1. *)
@@ -53,7 +52,6 @@ let step t =
     try_fill t (Intvec.pop pending)
   done
 
-let advance_time t span = Repair_churn.advance_time t.base ~step:(fun () -> step t) span
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
 let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)

@@ -82,7 +82,7 @@ exception Found
    capacity doubling). *)
 let expand_informed graph informed scratch =
   let alive = Dyngraph.alive_count graph in
-  (* informed <= alive: callers prune dead ids after every churn step. *)
+  (* informed <= alive: callers keep dead ids out of [informed]. *)
   let informed_alive = Bitset.cardinal informed in
   Intvec.clear scratch;
   (* lint: allow hot-path-alloc — hoisted out of the scan loops on
@@ -121,10 +121,11 @@ let expand_informed graph informed scratch =
    (b) an edge created during churn with exactly one informed endpoint —
    the caller re-arms that endpoint via {!frontier_arm} from the graph's
    edge hook (births, regeneration and protocol [connect] all fire it).
-   Deaths only remove edges and informed nodes never become uninformed,
-   so nothing else can break the invariant.  Consequently the hop informs
-   exactly the same set a full rescan would, in the same ascending-id
-   staging order — traces are byte-identical, only cheaper. *)
+   Deaths only remove edges and dead nodes, and alive informed nodes
+   never become uninformed, so nothing else can break the invariant.
+   Consequently the hop informs exactly the same set a full rescan would,
+   in the same ascending-id staging order — traces are byte-identical,
+   only cheaper. *)
 let expand_informed_frontier graph informed frontier scratch =
   Intvec.clear scratch;
   (* lint: allow hot-path-alloc — one closure per hop, hoisted out of the
@@ -179,13 +180,6 @@ let expand_informed_auto graph informed frontier scratch =
     Intvec.iter (fun v -> frontier_arm frontier v) scratch
   end
 
-let prune_dead graph informed scratch =
-  Intvec.clear scratch;
-  Bitset.iter
-    (fun id -> if not (Dyngraph.is_alive graph id) then Intvec.push scratch id)
-    informed;
-  Intvec.iter (fun id -> Bitset.remove informed id) scratch
-
 (* --- cross-round state ------------------------------------------------ *)
 
 (* Everything flooding carries from one round to the next, shared by the
@@ -237,33 +231,51 @@ let make_state ~max_rounds ~source ~population =
     extinction_round = None;
   }
 
-(* Run [churn ()] with the graph's edge hook chained to keep the
-   frontier invariant (see expand_informed_frontier): during churn, an
-   edge with exactly one informed endpoint can put an uninformed node
-   next to a long-informed one, so that endpoint is re-armed and the
-   next round rescans it.  Chains to any hook already installed (e.g. an
-   event recorder) and restores it afterwards. *)
+(* Run [churn ()] with two of the graph's hooks chained.  The edge hook
+   keeps the frontier invariant (see expand_informed_frontier): during
+   churn, an edge with exactly one informed endpoint can put an
+   uninformed node next to a long-informed one, so that endpoint is
+   re-armed and the next round rescans it.  The death hook drops a dying
+   node from the informed set (I_t is intersected with N_t), so the set
+   stays pruned to alive ids without a scan.  Both chain to any hook
+   already installed (e.g. an event recorder), which is restored
+   afterwards even if the churn raises. *)
 let with_frontier_arming graph st churn =
-  let prev_hook = Dyngraph.edge_hook graph in
+  let prev_edge_hook = Dyngraph.edge_hook graph in
+  let prev_death_hook = Dyngraph.death_hook graph in
   Dyngraph.set_edge_hook graph
     (Some
        (fun ~src ~dst ->
-         (match prev_hook with None -> () | Some f -> f ~src ~dst);
+         (match prev_edge_hook with None -> () | Some f -> f ~src ~dst);
          let src_informed = bs_mem st.informed src in
          let dst_informed = bs_mem st.informed dst in
          if src_informed && not dst_informed then frontier_arm st.frontier src
          else if dst_informed && not src_informed then frontier_arm st.frontier dst));
-  churn ();
-  Dyngraph.set_edge_hook graph prev_hook
+  Dyngraph.set_death_hook graph
+    (Some
+       (fun id ->
+         (match prev_death_hook with None -> () | Some f -> f id);
+         if bs_mem st.informed id then Bitset.remove st.informed id));
+  (* Restored by hand: [Fun.protect] would allocate two closures a
+     round. *)
+  match churn () with
+  | () ->
+      Dyngraph.set_edge_hook graph prev_edge_hook;
+      Dyngraph.set_death_hook graph prev_death_hook
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Dyngraph.set_edge_hook graph prev_edge_hook;
+      Dyngraph.set_death_hook graph prev_death_hook;
+      Printexc.raise_with_backtrace e bt
 
 (* One synchronous flooding round (Definition 3.3): adaptive expand,
-   churn, prune, log, then test completion and extinction. *)
+   churn (whose deaths leave the informed set as they happen), log, then
+   test completion and extinction. *)
 let sync_round ~graph ~step ~newest st =
   st.round <- st.round + 1;
   (* I_t = (I_{t-1} U boundary in G_{t-1}) /\ N_t *)
   expand_informed_auto graph st.informed st.frontier st.scratch;
   with_frontier_arming graph st step;
-  prune_dead graph st.informed st.scratch;
   let alive = Dyngraph.alive_count graph in
   let inf = Bitset.cardinal st.informed in
   st.informed_log <- inf :: st.informed_log;
@@ -377,7 +389,6 @@ let poisson_round model st =
       frontier_arm st.frontier learner
     end
   done;
-  prune_dead graph informed st.scratch;
   let alive = Dyngraph.alive_count graph in
   let inf = Bitset.cardinal informed in
   st.informed_log <- inf :: st.informed_log;

@@ -91,10 +91,10 @@ val poisson_round : Poisson_model.t -> state -> unit
     Only the frontier is scanned: the informed nodes that learned last
     round or gained an edge to an uninformed node during the churn
     (re-armed, as in the synchronous driver, by an edge hook chained to
-    any installed one and restored after).  The candidate edges, and hence
-    the trace, are exactly those of a scan of the whole informed set;
-    a round costs its frontier plus the births of the interval, not the
-    whole graph. *)
+    any installed one); a death hook, chained alike, drops each dying
+    node from the informed set, and both are restored after the churn,
+    also when it raises.  The trace is exactly that of a scan of the
+    whole informed set; a round costs its frontier and its churn. *)
 
 val finish_state : state -> trace
 (** Assemble the final trace from a finished (or abandoned) state. *)
@@ -115,9 +115,10 @@ val run_custom :
     Each round expands the informed set by whichever of
     {!expand_informed_frontier} and {!expand_informed} a cost model
     predicts is cheaper, then runs [step] with the graph's edge hook
-    temporarily chained (and restored after) to keep the frontier
-    invariant; the result is byte-identical to a full rescan per hop,
-    only faster. *)
+    chained to keep the frontier invariant and its death hook chained to
+    drop dying nodes from the informed set; both are restored after,
+    also when [step] raises.  The result is byte-identical to a full
+    rescan per hop, only faster. *)
 
 val run_streaming : ?max_rounds:int -> Streaming_model.t -> trace
 (** Inserts the source with the next round's newborn and floods until

@@ -13,7 +13,6 @@ let create ~rng ~n ~d ~period () =
   { d; period; base = Repair_churn.create ~rng ~n ~d; next_tick = period }
 
 let graph t = Repair_churn.graph t.base
-let time t = Repair_churn.time t.base
 
 (* A uniform alive node other than [id] (up to 8 draws), or -1. *)
 let pick_other g id =
@@ -49,7 +48,7 @@ let maintenance t =
 let step t =
   if Repair_churn.jump t.base < 0 then
     ignore (Dyngraph.add_node (graph t) ~birth:(Repair_churn.round t.base));
-  while time t >= t.next_tick do
+  while Repair_churn.time t.base >= t.next_tick do
     maintenance t;
     (* lint: allow hot-path-alloc — boxes once per repair period, not per jump. *)
     t.next_tick <- t.next_tick +. t.period

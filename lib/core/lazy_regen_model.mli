@@ -14,10 +14,8 @@ val create :
 (** [period] > 0 in continuous-time units. *)
 
 val graph : t -> Churnet_graph.Dyngraph.t
-val step : t -> unit
 val advance_time : t -> float -> unit
 val warm_up : t -> unit
-val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
 val flood : ?max_rounds:int -> t -> Flood.trace
 val broken_slots : t -> int

@@ -52,8 +52,6 @@ val render : t -> string
 val summary_row : t -> string list
 (** [id; title; "k/m checks hold"] for the final summary table. *)
 
-val check_to_json : check -> Churnet_util.Json.t
-
 val to_json : ?telemetry:Telemetry.t -> t -> Churnet_util.Json.t
 (** Object with id, title, all_hold, checks (each with claim / expected /
     measured display strings, nullable expected_value / measured_value

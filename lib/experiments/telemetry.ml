@@ -92,9 +92,11 @@ let measure ~seed ~scale ?domains f =
   let c0 = Checkpoint.active_stats () in
   let rss0 = peak_rss_kb () in
   let g0 = Gc.quick_stat () in
+  let minor0, major0 = Churnet_util.Parallel.words () in
   let t0 = now () in
   let result = f () in
   let wall_seconds = now () -. t0 in
+  let minor1, major1 = Churnet_util.Parallel.words () in
   let g1 = Gc.quick_stat () in
   let rss1 = peak_rss_kb () in
   let c1 = Checkpoint.active_stats () in
@@ -111,9 +113,9 @@ let measure ~seed ~scale ?domains f =
   ( result,
     {
       wall_seconds;
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      minor_words = minor1 -. minor0;
       promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      major_words = major1 -. major0;
       minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
       domains;

@@ -13,9 +13,9 @@ type ckpt = {
 
 type t = {
   wall_seconds : float;  (** elapsed wall-clock time *)
-  minor_words : float;  (** [Gc.quick_stat] delta *)
-  promoted_words : float;
-  major_words : float;
+  minor_words : float;  (** [Parallel.words] delta *)
+  promoted_words : float;  (** [Gc.quick_stat] delta, as the collection counts *)
+  major_words : float;  (** [Parallel.words] delta *)
   minor_collections : int;
   major_collections : int;
   domains : int;  (** worker domains the run was configured with *)
@@ -53,9 +53,8 @@ val measure :
   seed:int -> scale:Scale.t -> ?domains:int -> (unit -> 'a) -> 'a * t
 (** [measure ~seed ~scale f] runs [f ()] and returns its result together
     with the wall-clock/GC telemetry of the call.  [?domains] defaults
-    to [Churnet_util.Parallel.domains_from_env ()].  GC counters come
-    from the calling domain's [Gc.quick_stat], so allocation performed
-    by worker domains is attributed approximately under parallelism.
+    to [Churnet_util.Parallel.domains_from_env ()].  Words come from
+    {!Churnet_util.Parallel.words}, so they count worker domains too.
     When a {!Churnet_util.Checkpoint} journal is installed the telemetry
     also carries the journal-activity delta across the call. *)
 

@@ -229,8 +229,6 @@ let set_of_indices t indices =
   Array.iter (fun i -> Bitset.add set i) indices;
   set
 
-let indices_by_age t = Array.init (n t) Fun.id
-
 let degree_histogram t =
   let h = Array.make (max_degree t + 1) 0 in
   for i = 0 to n t - 1 do

@@ -100,10 +100,6 @@ val expansion : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> 
 val set_of_indices : t -> int array -> Churnet_util.Bitset.t
 (** Bitset over snapshot indices. *)
 
-val indices_by_age : t -> int array
-(** All indices ordered oldest first (i.e. identity, by construction —
-    provided for clarity at call sites). *)
-
 val degree_histogram : t -> int array
 (** [h.(k)] = number of vertices with degree [k]. *)
 

@@ -31,8 +31,6 @@ val to_string : ?pretty:bool -> t -> string
     with two spaces. Strings are escaped per RFC 8259; non-finite
     floats become [null]; finite floats round-trip exactly. *)
 
-val to_channel : ?pretty:bool -> out_channel -> t -> unit
-
 val write_file : ?pretty:bool -> string -> t -> unit
 (** Write to a file (truncating), with a trailing newline. *)
 

@@ -21,16 +21,6 @@ let normalize v =
 
 let of_counts counts = normalize (Array.map float_of_int counts)
 
-let cross_entropy p q =
-  check_lengths p q;
-  let acc = ref 0. in
-  for i = 0 to Array.length p - 1 do
-    let pi = p.(i) in
-    if pi > 0. then
-      if q.(i) <= 0. then acc := infinity else acc := !acc -. (pi *. log q.(i))
-  done;
-  !acc
-
 let total_variation p q =
   check_lengths p q;
   let acc = ref 0. in

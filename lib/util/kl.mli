@@ -22,8 +22,5 @@ val normalize : float array -> float array
 val of_counts : int array -> float array
 (** Empirical distribution from counts. *)
 
-val cross_entropy : float array -> float array -> float
-(** [cross_entropy p q] = - sum p_i ln q_i. *)
-
 val total_variation : float array -> float array -> float
 (** Total variation distance, (1/2) * L1. *)

@@ -10,6 +10,16 @@ let domains_from_env () =
           invalid_arg
             (Printf.sprintf "CHURNET_DOMAINS=%S: expected a positive integer" s))
 
+(* A domain's live GC counters see only that domain, so every worker adds
+   its words here before it returns. *)
+let worker_minor = Atomic.make 0
+let worker_major = Atomic.make 0
+
+let words () =
+  let _, _, major = Gc.counters () in
+  ( Gc.minor_words () +. float (Atomic.get worker_minor),
+    major +. float (Atomic.get worker_major) )
+
 let map ?domains f xs =
   let n = Array.length xs in
   let domains =
@@ -50,10 +60,14 @@ let map ?domains f xs =
       let failure = Atomic.make None in
       let chunk = (n + workers - 1) / workers in
       let run lo hi () =
+        let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
         try
           for i = lo to hi do
             results.(i) <- Some (eval i xs.(i))
-          done
+          done;
+          let _, _, major1 = Gc.counters () in
+          ignore (Atomic.fetch_and_add worker_minor (truncate (Gc.minor_words () -. minor0)));
+          ignore (Atomic.fetch_and_add worker_major (truncate (major1 -. major0)))
         with exn ->
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (exn, bt)))

@@ -29,6 +29,12 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     tick.  Site and index numbering are independent of [domains], so a
     journal resumes identically at any [CHURNET_DOMAINS]. *)
 
+val words : unit -> float * float
+(** Minor and major words allocated so far by the calling domain plus
+    those of every {!map} worker that has finished its share, current to
+    the word (unlike [Gc.quick_stat]'s, which advance only when the GC
+    runs). *)
+
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. *)
 

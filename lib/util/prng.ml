@@ -75,7 +75,6 @@ let[@inline] unit_float t = Int64.to_float (Int64.shift_right_logical (next t) 1
    this hands its draw across the module boundary without a box. *)
 let unit_float_into t a i = a.(i) <- unit_float t
 
-let float t bound = unit_float t *. bound
 let bool t = Int64.to_int (next t) land 1 = 1
 let bernoulli t p = unit_float t < p
 

@@ -12,11 +12,11 @@ type t
     Allocation: [int], [int_in], [bool], [bernoulli] and
     [unit_float_into] allocate nothing, nor do [shuffle] and [choose] on
     any array but a [float array]; they are safe on the churn hot path.
-    Results of type [float] or [int64] ([unit_float], [float],
-    [bits64]) come back boxed, as any such value returned across a
-    module boundary does in this build; a caller that needs a float
-    draw without the box takes it through [unit_float_into], as the
-    Poisson churn clock does.  [create], [split], [copy], [decode] and
+    Results of type [float] or [int64] ([unit_float], [bits64]) come
+    back boxed, as any such value returned across a module boundary
+    does in this build; a caller that needs a float draw without the
+    box takes it through [unit_float_into], as the Poisson churn clock
+    does.  [create], [split], [copy], [decode] and
     [sample_without_replacement] allocate their result. *)
 
 val create : int -> t
@@ -39,9 +39,6 @@ val int : t -> int -> int
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform on [0, bound). *)
 
 val unit_float : t -> float
 (** Uniform on [0,1) with 53 bits of precision. *)

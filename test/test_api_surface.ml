@@ -6,43 +6,18 @@
    fast path against (the full-rescan [Flood.expand_informed] below), or
    when perfbench calls it (the linter does not scan perfbench/).  An
    export with neither reason is deleted, not tested.  The older cases
-   here (model clocks, graph and event-log accessors, small utility
-   entry points) predate the rule and are each a candidate for that
-   deletion. *)
+   here (graph and event-log accessors, small utility entry points)
+   predate the rule and are each a candidate for that deletion. *)
 
 open Churnet_util
 module Dyngraph = Churnet_graph.Dyngraph
 module Snapshot = Churnet_graph.Snapshot
 module Event_log = Churnet_graph.Event_log
 module Flood = Churnet_core.Flood
-module Capped_model = Churnet_core.Capped_model
-module Lazy_regen_model = Churnet_core.Lazy_regen_model
-module Report = Churnet_experiments.Report
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let close ?(eps = 1e-9) msg a b = Alcotest.(check (float eps)) msg a b
-
-(* --- model clock surface --------------------------------------------- *)
-
-let test_capped_model_accessors () =
-  let m =
-    Capped_model.create ~rng:(Prng.create 42) ~n:120 ~d:5 ~cap:10 ()
-  in
-  let t0 = Capped_model.time m in
-  Capped_model.step m;
-  check_bool "step advances time" true (Capped_model.time m > t0);
-  Capped_model.advance_time m 2.5;
-  check_bool "advance_time moves the clock" true
-    (Capped_model.time m >= t0 +. 2.5)
-
-let test_lazy_regen_accessors () =
-  let m =
-    Lazy_regen_model.create ~rng:(Prng.create 43) ~n:100 ~d:4 ~period:0.5 ()
-  in
-  let t0 = Lazy_regen_model.time m in
-  Lazy_regen_model.step m;
-  check_bool "step advances time" true (Lazy_regen_model.time m > t0)
 
 (* --- frontier kernel vs full rescan ---------------------------------- *)
 
@@ -89,10 +64,6 @@ let test_graph_accessors () =
       check_bool "raw slot is -1 or alive" true (dst = -1 || Dyngraph.is_alive g dst))
     raw;
   let snap = Dyngraph.snapshot g in
-  let ages = Snapshot.indices_by_age snap in
-  check_int "indices_by_age covers all indices" (Snapshot.n snap)
-    (Array.length ages);
-  Array.iteri (fun i idx -> check_int "oldest-first identity" i idx) ages;
   let total_out =
     let acc = ref 0 in
     for i = 0 to Snapshot.n snap - 1 do
@@ -125,29 +96,6 @@ let test_codec_reader_introspection () =
   check_bool "at end after consuming" true (Codec.at_end r);
   check_int "nothing remaining" 0 (Codec.remaining r)
 
-let test_json_to_channel () =
-  let doc = Json.Obj [ ("a", Json.Int 1); ("b", Json.String "x") ] in
-  let path = Filename.temp_file "churnet_json" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Json.to_channel oc doc;
-      close_out oc;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let got = really_input_string ic len in
-      close_in ic;
-      Alcotest.(check string)
-        "channel output matches to_string" (Json.to_string doc) got)
-
-let test_cross_entropy () =
-  let p = [| 0.5; 0.5 |] in
-  close "H(p,p) = ln 2" (log 2.) (Kl.cross_entropy p p);
-  let q = [| 0.25; 0.75 |] in
-  check_bool "Gibbs: H(p,q) >= H(p,p)" true
-    (Kl.cross_entropy p q >= Kl.cross_entropy p p)
-
 let test_acc_interval () =
   let acc = Stats.Acc.create () in
   List.iter (Stats.Acc.add acc) [ 1.; 2.; 3.; 4.; 5. ];
@@ -157,42 +105,13 @@ let test_acc_interval () =
   check_bool "ci95 brackets the mean" true
     (lo < Stats.Acc.mean acc && Stats.Acc.mean acc < hi)
 
-let test_prng_float () =
-  let rng = Prng.create 50 in
-  for _ = 1 to 100 do
-    let x = Prng.float rng 10. in
-    check_bool "float in [0, bound)" true (x >= 0. && x < 10.)
-  done
-
-let test_report_check_to_json () =
-  let c =
-    Report.check ~claim:"coverage is total" ~expected:"1.0" ~measured:"1.0"
-      ~holds:true
-  in
-  let s = Json.to_string (Report.check_to_json c) in
-  check_bool "claim serialized" true
-    (String.length s > 0
-    &&
-    let re = "coverage is total" in
-    let rec contains i =
-      i + String.length re <= String.length s
-      && (String.sub s i (String.length re) = re || contains (i + 1))
-    in
-    contains 0)
-
 let suite =
   [
-    Alcotest.test_case "capped model accessors" `Quick test_capped_model_accessors;
-    Alcotest.test_case "lazy-regen accessors" `Quick test_lazy_regen_accessors;
     Alcotest.test_case "frontier kernel = full rescan" `Quick
       test_frontier_matches_full_rescan;
     Alcotest.test_case "graph accessors" `Quick test_graph_accessors;
     Alcotest.test_case "event log record" `Quick test_event_log_record;
     Alcotest.test_case "codec reader introspection" `Quick
       test_codec_reader_introspection;
-    Alcotest.test_case "json to_channel" `Quick test_json_to_channel;
-    Alcotest.test_case "cross entropy" `Quick test_cross_entropy;
     Alcotest.test_case "acc stderr and ci95" `Quick test_acc_interval;
-    Alcotest.test_case "prng float" `Quick test_prng_float;
-    Alcotest.test_case "report check_to_json" `Quick test_report_check_to_json;
   ]

@@ -203,6 +203,46 @@ let test_cell_peak_rss_attribution () =
         | Some big, Some after -> after >= big
         | _ -> false)
 
+(* The per-cell words must be current.  [Gc.quick_stat]'s word counts
+   advance only when the GC runs, so through them a small allocation
+   right after a minor collection reads as zero words.  A 1000-element
+   list is 3000 minor words; a 10 000-element array goes straight to the
+   major heap. *)
+let test_measure_words_current () =
+  Gc.minor ();
+  let _, t =
+    Telemetry.measure ~seed:0 ~scale:Scale.Smoke ~domains:1 (fun () ->
+        Sys.opaque_identity (List.init 1000 Fun.id))
+  in
+  let minor = t.Telemetry.minor_words in
+  if not (minor >= 3000. && minor <= 10_000.) then
+    Alcotest.failf "list: %.0f minor words, expected 3000..10000" minor;
+  let _, t =
+    Telemetry.measure ~seed:0 ~scale:Scale.Smoke ~domains:1 (fun () ->
+        Sys.opaque_identity (Array.make 10_000 0))
+  in
+  let major = t.Telemetry.major_words in
+  if major < 10_000. then Alcotest.failf "array: %.0f major words, expected >= 10000" major
+
+(* A domain's live counters see only that domain, so the words that
+   [Parallel.map]'s workers allocate must reach the calling cell some
+   other way: two workers each allocating a 3000-word list and a
+   10 000-word array make at least 6000 minor and 20 000 major words. *)
+let test_measure_words_parallel () =
+  let _, t =
+    Telemetry.measure ~seed:0 ~scale:Scale.Smoke ~domains:2 (fun () ->
+        Churnet_util.Parallel.map ~domains:2
+          (fun k ->
+            ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+            Array.length (Sys.opaque_identity (Array.make 10_000 k)))
+          [| 0; 1 |])
+  in
+  let minor = t.Telemetry.minor_words and major = t.Telemetry.major_words in
+  if not (minor >= 6000. && minor <= 20_000.) then
+    Alcotest.failf "workers: %.0f minor words, expected 6000..20000" minor;
+  if major < 20_000. then
+    Alcotest.failf "workers: %.0f major words, expected >= 20000" major
+
 (* Text rendering must be byte-identical whether or not JSON is emitted:
    same seed, one run through run_all, one through run_timed (+ to_json),
    identical bytes. *)
@@ -231,5 +271,7 @@ let suite =
     ("run_all unknown ids raise", `Quick, test_run_all_unknown_ids_raise);
     ("json schema smoke", `Quick, test_json_schema_smoke);
     ("cell peak rss attribution", `Quick, test_cell_peak_rss_attribution);
+    ("measure words current", `Quick, test_measure_words_current);
+    ("measure words parallel", `Quick, test_measure_words_parallel);
     ("render unchanged by json emission", `Quick, test_render_unchanged_by_json_emission);
   ]

@@ -146,6 +146,39 @@ let test_async_keeps_installed_hooks () =
   check_bool "same result as an unobserved run" true
     (r = Flood.Async.run (pdgr ~seed:29 ~n:200 ()))
 
+let test_sync_restores_hooks_on_raise () =
+  (* The synchronous driver chains its own edge and death hooks around
+     each round's churn.  A [step] that raises mid-flood must still leave
+     the hooks installed before the flood in place. *)
+  let m = sdgr ~seed:37 ~n:200 () in
+  let g = Streaming_model.graph m in
+  let edges = ref 0 and deaths = ref 0 in
+  let edge_hook ~src:_ ~dst:_ = incr edges in
+  let death_hook _ = incr deaths in
+  Churnet_graph.Dyngraph.set_edge_hook g (Some edge_hook);
+  Churnet_graph.Dyngraph.set_death_hook g (Some death_hook);
+  let calls = ref 0 in
+  (* The first call places the source; the third is round 2's churn. *)
+  let step () =
+    incr calls;
+    if !calls = 3 then failwith "churn failed";
+    Streaming_model.step m
+  in
+  (match
+     Flood.run_custom ~graph:g ~step
+       ~newest:(fun () -> Streaming_model.newest m)
+       ~default_max_rounds:50 ()
+   with
+  | _ -> Alcotest.fail "the raising step did not propagate"
+  | exception Failure _ -> ());
+  check_bool "round 1 churned through the hooks" true (!edges > 0 && !deaths > 0);
+  check_bool "edge hook restored" true
+    (match Churnet_graph.Dyngraph.edge_hook g with Some f -> f == edge_hook | None -> false);
+  check_bool "death hook restored" true
+    (match Churnet_graph.Dyngraph.death_hook g with
+    | Some f -> f == death_hook
+    | None -> false)
+
 let test_async_faster_or_equal_discretized () =
   (* Async flooding (Def 4.2) dominates discretized (Def 4.3): on the same
      parameters its completion time should not be dramatically larger. *)
@@ -227,6 +260,7 @@ let suite =
     ("PDG partial coverage (Thm 4.13)", `Quick, test_pdg_flood_partial_coverage);
     ("async completes on PDGR", `Quick, test_async_completes_on_pdgr);
     ("async keeps installed hooks", `Quick, test_async_keeps_installed_hooks);
+    ("sync restores hooks on raise", `Quick, test_sync_restores_hooks_on_raise);
     ("async vs discretized", `Slow, test_async_faster_or_equal_discretized);
     ("async extinction possible", `Slow, test_async_extinction_possible_pdg_small_d);
     ("coverage_at", `Quick, test_coverage_at);
@@ -347,19 +381,45 @@ let test_coverage_nan_on_empty_population () =
 let test_frontier_flood_equals_full_rescan () =
   (* The driver floods through the adaptive frontier kernel; the paper's
      definition is the full per-round rescan.  Replay the historical
-     rescan loop (expand, churn, prune) on an equal-seeded model and
-     demand the identical per-round trace, churn included. *)
+     rescan loop (expand, churn, prune by a scan) on an equal-seeded
+     model and demand the identical per-round trace, churn included.
+     The driver is [run_streaming]'s call of [run_custom], observed
+     through [newest], which it calls once after the source's round and
+     once after every round's churn. *)
   let module Dyngraph = Churnet_graph.Dyngraph in
   let module Bitset = Churnet_util.Bitset in
   let module Intvec = Churnet_util.Intvec in
-  let reference_trace m max_rounds =
+  let max_rounds = 150 in
+  (* With [hooked], both graphs carry counting edge and death hooks: the
+     driver must chain to both, so they see every event the reference's
+     see, and must put them back after every round. *)
+  let install ~hooked g =
+    let edges = ref 0 and deaths = ref 0 in
+    let edge_hook ~src:_ ~dst:_ = incr edges in
+    let death_hook _ = incr deaths in
+    if hooked then begin
+      Dyngraph.set_edge_hook g (Some edge_hook);
+      Dyngraph.set_death_hook g (Some death_hook)
+    end;
+    fun label ->
+      if hooked then begin
+        check_bool (label ^ ": edge hook restored") true
+          (match Dyngraph.edge_hook g with Some f -> f == edge_hook | None -> false);
+        check_bool (label ^ ": death hook restored") true
+          (match Dyngraph.death_hook g with Some f -> f == death_hook | None -> false)
+      end;
+      (!edges, !deaths)
+  in
+  let reference m ~hooked =
     let g = Streaming_model.graph m in
+    let counts = install ~hooked g in
     Streaming_model.step m;
     let src = Streaming_model.newest m in
     let informed = Bitset.create (src + 64) in
     Bitset.add informed src;
     let scratch = Intvec.create ~capacity:64 () in
     let log = ref [ (1, Dyngraph.alive_count g) ] in
+    let seen = ref [ counts "reference" ] in
     let finished = ref false in
     let round = ref 0 in
     while (not !finished) && !round < max_rounds do
@@ -372,6 +432,7 @@ let test_frontier_flood_equals_full_rescan () =
       let alive = Dyngraph.alive_count g in
       let inf = Bitset.cardinal informed in
       log := (inf, alive) :: !log;
+      seen := counts "reference" :: !seen;
       let newborn = Streaming_model.newest m in
       let newborn_informed =
         newborn < Bitset.capacity informed && Bitset.mem informed newborn
@@ -380,7 +441,25 @@ let test_frontier_flood_equals_full_rescan () =
       if uninformed = 0 || (uninformed = 1 && not newborn_informed) then finished := true
       else if inf = 0 then finished := true
     done;
-    List.rev !log
+    (List.rev !log, List.rev !seen)
+  in
+  let driver m ~hooked ~label =
+    let g = Streaming_model.graph m in
+    let counts = install ~hooked g in
+    let seen = ref [] in
+    let tr =
+      Flood.run_custom ~max_rounds ~graph:g
+        ~step:(fun () -> Streaming_model.step m)
+        ~newest:(fun () ->
+          seen := counts (Printf.sprintf "%s round %d" label (List.length !seen)) :: !seen;
+          Streaming_model.newest m)
+        ~default_max_rounds:0 ()
+    in
+    let log =
+      Array.to_list
+        (Array.mapi (fun i inf -> (inf, tr.population_per_round.(i))) tr.informed_per_round)
+    in
+    (log, List.rev !seen)
   in
   let runs =
     [ (fun seed -> sdgr ~seed ~n:200 ()); (fun seed -> sdg ~seed ~n:200 ~d:3 ()) ]
@@ -388,17 +467,22 @@ let test_frontier_flood_equals_full_rescan () =
   List.iteri
     (fun kind make ->
       for seed = 101 to 103 do
-        let tr = Flood.run_streaming ~max_rounds:150 (make seed) in
-        let got =
-          Array.to_list
-            (Array.mapi
-               (fun i inf -> (inf, tr.population_per_round.(i)))
-               tr.informed_per_round)
-        in
-        let expected = reference_trace (make seed) 150 in
-        if got <> expected then
-          Alcotest.failf "model %d seed %d: frontier trace diverged from full rescan" kind
-            seed
+        let hooked_cases = if seed = 101 then [ false; true ] else [ false ] in
+        List.iter
+          (fun hooked ->
+            let label =
+              Printf.sprintf "model %d seed %d%s" kind seed (if hooked then " hooked" else "")
+            in
+            let got, got_seen = driver (make seed) ~hooked ~label in
+            let expected, expected_seen = reference (make seed) ~hooked in
+            if got <> expected then
+              Alcotest.failf "%s: frontier trace diverged from full rescan" label;
+            check_bool (label ^ ": hooks saw the reference's events every round") true
+              (got_seen = expected_seen);
+            if hooked then
+              check_bool (label ^ ": death hook fired during the rounds") true
+                (List.exists (fun (_, deaths) -> deaths > 0) got_seen))
+          hooked_cases
       done)
     runs
 
@@ -472,20 +556,27 @@ let test_discretized_frontier_equals_full_rescan () =
   let compare_case ~label ~hooked ~churny make =
     let m = make () and ref_m = make () in
     let g = Poisson_model.graph m and ref_g = Poisson_model.graph ref_m in
-    (* With [hooked], both graphs carry a counting edge hook from the
-       start: the frontier driver must chain to it, so it sees every
-       edge the reference's sees, and must put it back after the round. *)
+    (* With [hooked], both graphs carry counting edge and death hooks
+       from the start: the frontier driver must chain to both, so they
+       see every event the reference's see, and must put them back after
+       the round. *)
     let seen = ref 0 and ref_seen = ref 0 in
+    let deaths = ref 0 and ref_deaths = ref 0 in
     let hook ~src:_ ~dst:_ = incr seen in
+    let death_hook _ = incr deaths in
     if hooked then begin
       Dyngraph.set_edge_hook g (Some hook);
-      Dyngraph.set_edge_hook ref_g (Some (fun ~src:_ ~dst:_ -> incr ref_seen))
+      Dyngraph.set_edge_hook ref_g (Some (fun ~src:_ ~dst:_ -> incr ref_seen));
+      Dyngraph.set_death_hook g (Some death_hook);
+      Dyngraph.set_death_hook ref_g (Some (fun _ -> incr ref_deaths))
     end;
     let st = Flood.poisson_start ~max_rounds m in
     let src = Poisson_model.step_until_birth ref_m in
     let jumps0 = Poisson_model.round m in
     seen := 0;
     ref_seen := 0;
+    deaths := 0;
+    ref_deaths := 0;
     let informed = Bitset.create (src + 64) in
     Bitset.add informed src;
     let candidates = Intvec.create ~capacity:64 () in
@@ -501,15 +592,26 @@ let test_discretized_frontier_equals_full_rescan () =
       else if inf = 0 then extinction := Some !round;
       if members (Flood.state_informed st) <> members informed then
         Alcotest.failf "%s: informed sets differ after round %d" label !round;
+      List.iter
+        (fun v ->
+          if not (Dyngraph.is_alive g v) then
+            Alcotest.failf "%s: dead node %d informed after round %d" label v !round)
+        (members (Flood.state_informed st));
       if hooked then begin
         check_int (label ^ ": hook saw every edge event") !ref_seen !seen;
+        check_int (label ^ ": death hook saw every death") !ref_deaths !deaths;
         check_bool (label ^ ": hook restored") true
-          (match Dyngraph.edge_hook g with Some f -> f == hook | None -> false)
+          (match Dyngraph.edge_hook g with Some f -> f == hook | None -> false);
+        check_bool (label ^ ": death hook restored") true
+          (match Dyngraph.death_hook g with Some f -> f == death_hook | None -> false)
       end
     done;
     check_bool (label ^ ": driver finished with the reference") true
       (Flood.state_finished st);
-    if hooked then check_bool (label ^ ": hook fired during the rounds") true (!seen > 0);
+    if hooked then begin
+      check_bool (label ^ ": hook fired during the rounds") true (!seen > 0);
+      check_bool (label ^ ": death hook fired during the rounds") true (!deaths > 0)
+    end;
     let tr = Flood.finish_state st in
     if churny then
       check_bool (label ^ ": churn ran during the rounds") true
