@@ -54,7 +54,7 @@ let write_json path ~seed ~scale timed =
   let domains = Churnet_util.Parallel.domains_from_env () in
   let doc = Registry.reports_to_json ~seed ~scale ~domains timed in
   Churnet_util.Json.write_file ~pretty:true path doc;
-  Printf.printf "wrote %s\n" path
+  Printf.eprintf "wrote %s\n%!" path
 
 let write_csvs dir (report : Report.t) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -64,7 +64,7 @@ let write_csvs dir (report : Report.t) =
       let oc = open_out path in
       output_string oc (Churnet_util.Table.to_csv table);
       close_out oc;
-      Printf.printf "wrote %s\n" path)
+      Printf.eprintf "wrote %s\n%!" path)
     report.tables
 
 (* --- checkpoint/resume ------------------------------------------------ *)
@@ -324,7 +324,7 @@ let fingerprint_cmd =
             let oc = open_out path in
             output_string oc (Churnet_graph.Snapshot.to_dot snap);
             close_out oc;
-            Printf.printf "wrote %s\n" path
+            Printf.eprintf "wrote %s\n%!" path
   in
   Cmd.v
     (Cmd.info "fingerprint" ~doc:"Print the topology fingerprint of a warmed-up model snapshot.")

@@ -22,8 +22,9 @@
     bookkeeping and growth factors, parameterised by the class bounds,
     the success target, the request sampler and an optional death coin.
     Each draws the source's d requests, then every young node's d in
-    ascending order; {!run_poisson} also draws its death coins in the
-    phase loop, in first-contact order. *)
+    ascending order, and keeps only the targets that land in the old
+    class, since no other request is ever read; {!run_poisson} also
+    draws its death coins in the phase loop, in first-contact order. *)
 
 type result = {
   phases : int;  (** phases executed before the layers stopped growing *)
@@ -38,12 +39,8 @@ type result = {
 val run : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 (** Simulate one realization of the onion-skin process on a fresh SDG
     age structure with parameters [n] (population) and [d] (requests,
-    must be even and >= 2). *)
-
-val success_probability :
-  rng:Churnet_util.Prng.t -> n:int -> d:int -> trials:int -> unit -> float
-(** Fraction of independent realizations for which {!result.reached_target}
-    holds.  Lemma 3.9 predicts at least [1 - 4 e^{-d/100}] for d >= 200;
+    must be even and >= 2).  Lemma 3.9 predicts {!result.reached_target}
+    with probability at least [1 - 4 e^{-d/100}] for d >= 200;
     empirically the bound is extremely loose and already holds for much
     smaller d. *)
 
@@ -56,10 +53,7 @@ val run_poisson : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
     informed node immediately dies with probability [ln n / n], modelling
     the worst case where a node that will die within the flooding window
     dies the moment it is reached, informing nobody.  The target for
-    {!result.reached_target} is m/20 informed in each class (Lemma 7.8). *)
-
-val success_probability_poisson :
-  rng:Churnet_util.Prng.t -> n:int -> d:int -> trials:int -> unit -> float
-(** Success rate of {!run_poisson}.  Theorem 4.13 predicts
+    {!result.reached_target} is m/20 informed in each class (Lemma 7.8).
+    Theorem 4.13 predicts success with probability
     [1 - 2 e^{-d/576} - o(1)] for d >= 1152 — vacuous below d ~ 400;
     empirically the process succeeds from d of a few dozen. *)

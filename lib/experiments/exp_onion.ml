@@ -2,6 +2,7 @@
 
 open Churnet_core
 module Prng = Churnet_util.Prng
+module Parallel = Churnet_util.Parallel
 module Table = Churnet_util.Table
 module Stats = Churnet_util.Stats
 
@@ -20,16 +21,16 @@ let f5 ~seed ~scale =
       let successes = ref 0 in
       let phases_acc = Stats.Acc.create () in
       let growth_acc = Stats.Acc.create () in
-      for _ = 1 to trials do
-        let r = Onion.run ~rng:(Prng.split rng) ~n ~d () in
-        if r.reached_target then incr successes;
-        Stats.Acc.add_int phases_acc r.phases;
-        (* Early growth factors, before saturation. *)
-        Array.iteri
-          (fun i g ->
-            if i < 2 && not (Float.is_nan g) then Stats.Acc.add growth_acc g)
-          r.growth_factors
-      done;
+      Array.iter
+        (fun (r : Onion.result) ->
+          if r.reached_target then incr successes;
+          Stats.Acc.add_int phases_acc r.phases;
+          (* Early growth factors, before saturation. *)
+          Array.iteri
+            (fun i g ->
+              if i < 2 && not (Float.is_nan g) then Stats.Acc.add growth_acc g)
+            r.growth_factors)
+        (Parallel.replicate ~rng ~trials (fun rng -> Onion.run ~rng ~n ~d ()));
       let frac = float_of_int !successes /. float_of_int trials in
       let bound = Float.max 0. (1. -. (4. *. exp (-.(float_of_int d /. 100.)))) in
       Table.add_row table
@@ -59,14 +60,19 @@ let f5 ~seed ~scale =
           :: !checks)
     ds;
   (* Extended (Poisson) onion-skin of Section 7.2.4, with death coins. *)
+  let poisson_trials = max 5 (trials / 2) in
   let poisson_table =
     Table.create [ "d"; "success frac (Poisson)"; "Thm 4.13 bound 1-2e^{-d/576}" ]
   in
   List.iter
     (fun d ->
+      let successes =
+        Parallel.replicate ~rng:(Prng.split rng) ~trials:poisson_trials (fun rng ->
+            (Onion.run_poisson ~rng ~n ~d ()).reached_target)
+      in
       let frac =
-        Onion.success_probability_poisson ~rng:(Prng.split rng) ~n ~d
-          ~trials:(max 5 (trials / 2)) ()
+        float_of_int (Array.fold_left (fun k ok -> if ok then k + 1 else k) 0 successes)
+        /. float_of_int poisson_trials
       in
       let bound = Float.max 0. (1. -. (2. *. exp (-.(float_of_int d /. 576.)))) in
       Table.add_row poisson_table

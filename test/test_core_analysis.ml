@@ -1,11 +1,23 @@
 (* Tests for Onion, Isolated, Edge_prob. *)
 open Churnet_core
 module Prng = Churnet_util.Prng
+module Parallel = Churnet_util.Parallel
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* --- Onion-skin process --- *)
+
+(* Fraction of [trials] runs, each on its own split of [rng], that reach
+   their target. *)
+let success_rate run ~rng ~n ~d ~trials =
+  let ok =
+    Array.fold_left
+      (fun k (r : Onion.result) -> if r.reached_target then k + 1 else k)
+      0
+      (Parallel.replicate ~rng ~trials (fun rng -> run ~rng ~n ~d ()))
+  in
+  float_of_int ok /. float_of_int trials
 
 let test_onion_validates_args () =
   Alcotest.check_raises "odd d" (Invalid_argument "Onion.run: d must be even and >= 2")
@@ -31,12 +43,12 @@ let test_onion_members_within_classes () =
 let test_onion_succeeds_for_large_d () =
   (* Lemma 3.9: success probability >= 1 - 4 e^{-d/100}; for d = 64 the
      empirical rate should be high at moderate n. *)
-  let p = Onion.success_probability ~rng:(Prng.create 3) ~n:4000 ~d:64 ~trials:20 () in
+  let p = success_rate Onion.run ~rng:(Prng.create 3) ~n:4000 ~d:64 ~trials:20 in
   check_bool "mostly succeeds" true (p >= 0.8)
 
 let test_onion_fails_more_for_small_d () =
-  let p_small = Onion.success_probability ~rng:(Prng.create 4) ~n:2000 ~d:2 ~trials:30 () in
-  let p_large = Onion.success_probability ~rng:(Prng.create 5) ~n:2000 ~d:32 ~trials:30 () in
+  let p_small = success_rate Onion.run ~rng:(Prng.create 4) ~n:2000 ~d:2 ~trials:30 in
+  let p_large = success_rate Onion.run ~rng:(Prng.create 5) ~n:2000 ~d:32 ~trials:30 in
   check_bool "monotone-ish in d" true (p_large >= p_small)
 
 let test_onion_growth_factor_scales_with_d () =
@@ -199,9 +211,7 @@ let test_onion_poisson_layers_consistent () =
     (r.total_young <= 1000 && r.total_old <= 1000)
 
 let test_onion_poisson_succeeds () =
-  let p =
-    Onion.success_probability_poisson ~rng:(Prng.create 43) ~n:3000 ~d:64 ~trials:15 ()
-  in
+  let p = success_rate Onion.run_poisson ~rng:(Prng.create 43) ~n:3000 ~d:64 ~trials:15 in
   check_bool "mostly succeeds" true (p >= 0.8)
 
 let test_onion_poisson_deterministic () =
@@ -307,8 +317,70 @@ let test_onion_first_old_layer_exact () =
        ~survive:(1. -. (log (float_of_int n) /. float_of_int n)))
     (sample Onion.run_poisson 0x0f02)
 
+(* --- The engine against the reference engine --- *)
+
+(* test/reference_onion.ml stores every request and skips the non-old
+   ones; the library keeps only the old-class targets.  Over random
+   (n, d, seed), half of them with small d so that runs last several
+   phases, both processes must give the same result, growth factors
+   compared bit for bit, and leave the caller's generator in the same
+   state. *)
+let test_onion_matches_reference () =
+  let pick = Prng.create 0x0926 in
+  let bits g = Array.map Int64.bits_of_float g in
+  let multi_phase = ref 0 in
+  for case = 1 to 400 do
+    let n = 16 + Prng.int pick (if case mod 2 = 0 then 600 else 5000) in
+    let d = 2 * (1 + Prng.int pick (if case mod 3 = 0 then 100 else 8)) in
+    let seed = Prng.int pick 1_000_000 in
+    List.iter
+      (fun (name, run, reference) ->
+        let rng = Prng.create seed and ref_rng = Prng.create seed in
+        let (a : Onion.result) = run ~rng ~n ~d () in
+        let (b : Onion.result) = reference ~rng:ref_rng ~n ~d () in
+        if a.phases > 1 then incr multi_phase;
+        let same =
+          a.phases = b.phases && a.y_layer_sizes = b.y_layer_sizes
+          && a.o_layer_sizes = b.o_layer_sizes && a.total_young = b.total_young
+          && a.total_old = b.total_old && a.reached_target = b.reached_target
+          && bits a.growth_factors = bits b.growth_factors
+          && Int64.equal (Prng.bits64 rng) (Prng.bits64 ref_rng)
+        in
+        if not same then Alcotest.failf "%s n=%d d=%d seed=%d differs from the reference" name n d seed)
+      [
+        ("run", Onion.run, Reference_onion.run);
+        ("run_poisson", Onion.run_poisson, Reference_onion.run_poisson);
+      ]
+  done;
+  check_bool (Printf.sprintf "%d multi-phase runs >= 200" !multi_phase) true (!multi_phase >= 200)
+
+(* A run stores its old-class targets, about n d / 4 words, and little
+   else; storing every request took over n d / 2.  Minor plus major
+   words, less those promoted, counts each word once.  The minor count
+   of [Gc.counters] is not current to the word, so the words come from
+   [Parallel.words]. *)
+let test_onion_allocation () =
+  let n = 4000 and d = 100 in
+  let promoted () =
+    let _, p, _ = Gc.counters () in
+    p
+  in
+  List.iter
+    (fun (name, run) ->
+      let minor0, major0 = Parallel.words () and promoted0 = promoted () in
+      ignore (Sys.opaque_identity (run ~rng:(Prng.create 0x0927) ~n ~d ()));
+      let minor1, major1 = Parallel.words () and promoted1 = promoted () in
+      let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+      check_bool
+        (Printf.sprintf "%s allocates %.0f words <= 0.35 n d" name words)
+        true
+        (words <= 0.35 *. float_of_int (n * d)))
+    [ ("run", Onion.run); ("run_poisson", Onion.run_poisson) ]
+
 let poisson_suite =
   [
+    ("onion matches reference engine", `Quick, test_onion_matches_reference);
+    ("onion allocation", `Quick, test_onion_allocation);
     ("onion first old layer exact", `Quick, test_onion_first_old_layer_exact);
     ("onion runs golden", `Quick, Test_byte_equality.check_case ("onion_runs", onion_runs_text));
     ("onion poisson args", `Quick, test_onion_poisson_validates_args);
