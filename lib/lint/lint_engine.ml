@@ -13,9 +13,8 @@ type outcome = {
 }
 
 (* Rules implemented by the engine itself rather than the catalogue:
-   bad-pragma (a malformed suppression) and bad-syntax (the lexer hit a
-   construct it could not finish — unterminated comment/string).  They
-   are valid pragma targets. *)
+   bad-pragma (a malformed suppression) and bad-syntax (the file does not
+   lex or parse).  They are valid pragma targets. *)
 let bad_pragma_rule = "bad-pragma"
 let bad_syntax_rule = "bad-syntax"
 let engine_rules = [ bad_pragma_rule; bad_syntax_rule ]
@@ -225,34 +224,47 @@ let suppressing_pragma pragmas (f : Lint_rules.finding) =
 type parsed = {
   ps_rel : string;
   ps_lex : Lint_lexer.t;
-  ps_tree : Lint_tree.t option;  (* None for interfaces *)
+  ps_tree : Lint_tree.t;  (* Lint_tree.empty for interfaces *)
+  ps_diagnostics : Lint_lexer.diagnostic list;
   ps_has_mli : bool;
 }
 
+(* An implementation is parsed as well as lexed.  The parse re-reads the
+   file through the same lexer, so a lexical error surfaces there again:
+   its one diagnostic stands for both. *)
 let load_parsed ~is_ml (rel, fs) =
   match read_file fs with
   | exception Sys_error msg -> Error msg
   | src ->
       let lex = Lint_lexer.lex src in
+      let tree, diagnostics =
+        if not is_ml then (Lint_tree.empty, Array.to_list lex.Lint_lexer.diagnostics)
+        else
+          match Lint_tree.parse src lex with
+          | Ok tree -> (tree, [])
+          | Error d -> (Lint_tree.empty, [ d ])
+      in
       Ok
         {
           ps_rel = rel;
           ps_lex = lex;
-          ps_tree = (if is_ml then Some (Lint_tree.parse lex) else None);
+          ps_tree = tree;
+          ps_diagnostics = diagnostics;
           ps_has_mli = is_ml && Sys.file_exists (fs ^ "i");
         }
 
 let diagnostics_findings (p : parsed) =
-  Array.to_list p.ps_lex.Lint_lexer.diagnostics
-  |> List.map (fun (d : Lint_lexer.diagnostic) ->
-         {
-           Lint_rules.rule = bad_syntax_rule;
-           file = p.ps_rel;
-           line = d.Lint_lexer.d_line;
-           col = d.Lint_lexer.d_col;
-           message = d.Lint_lexer.d_message;
-           witness = [];
-         })
+  List.map
+    (fun (d : Lint_lexer.diagnostic) ->
+      {
+        Lint_rules.rule = bad_syntax_rule;
+        file = p.ps_rel;
+        line = d.Lint_lexer.d_line;
+        col = d.Lint_lexer.d_col;
+        message = d.Lint_lexer.d_message;
+        witness = [];
+      })
+    p.ps_diagnostics
 
 let to_json outcome =
   let finding_json (f : Lint_rules.finding) =
@@ -267,8 +279,8 @@ let to_json outcome =
           if f.Lint_rules.rule = bad_pragma_rule then
             "malformed or unreasoned lint suppression pragma"
           else if f.Lint_rules.rule = bad_syntax_rule then
-            "the lexer could not finish a construct (unterminated \
-             comment/string); the tail of the file was not checked"
+            "the file does not lex or parse as OCaml; rules that read its \
+             structure did not check it, nor token rules past a lexical error"
           else ""
     in
     Json.Obj
@@ -331,6 +343,7 @@ let run config =
                       {
                         Lint_rules.path = p.ps_rel;
                         lex = p.ps_lex;
+                        tree = p.ps_tree;
                         has_mli = p.ps_has_mli;
                       }
                     in
@@ -346,12 +359,7 @@ let run config =
                 {
                   Lint_rules.p_graph =
                     Lint_graph.build
-                      (List.filter_map
-                         (fun p ->
-                           match p.ps_tree with
-                           | Some tree -> Some (p.ps_rel, p.ps_lex, tree)
-                           | None -> None)
-                         ml_parsed);
+                      (List.map (fun p -> (p.ps_rel, p.ps_lex, p.ps_tree)) ml_parsed);
                   p_interfaces =
                     List.map (fun p -> (p.ps_rel, p.ps_lex)) mli_parsed;
                 }

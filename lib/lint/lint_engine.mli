@@ -18,10 +18,10 @@
     an optional "—" or "--" separator); otherwise it is itself reported
     under the synthetic rule [bad-pragma].  A pragma that suppresses
     {e nothing} is reported under [unused-pragma], so suppressions
-    expire with the code they excused.  Lexer-level damage
-    (unterminated comment or string — i.e. a silently truncated scan)
-    is reported under the synthetic rule [bad-syntax] at the position
-    of the offending opener.
+    expire with the code they excused.  A file that does not lex or
+    parse is one finding under the synthetic rule [bad-syntax], at the
+    compiler's error position (an unterminated comment or string at its
+    opener); the rest of the run goes on.
 
     There is no baseline: every unsuppressed finding fails the run. *)
 
@@ -39,6 +39,10 @@ type outcome = {
   suppressed : int;  (** findings silenced by pragmas *)
   files_scanned : int;  (** [.ml] and [.mli] files *)
 }
+
+val engine_rules : string list
+(** The rules the engine reports itself, outside {!Lint_rules.all}:
+    [bad-pragma] and [bad-syntax]. *)
 
 val run : config -> (outcome, string) result
 (** Scan, lint, apply pragmas, and honor [json_path].  [Error msg]

@@ -5,8 +5,8 @@
    kind of node prng-flow cares about).  Edges are resolved identifier
    references: qualified paths through the unit's module aliases, and
    bare identifiers through same-file bindings and `open'/`include'
-   scopes.  Resolution is heuristic — like Lint_tree it prefers
-   totality and over-approximation over precision — but shadowing by
+   scopes.  Resolution is a heuristic over tokens that prefers totality
+   and over-approximation over precision, but shadowing by
    function parameters, nested lets and lambda parameters is honored so
    the common `fun rng -> ...' does not leak edges to an unrelated
    top-level `rng'. *)

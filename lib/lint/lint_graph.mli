@@ -7,7 +7,7 @@
     [open]/[include] scopes, with shadowing by parameters, nested lets
     and lambda parameters honored.
 
-    Like {!Lint_tree}, resolution is a total heuristic: it
+    Resolution is a total heuristic over tokens: it
     over-approximates edges rather than raising, which is the right
     bias for reachability-style rules (hot-path-alloc,
     no-io-transitive) and reference-counting rules (dead-export). *)

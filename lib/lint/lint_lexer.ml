@@ -8,254 +8,81 @@ type t = {
   diagnostics : diagnostic array;
 }
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let line_col (p : Lexing.position) = (p.pos_lnum, p.pos_cnum - p.pos_bol + 1)
 
-let is_ident_cont c =
-  is_ident_start c || (c >= '0' && c <= '9') || c = '\''
+(* The compiler's own messages, except for the three that reach end of
+   file: those keep the wording the reports have always used. *)
+let diagnose src exn =
+  let at (loc : Location.t) message =
+    let d_line, d_col = line_col loc.loc_start in
+    Some { d_message = message; d_line; d_col }
+  in
+  let compiler_text () =
+    match Location.error_of_exn exn with
+    | Some (`Ok report) -> Format.asprintf "%t" report.Location.main.txt
+    | Some `Already_displayed | None -> Printexc.to_string exn
+  in
+  match exn with
+  | Lexer.Error (Lexer.Unterminated_comment _, loc) ->
+      at loc "unterminated comment (reaches end of file)"
+  | Lexer.Error (Lexer.Unterminated_string, loc) ->
+      if src.[loc.loc_start.pos_cnum] = '{' then
+        at loc "unterminated quoted string literal (reaches end of file)"
+      else at loc "unterminated string literal (reaches end of file)"
+  | Lexer.Error (_, loc) -> at loc (compiler_text ())
+  | Syntaxerr.Error e -> at (Syntaxerr.location_of_error e) (compiler_text ())
+  | _ -> None
 
-let is_digit c = c >= '0' && c <= '9'
-
-let is_operator_char c =
-  match c with
-  | '!' | '$' | '%' | '&' | '*' | '+' | '-' | '.' | '/' | ':' | '<' | '='
-  | '>' | '?' | '@' | '^' | '|' | '~' ->
-      true
-  | _ -> false
+(* Documentation comments arrive as plain comments, and the lexer's
+   own warnings (a comment opener that may be a mistyped operator) stay
+   quiet: the linter reports, it does not compile. *)
+let lexbuf src =
+  Lexer.init ();
+  Lexer.handle_docstrings := false;
+  Lexer.print_warnings := false;
+  Lexing.from_string src
 
 let lex src =
-  let n = String.length src in
-  let tokens = ref [] in
-  let comments = ref [] in
-  let diagnostics = ref [] in
-  let i = ref 0 in
-  let line = ref 1 in
-  let bol = ref 0 in
-  let col_of pos bol = pos - bol + 1 in
-  (* Every single-character advance goes through [bump] so that line and
-     beginning-of-line tracking stay correct inside literals and comments.
-     A bare carriage return (classic-Mac line ending) counts as a line
-     break; in a CRLF pair only the '\n' does, and because [bol] is set
-     past the '\n' the '\r' can never shift the columns of the next
-     line's tokens. *)
-  let bump () =
-    (match src.[!i] with
-    | '\n' ->
-        incr line;
-        bol := !i + 1
-    | '\r' when not (!i + 1 < n && src.[!i + 1] = '\n') ->
-        incr line;
-        bol := !i + 1
-    | _ -> ());
-    incr i
+  let lb = lexbuf src in
+  let tokens = ref [] and comments = ref [] and diagnostics = ref [] in
+  let emit text (p : Lexing.position) =
+    let line, col = line_col p in
+    tokens := { text; line; col } :: !tokens
   in
-  let diagnose ~at message =
-    diagnostics :=
-      { d_message = message; d_line = fst at; d_col = snd at } :: !diagnostics
+  (* [~x:] and [?x:] arrive as one token; the rules read the prefix,
+     the name and the colon separately, as they appear in the source. *)
+  let emit_label prefix name (p : Lexing.position) =
+    emit prefix p;
+    emit name { p with pos_cnum = p.pos_cnum + 1 };
+    emit ":" { p with pos_cnum = p.pos_cnum + 1 + String.length name }
   in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  (* Skip a double-quote-delimited string literal (cursor on the opening
-     quote).  A backslash always protects the next character, which
-     covers escaped quotes, backslashes, numeric escapes and line
-     continuations alike. *)
-  let skip_string () =
-    let at = (!line, col_of !i !bol) in
-    bump ();
-    let closed = ref false in
-    while (not !closed) && !i < n do
-      match src.[!i] with
-      | '\\' ->
-          bump ();
-          if !i < n then bump ()
-      | '"' ->
-          bump ();
-          closed := true
-      | _ -> bump ()
-    done;
-    if not !closed then
-      diagnose ~at "unterminated string literal (reaches end of file)"
+  let rec go () =
+    match Lexer.token_with_comments lb with
+    | Parser.EOF -> ()
+    | Parser.COMMENT (c_text, loc) ->
+        comments :=
+          { c_text; c_line = loc.loc_start.pos_lnum; c_end_line = loc.loc_end.pos_lnum }
+          :: !comments;
+        go ()
+    (* Literals are not code, and a type variable's quote is dropped so
+       ['a] reads as [a]. *)
+    | Parser.STRING _ | Parser.CHAR _ | Parser.QUOTED_STRING_EXPR _
+    | Parser.QUOTED_STRING_ITEM _ | Parser.DOCSTRING _ | Parser.EOL | Parser.QUOTE ->
+        go ()
+    | Parser.LABEL name -> emit_label "~" name lb.lex_start_p; go ()
+    | Parser.OPTLABEL name -> emit_label "?" name lb.lex_start_p; go ()
+    | _ ->
+        let p = lb.lex_start_p in
+        emit (String.sub src p.pos_cnum (lb.lex_curr_p.pos_cnum - p.pos_cnum)) p;
+        go ()
+    | exception exn -> (
+        match diagnose src exn with
+        | Some d -> diagnostics := [ d ]
+        | None -> raise exn)
   in
-  (* If the cursor sits on the '{' of a quoted string [{id|...|id}],
-     skip the whole literal and return [true]; otherwise leave the
-     cursor alone and return [false]. *)
-  let skip_quoted_string_if_any () =
-    let j = ref (!i + 1) in
-    while
-      !j < n
-      && (match src.[!j] with 'a' .. 'z' | '_' -> true | _ -> false)
-    do
-      incr j
-    done;
-    if !j < n && src.[!j] = '|' then begin
-      let at = (!line, col_of !i !bol) in
-      let delim = String.sub src (!i + 1) (!j - !i - 1) in
-      let dlen = String.length delim in
-      (* consume up to and including the opening '|' *)
-      while !i <= !j do
-        bump ()
-      done;
-      let closer_at pos =
-        pos + dlen + 1 < n
-        && src.[pos] = '|'
-        && String.sub src (pos + 1) dlen = delim
-        && src.[pos + dlen + 1] = '}'
-      in
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if closer_at !i then begin
-          for _ = 0 to dlen + 1 do
-            bump ()
-          done;
-          closed := true
-        end
-        else bump ()
-      done;
-      if not !closed then
-        diagnose ~at "unterminated quoted string literal (reaches end of file)";
-      true
-    end
-    else false
-  in
-  (* Cursor on a single quote.  Skip a character literal if one starts
-     here; otherwise (type variable, label quote) skip just the quote.
-     Returns with the cursor past whatever was consumed. *)
-  let skip_char_or_quote () =
-    if peek 1 = Some '\\' then begin
-      (* escaped literal: '\n', '\'', '\065', '\xFF', '\u{1F600}' *)
-      bump ();
-      bump ();
-      if !i < n then bump ();
-      while !i < n && src.[!i] <> '\'' do
-        bump ()
-      done;
-      if !i < n then bump ()
-    end
-    else if
-      peek 2 = Some '\''
-      && (match peek 1 with Some ('\'' | '\\') -> false | Some _ -> true | None -> false)
-    then begin
-      (* plain literal, including '"', '(', '*' *)
-      bump ();
-      bump ();
-      bump ()
-    end
-    else bump ()
-  in
-  (* Cursor on "(*".  Consume the whole (possibly nested) comment,
-     recording its body.  String, quoted-string and character literals
-     inside the comment cannot open or close it, matching the OCaml
-     lexer's own behavior. *)
-  let skip_comment () =
-    let start_line = !line in
-    let at = (!line, col_of !i !bol) in
-    let buf = Buffer.create 64 in
-    bump ();
-    bump ();
-    let depth = ref 1 in
-    while !depth > 0 && !i < n do
-      if src.[!i] = '(' && peek 1 = Some '*' then begin
-        incr depth;
-        Buffer.add_string buf "(*";
-        bump ();
-        bump ()
-      end
-      else if src.[!i] = '*' && peek 1 = Some ')' then begin
-        decr depth;
-        if !depth > 0 then Buffer.add_string buf "*)";
-        bump ();
-        bump ()
-      end
-      else if src.[!i] = '"' then begin
-        let start = !i in
-        skip_string ();
-        Buffer.add_substring buf src start (!i - start)
-      end
-      else if src.[!i] = '{' then begin
-        let start = !i in
-        if skip_quoted_string_if_any () then
-          Buffer.add_substring buf src start (!i - start)
-        else begin
-          Buffer.add_char buf '{';
-          bump ()
-        end
-      end
-      else if src.[!i] = '\'' then begin
-        let start = !i in
-        skip_char_or_quote ();
-        Buffer.add_substring buf src start (!i - start)
-      end
-      else begin
-        Buffer.add_char buf src.[!i];
-        bump ()
-      end
-    done;
-    if !depth > 0 then
-      diagnose ~at "unterminated comment (reaches end of file)";
-    comments :=
-      { c_text = Buffer.contents buf; c_line = start_line; c_end_line = !line }
-      :: !comments
-  in
-  let emit start start_bol start_line =
-    tokens :=
-      {
-        text = String.sub src start (!i - start);
-        line = start_line;
-        col = col_of start start_bol;
-      }
-      :: !tokens
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then bump ()
-    else if c = '(' && peek 1 = Some '*' then skip_comment ()
-    else if c = '"' then skip_string ()
-    else if c = '{' then begin
-      if not (skip_quoted_string_if_any ()) then begin
-        let start = !i and sb = !bol and sl = !line in
-        bump ();
-        emit start sb sl
-      end
-    end
-    else if c = '\'' then skip_char_or_quote ()
-    else if is_ident_start c then begin
-      let start = !i and sb = !bol and sl = !line in
-      while !i < n && is_ident_cont src.[!i] do
-        bump ()
-      done;
-      emit start sb sl
-    end
-    else if is_digit c then begin
-      let start = !i and sb = !bol and sl = !line in
-      let number_cont () =
-        !i < n
-        &&
-        match src.[!i] with
-        | '0' .. '9' | 'a' .. 'z' | 'A' .. 'Z' | '_' | '.' -> true
-        | '+' | '-' -> (
-            match src.[!i - 1] with 'e' | 'E' | 'p' | 'P' -> true | _ -> false)
-        | _ -> false
-      in
-      bump ();
-      while number_cont () do
-        bump ()
-      done;
-      emit start sb sl
-    end
-    else if is_operator_char c then begin
-      let start = !i and sb = !bol and sl = !line in
-      while !i < n && is_operator_char src.[!i] do
-        bump ()
-      done;
-      emit start sb sl
-    end
-    else begin
-      (* parentheses, brackets, comma, semicolon, backtick, ... *)
-      let start = !i and sb = !bol and sl = !line in
-      bump ();
-      emit start sb sl
-    end
-  done;
+  go ();
   {
     tokens = Array.of_list (List.rev !tokens);
     comments = Array.of_list (List.rev !comments);
-    diagnostics = Array.of_list (List.rev !diagnostics);
+    diagnostics = Array.of_list !diagnostics;
   }

@@ -1,4 +1,5 @@
-(** A small OCaml lexer for churnet-lint.
+(** The token stream churnet-lint's rules read, cut by the compiler's
+    own lexer ([compiler-libs]).
 
     [lex] splits a source file into its {e code tokens} and its
     {e comments}, which is exactly the distinction the lint rules need:
@@ -6,18 +7,11 @@
     literal, a quoted string or a character literal, while suppression
     pragmas live inside comments.
 
-    The lexer understands:
-    - nested [(* ... *)] comments, including string and quoted-string
-      literals inside comments (whose content cannot close the comment),
-      and the classic ['"'] character-literal-in-comment corner case;
-    - ["..."] string literals with backslash escapes;
-    - [{id|...|id}] quoted strings with arbitrary lowercase delimiters;
-    - character literals, including escaped ones (['\n'], ['\'']) and
-      ones containing lexer-significant characters (['"'], ['(']),
-      disambiguated from type variables (['a]) and from primes inside
-      identifiers ([x']);
-    - identifiers, numbers, and maximal runs of operator characters
-      (so [->] arrives as a single token, and [Foo.bar] as three).
+    Token text is the source slice of each compiler token, so [->]
+    arrives as one token and [Foo.bar] as three.  Two conventions differ
+    from the compiler's tokens, because the rules read them this way:
+    a label [~x:] / [?x:] arrives as three tokens ([~], [x], [:]), and
+    a type variable ['a] as [a] alone.
 
     String, quoted-string and character literals produce no tokens at
     all: lint rules only ever see real code. *)
@@ -36,22 +30,32 @@ type comment = {
 
 type diagnostic = {
   d_message : string;  (** what is malformed, e.g. unterminated comment *)
-  d_line : int;  (** 1-based line where the offending construct opens *)
-  d_col : int;  (** 1-based column where it opens *)
+  d_line : int;  (** 1-based line of the offending construct *)
+  d_col : int;  (** 1-based column of the offending construct *)
 }
 
 type t = {
   tokens : token array;  (** code tokens, in source order *)
   comments : comment array;  (** comments, in source order *)
   diagnostics : diagnostic array;
-      (** malformed-input notes (unterminated comment, string or quoted
-          string reaching end of file), positioned at the opener so a
+      (** at most one: the lexical error that stopped the scan
+          (unterminated comment or string, illegal character),
+          positioned at the opener of an unterminated construct, so a
           silent truncation of the tail of a file is never invisible *)
 }
 
 val lex : string -> t
-(** [lex source] tokenizes [source].  The lexer is total: malformed
-    input (unterminated comment or string) never raises; scanning stops
-    at end of input and the truncation is reported in
-    {!t.diagnostics}.  Line endings: LF, CRLF and bare CR all advance
-    the line counter; a CR in a CRLF pair never shifts columns. *)
+(** [lex source] tokenizes [source].  Malformed input never raises:
+    scanning stops at the first lexical error, the tokens and comments
+    before it are kept, and the error is reported in {!t.diagnostics}.
+    Line endings are the compiler's: LF or CRLF. *)
+
+val lexbuf : string -> Lexing.lexbuf
+(** A lexing buffer over [source], set up the way {!lex} reads it:
+    documentation comments arrive as plain comments and the compiler's
+    lexer warnings stay quiet.  {!Lint_tree.parse} parses through it. *)
+
+val diagnose : string -> exn -> diagnostic option
+(** [diagnose source e] turns a compiler-libs [Lexer.Error] or
+    [Syntaxerr.Error] raised on [source] into a diagnostic at the
+    compiler's position; [None] for any other exception. *)

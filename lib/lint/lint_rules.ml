@@ -7,7 +7,12 @@ type finding = {
   witness : string list;
 }
 
-type context = { path : string; lex : Lint_lexer.t; has_mli : bool }
+type context = {
+  path : string;
+  lex : Lint_lexer.t;
+  tree : Lint_tree.t;
+  has_mli : bool;
+}
 
 type project = {
   p_graph : Lint_graph.t;
@@ -175,49 +180,52 @@ let no_hashtbl_order =
 (* no-wildcard-exn                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Associating each `with' with its opening `try'/`match' is done with a
-   stack, recording the brace depth at push time so that record updates
-   [{ e with ... }] inside a try body do not steal the pop.  `with type'
-   / `with module' constraints are skipped outright. *)
+(* A handler that catches everything: a [try] case whose pattern is [_]
+   (guarded or not), reported at the [try]'s [with], and a [match] case
+   [exception _], reported at its [exception]. *)
 let no_wildcard_exn =
   let name = "no-wildcard-exn" in
   {
     name;
     doc =
-      "`try ... with _ ->' swallows Out_of_memory, Stack_overflow and \
-       programming errors alike; match the exceptions you mean";
+      "`try ... with _ ->' and `match ... with exception _ ->' swallow \
+       Out_of_memory, Stack_overflow and programming errors alike; match \
+       the exceptions you mean";
     check =
       File
         (fun ctx ->
           let tks = ctx.lex.Lint_lexer.tokens in
           let out = ref [] in
-          let stack = ref [] in
-          let brace_depth = ref 0 in
-          Array.iteri
-            (fun i (t : Lint_lexer.token) ->
-              match t.Lint_lexer.text with
-              | "{" -> incr brace_depth
-              | "}" -> decr brace_depth
-              | "try" -> stack := (`Try, !brace_depth) :: !stack
-              | "match" -> stack := (`Match, !brace_depth) :: !stack
-              | "with" -> (
-                  let next = tok tks (i + 1) in
-                  if next = "type" || next = "module" then ()
-                  else
-                    match !stack with
-                    | (kind, depth) :: rest when depth >= !brace_depth ->
-                        stack := rest;
-                        if kind = `Try && next = "_" && tok tks (i + 2) = "->"
-                        then
-                          out :=
-                            finding ~rule:name ~path:ctx.path ~at:t
-                              "wildcard exception handler: catches \
-                               Out_of_memory/Stack_overflow/Assert_failure; \
-                               name the exception constructors instead"
-                            :: !out
+          let report (p : Lexing.position) =
+            let i = Lint_tree.first_token_at ctx.lex p in
+            if i < Array.length tks then
+              out :=
+                finding ~rule:name ~path:ctx.path ~at:tks.(i)
+                  "wildcard exception handler: catches \
+                   Out_of_memory/Stack_overflow/Assert_failure; name the \
+                   exception constructors instead"
+                :: !out
+          in
+          let expr it (e : Parsetree.expression) =
+            (match e.pexp_desc with
+            | Pexp_try (body, cases)
+              when List.exists
+                     (fun (c : Parsetree.case) -> c.pc_lhs.ppat_desc = Ppat_any)
+                     cases ->
+                report body.pexp_loc.loc_end
+            | Pexp_match (_, cases) ->
+                List.iter
+                  (fun (c : Parsetree.case) ->
+                    match c.pc_lhs.ppat_desc with
+                    | Ppat_exception { ppat_desc = Ppat_any; _ } ->
+                        report c.pc_lhs.ppat_loc.loc_start
                     | _ -> ())
-              | _ -> ())
-            tks;
+                  cases
+            | _ -> ());
+            Ast_iterator.default_iterator.expr it e
+          in
+          let it = { Ast_iterator.default_iterator with expr } in
+          it.structure it ctx.tree.Lint_tree.ast;
           List.rev !out);
   }
 

@@ -2,8 +2,9 @@
 
     Two rule families share it:
 
-    - {e file rules} are pure functions from one lexed source file to
-      findings (the PR 3 token rules);
+    - {e file rules} are pure functions from one lexed and parsed
+      source file to findings (token windows, or Parsetree matches such
+      as no-wildcard-exn's);
     - {e project rules} consume the whole-project semantic pass — the
       {!Lint_tree} structural parse of every unit plus the
       {!Lint_graph} symbol index / call graph — and can therefore see
@@ -38,6 +39,7 @@ type finding = {
 type context = {
   path : string;  (** normalized repo-relative path, '/'-separated *)
   lex : Lint_lexer.t;
+  tree : Lint_tree.t;  (** {!Lint_tree.empty} when the file does not parse *)
   has_mli : bool;  (** a sibling interface file exists for this [.ml] *)
 }
 

@@ -1,25 +1,18 @@
-(** A lightweight structural parser over the {!Lint_lexer} token stream.
+(** The structural summary churnet-lint's semantic rules read, built
+    from the compiler's own Parsetree ([compiler-libs]).
 
-    churnet-lint's semantic rules need just enough structure to reason
-    about dataflow and reachability: which let-bindings exist (with
-    their parameters, module path and nesting), which modules a file
-    opens, aliases or includes, and where lambdas and loops sit.
+    The rules need just enough structure to reason about dataflow and
+    reachability: which let-bindings exist (with their parameters,
+    module path and nesting), which modules a file opens, aliases or
+    includes, and where lambdas and loops sit.  Every construct is
+    recorded as an inclusive token-index range into [lex.tokens], so a
+    rule reads the tokens of a binding's body, and its findings land on
+    real tokens (a binding's on its [let]/[and]).
 
-    The parser is a deliberate heuristic, not a grammar: it tracks
-    bracket/block depth, classifies each [let] by whether its binding
-    is eventually closed by [in] (expression let) or by the next
-    structure item (top-level let), and records spans as inclusive
-    token-index ranges into [lex.tokens].
-
-    Two hard guarantees, checked by qcheck properties in the test
-    suite:
-
-    - totality: {!parse} never raises, on any token stream (the cursor
-      advances monotonically; malformed input degrades to coarser
-      spans);
-    - validity: every recorded span satisfies
-      [0 <= s_first] and [s_last <= Array.length lex.tokens - 1], and a
-      binding's body span lies within its binding span. *)
+    Every non-empty span satisfies [0 <= s_first] and
+    [s_last <= Array.length lex.tokens - 1]; a binding's name and body
+    lie within its binding span, and any two binding spans are either
+    disjoint or nested. *)
 
 type span = {
   s_first : int;  (** first token index of the construct (inclusive) *)
@@ -60,11 +53,20 @@ type t = {
   includes : string array;  (** last segments of [include]d paths *)
   lambdas : span array;  (** [fun]/[function] expressions *)
   loops : span array;  (** [for]/[while] loops *)
+  ast : Parsetree.structure;  (** the parse itself, for rules that match on it *)
 }
 
-val parse : Lint_lexer.t -> t
-(** [parse lex] builds the structural summary of a token stream.  Total:
-    never raises, whatever the input. *)
+val empty : t
+(** The summary of a file that does not parse: nothing in it. *)
+
+val parse : string -> Lint_lexer.t -> (t, Lint_lexer.diagnostic) result
+(** [parse source lex] parses [source] (whose tokens are [lex]) as an
+    implementation.  Malformed input never raises: a file that does not
+    lex or parse is [Error] with the compiler's message and position. *)
+
+val first_token_at : Lint_lexer.t -> Lexing.position -> int
+(** Index of the first token that starts at or after the position;
+    [Array.length lex.tokens] when none does. *)
 
 val span_contains : span -> int -> bool
 (** [span_contains s i] is true when token index [i] lies in [s]. *)
@@ -72,18 +74,9 @@ val span_contains : span -> int -> bool
 val span_within : span -> span -> bool
 (** [span_within inner outer]: does [inner] lie entirely in [outer]? *)
 
-val enclosing_binding : t -> int -> binding option
-(** Innermost binding whose span contains token [i]. *)
-
 val enclosing_toplevel : t -> int -> binding option
 (** Innermost {e top-level} binding whose span contains token [i] — the
     unit of the call graph. *)
-
-val in_lambda : t -> int -> bool
-(** Is token [i] inside a [fun]/[function] body? *)
-
-val in_loop : t -> int -> bool
-(** Is token [i] inside a [for]/[while] body? *)
 
 val in_nested_lambda_or_loop : t -> int -> bool
 (** Is token [i] inside a lambda or loop that is itself nested inside

@@ -26,9 +26,73 @@ let comments src =
 let rule name =
   List.find (fun r -> r.Lint_rules.name = name) Lint_rules.all
 
+(* The structural summary of a synthetic unit; every sample a rule test
+   feeds the semantic pass is valid OCaml, so a parse error is a broken
+   test. *)
+let parse ~path src =
+  let lex = Lint_lexer.lex src in
+  match Lint_tree.parse src lex with
+  | Ok tree -> (lex, tree)
+  | Error d ->
+      Alcotest.failf "%s:%d:%d does not parse: %s" path d.Lint_lexer.d_line
+        d.Lint_lexer.d_col d.Lint_lexer.d_message
+
+(* The guarantees Lint_tree promises, checked on every unit a rule test
+   parses: each span is a well-formed inclusive range into the token
+   array, a binding's name and body lie inside its binding span, and any
+   two binding spans are disjoint or nested (the invariant the call
+   graph's innermost-wins attribution rests on). *)
+let check_invariants ~what (lex : Lint_lexer.t) (tree : Lint_tree.t) =
+  let tks = lex.Lint_lexer.tokens in
+  let n = Array.length tks in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail (what ^ ": " ^ m)) fmt in
+  let check_span label (s : Lint_tree.span) =
+    if s.Lint_tree.s_first <= s.Lint_tree.s_last
+       && (s.Lint_tree.s_first < 0 || s.Lint_tree.s_last >= n)
+    then
+      fail "%s span %d..%d outside 0..%d" label s.Lint_tree.s_first
+        s.Lint_tree.s_last (n - 1)
+  in
+  let bs = tree.Lint_tree.bindings in
+  Array.iteri
+    (fun i (b : Lint_tree.binding) ->
+      let sp = b.Lint_tree.b_span in
+      check_span ("binding " ^ b.Lint_tree.b_name) sp;
+      if sp.Lint_tree.s_first > sp.Lint_tree.s_last then
+        fail "binding %s has an empty binding span" b.Lint_tree.b_name;
+      if not (Lint_tree.span_contains sp b.Lint_tree.b_name_index) then
+        fail "binding %s: name index %d outside span %d..%d" b.Lint_tree.b_name
+          b.Lint_tree.b_name_index sp.Lint_tree.s_first sp.Lint_tree.s_last;
+      let body = b.Lint_tree.b_body in
+      if
+        body.Lint_tree.s_first <= body.Lint_tree.s_last
+        && not (Lint_tree.span_within body sp)
+      then
+        fail "binding %s: body %d..%d escapes span %d..%d" b.Lint_tree.b_name
+          body.Lint_tree.s_first body.Lint_tree.s_last sp.Lint_tree.s_first
+          sp.Lint_tree.s_last;
+      for j = i + 1 to Array.length bs - 1 do
+        let a = sp and c = bs.(j).Lint_tree.b_span in
+        if
+          not
+            (Lint_tree.span_within a c || Lint_tree.span_within c a
+            || a.Lint_tree.s_last < c.Lint_tree.s_first
+            || c.Lint_tree.s_last < a.Lint_tree.s_first)
+        then
+          fail "bindings %s and %s partially overlap" b.Lint_tree.b_name
+            bs.(j).Lint_tree.b_name
+      done)
+    bs;
+  Array.iter (check_span "lambda") tree.Lint_tree.lambdas;
+  Array.iter (check_span "loop") tree.Lint_tree.loops;
+  Array.iter
+    (fun (o : Lint_tree.open_decl) -> check_span "open scope" o.Lint_tree.o_scope)
+    tree.Lint_tree.opens
+
 (* Run one file rule over a synthetic file at a chosen fake path. *)
 let run_rule ?(has_mli = true) name ~path src =
-  let ctx = { Lint_rules.path; lex = Lint_lexer.lex src; has_mli } in
+  let lex, tree = parse ~path src in
+  let ctx = { Lint_rules.path; lex; tree; has_mli } in
   match (rule name).Lint_rules.check with
   | Lint_rules.File check -> check ctx
   | Lint_rules.Project _ | Lint_rules.Synthetic ->
@@ -40,8 +104,9 @@ let run_project_rule name ~units ~interfaces =
   let parsed =
     List.map
       (fun (path, src) ->
-        let lex = Lint_lexer.lex src in
-        (path, lex, Lint_tree.parse lex))
+        let lex, tree = parse ~path src in
+        check_invariants ~what:path lex tree;
+        (path, lex, tree))
       units
   in
   let project =
@@ -116,6 +181,19 @@ let test_type_variables () =
       "let"; "x'"; "="; "1"; "let"; "g"; "="; "x'"; "+"; "2" ]
     (texts src)
 
+let test_labels () =
+  (* The compiler's one [~x:] token arrives as three, and a punned [~x]
+     as two, the way the rules read labels. *)
+  let src = "let f ~x:y ?z:(w = 1) ~compare = g ~key:compare ?opt" in
+  check_strings "labels split"
+    [ "let"; "f"; "~"; "x"; ":"; "y"; "?"; "z"; ":"; "("; "w"; "="; "1"; ")";
+      "~"; "compare"; "="; "g"; "~"; "key"; ":"; "compare"; "?"; "opt" ]
+    (texts src);
+  let lex = Lint_lexer.lex src in
+  let tk i = lex.Lint_lexer.tokens.(i) in
+  Alcotest.(check (list int)) "label parts keep their columns" [ 7; 8; 9 ]
+    [ (tk 2).Lint_lexer.col; (tk 3).Lint_lexer.col; (tk 4).Lint_lexer.col ]
+
 let test_comment_with_string_containing_closer () =
   let src = "(* has \"*)\" inside *) let ok = 1" in
   check_strings "string inside comment protects closer"
@@ -143,10 +221,15 @@ let test_crlf_positions () =
       check_int "same line" u.Lint_lexer.line d.Lint_lexer.line;
       check_int "same col" u.Lint_lexer.col d.Lint_lexer.col)
     unix.Lint_lexer.tokens;
-  (* A bare \r (legacy Mac ending) still separates lines. *)
+  (* A bare \r (legacy Mac ending) is not an OCaml line break: the
+     compiler stops there, and so does the scan, with a diagnostic. *)
   let mac = Lint_lexer.lex "let x = 1\rlet y = 2" in
-  check_int "bare CR counts as a newline" 2
-    mac.Lint_lexer.tokens.(4).Lint_lexer.line
+  check_int "tokens before the bare CR kept" 4 (Array.length mac.Lint_lexer.tokens);
+  match mac.Lint_lexer.diagnostics with
+  | [| d |] ->
+      check_int "bare CR diagnostic line" 1 d.Lint_lexer.d_line;
+      check_int "bare CR diagnostic col" 10 d.Lint_lexer.d_col
+  | other -> Alcotest.failf "expected 1 diagnostic, got %d" (Array.length other)
 
 let test_unterminated_diagnostics () =
   let lex = Lint_lexer.lex "let x = 1\n(* never closed" in
@@ -246,6 +329,33 @@ let test_wildcard_exn () =
   let bad3 = "let f r = try { r with n = r.n + 1 } with _ -> r" in
   check_int "record update then wildcard caught" 1
     (rules_fired "no-wildcard-exn" ~path:"lib/util/fake.ml" bad3)
+
+let test_wildcard_exn_leading_bar () =
+  let bad = "let f () = try g () with\n  | _ -> 0" in
+  match run_rule "no-wildcard-exn" ~path:"lib/util/fake.ml" bad with
+  | [ f ] ->
+      check_int "at the try's with: line" 1 f.Lint_rules.line;
+      check_int "at the try's with: col" 21 f.Lint_rules.col
+  | other -> Alcotest.failf "expected 1 finding, got %d" (List.length other)
+
+let test_wildcard_exn_guarded () =
+  let bad = "let f () = try g () with _ when ready () -> 0" in
+  check_int "guarded wildcard caught" 1
+    (rules_fired "no-wildcard-exn" ~path:"lib/util/fake.ml" bad);
+  let bad2 = "let f () = try g () with Not_found -> 1 | _ -> 0" in
+  check_int "wildcard after a named case caught" 1
+    (rules_fired "no-wildcard-exn" ~path:"lib/util/fake.ml" bad2)
+
+let test_wildcard_exn_match () =
+  let bad = "let f () =\n  match g () with\n  | x -> x\n  | exception _ -> 0" in
+  (match run_rule "no-wildcard-exn" ~path:"lib/util/fake.ml" bad with
+  | [ f ] ->
+      check_int "at the exception case: line" 4 f.Lint_rules.line;
+      check_int "at the exception case: col" 5 f.Lint_rules.col
+  | other -> Alcotest.failf "expected 1 finding, got %d" (List.length other));
+  let ok = "let f () = match g () with x -> x | exception Not_found -> 0" in
+  check_int "named exception case fine" 0
+    (rules_fired "no-wildcard-exn" ~path:"lib/util/fake.ml" ok)
 
 let test_wallclock () =
   let bad = "let t = Unix.gettimeofday ()" in
@@ -788,6 +898,50 @@ let test_bad_syntax () =
       | other ->
           Alcotest.failf "expected 1 finding, got %d" (List.length other))
 
+let test_parse_error () =
+  in_temp_tree (fun () ->
+      write_file "lib/core/bad.ml" bad_sort_ml;
+      write_file "lib/core/bad.mli" "";
+      let findings () =
+        List.map
+          (fun f ->
+            Printf.sprintf "%s:%d:%d [%s]" f.Lint_rules.file f.Lint_rules.line
+              f.Lint_rules.col f.Lint_rules.rule)
+          (run_engine [ "lib" ]).Lint_engine.findings
+      in
+      (* Lexes, does not parse: the compiler stops at the second [=]. *)
+      write_file "lib/core/twice.ml" "let ok = 1\nlet x = = 1\n";
+      write_file "lib/core/twice.mli" "";
+      check_strings "one bad-syntax finding, the other file still linted"
+        [ "lib/core/bad.ml:2:21 [no-polymorphic-sort]";
+          "lib/core/twice.ml:2:9 [bad-syntax]" ]
+        (findings ());
+      (* An unclosed parenthesis: the compiler names the opener. *)
+      Sys.remove "lib/core/twice.ml";
+      write_file "lib/core/open.ml" "let x =\n  (1 + 2\n";
+      write_file "lib/core/open.mli" "";
+      check_strings "unclosed paren reported at the compiler's position"
+        [ "lib/core/bad.ml:2:21 [no-polymorphic-sort]";
+          "lib/core/open.ml:2:3 [bad-syntax]" ]
+        (findings ()))
+
+let test_every_rule_fires () =
+  (* The fixture tree carries one deliberate violation per rule; its
+     expected report (diffed against the linter's output by test/dune)
+     must name every rule, the engine's own included, so a rule without
+     a fixture cannot slip in. *)
+  let expected = In_channel.with_open_bin "_lint_fixtures/expected.txt" In_channel.input_all in
+  let contains sub =
+    let n = String.length sub and m = String.length expected in
+    let rec at i = i + n <= m && (String.sub expected i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun r ->
+      check_bool (Printf.sprintf "[%s] fires on the fixtures" r) true
+        (contains ("[" ^ r ^ "]")))
+    (Lint_rules.names @ Lint_engine.engine_rules)
+
 let test_root_flag () =
   in_temp_tree (fun () ->
       (* The tree lives under fixture/, not the cwd; --root makes paths
@@ -841,6 +995,7 @@ let suite =
     ("lexer: quoted strings", `Quick, test_quoted_strings);
     ("lexer: char literals", `Quick, test_char_literals);
     ("lexer: type variables", `Quick, test_type_variables);
+    ("lexer: labels", `Quick, test_labels);
     ( "lexer: comment-with-closer string",
       `Quick,
       test_comment_with_string_containing_closer );
@@ -852,6 +1007,9 @@ let suite =
     ("rule: stdlib random", `Quick, test_stdlib_random);
     ("rule: hashtbl order", `Quick, test_hashtbl_order);
     ("rule: wildcard exn", `Quick, test_wildcard_exn);
+    ("rule: wildcard exn leading bar", `Quick, test_wildcard_exn_leading_bar);
+    ("rule: wildcard exn guarded", `Quick, test_wildcard_exn_guarded);
+    ("rule: wildcard exn in match", `Quick, test_wildcard_exn_match);
     ("rule: wallclock", `Quick, test_wallclock);
     ("rule: mli coverage", `Quick, test_mli_coverage);
     ("rule: print in lib", `Quick, test_print_in_lib);
@@ -881,6 +1039,8 @@ let suite =
     ("engine: unused pragma", `Quick, test_unused_pragma);
     ("engine: mli pragma", `Quick, test_unused_pragma_in_mli);
     ("engine: bad syntax", `Quick, test_bad_syntax);
+    ("engine: parse error", `Quick, test_parse_error);
+    ("engine: every rule fires", `Quick, test_every_rule_fires);
     ("engine: root flag", `Quick, test_root_flag);
     ("engine: json witness and doc", `Quick, test_to_json_witness_and_doc);
   ]

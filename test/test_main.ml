@@ -9,7 +9,6 @@ let () =
       ("codec", Test_codec.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("lint", Test_lint.suite);
-      ("lint-properties", Test_lint_properties.suite);
       ("graph", Test_graph.suite);
       ("churn", Test_churn.suite);
       ("models", Test_models.suite);
