@@ -47,9 +47,9 @@ let () =
      exit 2);
   if !list_rules then begin
     List.iter
-      (fun (r : Lint_rules.rule) ->
-        print_endline (Printf.sprintf "%-22s %s" r.Lint_rules.name r.Lint_rules.doc))
-      Lint_rules.all;
+      (fun (name, doc) -> print_endline (Printf.sprintf "%-22s %s" name doc))
+      (List.map (fun (r : Lint_rules.rule) -> (r.Lint_rules.name, r.Lint_rules.doc)) Lint_rules.all
+      @ Lint_engine.engine_rule_docs);
     exit 0
   end;
   let exists p =

@@ -1,6 +1,7 @@
 module Dyngraph = Churnet_graph.Dyngraph
 module Prng = Churnet_util.Prng
 module Intvec = Churnet_util.Intvec
+module Intset = Churnet_util.Intset
 
 type strategy = Push | Pull | Push_pull
 
@@ -44,8 +45,8 @@ let run ?max_rounds ~rng ~strategy model =
   in
   let graph = Models.graph model in
   let source = plant_source model in
-  let informed : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.replace informed source ();
+  let informed = Intset.create 1024 in
+  Intset.add informed source;
   let informed_log = ref [ 1 ] in
   let population_log = ref [ Dyngraph.alive_count graph ] in
   let messages = ref 0 in
@@ -62,51 +63,55 @@ let run ?max_rounds ~rng ~strategy model =
     let k = Intvec.length neigh in
     if k = 0 then -1 else Intvec.get neigh (Prng.int rng k)
   in
+  (* Per-round scratch: the informed set in its iteration order, and the
+     nodes each round informs, in discovery order. *)
+  let members = Intvec.create () and newly = Intvec.create () in
   while (not !completed) && (not !extinct) && !r < max_rounds do
     incr r;
     (* Exchanges happen on the snapshot at the start of the round. *)
-    let newly = ref [] in
-    if strategy = Push || strategy = Push_pull then
-      (* lint: allow no-hashtbl-order — push order follows the informed set's
-         insertion history, itself a pure function of the seed; newly-informed
-         nodes are applied in one batch after the sweep. *)
-      Hashtbl.iter
-        (fun u () ->
-          if Dyngraph.is_alive graph u then begin
-            let v = random_neighbor u in
-            if v >= 0 then begin
-              incr messages;
-              if not (Hashtbl.mem informed v) then newly := v :: !newly
-            end
-          end)
-        informed;
+    Intvec.clear newly;
+    if strategy = Push || strategy = Push_pull then begin
+      Intset.to_intvec informed members;
+      for i = 0 to Intvec.length members - 1 do
+        let u = Intvec.get members i in
+        if Dyngraph.is_alive graph u then begin
+          let v = random_neighbor u in
+          if v >= 0 then begin
+            incr messages;
+            if not (Intset.mem informed v) then Intvec.push newly v
+          end
+        end
+      done
+    end;
     if strategy = Pull || strategy = Push_pull then
       Dyngraph.iter_alive graph (fun v ->
-          if not (Hashtbl.mem informed v) then begin
+          if not (Intset.mem informed v) then begin
             let u = random_neighbor v in
             if u >= 0 then begin
               incr messages;
-              if Hashtbl.mem informed u then newly := v :: !newly
+              if Intset.mem informed u then Intvec.push newly v
             end
           end);
-    List.iter (fun v -> Hashtbl.replace informed v ()) !newly;
+    (* Newly informed nodes join last-discovered first, the order the
+       set's history (and so every later push sweep) is pinned to. *)
+    for i = Intvec.length newly - 1 downto 0 do
+      Intset.add informed (Intvec.get newly i)
+    done;
     (* Churn advances one round / unit of time. *)
     advance_one_round model;
-    (* Drop the dead. *)
-    let dead = ref [] in
-    (* lint: allow no-hashtbl-order — collects dead members for removal;
-       removals commute. *)
-    Hashtbl.iter
-      (fun id () -> if not (Dyngraph.is_alive graph id) then dead := id :: !dead)
-      informed;
-    List.iter (Hashtbl.remove informed) !dead;
+    (* Drop the dead; removals commute. *)
+    Intset.to_intvec informed members;
+    for i = 0 to Intvec.length members - 1 do
+      let id = Intvec.get members i in
+      if not (Dyngraph.is_alive graph id) then Intset.remove informed id
+    done;
     let alive = Dyngraph.alive_count graph in
-    let inf = Hashtbl.length informed in
+    let inf = Intset.length informed in
     informed_log := inf :: !informed_log;
     population_log := alive :: !population_log;
     let newborn = newest_of model in
     let uninformed = alive - inf in
-    if uninformed = 0 || (uninformed = 1 && not (Hashtbl.mem informed newborn)) then begin
+    if uninformed = 0 || (uninformed = 1 && not (Intset.mem informed newborn)) then begin
       completed := true;
       completion_round := Some !r
     end

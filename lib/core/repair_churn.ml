@@ -2,12 +2,13 @@ module Dyngraph = Churnet_graph.Dyngraph
 module Poisson_churn = Churnet_churn.Poisson_churn
 module Prng = Churnet_util.Prng
 module Intvec = Churnet_util.Intvec
+module Intset = Churnet_util.Intset
 
 type t = {
   n : int;
   graph : Dyngraph.t;
   churn : Poisson_churn.t;
-  owing : (int, unit) Hashtbl.t; (* nodes with out-slots to refill *)
+  owing : Intset.t; (* nodes with out-slots to refill *)
   orphans : Intvec.t; (* scratch: a victim's in-neighbours *)
   pending : Intvec.t; (* scratch: the queue handed out by [queue] *)
 }
@@ -19,7 +20,7 @@ let create ~rng ~n ~d =
     n;
     graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate:false ();
     churn = Poisson_churn.create ~rng:churn_rng ~n ();
-    owing = Hashtbl.create 256;
+    owing = Intset.create 256;
     orphans = Intvec.create ();
     pending = Intvec.create ();
   }
@@ -27,12 +28,9 @@ let create ~rng ~n ~d =
 let graph t = t.graph
 let time t = Poisson_churn.time t.churn
 let round t = Poisson_churn.round t.churn
-let owe t id = Hashtbl.replace t.owing id ()
-let settle t id = Hashtbl.remove t.owing id
-
-(* [reset], not [clear]: [clear] keeps an enlarged bucket array, which
-   would change the iteration order of later passes. *)
-let forgive_all t = Hashtbl.reset t.owing
+let owe t id = Intset.add t.owing id
+let settle t id = Intset.remove t.owing id
+let forgive_all t = Intset.reset t.owing
 
 let jump t =
   if Poisson_churn.decide_birth t.churn ~alive:(Dyngraph.alive_count t.graph) then -1
@@ -49,18 +47,13 @@ let jump t =
   end
 
 let queue t =
-  Intvec.clear t.pending;
-  (* lint: allow no-hashtbl-order — repair order follows the table's
-     insertion history, itself a pure function of the seed; replays are
-     bit-identical. *)
-  Hashtbl.iter (fun id () -> Intvec.push t.pending id) t.owing;
+  Intset.to_intvec t.owing t.pending;
   t.pending
 
 let missing_slots t =
   let d = Dyngraph.d t.graph and acc = ref 0 in
-  (* lint: allow no-hashtbl-order — pure sum over entries; addition commutes. *)
-  Hashtbl.iter
-    (fun id () ->
+  Intset.iter
+    (fun id ->
       if Dyngraph.is_alive t.graph id then acc := !acc + (d - Dyngraph.out_degree t.graph id))
     t.owing;
   !acc

@@ -4,9 +4,11 @@
 
     The base owns the arena (never regenerating by itself), the churn
     clock and the {e owing set}: the nodes that have lost out-slots and
-    still have to refill them.  The set is a hash table whose iteration
-    order, a pure function of the seed, fixes the order of every repair
-    pass (DESIGN.md §4). *)
+    still have to refill them.  The set is a [Churnet_util.Intset], which
+    iterates in the order of a [Stdlib.Hashtbl] with the same history;
+    that order, a pure function of the seed, fixes the order of every
+    repair pass (DESIGN.md §4), and owing, settling and queueing
+    allocate nothing once the set has reached its working size. *)
 
 type t
 
@@ -30,7 +32,8 @@ val owe : t -> Churnet_graph.Dyngraph.node_id -> unit
 val settle : t -> Churnet_graph.Dyngraph.node_id -> unit
 
 val forgive_all : t -> unit
-(** Empty the owing set, shrinking the table back to its initial size. *)
+(** Empty the owing set, shrinking it back to its initial bucket count
+    (as [Hashtbl.reset] does). *)
 
 val queue : t -> Churnet_util.Intvec.t
 (** The owing set in table order, in a scratch vector the next call

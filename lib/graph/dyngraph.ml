@@ -102,6 +102,7 @@ let[@inline] slot_of t id =
   if id < t.base || id >= t.next_id then -1 else t.slot_of_id.(id - t.base)
 
 let is_alive t id = slot_of t id >= 0
+let slot = slot_of
 
 let get_slot t id =
   let s = slot_of t id in

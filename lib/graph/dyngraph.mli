@@ -107,6 +107,13 @@ val churn_batch : t -> decisions:Bytes.t -> count:int -> birth0:int -> unit
 
 val alive_count : t -> int
 val is_alive : t -> node_id -> bool
+val slot : t -> node_id -> int
+(** The arena slot of an alive node, in [\[0, n)] where [n] is the
+    largest number of nodes ever alive at once; -1 for a dead or unknown
+    id.  O(1).  A slot is the node's only while it lives: a later
+    newborn may reuse it, so per-node side tables indexed by slot must
+    reset the row at each birth. *)
+
 val random_alive : t -> node_id
 (** Uniform alive node; raises if the graph is empty. *)
 

@@ -17,7 +17,15 @@ type outcome = {
    lex or parse).  They are valid pragma targets. *)
 let bad_pragma_rule = "bad-pragma"
 let bad_syntax_rule = "bad-syntax"
-let engine_rules = [ bad_pragma_rule; bad_syntax_rule ]
+let engine_rule_docs =
+  [
+    (bad_pragma_rule, "malformed or unreasoned lint suppression pragma");
+    ( bad_syntax_rule,
+      "the file does not lex or parse as OCaml; rules that read its structure did not check it, \
+       nor token rules past a lexical error" );
+  ]
+
+let engine_rules = List.map fst engine_rule_docs
 
 let known_rule name = Lint_rules.is_rule name || List.mem name engine_rules
 
@@ -275,13 +283,7 @@ let to_json outcome =
           Lint_rules.all
       with
       | Some r -> r.Lint_rules.doc
-      | None ->
-          if f.Lint_rules.rule = bad_pragma_rule then
-            "malformed or unreasoned lint suppression pragma"
-          else if f.Lint_rules.rule = bad_syntax_rule then
-            "the file does not lex or parse as OCaml; rules that read its \
-             structure did not check it, nor token rules past a lexical error"
-          else ""
+      | None -> Option.value ~default:"" (List.assoc_opt f.Lint_rules.rule engine_rule_docs)
     in
     Json.Obj
       [

@@ -44,6 +44,10 @@ val engine_rules : string list
 (** The rules the engine reports itself, outside {!Lint_rules.all}:
     [bad-pragma] and [bad-syntax]. *)
 
+val engine_rule_docs : (string * string) list
+(** {!engine_rules} with the one-line description that [--list-rules]
+    prints and the JSON report gives their findings. *)
+
 val run : config -> (outcome, string) result
 (** Scan, lint, apply pragmas, and honor [json_path].  [Error msg]
     reports unusable inputs (a missing path, an unreadable file); it

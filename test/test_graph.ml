@@ -403,12 +403,17 @@ let test_slot_recycling_generations () =
     List.iter (fun id -> Dyngraph.kill g id) victims;
     check_int "graph emptied" 0 (Dyngraph.alive_count g);
     List.iter
-      (fun id -> check_bool "killed id stays dead" false (Dyngraph.is_alive g id))
+      (fun id ->
+        check_bool "killed id stays dead" false (Dyngraph.is_alive g id);
+        check_int "a dead id has no slot" (-1) (Dyngraph.slot g id))
       victims;
     for i = 1 to 20 do
       record (Dyngraph.add_node g ~birth:((100 * gen) + i))
     done;
     check_int "repopulated" 20 (Dyngraph.alive_count g);
+    (* The newborns took over the 20 freed slots, one each. *)
+    let slots = List.map (Dyngraph.slot g) (Array.to_list (Dyngraph.alive_ids g)) in
+    Alcotest.(check (list int)) "slots = 0..19" (List.init 20 Fun.id) (List.sort Int.compare slots);
     assert_invariants g
   done;
   (* Hooks saw exactly the external ids we recorded, each once. *)

@@ -1,4 +1,4 @@
-(* Tests for Kl, Heap, Bitset, Table, Asciiplot, Intvec and Parallel. *)
+(* Tests for Kl, Heap, Bitset, Table, Asciiplot, Intvec, Intset and Parallel. *)
 open Churnet_util
 
 let check_bool = Alcotest.(check bool)
@@ -419,6 +419,59 @@ let intvec_qcheck =
         && sorted_of v ys = List.sort_uniq Int.compare ys);
   ]
 
+(* --- Intset --- *)
+
+(* [Intset] against the table whose order it reproduces: random add /
+   remove / mem / length / reset sequences, with the whole iteration
+   order compared after every operation.  Adds outweigh removes and the
+   key ranges reach 16 times the initial bucket count, so the set grows
+   past 2 and (from 256) 4 and 8 times its buckets; rare resets make it
+   shrink and grow again. *)
+let test_intset_matches_hashtbl () =
+  let rng = Prng.create 2024 in
+  let got = Intvec.create () and want = Intvec.create () in
+  List.iter
+    (fun initial ->
+      List.iter
+        (fun spread ->
+          let range = spread * initial in
+          let s = Intset.create initial and h = Hashtbl.create ~random:false initial in
+          for op = 1 to 5000 do
+            let k = Prng.int rng (range + (range / 8)) - (range / 8) in
+            let r = Prng.int rng 10_000 in
+            if r < 7000 then begin
+              Intset.add s k;
+              Hashtbl.replace h k ()
+            end
+            else if r < 8500 then begin
+              Intset.remove s k;
+              Hashtbl.remove h k
+            end
+            else if r < 9998 then
+              check_bool "mem" (Hashtbl.mem h k) (Intset.mem s k)
+            else begin
+              Intset.reset s;
+              Hashtbl.reset h
+            end;
+            check_int "length" (Hashtbl.length h) (Intset.length s);
+            Intset.to_intvec s got;
+            Intvec.clear want;
+            Hashtbl.iter (fun k () -> Intvec.push want k) h;
+            for i = 0 to Intvec.length want - 1 do
+              if Intvec.get got i <> Intvec.get want i then
+                Alcotest.failf "initial %d, spread %d, op %d: key %d at %d, Hashtbl has %d" initial
+                  spread op (Intvec.get got i) i (Intvec.get want i)
+            done
+          done;
+          let seen = ref [] in
+          Intset.iter (fun k -> seen := k :: !seen) s;
+          Alcotest.(check (list int))
+            "iter = to_intvec"
+            (List.init (Intvec.length got) (Intvec.get got))
+            (List.rev !seen))
+        [ 2; 4; 16 ])
+    [ 256; 1024 ]
+
 let suite =
   [
     ("entropy uniform", `Quick, test_entropy_uniform);
@@ -436,6 +489,7 @@ let suite =
     ("heap clear", `Quick, test_heap_clear);
     ("heap growth", `Quick, test_heap_growth);
     ("heap FIFO across growth boundary", `Quick, test_heap_fifo_interleaved_growth);
+    ("intset = Hashtbl order", `Quick, test_intset_matches_hashtbl);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset iter", `Quick, test_bitset_iter);
     ("bitset clear", `Quick, test_bitset_clear);
