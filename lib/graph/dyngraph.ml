@@ -3,45 +3,59 @@ module Intvec = Churnet_util.Intvec
 
 type node_id = int
 
-(* Slot-arena representation.  Node ids are external, monotone, never
-   reused; slots are internal, dense, recycled through a free list.  All
-   per-node state lives in parallel arrays indexed by slot, so the churn
-   hot path (kill + regeneration + birth) walks flat int arrays instead
-   of chasing hashtable buckets, and steady-state operation allocates
-   nothing.
+(* Paged slot arena.  Node ids are external, monotone, never reused;
+   slots are internal, dense, recycled through a free list.  Slot [s]
+   owns one row of [width = 3d + 7] ints, row [s mod 256] of row page
+   [s / 256]:
 
-     id_of_slot.(s)    id living in slot s, -1 when s is free
-     birth_of_slot.(s) its birth stamp
-     out.(s*d + i)     target id of out-slot i, -1 = empty
-     in_edges.(s)      in-neighbor ids, duplicates = edge multiplicity
-     alive_pos.(s)     position of the id in the dense [alive] array
-     prev/next_slot    doubly-linked list of alive slots in birth order
-                       (oldest_slot .. youngest_slot), giving O(1)
-                       oldest_alive / newest_alive
+     0        id         id living in slot s, -1 when s is free
+     1        birth      its birth stamp
+     2        alive_pos  position of the id in the dense [alive] array
+     3, 4     prev/next  doubly-linked list of alive slots in birth order
+                         (oldest_slot .. youngest_slot), giving O(1)
+                         oldest_alive / newest_alive
+     5 ..     out        d out-slots: target id, -1 = empty
+     5 + d    in count   k, the length of the in-edge list
+     6 + d .. in block   its first min k (2d+1) in-neighbor ids
 
-   The id -> slot map is a plain array over the window
-   [base, base + length slot_of_id): ids below [base] are dead forever
-   (ids are monotone), so the window slides forward and is compacted or
-   doubled only when a new id falls off its end — amortized O(1) per
-   birth.  See DESIGN.md, "Graph arena & CSR snapshots". *)
+   The in-edge list is a multiset (duplicates = edge multiplicity) whose
+   entries past the block continue in the slot's spill [Intvec]: its
+   order and every swap-remove are exactly one [Intvec]'s.  A spill is
+   made at the slot's first overflow and kept, cleared, when the slot is
+   recycled.  So one row holds everything the churn hot path (kill +
+   regeneration + birth) reads of a node, and the arena grows by
+   appending pages: no row is ever copied, and steady-state operation
+   allocates nothing.
+
+   The id -> slot map is a ring of 1024-id pages that covers the ids
+   from the oldest alive one's page to [next_id].  Ids are monotone, so
+   a page below the oldest alive id holds dead ids only; it stays in
+   the ring as a spare for a later page.  [base] and [window_len] keep
+   stepping as the flat sliding window this map replaced did, only so
+   that a checkpoint's bytes do not change.  See DESIGN.md, "Graph arena
+   & CSR snapshots". *)
 type t = {
   d : int;
   regenerate : bool;
   rng : Prng.t;
-  mutable cap : int; (* slots allocated in the arena *)
+  width : int; (* ints per row *)
+  len_at : int; (* row offset of the in-edge count; the block follows it *)
+  blk : int; (* in-edge ids held in the row: 2d + 1 *)
+  mutable cap : int; (* slots allocated in the arena, 256 per page *)
   mutable used : int; (* high-water mark: slots ever handed out *)
   free : Intvec.t; (* recycled slots, reused LIFO *)
-  mutable id_of_slot : int array;
-  mutable birth_of_slot : int array;
-  mutable out : int array; (* flat [cap * d] out-slot matrix *)
-  mutable in_edges : Intvec.t array;
-  mutable alive_pos : int array;
-  mutable prev_slot : int array;
-  mutable next_slot : int array;
+  mutable rows : int array array; (* row pages *)
+  mutable spills : Intvec.t array array; (* per-slot spills, paged as [rows] *)
+  no_spill : Intvec.t; (* the spill of a slot that never overflowed; stays empty *)
   mutable oldest_slot : int;
   mutable youngest_slot : int;
-  mutable base : int; (* smallest id the slot map can still resolve *)
-  mutable slot_of_id : int array; (* (id - base) -> slot, -1 = dead *)
+  mutable id_pages : int array array; (* ring of id pages, [||] = not made yet *)
+  mutable id_head : int; (* ring cell of page [id_lo] *)
+  mutable id_count : int; (* live pages: [id_lo, id_lo + id_count) *)
+  mutable id_spare : int; (* spare pages after them in the ring *)
+  mutable id_lo : int; (* page of the oldest alive id, of [next_id] when none *)
+  mutable base : int; (* start of the serialized id window *)
+  mutable window_len : int; (* its serialized capacity *)
   mutable alive : int array; (* dense array of alive ids, for O(1) sampling *)
   mutable alive_len : int;
   mutable next_id : int;
@@ -54,29 +68,57 @@ type t = {
   mutable birth_hook : (node_id -> birth:int -> unit) option;
 }
 
-let initial_cap = 256
+(* Row fields. *)
+let f_id = 0
+let f_birth = 1
+let f_pos = 2
+let f_prev = 3
+let f_next = 4
+let f_out = 5
+let page_bits = 8
+let page_slots = 1 lsl page_bits
+let page_mask = page_slots - 1
+let id_page_bits = 10
+let id_page_len = 1 lsl id_page_bits
+let id_page_mask = id_page_len - 1
+let initial_cap = page_slots
 let initial_window = 1024
+
+(* A page of pristine rows: free, no out-edges, no in-edges. *)
+let row_page ~width ~len_at =
+  let p = Array.make (page_slots * width) (-1) in
+  for r = 0 to page_slots - 1 do
+    p.((r * width) + f_birth) <- 0;
+    p.((r * width) + len_at) <- 0
+  done;
+  p
 
 let create ~rng ~d ~regenerate () =
   if d <= 0 then invalid_arg "Dyngraph.create: d must be positive";
+  let width = f_out + d + 1 + ((2 * d) + 1) and len_at = f_out + d in
+  let no_spill = Intvec.create ~capacity:1 () in
   {
     d;
     regenerate;
     rng;
+    width;
+    len_at;
+    blk = (2 * d) + 1;
     cap = initial_cap;
     used = 0;
     free = Intvec.create ~capacity:64 ();
-    id_of_slot = Array.make initial_cap (-1);
-    birth_of_slot = Array.make initial_cap 0;
-    out = Array.make (initial_cap * d) (-1);
-    in_edges = Array.init initial_cap (fun _ -> Intvec.create ~capacity:4 ());
-    alive_pos = Array.make initial_cap (-1);
-    prev_slot = Array.make initial_cap (-1);
-    next_slot = Array.make initial_cap (-1);
+    rows = [| row_page ~width ~len_at |];
+    spills = [| Array.make page_slots no_spill |];
+    no_spill;
     oldest_slot = -1;
     youngest_slot = -1;
+    id_pages = [| Array.make id_page_len (-1) |];
+    id_head = 0;
+    id_count = 0;
+    id_spare = 1;
+    id_lo = 0;
     base = 0;
-    slot_of_id = Array.make initial_window (-1);
+    window_len = initial_window;
     alive = Array.make 1024 (-1);
     alive_len = 0;
     next_id = 0;
@@ -98,9 +140,22 @@ let death_hook t = t.death_hook
 let set_birth_hook t hook = t.birth_hook <- hook
 let alive_count t = t.alive_len
 
-let[@inline] slot_of t id =
-  if id < t.base || id >= t.next_id then -1 else t.slot_of_id.(id - t.base)
+(* Row page of slot [s], and the offset of its row in it. *)
+let[@inline] page t s = t.rows.(s lsr page_bits)
+let[@inline] off t s = (s land page_mask) * t.width
+let[@inline] field t s f = (page t s).(off t s + f)
+let[@inline] set_field t s f v = (page t s).(off t s + f) <- v
+let[@inline] spill t s = t.spills.(s lsr page_bits).(s land page_mask)
 
+(* Ring cell of the (live) page holding [id]. *)
+let[@inline] id_cell t id =
+  (t.id_head + (id asr id_page_bits) - t.id_lo) land (Array.length t.id_pages - 1)
+
+let[@inline] slot_of t id =
+  if id >= t.next_id || id asr id_page_bits < t.id_lo then -1
+  else t.id_pages.(id_cell t id).(id land id_page_mask)
+
+let set_slot_of t id s = t.id_pages.(id_cell t id).(id land id_page_mask) <- s
 let is_alive t id = slot_of t id >= 0
 let slot = slot_of
 
@@ -109,84 +164,173 @@ let get_slot t id =
   if s < 0 then invalid_arg (Printf.sprintf "Dyngraph: node %d is not alive" id);
   s
 
+(* --- In-edge lists: the row's block, then the slot's spill ---------- *)
+
+(* Entry [i] of slot [s]'s in-edge list, [p]/[o] being its row. *)
+let[@inline] in_get t s p o i =
+  if i < t.blk then p.(o + t.len_at + 1 + i) else Intvec.get (spill t s) (i - t.blk)
+
+let in_push t s v =
+  let p = page t s and o = off t s in
+  let k = p.(o + t.len_at) in
+  if k < t.blk then p.(o + t.len_at + 1 + k) <- v
+  else begin
+    let sp = spill t s in
+    if sp == t.no_spill then begin
+      let fresh = Intvec.create ~capacity:4 () in
+      t.spills.(s lsr page_bits).(s land page_mask) <- fresh;
+      Intvec.push fresh v
+    end
+    else Intvec.push sp v
+  end;
+  p.(o + t.len_at) <- k + 1
+
+(* Remove one [v], the last entry taking its place: an [Intvec]'s
+   swap-remove over the whole list, across the block/spill boundary. *)
+let in_remove t s v =
+  let p = page t s and o = off t s in
+  let b = o + t.len_at + 1 in
+  let k = p.(o + t.len_at) in
+  let nb = if k < t.blk then k else t.blk in
+  let i = ref 0 in
+  while !i < nb && p.(b + !i) <> v do
+    incr i
+  done;
+  if !i < nb then begin
+    let last = k - 1 in
+    p.(b + !i) <- (if last < t.blk then p.(b + last) else Intvec.pop (spill t s));
+    p.(o + t.len_at) <- last
+  end
+  else if k > t.blk then begin
+    let sp = spill t s in
+    let n = Intvec.length sp in
+    let j = ref 0 in
+    while !j < n && Intvec.get sp !j <> v do
+      incr j
+    done;
+    if !j < n then begin
+      let x = Intvec.pop sp in
+      if !j < n - 1 then Intvec.set sp !j x;
+      p.(o + t.len_at) <- k - 1
+    end
+  end
+
+let in_mem t s p o v =
+  let k = p.(o + t.len_at) in
+  let i = ref 0 in
+  while !i < k && in_get t s p o !i <> v do
+    incr i
+  done;
+  !i < k
+
+(* --- Growth ------------------------------------------------------- *)
+
 (* [a] copied into the front of a fresh [len]-cell array, rest [fill]. *)
 let extend a len fill =
   let b = Array.make len fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
+(* Double the arena's capacity.  Only the page tables grow: a row page
+   is made when the first slot on it is handed out, and rows never
+   move. *)
 let grow_arena t =
-  let old_cap = t.cap in
-  let cap = 2 * old_cap in
-  t.id_of_slot <- extend t.id_of_slot cap (-1);
-  t.birth_of_slot <- extend t.birth_of_slot cap 0;
-  t.alive_pos <- extend t.alive_pos cap (-1);
-  t.prev_slot <- extend t.prev_slot cap (-1);
-  t.next_slot <- extend t.next_slot cap (-1);
-  t.out <- extend t.out (cap * t.d) (-1);
-  let inn = Array.make cap t.in_edges.(0) in
-  Array.blit t.in_edges 0 inn 0 old_cap;
-  for s = old_cap to cap - 1 do
-    inn.(s) <- Intvec.create ~capacity:4 ()
-  done;
-  t.in_edges <- inn;
-  t.cap <- cap
+  t.rows <- extend t.rows (2 * Array.length t.rows) [||];
+  t.spills <- extend t.spills (2 * Array.length t.spills) [||];
+  t.cap <- 2 * t.cap
 
-let alloc_slot t =
-  if Intvec.length t.free > 0 then Intvec.pop t.free
-  else begin
-    if t.used = t.cap then grow_arena t;
-    let s = t.used in
-    t.used <- t.used + 1;
-    s
+let make_page t pg =
+  t.rows.(pg) <- row_page ~width:t.width ~len_at:t.len_at;
+  t.spills.(pg) <- Array.make page_slots t.no_spill
+
+(* The next never-used slot, on a fresh page when it starts one. *)
+let fresh_slot t =
+  if t.used = t.cap then grow_arena t;
+  let s = t.used in
+  if Array.length t.rows.(s lsr page_bits) = 0 then make_page t (s lsr page_bits);
+  t.used <- s + 1;
+  s
+
+let alloc_slot t = if Intvec.length t.free > 0 then Intvec.pop t.free else fresh_slot t
+
+(* Give the id being born ([next_id - 1]) a page when it is the first
+   id past the last live page.  From [id_head] on, the ring holds the
+   live pages, then [id_spare] spare ones, then empty cells: a spare is
+   reused first, a page is made only when none is left, and a full ring
+   doubles, unrolled from its head. *)
+let add_id_page t id =
+  if (id asr id_page_bits) - t.id_lo = t.id_count then begin
+    if t.id_spare > 0 then t.id_spare <- t.id_spare - 1
+    else begin
+      let n = Array.length t.id_pages in
+      if t.id_count = n then begin
+        let ring = Array.make (2 * n) [||] in
+        for i = 0 to n - 1 do
+          ring.(i) <- t.id_pages.((t.id_head + i) land (n - 1))
+        done;
+        t.id_pages <- ring;
+        t.id_head <- 0
+      end;
+      t.id_pages.((t.id_head + t.id_count) land (Array.length t.id_pages - 1)) <-
+        Array.make id_page_len (-1)
+    end;
+    t.id_count <- t.id_count + 1
   end
 
-(* Slide / grow the id -> slot window so [id] (= the id being born) has a
-   cell.  Every id below the oldest alive id is dead forever, so the
-   window can drop that prefix.  Both branches leave at least half the
-   window free ahead of [id], which amortizes the O(window) move to O(1)
-   per birth. *)
-let ensure_id_window t id =
-  let len = Array.length t.slot_of_id in
-  if id - t.base >= len then begin
-    let new_base = if t.alive_len = 0 then id else t.id_of_slot.(t.oldest_slot) in
-    let keep = id - new_base in
-    if 2 * (keep + 1) <= len then begin
-      Array.blit t.slot_of_id (new_base - t.base) t.slot_of_id 0 keep;
-      Array.fill t.slot_of_id keep (len - keep) (-1);
-      t.base <- new_base
-    end
-    else begin
-      let nlen = ref len in
-      while 2 * (keep + 1) > !nlen do
-        nlen := 2 * !nlen
-      done;
-      let arr = Array.make !nlen (-1) in
-      Array.blit t.slot_of_id (new_base - t.base) arr 0 keep;
-      t.slot_of_id <- arr;
-      t.base <- new_base
-    end
+(* Release the pages wholly below the oldest alive id (below [next_id]
+   when none is alive).  Every id on them is dead, so their cells are
+   all -1 already: each moves from the head of the ring to the end of
+   the spare run. *)
+let drop_id_pages t =
+  let lo =
+    (if t.oldest_slot >= 0 then field t t.oldest_slot f_id else t.next_id) asr id_page_bits
+  in
+  let mask = Array.length t.id_pages - 1 in
+  while t.id_lo < lo && t.id_count > 0 do
+    let h = t.id_head in
+    let e = (h + t.id_count + t.id_spare) land mask in
+    if e <> h then begin
+      t.id_pages.(e) <- t.id_pages.(h);
+      t.id_pages.(h) <- [||]
+    end;
+    t.id_head <- (h + 1) land mask;
+    t.id_count <- t.id_count - 1;
+    t.id_spare <- t.id_spare + 1;
+    t.id_lo <- t.id_lo + 1
+  done;
+  t.id_lo <- lo
+
+(* The flat window this map replaced, as two integers: when [id] falls
+   off its end it slides to the oldest alive id (or to [id]) and doubles
+   until half of it is free ahead of [id]. *)
+let advance_window t id =
+  if id - t.base >= t.window_len then begin
+    let new_base = if t.alive_len = 0 then id else field t t.oldest_slot f_id in
+    while 2 * (id - new_base + 1) > t.window_len do
+      t.window_len <- 2 * t.window_len
+    done;
+    t.base <- new_base
   end
 
 let alive_push t id s =
   if t.alive_len = Array.length t.alive then
     t.alive <- extend t.alive (2 * t.alive_len) (-1);
   t.alive.(t.alive_len) <- id;
-  t.alive_pos.(s) <- t.alive_len;
+  set_field t s f_pos t.alive_len;
   t.alive_len <- t.alive_len + 1
 
 (* Swap-remove from the dense alive array.  When the victim is the last
    element, [moved = id] and the writes below are self-assignments — the
    uniform special case needs no branch. *)
 let alive_remove t s =
-  let pos = t.alive_pos.(s) in
+  let pos = field t s f_pos in
   if pos < 0 then invalid_arg "Dyngraph: removing a node that is not alive";
   let last = t.alive_len - 1 in
   let moved = t.alive.(last) in
   t.alive.(pos) <- moved;
-  t.alive_pos.(slot_of t moved) <- pos;
+  set_field t (slot_of t moved) f_pos pos;
   t.alive_len <- last;
-  t.alive_pos.(s) <- -1
+  set_field t s f_pos (-1)
 
 let random_alive t =
   if t.alive_len = 0 then invalid_arg "Dyngraph.random_alive: empty graph";
@@ -213,69 +357,70 @@ let fire_hook t ~src ~dst =
 
 (* Link a fresh slot at the young end of the birth-order list. *)
 let birth_link t s =
-  t.prev_slot.(s) <- t.youngest_slot;
-  t.next_slot.(s) <- -1;
-  if t.youngest_slot >= 0 then t.next_slot.(t.youngest_slot) <- s
+  set_field t s f_prev t.youngest_slot;
+  set_field t s f_next (-1);
+  if t.youngest_slot >= 0 then set_field t t.youngest_slot f_next s
   else t.oldest_slot <- s;
   t.youngest_slot <- s
 
 let birth_unlink t s =
-  let p = t.prev_slot.(s) and nx = t.next_slot.(s) in
-  if p >= 0 then t.next_slot.(p) <- nx else t.oldest_slot <- nx;
-  if nx >= 0 then t.prev_slot.(nx) <- p else t.youngest_slot <- p;
-  t.prev_slot.(s) <- -1;
-  t.next_slot.(s) <- -1
+  let p = field t s f_prev and nx = field t s f_next in
+  if p >= 0 then set_field t p f_next nx else t.oldest_slot <- nx;
+  if nx >= 0 then set_field t nx f_prev p else t.youngest_slot <- p;
+  set_field t s f_prev (-1);
+  set_field t s f_next (-1)
 
-(* Returns the slot only (the fresh id is [id_of_slot.(s)]): a tuple
-   return here would allocate on every churn jump.  The slot needs no
-   scrub: [kill] clears a slot before freeing it, [grow_arena] creates
-   cleared slots, and [check_invariants] rejects a decoded arena with a
-   dirty free slot. *)
+(* Returns the slot only (the fresh id is its row's id): a tuple return
+   here would allocate on every churn jump.  The slot needs no scrub:
+   [kill] clears a slot before freeing it, [grow_arena] appends cleared
+   rows, and [check_invariants] rejects a decoded arena with a dirty
+   free slot. *)
 let begin_birth t ~birth =
   let id = t.next_id in
   t.next_id <- id + 1;
   let s = alloc_slot t in
-  ensure_id_window t id;
-  t.slot_of_id.(id - t.base) <- s;
-  t.id_of_slot.(s) <- id;
-  t.birth_of_slot.(s) <- birth;
+  advance_window t id;
+  add_id_page t id;
+  set_slot_of t id s;
+  set_field t s f_id id;
+  set_field t s f_birth birth;
   s
 
 let finish_birth t id s ~birth =
   birth_link t s;
   alive_push t id s;
   (match t.birth_hook with None -> () | Some f -> f id ~birth);
-  let row = s * t.d in
+  let p = page t s and o = off t s + f_out in
   for i = 0 to t.d - 1 do
-    let dst = t.out.(row + i) in
+    let dst = p.(o + i) in
     if dst >= 0 then fire_hook t ~src:id ~dst
   done;
   id
 
 let add_node t ~birth =
   let s = begin_birth t ~birth in
-  let id = t.id_of_slot.(s) in
+  let p = page t s and o = off t s in
+  let id = p.(o + f_id) in
   (* Sample destinations among nodes alive *before* this birth. *)
-  let row = s * t.d in
   for slot = 0 to t.d - 1 do
     let target_id = random_alive_excluding t id in
     if target_id >= 0 then begin
-      t.out.(row + slot) <- target_id;
-      Intvec.push t.in_edges.(slot_of t target_id) id
+      p.(o + f_out + slot) <- target_id;
+      in_push t (slot_of t target_id) id
     end
   done;
   finish_birth t id s ~birth
 
 let add_node_with_targets t ~birth ~targets =
   let s = begin_birth t ~birth in
-  let id = t.id_of_slot.(s) in
-  let row = s * t.d in
+  let p = page t s and o = off t s in
+  let id = p.(o + f_id) in
   let slot = ref 0 in
   for i = 0 to Array.length targets - 1 do
     let target_id = targets.(i) in
     if !slot < t.d && target_id <> id && is_alive t target_id then begin
-      t.out.(row + !slot) <- target_id;
-      Intvec.push t.in_edges.(slot_of t target_id) id;
+      p.(o + f_out + !slot) <- target_id;
+      in_push t (slot_of t target_id) id;
       incr slot
     end
   done;
@@ -289,15 +434,15 @@ let connect t ~src ~dst =
     let ss = slot_of t src and ds = slot_of t dst in
     if ss < 0 || ds < 0 then false
     else begin
-      let row = ss * t.d in
+      let p = page t ss and o = off t ss + f_out in
       let slot = ref (-1) in
       for i = t.d - 1 downto 0 do
-        if t.out.(row + i) < 0 then slot := i
+        if p.(o + i) < 0 then slot := i
       done;
       if !slot < 0 then false
       else begin
-        t.out.(row + !slot) <- dst;
-        Intvec.push t.in_edges.(ds) src;
+        p.(o + !slot) <- dst;
+        in_push t ds src;
         fire_hook t ~src ~dst;
         true
       end
@@ -307,31 +452,31 @@ let disconnect t ~src ~dst =
   let ss = slot_of t src and ds = slot_of t dst in
   if ss < 0 || ds < 0 then false
   else begin
-    let row = ss * t.d in
+    let p = page t ss and o = off t ss + f_out in
     let slot = ref (-1) in
     for i = t.d - 1 downto 0 do
-      if t.out.(row + i) = dst then slot := i
+      if p.(o + i) = dst then slot := i
     done;
     if !slot < 0 then false
     else begin
-      t.out.(row + !slot) <- -1;
-      ignore (Intvec.swap_remove_first t.in_edges.(ds) src);
+      p.(o + !slot) <- -1;
+      in_remove t ds src;
       true
     end
   end
 
-(* Number of distinct values in [v]; O(k^2) backward scan with k of the
-   order of d, where it beats any allocated dedup structure.  The same
-   rule as [iter_neighbors]' in-edge pass: an entry counts at its first
-   occurrence. *)
-let distinct_count v =
-  let k = Intvec.length v in
+(* Number of distinct entries of slot [s]'s in-edge list; O(k^2)
+   backward scan with k of the order of d, where it beats any allocated
+   dedup structure.  The same rule as [iter_neighbors]' in-edge pass: an
+   entry counts at its first occurrence. *)
+let distinct_in t s p o =
+  let k = p.(o + t.len_at) in
   let c = ref 0 in
   for i = 0 to k - 1 do
-    let x = Intvec.get v i in
+    let x = in_get t s p o i in
     let dup = ref false in
     for j = 0 to i - 1 do
-      if Intvec.get v j = x then dup := true
+      if in_get t s p o j = x then dup := true
     done;
     if not !dup then incr c
   done;
@@ -342,7 +487,8 @@ let distinct_count v =
    the first call and regrown with the arena, so models that never ask
    for in-degrees pay nothing for it. *)
 let in_degree t id =
-  let inv = t.in_edges.(get_slot t id) in
+  let s = get_slot t id in
+  let p = page t s and o = off t s in
   if Array.length t.seen < t.cap then begin
     t.seen <- Array.make t.cap 0;
     t.seen_epoch <- 0
@@ -351,8 +497,8 @@ let in_degree t id =
   t.seen_epoch <- epoch;
   let seen = t.seen in
   let c = ref 0 in
-  for i = 0 to Intvec.length inv - 1 do
-    let ss = slot_of t (Intvec.get inv i) in
+  for i = 0 to p.(o + t.len_at) - 1 do
+    let ss = slot_of t (in_get t s p o i) in
     if ss >= 0 && seen.(ss) <> epoch then begin
       seen.(ss) <- epoch;
       incr c
@@ -376,15 +522,17 @@ let kill t id =
   (match t.death_hook with None -> () | Some f -> f id);
   (* Remove from the alive set first so regeneration cannot choose [id]. *)
   alive_remove t s;
-  t.slot_of_id.(id - t.base) <- -1;
+  set_slot_of t id (-1);
+  let was_oldest = s = t.oldest_slot in
   birth_unlink t s;
+  if was_oldest then drop_id_pages t;
   (* Drop this node's out-edges from its targets' in-edge lists. *)
-  let row = s * t.d in
+  let p = page t s and o = off t s in
   for i = 0 to t.d - 1 do
-    let target = t.out.(row + i) in
+    let target = p.(o + f_out + i) in
     if target >= 0 then begin
       let ts = slot_of t target in
-      if ts >= 0 then ignore (Intvec.swap_remove_first t.in_edges.(ts) id)
+      if ts >= 0 then in_remove t ts id
     end
   done;
   (* Each surviving in-neighbor loses the slots that pointed here and, with
@@ -394,8 +542,7 @@ let kill t id =
      an artifact of the in-edge container's internal layout.  The in-edge
      list is copied to scratch, sorted, and deduped (duplicates encode
      multiplicity) without allocating. *)
-  let inv = t.in_edges.(s) in
-  let k = Intvec.length inv in
+  let k = p.(o + t.len_at) in
   if k > 0 then begin
     if Array.length t.kill_srcs < k then begin
       let n = ref (Array.length t.kill_srcs) in
@@ -407,7 +554,7 @@ let kill t id =
     end;
     let srcs = t.kill_srcs and cnts = t.kill_cnts in
     for i = 0 to k - 1 do
-      srcs.(i) <- Intvec.get inv i
+      srcs.(i) <- in_get t s p o i
     done;
     sort_range srcs 0 k;
     (* Duplicates are adjacent after the sort; fold each run into a count
@@ -426,18 +573,18 @@ let kill t id =
       let src = srcs.(i) in
       let ss = slot_of t src in
       if ss >= 0 then begin
-        let srow = ss * t.d in
+        let sp = page t ss and so = off t ss + f_out in
         let remaining = ref cnts.(i) in
         let slot = ref 0 in
         while !remaining > 0 && !slot < t.d do
-          if t.out.(srow + !slot) = id then begin
+          if sp.(so + !slot) = id then begin
             decr remaining;
-            t.out.(srow + !slot) <- -1;
+            sp.(so + !slot) <- -1;
             if t.regenerate then begin
               let fresh = random_alive_excluding t src in
               if fresh >= 0 then begin
-                t.out.(srow + !slot) <- fresh;
-                Intvec.push t.in_edges.(slot_of t fresh) src;
+                sp.(so + !slot) <- fresh;
+                in_push t (slot_of t fresh) src;
                 fire_hook t ~src ~dst:fresh
               end
             end
@@ -449,9 +596,10 @@ let kill t id =
   end;
   (* Recycle the slot: clear everything so the next occupant starts
      pristine, then push it on the free list. *)
-  t.id_of_slot.(s) <- -1;
-  Array.fill t.out row t.d (-1);
-  Intvec.clear t.in_edges.(s);
+  p.(o + f_id) <- -1;
+  Array.fill p (o + f_out) t.d (-1);
+  p.(o + t.len_at) <- 0;
+  Intvec.clear (spill t s);
   Intvec.push t.free s
 
 (* Apply a pre-drawn run of churn decisions in one arena pass.  The graph
@@ -473,48 +621,48 @@ let iter_alive t f =
   done
 
 let alive_ids t = Array.sub t.alive 0 t.alive_len
-let birth_of t id = t.birth_of_slot.(get_slot t id)
+let birth_of t id = field t (get_slot t id) f_birth
 
 let out_targets t id =
   let s = get_slot t id in
-  let row = s * t.d in
+  let p = page t s and o = off t s + f_out in
   let acc = ref [] in
   for i = t.d - 1 downto 0 do
-    let target = t.out.(row + i) in
+    let target = p.(o + i) in
     if target >= 0 then acc := target :: !acc
   done;
   !acc
 
 let out_slots_raw t id =
   let s = get_slot t id in
-  Array.sub t.out (s * t.d) t.d
+  Array.sub (page t s) (off t s + f_out) t.d
 
 let out_slot t id slot =
   let s = get_slot t id in
   if slot < 0 || slot >= t.d then invalid_arg "Dyngraph.out_slot: slot out of range";
-  t.out.((s * t.d) + slot)
+  field t s (f_out + slot)
 
 (* The list queries below are wrappers over these buffer fills, so one
    sort-and-dedupe serves both. *)
 let in_neighbors_into t id buf =
-  let inv = t.in_edges.(get_slot t id) in
+  let s = get_slot t id in
+  let p = page t s and o = off t s in
   Intvec.clear buf;
-  for i = 0 to Intvec.length inv - 1 do
-    Intvec.push buf (Intvec.get inv i)
+  for i = 0 to p.(o + t.len_at) - 1 do
+    Intvec.push buf (in_get t s p o i)
   done;
   Intvec.sort_uniq buf
 
 let neighbors_into t id buf =
   let s = get_slot t id in
-  let row = s * t.d in
-  let inv = t.in_edges.(s) in
+  let p = page t s and o = off t s in
   Intvec.clear buf;
   for i = 0 to t.d - 1 do
-    let target = t.out.(row + i) in
+    let target = p.(o + f_out + i) in
     if target >= 0 then Intvec.push buf target
   done;
-  for i = 0 to Intvec.length inv - 1 do
-    Intvec.push buf (Intvec.get inv i)
+  for i = 0 to p.(o + t.len_at) - 1 do
+    Intvec.push buf (in_get t s p o i)
   done;
   Intvec.sort_uniq buf
 
@@ -542,66 +690,68 @@ let neighbors t id =
    first occurrence.  Both scans are O(k^2) with k of the order of d. *)
 let iter_neighbors t id f =
   let s = get_slot t id in
-  let row = s * t.d in
-  let inv = t.in_edges.(s) in
+  let p = page t s and o = off t s in
   for i = 0 to t.d - 1 do
-    let v = t.out.(row + i) in
-    if v >= 0 && not (Intvec.mem inv v) then begin
+    let v = p.(o + f_out + i) in
+    if v >= 0 && not (in_mem t s p o v) then begin
       let dup = ref false in
       for j = 0 to i - 1 do
-        if t.out.(row + j) = v then dup := true
+        if p.(o + f_out + j) = v then dup := true
       done;
       if not !dup then f v
     end
   done;
-  let k = Intvec.length inv in
-  for i = 0 to k - 1 do
-    let src = Intvec.get inv i in
+  for i = 0 to p.(o + t.len_at) - 1 do
+    let src = in_get t s p o i in
     let dup = ref false in
     for j = 0 to i - 1 do
-      if Intvec.get inv j = src then dup := true
+      if in_get t s p o j = src then dup := true
     done;
     if not !dup then f src
   done
 
 let iter_in_neighbors t id f =
   let s = get_slot t id in
-  let inv = t.in_edges.(s) in
-  let k = Intvec.length inv in
-  for i = 0 to k - 1 do
-    let src = Intvec.get inv i in
+  let p = page t s and o = off t s in
+  for i = 0 to p.(o + t.len_at) - 1 do
+    let src = in_get t s p o i in
     let dup = ref false in
     for j = 0 to i - 1 do
-      if Intvec.get inv j = src then dup := true
+      if in_get t s p o j = src then dup := true
     done;
     if not !dup then f src
   done
 
 (* [iter_neighbors] counted, as plain loops with its dedup rule: a
    counting closure would allocate on every call. *)
-let degree t id =
-  let s = get_slot t id in
-  let row = s * t.d in
-  let inv = t.in_edges.(s) in
-  let count = ref (distinct_count inv) in
+let degree_of_slot t s =
+  let p = page t s and o = off t s in
+  let count = ref (distinct_in t s p o) in
   for i = 0 to t.d - 1 do
-    let v = t.out.(row + i) in
-    if v >= 0 && not (Intvec.mem inv v) then begin
+    let v = p.(o + f_out + i) in
+    if v >= 0 && not (in_mem t s p o v) then begin
       let dup = ref false in
       for j = 0 to i - 1 do
-        if t.out.(row + j) = v then dup := true
+        if p.(o + f_out + j) = v then dup := true
       done;
       if not !dup then incr count
     end
   done;
   !count
 
+let degree t id = degree_of_slot t (get_slot t id)
+
+let iter_degrees t f =
+  for s = 0 to t.used - 1 do
+    if field t s f_id >= 0 then f (degree_of_slot t s)
+  done
+
 let out_degree t id =
   let s = get_slot t id in
-  let row = s * t.d in
+  let p = page t s and o = off t s + f_out in
   let count = ref 0 in
   for i = 0 to t.d - 1 do
-    if t.out.(row + i) >= 0 then incr count
+    if p.(o + i) >= 0 then incr count
   done;
   !count
 
@@ -610,10 +760,10 @@ let edge_count t =
   iter_alive t (fun id -> total := !total + out_degree t id);
   !total
 
-let oldest_alive t = if t.oldest_slot < 0 then None else Some t.id_of_slot.(t.oldest_slot)
+let oldest_alive t = if t.oldest_slot < 0 then None else Some (field t t.oldest_slot f_id)
 
 let newest_alive t =
-  if t.youngest_slot < 0 then None else Some t.id_of_slot.(t.youngest_slot)
+  if t.youngest_slot < 0 then None else Some (field t t.youngest_slot f_id)
 
 (* Snapshot straight from the arena into CSR form: one growable flat
    buffer, rows gathered per node then sorted + deduped in place.  The
@@ -628,7 +778,7 @@ let snapshot t =
   for i = 0 to n - 1 do
     let s = slot_of t ids.(i) in
     index_of_slot.(s) <- i;
-    births.(i) <- t.birth_of_slot.(s)
+    births.(i) <- field t s f_birth
   done;
   let offsets = Array.make (n + 1) 0 in
   let buf = ref (Array.make (max 16 (4 * n)) 0) in
@@ -645,18 +795,20 @@ let snapshot t =
   in
   for i = 0 to n - 1 do
     let s = slot_of t ids.(i) in
+    let p = page t s and o = off t s in
     let start = !len in
-    let row = s * t.d in
     let odeg = ref 0 in
     for k = 0 to t.d - 1 do
-      let target = t.out.(row + k) in
+      let target = p.(o + f_out + k) in
       if target >= 0 then begin
         incr odeg;
         push index_of_slot.(slot_of t target)
       end
     done;
     out_deg.(i) <- !odeg;
-    Intvec.iter (fun src -> push index_of_slot.(slot_of t src)) t.in_edges.(s);
+    for k = 0 to p.(o + t.len_at) - 1 do
+      push index_of_slot.(slot_of t (in_get t s p o k))
+    done;
     let b = !buf in
     sort_range b start (!len - start);
     let w = ref start in
@@ -674,97 +826,151 @@ let snapshot t =
 let check_invariants t =
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-  (* alive array, alive_pos and the id map agree *)
-  for i = 0 to t.alive_len - 1 do
-    let id = t.alive.(i) in
-    let s = slot_of t id in
-    if s < 0 then fail "alive node %d not mapped to a slot" id
-    else begin
-      if t.alive_pos.(s) <> i then fail "alive index mismatch for node %d" id;
-      if t.id_of_slot.(s) <> id then fail "slot %d does not map back to node %d" s id
-    end
-  done;
-  let mapped = ref 0 in
-  Array.iter (fun s -> if s >= 0 then incr mapped) t.slot_of_id;
-  if !mapped <> t.alive_len then fail "alive index size mismatch";
-  (* used slots partition into alive slots and the free list *)
-  if Intvec.length t.free + t.alive_len <> t.used then fail "slot accounting mismatch";
-  Intvec.iter
-    (fun s ->
-      if t.id_of_slot.(s) >= 0 then fail "free slot %d still mapped" s;
-      if t.alive_pos.(s) >= 0 then fail "free slot %d still in alive array" s;
-      if Intvec.length t.in_edges.(s) <> 0 then fail "free slot %d keeps in-edges" s;
-      for i = 0 to t.d - 1 do
-        if t.out.((s * t.d) + i) >= 0 then fail "free slot %d keeps out-edges" s
-      done)
-    t.free;
-  (* birth-order list covers exactly the alive slots, ids ascending *)
-  let steps = ref 0 in
-  let prev_id = ref (-1) in
-  let cursor = ref t.oldest_slot in
-  let broken = ref false in
-  while !cursor >= 0 && not !broken do
-    let s = !cursor in
-    let id = t.id_of_slot.(s) in
-    if id < 0 then begin
-      fail "birth list visits free slot %d" s;
-      broken := true
-    end
-    else begin
-      if id <= !prev_id then fail "birth list not ascending at node %d" id;
-      prev_id := id;
-      let nx = t.next_slot.(s) in
-      if nx >= 0 && t.prev_slot.(nx) <> s then fail "birth list links broken at slot %d" s;
-      incr steps;
-      if !steps > t.alive_len then begin
-        fail "birth list longer than the alive set";
-        broken := true
-      end;
-      cursor := nx
-    end
-  done;
-  if (not !broken) && !steps <> t.alive_len then fail "birth list length mismatch";
-  if t.alive_len > 0 && t.youngest_slot >= 0 && t.next_slot.(t.youngest_slot) >= 0 then
-    fail "youngest slot has a successor";
-  (* slot / in-edge symmetry, counted in both directions *)
-  let count_row s v =
-    let row = s * t.d in
-    let c = ref 0 in
-    for i = 0 to t.d - 1 do
-      if t.out.(row + i) = v then incr c
+  (* paging: 256 rows per page, a spill page per row page *)
+  if
+    t.cap < initial_cap
+    || t.cap land (t.cap - 1) <> 0
+    || Array.length t.rows <> t.cap / page_slots
+    || Array.length t.spills <> t.cap / page_slots
+    || t.used > t.cap
+  then fail "arena pages out of step with cap %d" t.cap
+  else begin
+    (* pages exist up to the last used slot's (page 0 always); a spill
+       holds exactly what overflows a full block; unused rows are
+       pristine *)
+    let made = max 1 ((t.used + page_mask) lsr page_bits) in
+    for pg = 0 to Array.length t.rows - 1 do
+      let want = if pg < made then page_slots else 0 in
+      if Array.length t.rows.(pg) <> want * t.width || Array.length t.spills.(pg) <> want then
+        fail "row page %d made out of turn" pg
     done;
-    !c
-  in
-  let count_in s v =
-    let c = ref 0 in
-    Intvec.iter (fun x -> if x = v then incr c) t.in_edges.(s);
-    !c
-  in
-  iter_alive t (fun id ->
+    if !err = None then
+      for s = 0 to (made * page_slots) - 1 do
+        let k = field t s t.len_at in
+        let sp = spill t s in
+        if k < 0 || Intvec.length sp <> max 0 (k - t.blk) then
+          fail "slot %d: spill of %d entries behind %d in-edges" s (Intvec.length sp) k;
+        if s >= t.used && (field t s f_id <> -1 || k <> 0) then
+          fail "unused slot %d is not pristine" s
+      done;
+    if Intvec.length t.no_spill <> 0 then fail "the empty spill is not empty"
+  end;
+  let mapped = ref 0 in
+  if !err = None then begin
+    (* id pages: from the oldest alive id's page to next_id's, no lower *)
+    let lo_id = if t.oldest_slot >= 0 then field t t.oldest_slot f_id else t.next_id in
+    let ring = Array.length t.id_pages in
+    if t.id_lo <> lo_id asr id_page_bits then
+      fail "id page %d kept below the oldest alive id %d" t.id_lo lo_id;
+    if t.id_count <> max 0 (((t.next_id - 1) asr id_page_bits) - t.id_lo + 1) then
+      fail "%d id pages for ids up to %d" t.id_count t.next_id;
+    if ring land (ring - 1) <> 0 || t.id_spare < 0 || t.id_count + t.id_spare > ring then
+      fail "bad id page ring";
+    for c = 0 to ring - 1 do
+      let pg = t.id_pages.(c) in
+      let rel = (c - t.id_head) land (ring - 1) in
+      let made = rel < t.id_count + t.id_spare in
+      if Array.length pg <> (if made then id_page_len else 0) then
+        fail "id page ring cell %d out of turn" c;
+      Array.iter
+        (fun s ->
+          if s >= 0 then if rel < t.id_count then incr mapped else fail "spare id page %d maps" c)
+        pg
+    done
+  end;
+  if !err = None then begin
+    (* alive array, alive_pos and the id map agree *)
+    for i = 0 to t.alive_len - 1 do
+      let id = t.alive.(i) in
       let s = slot_of t id in
-      (* an unmapped alive node was reported above *)
-      if s >= 0 then begin
-        let row = s * t.d in
+      if s < 0 then fail "alive node %d not mapped to a slot" id
+      else begin
+        if field t s f_pos <> i then fail "alive index mismatch for node %d" id;
+        if field t s f_id <> id then fail "slot %d does not map back to node %d" s id
+      end
+    done;
+    if !mapped <> t.alive_len then fail "alive index size mismatch";
+    (* used slots partition into alive slots and the free list *)
+    if Intvec.length t.free + t.alive_len <> t.used then fail "slot accounting mismatch";
+    Intvec.iter
+      (fun s ->
+        if field t s f_id >= 0 then fail "free slot %d still mapped" s;
+        if field t s f_pos >= 0 then fail "free slot %d still in alive array" s;
+        if field t s t.len_at <> 0 then fail "free slot %d keeps in-edges" s;
         for i = 0 to t.d - 1 do
-          let target = t.out.(row + i) in
-          if target >= 0 then begin
-            if target = id then fail "self-loop at node %d" id;
-            let ts = slot_of t target in
-            if ts < 0 then fail "node %d has slot to dead node %d" id target
-            else if count_in ts id <> count_row s target then
-              fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
-                (count_row s target) (count_in ts id)
-          end
-        done;
-        Intvec.iter
-          (fun src ->
+          if field t s (f_out + i) >= 0 then fail "free slot %d keeps out-edges" s
+        done)
+      t.free;
+    (* birth-order list covers exactly the alive slots, ids ascending *)
+    let steps = ref 0 in
+    let prev_id = ref (-1) in
+    let cursor = ref t.oldest_slot in
+    let broken = ref false in
+    while !cursor >= 0 && not !broken do
+      let s = !cursor in
+      let id = field t s f_id in
+      if id < 0 then begin
+        fail "birth list visits free slot %d" s;
+        broken := true
+      end
+      else begin
+        if id <= !prev_id then fail "birth list not ascending at node %d" id;
+        prev_id := id;
+        let nx = field t s f_next in
+        if nx >= 0 && field t nx f_prev <> s then fail "birth list links broken at slot %d" s;
+        incr steps;
+        if !steps > t.alive_len then begin
+          fail "birth list longer than the alive set";
+          broken := true
+        end;
+        cursor := nx
+      end
+    done;
+    if (not !broken) && !steps <> t.alive_len then fail "birth list length mismatch";
+    if t.alive_len > 0 && t.youngest_slot >= 0 && field t t.youngest_slot f_next >= 0 then
+      fail "youngest slot has a successor";
+    (* slot / in-edge symmetry, counted in both directions *)
+    let count_row s v =
+      let c = ref 0 in
+      for i = 0 to t.d - 1 do
+        if field t s (f_out + i) = v then incr c
+      done;
+      !c
+    in
+    let count_in s v =
+      let p = page t s and o = off t s in
+      let c = ref 0 in
+      for i = 0 to p.(o + t.len_at) - 1 do
+        if in_get t s p o i = v then incr c
+      done;
+      !c
+    in
+    iter_alive t (fun id ->
+        let s = slot_of t id in
+        (* an unmapped alive node was reported above *)
+        if s >= 0 then begin
+          for i = 0 to t.d - 1 do
+            let target = field t s (f_out + i) in
+            if target >= 0 then begin
+              if target = id then fail "self-loop at node %d" id;
+              let ts = slot_of t target in
+              if ts < 0 then fail "node %d has slot to dead node %d" id target
+              else if count_in ts id <> count_row s target then
+                fail "multiplicity mismatch %d->%d: slots %d, recorded %d" id target
+                  (count_row s target) (count_in ts id)
+            end
+          done;
+          let p = page t s and o = off t s in
+          for i = 0 to p.(o + t.len_at) - 1 do
+            let src = in_get t s p o i in
             let ss = slot_of t src in
             if ss < 0 then fail "in-edge from dead node %d at %d" src id
             else if count_row ss id <> count_in s src then
               fail "multiplicity mismatch %d->%d: slots %d, recorded %d" src id
-                (count_row ss id) (count_in s src))
-          t.in_edges.(s)
-      end);
+                (count_row ss id) (count_in s src)
+          done
+        end)
+  end;
   match !err with None -> Ok () | Some e -> Error e
 
 (* ------------------------------------------------------------------ *)
@@ -776,11 +982,14 @@ module Codec = Churnet_util.Codec
 (* Everything observable is serialized verbatim: besides the obvious
    topology, the free list's LIFO order decides which slot the next
    birth recycles, the dense alive array's order is what random_alive
-   indexes into, and the id-window base shifts nothing observable but is
-   kept so a decode/encode cycle is byte-identical.  Deliberately NOT
+   indexes into, and the id window ([base], its length and one cell per
+   id from [base] to [next_id]) shifts nothing observable but is kept so
+   a decode/encode cycle is byte-identical.  The layout is the flat
+   per-field one of the arena before paging: field by field over the
+   used slots, each in-edge list as an [Intvec].  Deliberately NOT
    serialized: the three hooks (observers re-attach after resume), the
-   kill_srcs scratch buffer (rebuilt empty) and the in_degree stamps
-   (sized again on first use). *)
+   kill_srcs scratch buffer (rebuilt empty), the in_degree stamps (sized
+   again on first use), spill capacities and spare id pages. *)
 let encode w t =
   Codec.varint w t.d;
   Codec.bool w t.regenerate;
@@ -788,26 +997,29 @@ let encode w t =
   Codec.varint w t.cap;
   Codec.varint w t.used;
   Intvec.encode w t.free;
-  let prefix a = for s = 0 to t.used - 1 do Codec.varint w a.(s) done in
-  prefix t.id_of_slot;
-  prefix t.birth_of_slot;
-  prefix t.alive_pos;
-  prefix t.prev_slot;
-  prefix t.next_slot;
-  for i = 0 to (t.used * t.d) - 1 do
-    Codec.varint w t.out.(i)
+  let prefix f = for s = 0 to t.used - 1 do Codec.varint w (field t s f) done in
+  List.iter prefix [ f_id; f_birth; f_pos; f_prev; f_next ];
+  for s = 0 to t.used - 1 do
+    for i = 0 to t.d - 1 do
+      Codec.varint w (field t s (f_out + i))
+    done
   done;
   for s = 0 to t.used - 1 do
-    Intvec.encode w t.in_edges.(s)
+    let p = page t s and o = off t s in
+    let k = p.(o + t.len_at) in
+    Codec.varint w k;
+    for i = 0 to k - 1 do
+      Codec.varint w (in_get t s p o i)
+    done
   done;
   Codec.varint w t.oldest_slot;
   Codec.varint w t.youngest_slot;
   Codec.varint w t.base;
-  Codec.varint w (Array.length t.slot_of_id);
+  Codec.varint w t.window_len;
   let window = max 0 (t.next_id - t.base) in
   Codec.varint w window;
   for i = 0 to window - 1 do
-    Codec.varint w t.slot_of_id.(i)
+    Codec.varint w (slot_of t (t.base + i))
   done;
   Codec.varint w t.alive_len;
   for i = 0 to t.alive_len - 1 do
@@ -828,13 +1040,15 @@ let decode r =
   let rng = Prng.decode r in
   let cap = Codec.read_varint r in
   let used = Codec.read_varint r in
-  (* [cap] starts at [initial_cap] and doubles only once every slot is used *)
+  (* [cap] starts at [initial_cap] and doubles only once every slot is
+     used, so it is a power of two: a whole number of row pages *)
   if
     used < 0
     || used > Codec.remaining r
     || cap < initial_cap
     || cap > max initial_cap (2 * used)
-    || d > Sys.max_array_length / cap
+    || cap land (cap - 1) <> 0
+    || d > Sys.max_array_length / (4 * cap)
     || (used > 0 && d > Codec.remaining r / used)
   then fail "bad arena bounds";
   let free = Intvec.decode r in
@@ -845,7 +1059,7 @@ let decode r =
   let prev_slot = read_ints used in
   let next_slot = read_ints used in
   let out = read_ints (used * d) in
-  let in_edges = Array.init used (fun _ -> Intvec.decode r) in
+  let in_edges = Array.init used (fun _ -> Codec.read_int_array r) in
   let oldest_slot = Codec.read_varint r in
   let youngest_slot = Codec.read_varint r in
   let base = Codec.read_varint r in
@@ -873,54 +1087,68 @@ let decode r =
   Array.iter (check "birth-list link" (-1) used) prev_slot;
   Array.iter (check "birth-list link" (-1) used) next_slot;
   Array.iter (check "out-slot target" (-1) next_id) out;
-  Array.iter (Intvec.iter (check "in-edge source" 0 next_id)) in_edges;
+  Array.iter (Array.iter (check "in-edge source" 0 next_id)) in_edges;
   check "oldest slot" (-1) used oldest_slot;
   check "youngest slot" (-1) used youngest_slot;
   Array.iter (check "id-window slot" (-1) used) slot_of_id;
   Array.iter (check "alive id" base next_id) alive;
-  let id_of_slot = extend id_of_slot cap (-1) in
-  let birth_of_slot = extend birth_of_slot cap 0 in
-  let alive_pos = extend alive_pos cap (-1) in
-  let prev_slot = extend prev_slot cap (-1) in
-  let next_slot = extend next_slot cap (-1) in
-  let out = extend out (cap * d) (-1) in
-  let in_edges =
-    Array.init cap (fun s ->
-        if s < used then in_edges.(s) else Intvec.create ~capacity:4 ())
+  (* The id pages start at the oldest alive id's page: nothing below
+     that id may be mapped. *)
+  let lo_id =
+    if oldest_slot >= 0 && id_of_slot.(oldest_slot) >= 0 then id_of_slot.(oldest_slot)
+    else next_id
   in
-  let slot_of_id = extend slot_of_id window_len (-1) in
-  let alive = extend alive (max 1024 alive_len) (-1) in
+  Array.iteri
+    (fun i s -> if base + i < lo_id && s >= 0 then fail "id window maps a dead id")
+    slot_of_id;
+  let id_lo = lo_id asr id_page_bits in
+  let id_count = max 0 (((next_id - 1) asr id_page_bits) - id_lo + 1) in
+  let ring = ref 1 in
+  while !ring < id_count do
+    ring := 2 * !ring
+  done;
+  let id_pages =
+    Array.init !ring (fun c -> if c < id_count then Array.make id_page_len (-1) else [||])
+  in
+  let t = create ~rng ~d ~regenerate () in
   let t =
     {
-      d;
-      regenerate;
-      rng;
-      cap;
+      t with
       used;
       free;
-      id_of_slot;
-      birth_of_slot;
-      out;
-      in_edges;
-      alive_pos;
-      prev_slot;
-      next_slot;
       oldest_slot;
       youngest_slot;
+      id_pages;
+      id_count;
+      id_spare = 0;
+      id_lo;
       base;
-      slot_of_id;
-      alive;
+      window_len;
+      alive = extend alive (max 1024 alive_len) (-1);
       alive_len;
       next_id;
-      kill_srcs = Array.make 16 0;
-      kill_cnts = Array.make 16 0;
-      seen = [||];
-      seen_epoch = 0;
-      edge_hook = None;
-      death_hook = None;
-      birth_hook = None;
     }
   in
+  while t.cap < cap do
+    grow_arena t
+  done;
+  for pg = 1 to (used - 1) asr page_bits do
+    make_page t pg
+  done;
+  for i = 0 to window - 1 do
+    if base + i >= lo_id then set_slot_of t (base + i) slot_of_id.(i)
+  done;
+  for s = 0 to used - 1 do
+    set_field t s f_id id_of_slot.(s);
+    set_field t s f_birth birth_of_slot.(s);
+    set_field t s f_pos alive_pos.(s);
+    set_field t s f_prev prev_slot.(s);
+    set_field t s f_next next_slot.(s);
+    for i = 0 to d - 1 do
+      set_field t s (f_out + i) out.((s * d) + i)
+    done;
+    Array.iter (in_push t s) in_edges.(s)
+  done;
   (* The CRC catches corruption; this catches a structurally valid file
      whose fields contradict each other (schema drift, hand editing). *)
   (match check_invariants t with

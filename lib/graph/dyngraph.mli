@@ -171,6 +171,12 @@ val degree : t -> node_id -> int
 (** Number of distinct neighbors (the count {!iter_neighbors} visits),
     without allocating. *)
 
+val iter_degrees : t -> (int -> unit) -> unit
+(** [iter_degrees t f] calls [f] with the {!degree} of every alive node,
+    walking the arena's rows in slot order, which is unrelated to id or
+    alive order.  Sequential in memory, so for whole-graph degree
+    statistics it is cheaper than {!iter_alive} and {!degree}. *)
+
 val out_degree : t -> node_id -> int
 (** Number of filled out-slots (<= d). *)
 
@@ -191,7 +197,9 @@ val snapshot : t -> Snapshot.t
 
 val check_invariants : t -> (unit, string) result
 (** Internal-consistency audit used by the test-suite: slot/in-edge
-    symmetry, alive-index integrity, degree bounds. *)
+    symmetry, alive-index integrity, cleared free and unused slots,
+    in-edge spills holding exactly what overflows a row, and an id map
+    whose pages start at the oldest alive id's page. *)
 
 val encode : Churnet_util.Codec.writer -> t -> unit
 (** Serialize the full arena for checkpoints: topology, PRNG state,
@@ -203,5 +211,6 @@ val encode : Churnet_util.Codec.writer -> t -> unit
 val decode : Churnet_util.Codec.reader -> t
 (** Rebuild a graph that continues bit-identically to the encoded one.
     Total: any malformed input — a size the remaining bytes cannot back,
-    an out-of-range slot or id, or a failed {!check_invariants} — raises
-    [Churnet_util.Codec.Error]. *)
+    a capacity that is not 256·2{^k} slots (whole row pages, as encoders
+    write it), an out-of-range slot or id, or a failed
+    {!check_invariants} — raises [Churnet_util.Codec.Error]. *)

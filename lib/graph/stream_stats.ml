@@ -10,8 +10,7 @@ let collect g =
   let max_degree = ref 0 in
   let degree_sum = ref 0 in
   let isolated = ref 0 in
-  Dyngraph.iter_alive g (fun id ->
-      let deg = Dyngraph.degree g id in
+  Dyngraph.iter_degrees g (fun deg ->
       if deg > !max_degree then max_degree := deg;
       degree_sum := !degree_sum + deg;
       if deg = 0 then incr isolated);

@@ -20,31 +20,14 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Intvec.get";
   t.buf.(i)
 
+let set t i v =
+  if i < 0 || i >= t.len then invalid_arg "Intvec.set";
+  t.buf.(i) <- v
+
 let pop t =
   if t.len = 0 then invalid_arg "Intvec.pop: empty";
   t.len <- t.len - 1;
   t.buf.(t.len)
-
-(* Index of the first [v], or [t.len] when absent.  A [while] loop, not a
-   local recursive function: the churn and flood paths call this per
-   edge, and a local closure would be allocated on every call. *)
-let index t v =
-  let i = ref 0 in
-  while !i < t.len && t.buf.(!i) <> v do
-    incr i
-  done;
-  !i
-
-let mem t v = index t v < t.len
-
-let swap_remove_first t v =
-  let i = index t v in
-  if i = t.len then false
-  else begin
-    t.len <- t.len - 1;
-    t.buf.(i) <- t.buf.(t.len);
-    true
-  end
 
 (* Sort ascending and drop duplicates, in place: an insertion sort, since
    the callers' vectors hold a neighbourhood of size O(d). *)

@@ -16,21 +16,14 @@ val clear : t -> unit
 val push : t -> int -> unit
 val get : t -> int -> int
 
+val set : t -> int -> int -> unit
+(** [set t i v] overwrites element [i] (which must be below {!length});
+    raises [Invalid_argument] otherwise. *)
+
 val pop : t -> int
 (** Remove and return the last element; raises [Invalid_argument] when
     empty.  Together with {!push} this makes an [Intvec] a LIFO stack
     (the graph arena's free-slot list). *)
-
-val mem : t -> int -> bool
-(** Linear-scan membership.  The graph core calls it on in-edge lists of
-    expected size O(d), where a scan beats any hashed structure. *)
-
-val swap_remove_first : t -> int -> bool
-(** Remove one occurrence of a value by overwriting it with the last
-    element and shrinking — O(length) scan, O(1) removal, order not
-    preserved.  Returns [false] (and leaves the vector unchanged) when
-    the value is absent.  This is the multiset-decrement of the graph
-    arena's in-edge lists, where duplicates encode edge multiplicity. *)
 
 val sort_uniq : t -> unit
 (** Sort ascending and remove duplicates, in place and without

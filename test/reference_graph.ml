@@ -70,6 +70,35 @@ let add_node t ~birth =
   push t id;
   id
 
+(* Protocol-style edits, as [Dyngraph] defines them: a birth takes at
+   most [d] of the given targets, skipping dead and self ones (no
+   draws); [connect] adds an edge when [src] has fewer than [d]; and
+   [disconnect] removes one occurrence of an edge. *)
+let out_count t src = List.length (List.filter (fun (a, _) -> a = src) t.edges)
+
+let add_node_with_targets t ~birth ~targets =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  Array.iter
+    (fun dst ->
+      if out_count t id < t.d && dst <> id && is_alive t dst then
+        t.edges <- (id, dst) :: t.edges)
+    targets;
+  Hashtbl.replace t.births id birth;
+  push t id;
+  id
+
+let connect t ~src ~dst =
+  if src <> dst && is_alive t src && is_alive t dst && out_count t src < t.d then
+    t.edges <- (src, dst) :: t.edges
+
+let disconnect t ~src ~dst =
+  let rec drop = function
+    | [] -> []
+    | e :: rest -> if e = (src, dst) then rest else e :: drop rest
+  in
+  t.edges <- drop t.edges
+
 let kill t id =
   (* swap-remove, same as Dyngraph *)
   let pos = ref (-1) in

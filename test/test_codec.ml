@@ -208,6 +208,31 @@ let test_dyngraph_decode_rejects_corruption () =
       let r = Codec.reader (String.sub bytes 0 (String.length bytes / 2)) in
       Dyngraph.decode r)
 
+(* Encoders write [cap] as 256 * 2^k, a whole number of 256-slot row
+   pages.  A [cap] within the old bounds ([256, 2 * used]) but not of
+   that form must be rejected, not index past the last page. *)
+let test_dyngraph_decode_rejects_partial_page () =
+  let g = Dyngraph.create ~rng:(Prng.create 14) ~d:3 ~regenerate:false () in
+  for i = 1 to 200 do
+    ignore (Dyngraph.add_node g ~birth:i)
+  done;
+  let bytes = graph_bytes g in
+  let r = Codec.reader bytes in
+  ignore (Codec.read_varint r);
+  ignore (Codec.read_bool r);
+  ignore (Prng.decode r);
+  let at = String.length bytes - Codec.remaining r in
+  check_int "encoded cap" 256 (Codec.read_varint r);
+  let rest = String.sub bytes (String.length bytes - Codec.remaining r) (Codec.remaining r) in
+  let with_cap cap = String.sub bytes 0 at ^ encode_bytes Codec.varint cap ^ rest in
+  check_string "cap 256 decodes" (String.escaped bytes)
+    (String.escaped (graph_bytes (Dyngraph.decode (Codec.reader (with_cap 256)))));
+  List.iter
+    (fun cap ->
+      expect_codec_error (Printf.sprintf "cap %d with used 200" cap) (fun () ->
+          Dyngraph.decode (Codec.reader (with_cap cap))))
+    [ 300; 384 ]
+
 (* --- churn + models --- *)
 
 let test_poisson_churn_roundtrip () =
@@ -582,6 +607,7 @@ let suite =
     ("dyngraph round-trip with free list", `Quick, test_dyngraph_roundtrip_free_list);
     ("dyngraph round-trip with slid window", `Quick, test_dyngraph_roundtrip_slid_window);
     ("dyngraph rejects corruption", `Quick, test_dyngraph_decode_rejects_corruption);
+    ("dyngraph rejects a partial row page", `Quick, test_dyngraph_decode_rejects_partial_page);
     ("poisson churn round-trip", `Quick, test_poisson_churn_roundtrip);
     ("streaming model round-trip", `Quick, test_streaming_model_roundtrip);
     ("streaming model rejects bad ids", `Quick, test_streaming_model_rejects_bad_ids);

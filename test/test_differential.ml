@@ -323,6 +323,237 @@ let test_stream_stats_poisson () =
       check_bool "stream stats on a warmed Poisson graph" true (stream_stats_agree g))
     [ false; true ]
 
+(* --- Paged arena: row pages, id pages and in-edge spills ----------- *)
+
+(* A shadow of every in-edge list, kept from the hooks alone: an edge
+   hook appends its source to the destination's list, a death hook
+   swap-removes the dying node from each of its out-targets' lists (in
+   slot order, before any regenerated edge exists) and drops its own,
+   and the driver applies each successful [disconnect].  The removal is
+   an [Intvec]'s: the last entry takes the first occurrence's place.
+   Hooks fire with ids only, so the shadow is blind to the arena's
+   rows, blocks, spills and pages. *)
+let shadow_remove lists ~dst ~src =
+  match Hashtbl.find_opt lists dst with
+  | None -> ()
+  | Some l ->
+      let a = Array.of_list l in
+      let k = Array.length a in
+      let i = ref 0 in
+      while !i < k && a.(!i) <> src do
+        incr i
+      done;
+      if !i < k then begin
+        a.(!i) <- a.(k - 1);
+        Hashtbl.replace lists dst (Array.to_list (Array.sub a 0 (k - 1)))
+      end
+
+let attach_shadow g =
+  let lists = Hashtbl.create 64 in
+  Dyngraph.set_birth_hook g (Some (fun id ~birth:_ -> Hashtbl.replace lists id []));
+  Dyngraph.set_edge_hook g
+    (Some
+       (fun ~src ~dst ->
+         Hashtbl.replace lists dst (Option.value ~default:[] (Hashtbl.find_opt lists dst) @ [ src ])));
+  Dyngraph.set_death_hook g
+    (Some
+       (fun id ->
+         Array.iter
+           (fun dst -> if dst >= 0 then shadow_remove lists ~dst ~src:id)
+           (Dyngraph.out_slots_raw g id);
+         Hashtbl.remove lists id));
+  lists
+
+(* Each alive node's in-edges agree with the shadow: the same multiset,
+   and [iter_in_neighbors] visiting its distinct entries in the order
+   they first occur there. *)
+let shadow_agrees g lists =
+  let ok = ref (Hashtbl.length lists = Dyngraph.alive_count g) in
+  Dyngraph.iter_alive g (fun id ->
+      let l = Option.value ~default:[] (Hashtbl.find_opt lists id) in
+      let firsts =
+        List.rev
+          (List.fold_left (fun acc v -> if List.mem v acc then acc else v :: acc) [] l)
+      in
+      let visited = ref [] in
+      Dyngraph.iter_in_neighbors g id (fun v -> visited := v :: !visited);
+      if List.rev !visited <> firsts then ok := false;
+      let naive = List.sort Int.compare (naive_in_neighbors g id) in
+      if List.sort_uniq Int.compare l <> naive then ok := false;
+      List.iter
+        (fun v ->
+          let slots = Array.fold_left (fun c x -> if x = id then c + 1 else c) 0
+              (Dyngraph.out_slots_raw g v) in
+          if List.length (List.filter (( = ) v) l) <> slots then ok := false)
+        naive);
+  !ok
+
+let graph_bytes g =
+  let w = Codec.writer () in
+  Dyngraph.encode w g;
+  Codec.contents w
+
+(* The checks made at every checkpoint: the shadow, the list oracle when
+   the script is one it can follow, and a byte-identical re-encoding. *)
+let checkpoint what g ~lists ~reference =
+  check_bool (what ^ ": in-edge lists match the shadow") true (shadow_agrees g lists);
+  (match reference with
+  | None -> ()
+  | Some r ->
+      check_bool (what ^ ": equal to the reference oracle") true
+        (snapshots_equal (Dyngraph.snapshot g) (Reference_graph.snapshot r)));
+  let bytes = graph_bytes g in
+  check_bool (what ^ ": encode, decode, encode is byte-identical") true
+    (graph_bytes (Dyngraph.decode (Codec.reader bytes)) = bytes)
+
+let assert_invariants what g =
+  match Dyngraph.check_invariants g with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let sorted_alive g =
+  let ids = Dyngraph.alive_ids g in
+  Array.sort Int.compare ids;
+  ids
+
+(* (a) 7 200 operations on one no-regeneration arena and the list
+   oracle: 600 births, then 3 200 of births and uniform kills that spare
+   the first 16 nodes, so these survivors stretch the live ids over
+   several id pages, then 3 400 more in which a quarter of the
+   operations kill the oldest node, so the oldest alive id climbs and id
+   pages are dropped and reused.  The arena's high-water mark crosses
+   two row-page boundaries. *)
+let test_paged_arena_long_script () =
+  let d = 3 in
+  let g = Dyngraph.create ~rng:(Prng.create 41) ~d ~regenerate:false () in
+  let r = Reference_graph.create ~rng:(Prng.create 41) ~d in
+  let lists = attach_shadow g in
+  let chooser = Prng.create 1041 in
+  let top_slot = ref 0 and oldest_then = ref 0 and span = ref 0 in
+  for i = 1 to 7200 do
+    let u = Prng.unit_float chooser in
+    if i <= 600 || Dyngraph.alive_count g < 2 || u < 0.5 then begin
+      let a = Dyngraph.add_node g ~birth:i in
+      let b = Reference_graph.add_node r ~birth:i in
+      Alcotest.(check int) "same id allocated" a b;
+      top_slot := max !top_slot (Dyngraph.slot g a)
+    end
+    else begin
+      let ids = sorted_alive g in
+      let victim =
+        if i > 3800 && u > 0.75 then ids.(0) else ids.(Prng.int chooser (Array.length ids))
+      in
+      if i > 3800 || victim >= 16 then begin
+        Dyngraph.kill g victim;
+        Reference_graph.kill r victim
+      end
+    end;
+    assert_invariants (Printf.sprintf "after operation %d" i) g;
+    (match Dyngraph.oldest_alive g with
+    | Some o ->
+        span := max !span (Dyngraph.peek_next_id g - o);
+        if Dyngraph.peek_next_id g land 1023 = 0 then oldest_then := max !oldest_then o
+    | None -> ());
+    if i mod 500 = 0 then
+      checkpoint (Printf.sprintf "operation %d" i) g ~lists ~reference:(Some r)
+  done;
+  check_bool (Printf.sprintf "slots reached a third row page (top slot %d)" !top_slot) true
+    (!top_slot >= 512);
+  check_bool (Printf.sprintf "live ids spanned more than two id pages (%d ids)" !span) true
+    (!span > 2048);
+  (* some page was needed after an earlier page had been dropped *)
+  check_bool
+    (Printf.sprintf "a new id page began above a dropped one (oldest %d)" !oldest_then)
+    true (!oldest_then >= 1024);
+  check_bool
+    (Printf.sprintf "ids crossed three id-page boundaries (%d)" (Dyngraph.peek_next_id g))
+    true
+    (Dyngraph.peek_next_id g > 3072)
+
+(* (b) Hubs: most births point at one of three hub nodes, so the hubs'
+   in-edge lists run far past the 2d + 1 entries a row holds and
+   continue in spills; kills of ordinary nodes, [disconnect]s and hub
+   deaths then swap-remove entries on both sides of the block/spill
+   boundary, and recycled hub slots keep their cleared spills.  At d = 1
+   the block holds 3 entries.  Without regeneration the list oracle
+   follows the whole script. *)
+let hub_script ~d ~regenerate ~seed ~ops =
+  let g = Dyngraph.create ~rng:(Prng.create seed) ~d ~regenerate () in
+  let r = if regenerate then None else Some (Reference_graph.create ~rng:(Prng.create seed) ~d) in
+  let lists = attach_shadow g in
+  let chooser = Prng.create (seed + 1000) in
+  let hubs = [| -1; -1; -1 |] in
+  let widest = ref 0 in
+  let on_ref f = Option.iter f r in
+  let pick () =
+    let ids = sorted_alive g in
+    ids.(Prng.int chooser (Array.length ids))
+  in
+  let kill victim =
+    Dyngraph.kill g victim;
+    on_ref (fun r -> Reference_graph.kill r victim);
+    Array.iteri
+      (fun h hub ->
+        if hub = victim then
+          hubs.(h) <- Option.value ~default:(-1) (Dyngraph.newest_alive g))
+      hubs
+  in
+  for i = 1 to ops do
+    let alive = Dyngraph.alive_count g in
+    let u = Prng.unit_float chooser in
+    (if i <= 3 || alive < 8 then begin
+       let id = Dyngraph.add_node g ~birth:i in
+       on_ref (fun r -> ignore (Reference_graph.add_node r ~birth:i));
+       if i <= 3 then hubs.(i - 1) <- id
+     end
+     else if u < 0.40 then begin
+       let h = hubs.(Prng.int chooser 3) in
+       let targets = [| h; hubs.(Prng.int chooser 3); pick () |] in
+       ignore (Dyngraph.add_node_with_targets g ~birth:i ~targets);
+       on_ref (fun r -> ignore (Reference_graph.add_node_with_targets r ~birth:i ~targets))
+     end
+     else if u < 0.48 then begin
+       ignore (Dyngraph.add_node g ~birth:i);
+       on_ref (fun r -> ignore (Reference_graph.add_node r ~birth:i))
+     end
+     else if u < 0.56 then begin
+       let src = pick () and dst = hubs.(Prng.int chooser 3) in
+       if Dyngraph.connect g ~src ~dst then on_ref (fun r -> Reference_graph.connect r ~src ~dst)
+     end
+     else if u < 0.64 then begin
+       let src = pick () in
+       match Dyngraph.out_targets g src with
+       | [] -> ()
+       | dst :: _ ->
+           if Dyngraph.disconnect g ~src ~dst then begin
+             shadow_remove lists ~dst ~src;
+             on_ref (fun r -> Reference_graph.disconnect r ~src ~dst)
+           end
+     end
+     else if u < 0.66 then kill hubs.(Prng.int chooser 3)
+     else begin
+       let victim = pick () in
+       if not (Array.mem victim hubs) then kill victim
+     end);
+    assert_invariants (Printf.sprintf "d = %d, regenerate = %b, operation %d" d regenerate i) g;
+    Array.iter
+      (fun h -> if h >= 0 && Dyngraph.is_alive g h then widest := max !widest (Dyngraph.in_degree g h))
+      hubs;
+    if i mod 250 = 0 then
+      checkpoint
+        (Printf.sprintf "d = %d, regenerate = %b, operation %d" d regenerate i)
+        g ~lists ~reference:r
+  done;
+  check_bool
+    (Printf.sprintf "a hub's in-edges spilled (%d distinct in-neighbours)" !widest)
+    true
+    (!widest > 4 * ((2 * d) + 1))
+
+let test_paged_arena_hubs () =
+  List.iter
+    (fun (d, regenerate) -> hub_script ~d ~regenerate ~seed:(50 + d) ~ops:2000)
+    [ (1, false); (1, true); (3, false); (3, true) ]
+
 let qcheck_props =
   [
     QCheck.Test.make ~name:"stream_stats == snapshot stats on random scripts" ~count:40
@@ -371,5 +602,7 @@ let suite =
     ("stream stats: empty graph", `Quick, test_stream_stats_empty);
     ("stream stats: churned graph", `Quick, test_stream_stats_churned);
     ("stream stats: warmed Poisson graph", `Quick, test_stream_stats_poisson);
+    ("paged arena: long script across pages", `Quick, test_paged_arena_long_script);
+    ("paged arena: hubs spill at d = 1 and 3", `Quick, test_paged_arena_hubs);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props

@@ -425,8 +425,8 @@ let suite = suite @ [ ("large repair runs", `Quick, test_large_repair_runs) ]
 (* Steady-state minor words per [step] at n = 300, d = 8, after
    [warm_up] and a settling run that lets the scratch vectors, the owing
    set and the address-table rows reach their working size.  All three
-   models then allocate well under a word per step (0.33, 0.44 and 0.02
-   measured); what is left is in-edge vector growth.  Upper bounds, so a
+   models then allocate well under a word per step (0.24, 0.34 and 0.01
+   measured); what is left is in-edge spill growth.  Upper bounds, so a
    build with cross-module inlining (which only allocates less) passes
    too. *)
 let steady_words_per_step ~warm_up ~step =
