@@ -4,8 +4,8 @@
     be measured — an O(n·d) copy that dominates peak RSS once n reaches
     the XL tier (10⁶ nodes and up).  This module computes the degree
     statistics its callers ([Sweep], [Exp_xl]) read in one counting pass
-    over the arena's rows, with O(1) extra space.  The degree histogram and
-    Gini coefficient are not here: [Snapshot.degree_histogram] and
+    over the arena's rows, with O(1) extra space.  The degree histogram
+    and Gini coefficient are not here: [Snapshot.degree_histogram] and
     [Metrics.degree_gini] compute them on a snapshot, and [Probe]
     measures vertex expansion there with [Snapshot.expansion].
 

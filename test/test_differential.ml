@@ -354,7 +354,8 @@ let attach_shadow g =
   Dyngraph.set_edge_hook g
     (Some
        (fun ~src ~dst ->
-         Hashtbl.replace lists dst (Option.value ~default:[] (Hashtbl.find_opt lists dst) @ [ src ])));
+         let l = Option.value ~default:[] (Hashtbl.find_opt lists dst) in
+         Hashtbl.replace lists dst (l @ [ src ])));
   Dyngraph.set_death_hook g
     (Some
        (fun id ->
@@ -382,8 +383,8 @@ let shadow_agrees g lists =
       if List.sort_uniq Int.compare l <> naive then ok := false;
       List.iter
         (fun v ->
-          let slots = Array.fold_left (fun c x -> if x = id then c + 1 else c) 0
-              (Dyngraph.out_slots_raw g v) in
+          let raw = Dyngraph.out_slots_raw g v in
+          let slots = Array.fold_left (fun c x -> if x = id then c + 1 else c) 0 raw in
           if List.length (List.filter (( = ) v) l) <> slots then ok := false)
         naive);
   !ok
@@ -479,7 +480,9 @@ let test_paged_arena_long_script () =
    follows the whole script. *)
 let hub_script ~d ~regenerate ~seed ~ops =
   let g = Dyngraph.create ~rng:(Prng.create seed) ~d ~regenerate () in
-  let r = if regenerate then None else Some (Reference_graph.create ~rng:(Prng.create seed) ~d) in
+  let r =
+    if regenerate then None else Some (Reference_graph.create ~rng:(Prng.create seed) ~d)
+  in
   let lists = attach_shadow g in
   let chooser = Prng.create (seed + 1000) in
   let hubs = [| -1; -1; -1 |] in
@@ -537,7 +540,8 @@ let hub_script ~d ~regenerate ~seed ~ops =
      end);
     assert_invariants (Printf.sprintf "d = %d, regenerate = %b, operation %d" d regenerate i) g;
     Array.iter
-      (fun h -> if h >= 0 && Dyngraph.is_alive g h then widest := max !widest (Dyngraph.in_degree g h))
+      (fun h ->
+        if h >= 0 && Dyngraph.is_alive g h then widest := max !widest (Dyngraph.in_degree g h))
       hubs;
     if i mod 250 = 0 then
       checkpoint
