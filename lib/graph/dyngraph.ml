@@ -1041,11 +1041,13 @@ let decode r =
   let cap = Codec.read_varint r in
   let used = Codec.read_varint r in
   (* [cap] starts at [initial_cap] and doubles only once every slot is
-     used, so it is a power of two: a whole number of row pages *)
+     used, so it is a power of two (a whole number of row pages) that no
+     slot lies beyond *)
   if
     used < 0
     || used > Codec.remaining r
     || cap < initial_cap
+    || used > cap
     || cap > max initial_cap (2 * used)
     || cap land (cap - 1) <> 0
     || d > Sys.max_array_length / (4 * cap)

@@ -212,5 +212,6 @@ val decode : Churnet_util.Codec.reader -> t
 (** Rebuild a graph that continues bit-identically to the encoded one.
     Total: any malformed input — a size the remaining bytes cannot back,
     a capacity that is not 256·2{^k} slots (whole row pages, as encoders
-    write it), an out-of-range slot or id, or a failed
-    {!check_invariants} — raises [Churnet_util.Codec.Error]. *)
+    write it) or is below the slots in use, an out-of-range slot or id,
+    or a failed {!check_invariants} — raises
+    [Churnet_util.Codec.Error]. *)
