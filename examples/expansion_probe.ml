@@ -21,8 +21,8 @@ let () =
       let m = Models.create ~rng:(Churnet_util.Prng.create 33) kind ~n ~d in
       Models.warm_up_batch m;
       let snap = Models.snapshot m in
-      let spectral, sweep_sets = Spectral.analyze_with_sweep_sets snap in
-      let probe = Probe.probe ~rng:(Churnet_util.Prng.create 34) ~sweep_sets snap in
+      let spectral, sweep_order = Spectral.analyze_with_sweep_order snap in
+      let probe = Probe.probe ~rng:(Churnet_util.Prng.create 34) ~sweep_order snap in
       Table.add_row table
         [
           Models.kind_name kind;

@@ -24,7 +24,21 @@
     Each draws the source's d requests, then every young node's d in
     ascending order, and keeps only the targets that land in the old
     class, since no other request is ever read; {!run_poisson} also
-    draws its death coins in the phase loop, in first-contact order. *)
+    draws its death coins in the phase loop, in first-contact order.
+
+    A run's buffers (the old-class targets, their row offsets, the
+    per-node class and the current layers) live in a {!scratch}.  Trials
+    that share one, such as the trials of one
+    {!Churnet_util.Parallel.replicate_with} worker, allocate them once
+    and grow them by need; every run resets what it reads, so results do
+    not depend on what the scratch held. *)
+
+type scratch
+(** Reusable buffers for {!run} and {!run_poisson}.  Not safe to share
+    between domains. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; it allocates nothing big until a run needs it. *)
 
 type result = {
   phases : int;  (** phases executed before the layers stopped growing *)
@@ -36,15 +50,16 @@ type result = {
   growth_factors : float array;  (** per-phase layer growth ratios *)
 }
 
-val run : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
+val run : ?scratch:scratch -> rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 (** Simulate one realization of the onion-skin process on a fresh SDG
     age structure with parameters [n] (population) and [d] (requests,
     must be even and >= 2).  Lemma 3.9 predicts {!result.reached_target}
     with probability at least [1 - 4 e^{-d/100}] for d >= 200;
     empirically the bound is extremely loose and already holds for much
-    smaller d. *)
+    smaller d.  [scratch] defaults to a fresh one. *)
 
-val run_poisson : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
+val run_poisson :
+  ?scratch:scratch -> rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
 (** The {e extended} onion-skin process of Section 7.2.4 (the Poisson
     counterpart used to prove Theorem 4.13): the population is split into
     the younger and older half by rank at time t0; requests are uniform
@@ -56,4 +71,5 @@ val run_poisson : rng:Churnet_util.Prng.t -> n:int -> d:int -> unit -> result
     {!result.reached_target} is m/20 informed in each class (Lemma 7.8).
     Theorem 4.13 predicts success with probability
     [1 - 2 e^{-d/576} - o(1)] for d >= 1152 — vacuous below d ~ 400;
-    empirically the process succeeds from d of a few dozen. *)
+    empirically the process succeeds from d of a few dozen.  [scratch]
+    as in {!run}. *)

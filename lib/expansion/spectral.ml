@@ -193,21 +193,11 @@ let degenerate_report m =
   { lambda2 = 1.; spectral_gap = 0.; cheeger_lower = 0.; sweep_conductance = nan;
     sweep_set_size = 0; component_size = m }
 
-(* Prefixes of the sweep order at geometric sizes up to half the
-   component, mapped back to snapshot indices. *)
-let sets_of comp vec =
-  let m = Array.length comp.members in
-  if m < 4 then []
-  else begin
-    let order = sorted_order vec in
-    let sets = ref [] in
-    let size = ref 2 in
-    while !size <= m / 2 do
-      sets := Array.init !size (fun k -> comp.members.(order.(k))) :: !sets;
-      size := max (!size + 1) (!size * 3 / 2)
-    done;
-    List.rev !sets
-  end
+(* The sweep order mapped back to snapshot indices; empty on a component
+   too small to cut (fewer than 4 vertices). *)
+let order_of comp vec =
+  if Array.length comp.members < 4 then [||]
+  else Array.map (fun k -> comp.members.(k)) (sorted_order vec)
 
 let analyze ?(iters = 300) snap =
   let comp = largest_component snap in
@@ -215,21 +205,21 @@ let analyze ?(iters = 300) snap =
   if m < 2 then degenerate_report m
   else report_of comp (snd (power_iteration comp ~keep:iters ~last:iters))
 
-let sweep_sets snap =
+let sweep_order snap =
   let comp = largest_component snap in
-  if Array.length comp.members < 4 then []
+  if Array.length comp.members < 4 then [||]
   else
     let _, (_, vec) = power_iteration comp ~keep:sweep_iters ~last:sweep_iters in
-    sets_of comp vec
+    order_of comp vec
 
-let analyze_with_sweep_sets ?(iters = 300) snap =
+let analyze_with_sweep_order ?(iters = 300) snap =
   let comp = largest_component snap in
   let m = Array.length comp.members in
-  if m < 2 then (degenerate_report m, [])
+  if m < 2 then (degenerate_report m, [||])
   else begin
     let early, late =
       power_iteration comp ~keep:(min iters sweep_iters) ~last:(max iters sweep_iters)
     in
     let at_iters, at_sweep = if iters <= sweep_iters then (early, late) else (late, early) in
-    (report_of comp at_iters, sets_of comp (snd at_sweep))
+    (report_of comp at_iters, order_of comp (snd at_sweep))
   end

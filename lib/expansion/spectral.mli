@@ -4,7 +4,7 @@
     walk on the largest connected component; Cheeger's inequality then
     gives a conductance lower bound, and a sweep cut over the eigenvector
     embedding yields candidate low-expansion sets (the classic way to
-    {e find} bad cuts if they exist). *)
+    {e find} bad cuts if they exist): the prefixes of {!sweep_order}. *)
 
 type report = {
   lambda2 : float;  (** second eigenvalue of the lazy walk (in [1/2, 1]) *)
@@ -19,12 +19,13 @@ val analyze : ?iters:int -> Churnet_graph.Snapshot.t -> report
 (** Analyze the largest component.  [iters] defaults to 300 power-iteration
     steps. *)
 
-val sweep_sets : Churnet_graph.Snapshot.t -> int array list
-(** Prefix sets (component indices, mapped back to snapshot indices) of
-    the eigenvector sweep after 150 power-iteration steps, for use as
-    vertex-expansion candidates. *)
+val sweep_order : Churnet_graph.Snapshot.t -> int array
+(** The largest component's vertices (snapshot indices) in the order of
+    the eigenvector sweep after 150 power-iteration steps, empty when the
+    component has fewer than 4 vertices.  {!Probe} scores its prefixes
+    as vertex-expansion candidates. *)
 
-val analyze_with_sweep_sets :
-  ?iters:int -> Churnet_graph.Snapshot.t -> report * int array list
-(** [(analyze ~iters snap, sweep_sets snap)], bit for bit, from one power
+val analyze_with_sweep_order :
+  ?iters:int -> Churnet_graph.Snapshot.t -> report * int array
+(** [(analyze ~iters snap, sweep_order snap)], bit for bit, from one power
     iteration of [max iters 150] steps instead of two. *)

@@ -32,8 +32,8 @@ let probe_snapshots kind ~rng ~n ~d ~min_size_of ~snapshots =
       (fun (model_rng, probe_rng) ->
         let snap = snapshot_of kind ~rng:model_rng ~n ~d in
         let min_size = min_size_of (Snapshot.n snap) in
-        let sp, sweep_sets = Spectral.analyze_with_sweep_sets ~iters:120 snap in
-        let r = Probe.probe ~rng:probe_rng ~min_size ~sweep_sets snap in
+        let sp, sweep_order = Spectral.analyze_with_sweep_order ~iters:120 snap in
+        let r = Probe.probe ~rng:probe_rng ~min_size ~sweep_order snap in
         (r, sp))
       pairs
   in

@@ -30,7 +30,8 @@ let f5 ~seed ~scale =
             (fun i g ->
               if i < 2 && not (Float.is_nan g) then Stats.Acc.add growth_acc g)
             r.growth_factors)
-        (Parallel.replicate ~rng ~trials (fun rng -> Onion.run ~rng ~n ~d ()));
+        (Parallel.replicate_with ~init:Onion.scratch ~rng ~trials (fun scratch rng ->
+             Onion.run ~scratch ~rng ~n ~d ()));
       let frac = float_of_int !successes /. float_of_int trials in
       let bound = Float.max 0. (1. -. (4. *. exp (-.(float_of_int d /. 100.)))) in
       Table.add_row table
@@ -67,8 +68,9 @@ let f5 ~seed ~scale =
   List.iter
     (fun d ->
       let successes =
-        Parallel.replicate ~rng:(Prng.split rng) ~trials:poisson_trials (fun rng ->
-            (Onion.run_poisson ~rng ~n ~d ()).reached_target)
+        Parallel.replicate_with ~init:Onion.scratch ~rng:(Prng.split rng)
+          ~trials:poisson_trials (fun scratch rng ->
+            (Onion.run_poisson ~scratch ~rng ~n ~d ()).reached_target)
       in
       let frac =
         float_of_int (Array.fold_left (fun k ok -> if ok then k + 1 else k) 0 successes)

@@ -207,9 +207,6 @@ let boundary_size ?scratch t set =
     | None -> Bitset.create (n t)
   in
   let count = ref 0 in
-  (* lint: allow hot-path-alloc — hoisted on purpose: one closure per
-     call, where one per frontier node would swamp the probe kernel's
-     allocation budget. *)
   let visit v =
     if (not (Bitset.mem set v)) && not (Bitset.mem seen v) then begin
       Bitset.add seen v;

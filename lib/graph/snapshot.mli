@@ -89,9 +89,8 @@ val boundary : t -> Churnet_util.Bitset.t -> int array
 
 val boundary_size : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> int
 (** [scratch], when given, is cleared and used as the dedup set instead of
-    allocating a fresh bitset per call (its capacity must be >= [n]).
-    The expansion probe calls this once per candidate set, so the reuse
-    matters. *)
+    allocating a fresh bitset per call (its capacity must be >= [n]), so
+    a caller that measures many sets allocates nothing per set. *)
 
 val expansion : ?scratch:Churnet_util.Bitset.t -> t -> Churnet_util.Bitset.t -> float
 (** [|∂out(S)| / |S|]; [nan] on the empty set.  [scratch] as in

@@ -20,7 +20,7 @@ let words () =
   ( Gc.minor_words () +. float (Atomic.get worker_minor),
     major +. float (Atomic.get worker_major) )
 
-let map ?domains f xs =
+let map_with ?domains ~init f xs =
   let n = Array.length xs in
   let domains =
     match domains with Some d -> max 1 d | None -> domains_from_env ()
@@ -34,14 +34,14 @@ let map ?domains f xs =
   let site =
     match journal with Some j -> Checkpoint.alloc_site j | None -> -1
   in
-  let eval i x =
+  let eval scratch i x =
     match journal with
-    | None -> f x
+    | None -> f scratch x
     | Some j -> (
         match Checkpoint.find j ~site ~index:i with
         | Some v -> v
         | None ->
-            let v = f x in
+            let v = f scratch x in
             Checkpoint.record j ~site ~index:i v;
             (* Cache hits do not tick: [--crash-at k] counts freshly
                computed units, so kill points in a resumed run line up
@@ -51,7 +51,7 @@ let map ?domains f xs =
   in
   let results =
     if n = 0 then [||]
-    else if domains <= 1 || n = 1 then Array.mapi eval xs
+    else if domains <= 1 || n = 1 then Array.mapi (eval (init ())) xs
     else begin
       let workers = min domains n in
       let results = Array.make n None in
@@ -62,8 +62,10 @@ let map ?domains f xs =
       let run lo hi () =
         let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
         try
+          (* The scratch lives for this worker's share of this call only. *)
+          let scratch = init () in
           for i = lo to hi do
-            results.(i) <- Some (eval i xs.(i))
+            results.(i) <- Some (eval scratch i xs.(i))
           done;
           let _, _, major1 = Gc.counters () in
           ignore (Atomic.fetch_and_add worker_minor (truncate (Gc.minor_words () -. minor0)));
@@ -88,13 +90,16 @@ let map ?domains f xs =
   (match journal with Some j -> Checkpoint.flush j | None -> ());
   results
 
+let map ?domains f xs = map_with ?domains ~init:ignore (fun () x -> f x) xs
 let init ?domains n f = map ?domains f (Array.init n Fun.id)
 
-let replicate ?domains ~rng ~trials f =
+let replicate_with ?domains ~init ~rng ~trials f =
   if trials < 0 then invalid_arg "Parallel.replicate: trials must be >= 0";
   (* Pre-split one generator per trial *in trial order* before any domain
      is spawned: the sub-streams — hence the results — are identical
      whatever the domain count, and identical to a serial
      [for _ = 1 to trials do ... (Prng.split rng) ... done] loop. *)
-  let trial_rngs = Array.init trials (fun _ -> Prng.split rng) in
-  map ?domains f trial_rngs
+  map_with ?domains ~init f (Array.init trials (fun _ -> Prng.split rng))
+
+let replicate ?domains ~rng ~trials f =
+  replicate_with ?domains ~init:ignore ~rng ~trials (fun () r -> f r)

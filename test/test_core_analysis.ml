@@ -8,6 +8,10 @@ let check_int = Alcotest.(check int)
 
 (* --- Onion-skin process --- *)
 
+(* Both processes on a fresh scratch, as plain function values. *)
+let onion_run ~rng ~n ~d () = Onion.run ~rng ~n ~d ()
+let onion_run_poisson ~rng ~n ~d () = Onion.run_poisson ~rng ~n ~d ()
+
 (* Fraction of [trials] runs, each on its own split of [rng], that reach
    their target. *)
 let success_rate run ~rng ~n ~d ~trials =
@@ -43,12 +47,12 @@ let test_onion_members_within_classes () =
 let test_onion_succeeds_for_large_d () =
   (* Lemma 3.9: success probability >= 1 - 4 e^{-d/100}; for d = 64 the
      empirical rate should be high at moderate n. *)
-  let p = success_rate Onion.run ~rng:(Prng.create 3) ~n:4000 ~d:64 ~trials:20 in
+  let p = success_rate onion_run ~rng:(Prng.create 3) ~n:4000 ~d:64 ~trials:20 in
   check_bool "mostly succeeds" true (p >= 0.8)
 
 let test_onion_fails_more_for_small_d () =
-  let p_small = success_rate Onion.run ~rng:(Prng.create 4) ~n:2000 ~d:2 ~trials:30 in
-  let p_large = success_rate Onion.run ~rng:(Prng.create 5) ~n:2000 ~d:32 ~trials:30 in
+  let p_small = success_rate onion_run ~rng:(Prng.create 4) ~n:2000 ~d:2 ~trials:30 in
+  let p_large = success_rate onion_run ~rng:(Prng.create 5) ~n:2000 ~d:32 ~trials:30 in
   check_bool "monotone-ish in d" true (p_large >= p_small)
 
 let test_onion_growth_factor_scales_with_d () =
@@ -211,7 +215,7 @@ let test_onion_poisson_layers_consistent () =
     (r.total_young <= 1000 && r.total_old <= 1000)
 
 let test_onion_poisson_succeeds () =
-  let p = success_rate Onion.run_poisson ~rng:(Prng.create 43) ~n:3000 ~d:64 ~trials:15 in
+  let p = success_rate onion_run_poisson ~rng:(Prng.create 43) ~n:3000 ~d:64 ~trials:15 in
   check_bool "mostly succeeds" true (p >= 0.8)
 
 let test_onion_poisson_deterministic () =
@@ -249,7 +253,7 @@ let onion_runs_text () =
               done)
             [ 2; 4; 6; 16 ])
         [ 16; 101; 400; 2000 ])
-    [ ("run", Onion.run); ("run_poisson", Onion.run_poisson) ];
+    [ ("run", onion_run); ("run_poisson", onion_run_poisson) ];
   Buffer.contents b
 
 (* --- Exact law of the first old layer --- *)
@@ -311,11 +315,11 @@ let test_onion_first_old_layer_exact () =
   in
   check "streaming"
     (first_old_layer_pmf ~d ~u:(n - 1) ~m:(n - logn - (n / 2) + 1) ~survive:1.)
-    (sample Onion.run 0x0f01);
+    (sample onion_run 0x0f01);
   check "poisson"
     (first_old_layer_pmf ~d ~u:n ~m:(n / 2)
        ~survive:(1. -. (log (float_of_int n) /. float_of_int n)))
-    (sample Onion.run_poisson 0x0f02)
+    (sample onion_run_poisson 0x0f02)
 
 (* --- The engine against the reference engine --- *)
 
@@ -325,9 +329,16 @@ let test_onion_first_old_layer_exact () =
    phases, both processes must give the same result, growth factors
    compared bit for bit, and leave the caller's generator in the same
    state. *)
+(* Every result field equal, growth factors bit for bit. *)
+let same_onion (a : Onion.result) (b : Onion.result) =
+  let bits g = Array.map Int64.bits_of_float g in
+  a.phases = b.phases && a.y_layer_sizes = b.y_layer_sizes
+  && a.o_layer_sizes = b.o_layer_sizes && a.total_young = b.total_young
+  && a.total_old = b.total_old && a.reached_target = b.reached_target
+  && bits a.growth_factors = bits b.growth_factors
+
 let test_onion_matches_reference () =
   let pick = Prng.create 0x0926 in
-  let bits g = Array.map Int64.bits_of_float g in
   let multi_phase = ref 0 in
   for case = 1 to 400 do
     let n = 16 + Prng.int pick (if case mod 2 = 0 then 600 else 5000) in
@@ -339,48 +350,87 @@ let test_onion_matches_reference () =
         let (a : Onion.result) = run ~rng ~n ~d () in
         let (b : Onion.result) = reference ~rng:ref_rng ~n ~d () in
         if a.phases > 1 then incr multi_phase;
-        let same =
-          a.phases = b.phases && a.y_layer_sizes = b.y_layer_sizes
-          && a.o_layer_sizes = b.o_layer_sizes && a.total_young = b.total_young
-          && a.total_old = b.total_old && a.reached_target = b.reached_target
-          && bits a.growth_factors = bits b.growth_factors
-          && Int64.equal (Prng.bits64 rng) (Prng.bits64 ref_rng)
-        in
+        let same = same_onion a b && Int64.equal (Prng.bits64 rng) (Prng.bits64 ref_rng) in
         if not same then Alcotest.failf "%s n=%d d=%d seed=%d differs from the reference" name n d seed)
       [
-        ("run", Onion.run, Reference_onion.run);
-        ("run_poisson", Onion.run_poisson, Reference_onion.run_poisson);
+        ("run", onion_run, Reference_onion.run);
+        ("run_poisson", onion_run_poisson, Reference_onion.run_poisson);
       ]
   done;
   check_bool (Printf.sprintf "%d multi-phase runs >= 200" !multi_phase) true (!multi_phase >= 200)
 
-(* A run stores its old-class targets, about n d / 4 words, and little
-   else; storing every request took over n d / 2.  Minor plus major
-   words, less those promoted, counts each word once.  The minor count
-   of [Gc.counters] is not current to the word, so the words come from
-   [Parallel.words]. *)
+(* Both processes on a given scratch. *)
+let onion_processes =
+  [
+    ("run", fun scratch ~rng ~n ~d -> Onion.run ~scratch ~rng ~n ~d ());
+    ("run_poisson", fun scratch ~rng ~n ~d -> Onion.run_poisson ~scratch ~rng ~n ~d ());
+  ]
+
+(* A scratch shared by every run of both processes, over random
+   (n, d, seed) visited by increasing n and then back down, so buffers
+   grown for a large run serve smaller ones, gives each run the result
+   a fresh scratch gives and leaves the caller's generator in the same
+   state. *)
+let test_onion_scratch_reuse () =
+  let pick = Prng.create 0x0931 in
+  let cases =
+    Array.init 30 (fun i ->
+        (16 + Prng.int pick 3000, 2 * (1 + Prng.int pick (if i mod 2 = 0 then 4 else 60)),
+         Prng.int pick 1_000_000))
+  in
+  Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) cases;
+  let shared = Onion.scratch () in
+  Array.iter
+    (fun (n, d, seed) ->
+      List.iter
+        (fun (name, run) ->
+          let rng = Prng.create seed and fresh_rng = Prng.create seed in
+          let a = run shared ~rng ~n ~d in
+          let b = run (Onion.scratch ()) ~rng:fresh_rng ~n ~d in
+          if not (same_onion a b && Int64.equal (Prng.bits64 rng) (Prng.bits64 fresh_rng)) then
+            Alcotest.failf "%s n=%d d=%d seed=%d differs on a shared scratch" name n d seed)
+        onion_processes)
+    (Array.append cases (Array.of_list (List.rev (Array.to_list cases))))
+
+(* A run stores its old-class targets, 32 bits each or about n d / 8
+   words, and little else; storing every request took over n d / 2.  On a scratch that an
+   earlier run has grown, a run allocates next to nothing: its layer
+   lists and its result.  Minor plus major words, less those promoted,
+   counts each word once.  The minor count of [Gc.counters] is not
+   current to the word, so the words come from [Parallel.words]. *)
 let test_onion_allocation () =
   let n = 4000 and d = 100 in
   let promoted () =
     let _, p, _ = Gc.counters () in
     p
   in
+  let words_of f =
+    let minor0, major0 = Parallel.words () and promoted0 = promoted () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1, major1 = Parallel.words () and promoted1 = promoted () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
   List.iter
     (fun (name, run) ->
-      let minor0, major0 = Parallel.words () and promoted0 = promoted () in
-      ignore (Sys.opaque_identity (run ~rng:(Prng.create 0x0927) ~n ~d ()));
-      let minor1, major1 = Parallel.words () and promoted1 = promoted () in
-      let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+      let fresh = words_of (fun () -> run (Onion.scratch ()) ~rng:(Prng.create 0x0927) ~n ~d) in
       check_bool
-        (Printf.sprintf "%s allocates %.0f words <= 0.35 n d" name words)
+        (Printf.sprintf "%s allocates %.0f words <= 0.35 n d" name fresh)
         true
-        (words <= 0.35 *. float_of_int (n * d)))
-    [ ("run", Onion.run); ("run_poisson", Onion.run_poisson) ]
+        (fresh <= 0.35 *. float_of_int (n * d));
+      let scratch = Onion.scratch () in
+      ignore (run scratch ~rng:(Prng.create 0x0928) ~n ~d);
+      let warm = words_of (fun () -> run scratch ~rng:(Prng.create 0x0927) ~n ~d) in
+      check_bool
+        (Printf.sprintf "%s on a warm scratch allocates %.0f words <= 0.01 n d" name warm)
+        true
+        (warm <= 0.01 *. float_of_int (n * d)))
+    onion_processes
 
 let poisson_suite =
   [
     ("onion matches reference engine", `Quick, test_onion_matches_reference);
     ("onion allocation", `Quick, test_onion_allocation);
+    ("onion scratch reuse", `Quick, test_onion_scratch_reuse);
     ("onion first old layer exact", `Quick, test_onion_first_old_layer_exact);
     ("onion runs golden", `Quick, Test_byte_equality.check_case ("onion_runs", onion_runs_text));
     ("onion poisson args", `Quick, test_onion_poisson_validates_args);

@@ -110,6 +110,137 @@ let test_expansion_profile () =
       check_bool "expansion positive on cycle" true (e > 0.))
     profile
 
+(* --- The incremental evaluator and the reference probe --- *)
+
+(* A random graph on n vertices with about [m] edge draws: repeated pairs
+   (multi-edges, which the snapshot merges), self-pairs (dropped) and
+   vertices no draw touches (isolated). *)
+let random_graph rng ~n ~m =
+  let edges = List.init m (fun _ -> (Prng.int rng n, Prng.int rng n)) in
+  let edges = edges @ List.filteri (fun i _ -> i mod 3 = 0) edges in
+  Snapshot.of_edges ~n edges
+
+(* Every prefix of a random order scores as [Snapshot.boundary_size]
+   scores the same set built from scratch. *)
+let test_evaluator_matches_boundary_size () =
+  let rng = Prng.create 0x0931 in
+  for case = 1 to 300 do
+    let n = 1 + Prng.int rng 40 in
+    let snap = random_graph rng ~n ~m:(Prng.int rng (3 * n)) in
+    let order = Prng.sample_without_replacement rng (Prng.int rng (n + 1)) n in
+    let got = Probe.prefix_boundaries snap order in
+    Array.iteri
+      (fun i b ->
+        let set = Snapshot.set_of_indices snap (Array.sub order 0 (i + 1)) in
+        let want = Snapshot.boundary_size snap set in
+        if b <> want then
+          Alcotest.failf "case %d n=%d prefix %d: evaluator %d, boundary_size %d" case n
+            (i + 1) b want)
+      got
+  done
+
+let bits = Int64.bits_of_float
+
+let same_report (a : Probe.report) (b : Reference_probe.report) =
+  Int64.equal (bits a.min_expansion) (bits b.min_expansion)
+  && a.witness.family = b.witness.family
+  && a.witness.size = b.witness.size
+  && Int64.equal (bits a.witness.expansion) (bits b.witness.expansion)
+  && List.map (fun (f, e) -> (f, bits e)) a.per_family
+     = List.map (fun (f, e) -> (f, bits e)) b.per_family
+  && a.candidates_tested = b.candidates_tested
+
+(* The oldest 6 (a 6-cycle hanging from a clique by two edges) and the
+   youngest 3 (a path hanging from it by its middle) both expand by
+   exactly 1/3, the least of any candidate, and no BFS ball is either
+   set.  Age prefixes alternate oldest and youngest per size, so the
+   witness is the youngest 3, met first. *)
+let age_tie () =
+  let clique = List.concat (List.init 11 (fun i -> List.init i (fun j -> (6 + j, 6 + i)))) in
+  let cycle6 = List.init 6 (fun i -> (i, (i + 1) mod 6)) in
+  Snapshot.of_edges ~n:20 ([ (2, 6); (3, 7); (17, 18); (18, 19); (18, 16) ] @ cycle6 @ clique)
+
+let test_probe_first_strict_minimum () =
+  let r = Probe.probe ~rng:(Prng.create 3) ~min_size:3 (age_tie ()) in
+  close "min is 1/3" (1. /. 3.) r.min_expansion;
+  Alcotest.(check string) "witness family" "age-prefix" r.witness.family;
+  check_int "witness is the youngest 3, not the oldest 6" 3 r.witness.size
+
+(* Snapshots of the four paper models at small n (d = 1 and 2 leave
+   isolated vertices and small components, so every family fires),
+   random multigraphs, and the tie above. *)
+let probe_snapshots () =
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun (n, d) ->
+          List.map
+            (fun seed ->
+              let m = Churnet_core.Models.create ~rng:(Prng.create seed) kind ~n ~d in
+              Churnet_core.Models.warm_up_batch m;
+              ( Printf.sprintf "%s n=%d d=%d seed=%d" (Churnet_core.Models.kind_name kind) n d seed,
+                Churnet_core.Models.snapshot m ))
+            [ 1; 2 ])
+        [ (24, 1); (40, 2); (90, 3); (150, 6) ])
+    Churnet_core.Models.all_kinds
+  @ List.init 12 (fun i ->
+        let rng = Prng.create (0x0932 + i) in
+        let n = 1 + Prng.int rng 60 in
+        (Printf.sprintf "random %d n=%d" i n, random_graph rng ~n ~m:(Prng.int rng (2 * n))))
+  @ [ ("age tie", age_tie ()) ]
+
+(* The probe gives the reference's report over a grid of size ranges and
+   sweep orders, and leaves the caller's generator in the same state. *)
+let test_probe_matches_reference () =
+  List.iter
+    (fun (name, snap) ->
+      let n = Snapshot.n snap in
+      let _, order = Spectral.analyze_with_sweep_order ~iters:120 snap in
+      List.iter
+        (fun (min_size, max_size) ->
+          List.iter
+            (fun (sweep, sweep_order) ->
+              List.iter
+                (fun samples_per_size ->
+                  let rng = Prng.create (n + min_size) and ref_rng = Prng.create (n + min_size) in
+                  let a =
+                    Probe.probe ~rng ~min_size ?max_size ~samples_per_size ?sweep_order snap
+                  in
+                  let b =
+                    Reference_probe.probe ~rng:ref_rng ~min_size ?max_size ~samples_per_size
+                      ?sweep_sets:(Option.map Reference_probe.sweep_sets_of sweep_order)
+                      snap
+                  in
+                  if not (same_report a b && Int64.equal (Prng.bits64 rng) (Prng.bits64 ref_rng))
+                  then
+                    Alcotest.failf "%s min_size=%d max_size=%s sweep=%s samples=%d differs" name
+                      min_size
+                      (match max_size with Some m -> string_of_int m | None -> "n/2")
+                      sweep samples_per_size)
+                [ 8; 1 ])
+            [
+              ("default", None);
+              ("given", Some order);
+              ("reversed", Some (Array.of_list (List.rev (Array.to_list order))));
+              ("none", Some [||]);
+            ])
+        [ (1, None); (0, None); (2, None); (3, Some 7); (n / 10, Some (n / 3)); (1, Some n);
+          (4, Some (n + 5)); (n / 2, Some 2) ])
+    (probe_snapshots ())
+
+let test_profile_matches_reference () =
+  List.iter
+    (fun (name, snap) ->
+      let n = Snapshot.n snap in
+      let sizes = [| n / 2; 1; 0; 2; n / 4; n / 2; n + 1; -3; n; 3 |] in
+      let rng = Prng.create n and ref_rng = Prng.create n in
+      let a = Probe.expansion_profile ~rng snap ~sizes in
+      let b = Reference_probe.expansion_profile ~rng:ref_rng snap ~sizes in
+      let pairs p = Array.map (fun (s, e) -> (s, bits e)) p in
+      if not (pairs a = pairs b && Int64.equal (Prng.bits64 rng) (Prng.bits64 ref_rng)) then
+        Alcotest.failf "%s: expansion profile differs from the reference" name)
+    (probe_snapshots ())
+
 (* --- Spectral --- *)
 
 let test_spectral_clique_gap () =
@@ -140,13 +271,16 @@ let test_spectral_sweep_on_dumbbell () =
   check_bool "half split" true (abs (r.sweep_set_size - k) <= 1)
 
 let test_spectral_sweep_sets_usable () =
-  let sets = Spectral.sweep_sets (cycle 30) in
-  check_bool "non-empty" true (List.length sets > 0);
-  List.iter
-    (fun set ->
-      check_bool "set size <= n/2" true (Array.length set <= 15);
-      Array.iter (fun v -> check_bool "valid index" true (v >= 0 && v < 30)) set)
-    sets
+  let order = Spectral.sweep_order (cycle 30) in
+  check_int "the whole component" 30 (Array.length order);
+  let seen = Array.make 30 false in
+  Array.iter
+    (fun v ->
+      check_bool "valid index" true (v >= 0 && v < 30);
+      check_bool "distinct" false seen.(v);
+      seen.(v) <- true)
+    order;
+  check_int "too small to cut" 0 (Array.length (Spectral.sweep_order (path 3)))
 
 let test_spectral_tiny_graph () =
   let r = Spectral.analyze (Snapshot.of_edges ~n:1 []) in
@@ -157,7 +291,9 @@ let test_spectral_tiny_graph () =
 (* One line per [Spectral.analyze] call over snapshots of the four paper
    models plus a few hand-built graphs: every report float in hex, the
    sweep set size and the component size, and one line per snapshot with
-   the MD5 of [Spectral.sweep_sets].  The cell goldens print the gap to
+   the MD5 of the sweep cuts (the prefixes of [Spectral.sweep_order] the
+   probe scores, built by [Reference_probe.sweep_sets_of]).  The cell
+   goldens print the gap to
    3-4 digits only, so a reordered float sum shows up here first.
    Regenerating (only after an intentional behavior change):
      CHURNET_GOLDEN_OUT=$PWD/test/golden dune exec test/test_main.exe -- \
@@ -182,7 +318,7 @@ let spectral_lines b name snap =
         r.lambda2 r.spectral_gap r.cheeger_lower r.sweep_conductance r.sweep_set_size
         r.component_size)
     spectral_iters;
-  let sets = Spectral.sweep_sets snap in
+  let sets = Reference_probe.sweep_sets_of (Spectral.sweep_order snap) in
   Printf.bprintf b "%s sweep_sets=%d md5=%s\n" name (List.length sets) (sets_digest sets)
 
 (* Three components (a path, a chorded cycle, an edge) and isolated
@@ -242,19 +378,19 @@ let test_spectral_fused_matches_separate () =
   in
   List.iter
     (fun (name, snap) ->
-      let sets = Spectral.sweep_sets snap in
+      let order = Spectral.sweep_order snap in
       List.iter
         (fun iters ->
           let msg field = Printf.sprintf "%s iters=%d %s" name iters field in
           let (a : Spectral.report) = Spectral.analyze ~iters snap in
-          let (f : Spectral.report), fsets = Spectral.analyze_with_sweep_sets ~iters snap in
+          let (f : Spectral.report), forder = Spectral.analyze_with_sweep_order ~iters snap in
           bits (msg "lambda2") a.lambda2 f.lambda2;
           bits (msg "spectral_gap") a.spectral_gap f.spectral_gap;
           bits (msg "cheeger_lower") a.cheeger_lower f.cheeger_lower;
           bits (msg "sweep_conductance") a.sweep_conductance f.sweep_conductance;
           check_int (msg "sweep_set_size") a.sweep_set_size f.sweep_set_size;
           check_int (msg "component_size") a.component_size f.component_size;
-          check_bool (msg "sweep sets") true (sets = fsets))
+          check_bool (msg "sweep order") true (order = forder))
         [ -1; 0; 1; 2; 120; 149; 150; 151; 300 ])
     graphs
 
@@ -296,6 +432,10 @@ let suite =
     ("probe vs exact", `Quick, test_probe_matches_exact_on_small_graphs);
     ("probe families", `Quick, test_probe_reports_families);
     ("expansion profile", `Quick, test_expansion_profile);
+    ("evaluator = boundary_size", `Quick, test_evaluator_matches_boundary_size);
+    ("probe first strict minimum", `Quick, test_probe_first_strict_minimum);
+    ("probe matches reference", `Quick, test_probe_matches_reference);
+    ("profile matches reference", `Quick, test_profile_matches_reference);
     ("spectral clique", `Quick, test_spectral_clique_gap);
     ("spectral path", `Quick, test_spectral_path_small_gap);
     ("spectral dumbbell", `Quick, test_spectral_sweep_on_dumbbell);

@@ -536,6 +536,73 @@ let test_parallel_exception_propagates () =
 let test_parallel_init () =
   Alcotest.(check (array int)) "init" [| 0; 2; 4; 6 |] (Parallel.init ~domains:2 4 (fun i -> 2 * i))
 
+(* [init] runs at most once per worker per call, every element sees its
+   worker's scratch, and the results do not depend on the domain count.
+   Each scratch is a buffer that [f] reuses, as the onion-skin trials
+   do. *)
+let test_parallel_map_with () =
+  let xs = Array.init 41 (fun i -> i) in
+  let f buf x =
+    Array.fill buf 0 (Array.length buf) x;
+    Array.fold_left ( + ) 0 buf
+  in
+  List.iter
+    (fun domains ->
+      let inits = Atomic.make 0 in
+      let init () =
+        Atomic.incr inits;
+        Array.make 3 (-1)
+      in
+      let out = Parallel.map_with ~domains ~init f xs in
+      Alcotest.(check (array int))
+        (Printf.sprintf "domains:%d results" domains)
+        (Array.map (fun x -> 3 * x) xs)
+        out;
+      let n = Atomic.get inits in
+      check_bool
+        (Printf.sprintf "domains:%d runs init %d times, 1..%d" domains n domains)
+        true
+        (n >= 1 && n <= domains))
+    [ 1; 2; 3 ];
+  let inits = Atomic.make 0 in
+  ignore
+    (Parallel.map_with ~domains:3
+       ~init:(fun () -> Atomic.incr inits)
+       (fun () x -> x)
+       [||]);
+  check_int "no init for an empty call" 0 (Atomic.get inits);
+  let rng_of seed = Prng.create seed in
+  let trials domains =
+    Parallel.replicate_with ~domains ~init:(fun () -> Array.make 8 0) ~rng:(rng_of 5)
+      ~trials:9 (fun buf r ->
+        Array.iteri (fun i _ -> buf.(i) <- Prng.int r 1000) buf;
+        Array.copy buf)
+  in
+  let serial = Parallel.replicate ~domains:1 ~rng:(rng_of 5) ~trials:9 (fun r ->
+      Array.init 8 (fun _ -> Prng.int r 1000))
+  in
+  List.iter
+    (fun domains ->
+      check_bool (Printf.sprintf "replicate_with at domains:%d = replicate" domains) true
+        (trials domains = serial))
+    [ 1; 2; 3 ]
+
+(* An exception raised by [init] reaches the caller as one raised by [f]
+   does, serial and parallel. *)
+let test_parallel_map_with_init_raises () =
+  List.iter
+    (fun domains ->
+      check_bool (Printf.sprintf "domains:%d raises" domains) true
+        (try
+           ignore
+             (Parallel.map_with ~domains
+                ~init:(fun () -> failwith "init boom")
+                (fun () x -> x)
+                [| 1; 2; 3; 4 |]);
+           false
+         with Failure msg -> msg = "init boom"))
+    [ 1; 2; 3 ]
+
 let test_parallel_recommended () =
   let d = Parallel.recommended_domains () in
   check_bool "within [1,8]" true (d >= 1 && d <= 8)
@@ -591,6 +658,8 @@ let suite =
       ("parallel exceptions", `Quick, test_parallel_exception_propagates);
       ("parallel init", `Quick, test_parallel_init);
       ("parallel recommended", `Quick, test_parallel_recommended);
+      ("parallel map_with scratch", `Quick, test_parallel_map_with);
+      ("parallel map_with init raises", `Quick, test_parallel_map_with_init_raises);
       ("replicate bit-identical across domains", `Quick,
        test_replicate_bit_identical_across_domains);
       ("replicate consumes rng like serial loop", `Quick,
