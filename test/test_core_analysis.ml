@@ -323,12 +323,6 @@ let test_onion_first_old_layer_exact () =
 
 (* --- The engine against the reference engine --- *)
 
-(* test/reference_onion.ml stores every request and skips the non-old
-   ones; the library keeps only the old-class targets.  Over random
-   (n, d, seed), half of them with small d so that runs last several
-   phases, both processes must give the same result, growth factors
-   compared bit for bit, and leave the caller's generator in the same
-   state. *)
 (* Every result field equal, growth factors bit for bit. *)
 let same_onion (a : Onion.result) (b : Onion.result) =
   let bits g = Array.map Int64.bits_of_float g in
@@ -337,6 +331,12 @@ let same_onion (a : Onion.result) (b : Onion.result) =
   && a.total_old = b.total_old && a.reached_target = b.reached_target
   && bits a.growth_factors = bits b.growth_factors
 
+(* test/reference_onion.ml stores every request and skips the non-old
+   ones; the library keeps only the old-class targets.  Over random
+   (n, d, seed), half of them with small d so that runs last several
+   phases, both processes must give the same result, growth factors
+   compared bit for bit, and leave the caller's generator in the same
+   state. *)
 let test_onion_matches_reference () =
   let pick = Prng.create 0x0926 in
   let multi_phase = ref 0 in
@@ -393,11 +393,12 @@ let test_onion_scratch_reuse () =
     (Array.append cases (Array.of_list (List.rev (Array.to_list cases))))
 
 (* A run stores its old-class targets, 32 bits each or about n d / 8
-   words, and little else; storing every request took over n d / 2.  On a scratch that an
-   earlier run has grown, a run allocates next to nothing: its layer
-   lists and its result.  Minor plus major words, less those promoted,
-   counts each word once.  The minor count of [Gc.counters] is not
-   current to the word, so the words come from [Parallel.words]. *)
+   words, and little else; storing every request took over n d / 2.  On
+   a scratch that an earlier run has grown, a run allocates next to
+   nothing: its layer-size lists and its result.  Minor plus major
+   words, less those promoted, counts each word once.  The minor count
+   of [Gc.counters] is not current to the word, so the words come from
+   [Parallel.words]. *)
 let test_onion_allocation () =
   let n = 4000 and d = 100 in
   let promoted () =

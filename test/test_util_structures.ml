@@ -571,15 +571,15 @@ let test_parallel_map_with () =
        (fun () x -> x)
        [||]);
   check_int "no init for an empty call" 0 (Atomic.get inits);
-  let rng_of seed = Prng.create seed in
   let trials domains =
-    Parallel.replicate_with ~domains ~init:(fun () -> Array.make 8 0) ~rng:(rng_of 5)
+    Parallel.replicate_with ~domains ~init:(fun () -> Array.make 8 0) ~rng:(Prng.create 5)
       ~trials:9 (fun buf r ->
         Array.iteri (fun i _ -> buf.(i) <- Prng.int r 1000) buf;
         Array.copy buf)
   in
-  let serial = Parallel.replicate ~domains:1 ~rng:(rng_of 5) ~trials:9 (fun r ->
-      Array.init 8 (fun _ -> Prng.int r 1000))
+  let serial =
+    Parallel.replicate ~domains:1 ~rng:(Prng.create 5) ~trials:9 (fun r ->
+        Array.init 8 (fun _ -> Prng.int r 1000))
   in
   List.iter
     (fun domains ->
