@@ -54,7 +54,8 @@ let step t =
 
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
-let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)
+let flood ?scratch ?max_rounds t =
+  Repair_churn.flood ?scratch ?max_rounds t.base ~step:(fun () -> step t)
 
 let max_in_degree t =
   let g = graph t and worst = ref 0 in

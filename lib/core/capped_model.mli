@@ -33,7 +33,7 @@ val step : t -> unit
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t
 
-val flood : ?max_rounds:int -> t -> Flood.trace
+val flood : ?scratch:Flood.scratch -> ?max_rounds:int -> t -> Flood.trace
 (** Synchronous flooding with one round per unit of time, from the next
     newborn. *)
 

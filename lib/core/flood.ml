@@ -182,16 +182,27 @@ let expand_informed_auto graph informed frontier scratch =
 
 (* --- cross-round state ------------------------------------------------ *)
 
+(* The per-round staging space of a flood: [hop] holds the ids a
+   synchronous hop informs, [candidates] the discretized driver's
+   candidate edges.  Floods that run one after another (the trials of one
+   Parallel worker) can share one scratch: every use clears a buffer
+   before it writes it, so a flood reads only what it wrote itself, and
+   the buffers grow by need and never shrink. *)
+type scratch = { hop : Intvec.t; candidates : Intvec.t }
+
+let scratch () = { hop = Intvec.create ~capacity:1 (); candidates = Intvec.create ~capacity:1 () }
+
 (* Everything flooding carries from one round to the next, shared by the
    synchronous and discretized drivers.  [frontier] is the set of
    informed nodes that may still have uninformed neighbors; both drivers
-   scan it instead of the whole informed set.  [scratch] and
-   [candidates] (the discretized driver's candidate edges) are per-round
-   staging space, cleared before every use. *)
+   scan it instead of the whole informed set.  [hop] and [candidates]
+   are a scratch's buffers, or the flood's own when it has none; the
+   state holds them directly, so a flood without a scratch allocates no
+   scratch record. *)
 type state = {
   informed : Bitset.t;
   frontier : Bitset.t;
-  scratch : Intvec.t;
+  hop : Intvec.t;
   candidates : Intvec.t;
   mutable informed_log : int list; (* head = latest round *)
   mutable population_log : int list;
@@ -211,7 +222,7 @@ let finish_state st =
     ~extinct:st.extinct ~extinction_round:st.extinction_round st.informed_log
     st.population_log
 
-let make_state ~max_rounds ~source ~population =
+let make_state ~(scratch : scratch option) ~max_rounds ~source ~population =
   let informed = Bitset.create (source + 64) in
   Bitset.add informed source;
   let frontier = Bitset.create (source + 64) in
@@ -219,8 +230,9 @@ let make_state ~max_rounds ~source ~population =
   {
     informed;
     frontier;
-    scratch = Intvec.create ~capacity:256 ();
-    candidates = Intvec.create ~capacity:1024 ();
+    hop = (match scratch with Some s -> s.hop | None -> Intvec.create ~capacity:256 ());
+    candidates =
+      (match scratch with Some s -> s.candidates | None -> Intvec.create ~capacity:1024 ());
     informed_log = [ 1 ];
     population_log = [ population ];
     round = 0;
@@ -230,6 +242,20 @@ let make_state ~max_rounds ~source ~population =
     extinct = false;
     extinction_round = None;
   }
+
+(* Run [f ()], then put the graph's edge and death hooks back to [edge]
+   and [death], also when [f] raises.  Restored by hand: [Fun.protect]
+   would allocate two closures a call. *)
+let restoring_hooks graph ~edge ~death f =
+  match f () with
+  | () ->
+      Dyngraph.set_edge_hook graph edge;
+      Dyngraph.set_death_hook graph death
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Dyngraph.set_edge_hook graph edge;
+      Dyngraph.set_death_hook graph death;
+      Printexc.raise_with_backtrace e bt
 
 (* Run [churn ()] with two of the graph's hooks chained.  The edge hook
    keeps the frontier invariant (see expand_informed_frontier): during
@@ -256,17 +282,7 @@ let with_frontier_arming graph st churn =
        (fun id ->
          (match prev_death_hook with None -> () | Some f -> f id);
          if bs_mem st.informed id then Bitset.remove st.informed id));
-  (* Restored by hand: [Fun.protect] would allocate two closures a
-     round. *)
-  match churn () with
-  | () ->
-      Dyngraph.set_edge_hook graph prev_edge_hook;
-      Dyngraph.set_death_hook graph prev_death_hook
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Dyngraph.set_edge_hook graph prev_edge_hook;
-      Dyngraph.set_death_hook graph prev_death_hook;
-      Printexc.raise_with_backtrace e bt
+  restoring_hooks graph ~edge:prev_edge_hook ~death:prev_death_hook churn
 
 (* One synchronous flooding round (Definition 3.3): adaptive expand,
    churn (whose deaths leave the informed set as they happen), log, then
@@ -274,7 +290,7 @@ let with_frontier_arming graph st churn =
 let sync_round ~graph ~step ~newest st =
   st.round <- st.round + 1;
   (* I_t = (I_{t-1} U boundary in G_{t-1}) /\ N_t *)
-  expand_informed_auto graph st.informed st.frontier st.scratch;
+  expand_informed_auto graph st.informed st.frontier st.hop;
   with_frontier_arming graph st step;
   let alive = Dyngraph.alive_count graph in
   let inf = Bitset.cardinal st.informed in
@@ -294,20 +310,20 @@ let sync_round ~graph ~step ~newest st =
     st.extinction_round <- Some st.round
   end
 
-let run_custom ?max_rounds ~graph ~step ~newest ~default_max_rounds () =
+let run_custom ?scratch ?max_rounds ~graph ~step ~newest ~default_max_rounds () =
   let max_rounds = Option.value ~default:default_max_rounds max_rounds in
   (* The source is the node joining the network at round t0. *)
   step ();
   let source = newest () in
-  let st = make_state ~max_rounds ~source ~population:(Dyngraph.alive_count graph) in
+  let st = make_state ~scratch ~max_rounds ~source ~population:(Dyngraph.alive_count graph) in
   while not (state_finished st) do
     sync_round ~graph ~step ~newest st
   done;
   finish_state st
 
-let run_streaming ?max_rounds model =
+let run_streaming ?scratch ?max_rounds model =
   let n = Streaming_model.n model in
-  run_custom ?max_rounds
+  run_custom ?scratch ?max_rounds
     ~graph:(Streaming_model.graph model)
     ~step:(fun () -> Streaming_model.step model)
     ~newest:(fun () -> Streaming_model.newest model)
@@ -325,10 +341,10 @@ let push_candidate candidates ~owner ~slot ~other ~learner =
   Intvec.push candidates other;
   Intvec.push candidates learner
 
-let poisson_start ~max_rounds model =
+let poisson_start ?scratch ~max_rounds model =
   (* Flood from the next newborn. *)
   let source = Poisson_model.step_until_birth model in
-  make_state ~max_rounds ~source ~population:(Poisson_model.population model)
+  make_state ~scratch ~max_rounds ~source ~population:(Poisson_model.population model)
 
 let poisson_round model st =
   let graph = Poisson_model.graph model in
@@ -423,14 +439,14 @@ let poisson_round model st =
     st.extinction_round <- Some st.round
   end
 
-let run_poisson_discretized ?max_rounds model =
+let run_poisson_discretized ?scratch ?max_rounds model =
   let n = Poisson_model.n model in
   let max_rounds =
     Option.value
       ~default:(int_of_float (8. *. log (float_of_int n)) + 60)
       max_rounds
   in
-  let st = poisson_start ~max_rounds model in
+  let st = poisson_start ?scratch ~max_rounds model in
   while not (state_finished st) do
     poisson_round model st
   done;
@@ -474,7 +490,9 @@ module Async = struct
     (* New edges towards informed nodes trigger a delivery one unit later
        (Definition 4.2: neighbor at instant t => informed at t + 1).  Both
        hooks chain to the ones already installed (e.g. an event recorder)
-       and are restored afterwards. *)
+       and are restored afterwards, also when the churn raises: left
+       installed, they would close over this finished flood's set and
+       heap. *)
     let prev_edge_hook = Dyngraph.edge_hook graph in
     let prev_death_hook = Dyngraph.death_hook graph in
     Dyngraph.set_edge_hook graph
@@ -493,7 +511,6 @@ module Async = struct
          (fun id ->
            (match prev_death_hook with None -> () | Some f -> f id);
            if bs_mem informed id then decr informed_alive));
-    inform source t0;
     let events = ref 0 in
     let completed = ref false in
     let completion_time = ref None in
@@ -504,47 +521,47 @@ module Async = struct
        not with the model clock: when a delivery completes the flood the
        model clock still reads the previous jump. *)
     let last_event_time = ref t0 in
-    while not !stop do
-      let next_jump = Poisson_model.next_jump_time model in
-      let next_delivery = Churnet_util.Heap.peek deliveries in
-      let now_candidate =
-        match next_delivery with
-        | Some (td, _) when td <= next_jump -> `Delivery td
-        | _ -> `Jump next_jump
-      in
-      (match now_candidate with
-      | `Delivery td ->
-          (* Deliveries past the deadline are outside the observation
-             window, exactly like jumps past the deadline. *)
-          if td > deadline then stop := true
-          else begin
-            (match Churnet_util.Heap.pop deliveries with
-            | Some (td, v) -> inform v td
-            | None -> ());
-            last_event_time := td
+    restoring_hooks graph ~edge:prev_edge_hook ~death:prev_death_hook (fun () ->
+        inform source t0;
+        while not !stop do
+          let next_jump = Poisson_model.next_jump_time model in
+          let next_delivery = Churnet_util.Heap.peek deliveries in
+          let now_candidate =
+            match next_delivery with
+            | Some (td, _) when td <= next_jump -> `Delivery td
+            | _ -> `Jump next_jump
+          in
+          (match now_candidate with
+          | `Delivery td ->
+              (* Deliveries past the deadline are outside the observation
+                 window, exactly like jumps past the deadline. *)
+              if td > deadline then stop := true
+              else begin
+                (match Churnet_util.Heap.pop deliveries with
+                | Some (td, v) -> inform v td
+                | None -> ());
+                last_event_time := td
+              end
+          | `Jump tj ->
+              if tj > deadline then stop := true
+              else begin
+                Poisson_model.step model;
+                incr events;
+                last_event_time := Poisson_model.time model
+              end);
+          if not !stop then begin
+            if !informed_alive = Dyngraph.alive_count graph && !informed_alive > 0 then begin
+              completed := true;
+              completion_time := Some (!last_event_time -. t0);
+              stop := true
+            end
+            else if !informed_alive = 0 && Churnet_util.Heap.is_empty deliveries then begin
+              (* Extinction: no informed node alive and nothing pending. *)
+              extinct := true;
+              stop := true
+            end
           end
-      | `Jump tj ->
-          if tj > deadline then stop := true
-          else begin
-            Poisson_model.step model;
-            incr events;
-            last_event_time := Poisson_model.time model
-          end);
-      if not !stop then begin
-        if !informed_alive = Dyngraph.alive_count graph && !informed_alive > 0 then begin
-          completed := true;
-          completion_time := Some (!last_event_time -. t0);
-          stop := true
-        end
-        else if !informed_alive = 0 && Churnet_util.Heap.is_empty deliveries then begin
-          (* Extinction: no informed node alive and nothing pending. *)
-          extinct := true;
-          stop := true
-        end
-      end
-    done;
-    Dyngraph.set_edge_hook graph prev_edge_hook;
-    Dyngraph.set_death_hook graph prev_death_hook;
+        done);
     let alive = Dyngraph.alive_count graph in
     {
       completed = !completed;

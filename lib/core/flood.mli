@@ -30,6 +30,35 @@ type trace = {
   extinction_round : int option;
 }
 
+(** {1 Scratch}
+
+    A flood stages each round in two buffers: the ids a synchronous hop
+    informs, and the discretized driver's candidate edges.  By default a
+    flood makes its own.  Floods that run one after another, such as the
+    trials of one {!Churnet_util.Parallel.map_with} worker
+    ([~init:Flood.scratch]), can share a {!scratch} instead, so the
+    buffers grow once per worker and call rather than once per flood.
+
+    The contract:
+    - one flood at a time per scratch: it is not safe to share between
+      domains, nor between floods that interleave (two
+      {!poisson_start} states stepped in turn);
+    - every round clears a buffer before writing it, so a flood on a
+      used scratch gives exactly the trace, and leaves the model in
+      exactly the state, that it would on a fresh one;
+    - the trace never aliases the scratch, and neither does
+      {!state_informed}: the informed and frontier sets stay each
+      flood's own.
+
+    Make one per [Parallel] call and worker, or per serial loop of
+    floods, never one per domain in [Domain.DLS]: see
+    {!Churnet_util.Parallel} for why. *)
+
+type scratch
+
+val scratch : unit -> scratch
+(** An empty scratch; its buffers grow by need and never shrink. *)
+
 val coverage_at : trace -> int -> float
 (** [coverage_at tr k] = |I_{t0+k}| / |N_{t0+k}|, or the final coverage if
     the flood ended earlier.  [nan] when that round's population is empty
@@ -79,9 +108,10 @@ val state_informed : state -> Churnet_util.Bitset.t
     pruned to alive nodes.  A live view, not a copy: callers must not
     mutate it. *)
 
-val poisson_start : max_rounds:int -> Poisson_model.t -> state
+val poisson_start : ?scratch:scratch -> max_rounds:int -> Poisson_model.t -> state
 (** Advance churn until a birth occurs, inform that newborn, and return
-    the initial state. *)
+    the initial state.  The state stages its rounds in [scratch] when
+    given, else in buffers of its own. *)
 
 val poisson_round : Poisson_model.t -> state -> unit
 (** One discretized flooding round (Definition 4.3) over a unit interval
@@ -100,6 +130,7 @@ val finish_state : state -> trace
 (** Assemble the final trace from a finished (or abandoned) state. *)
 
 val run_custom :
+  ?scratch:scratch ->
   ?max_rounds:int ->
   graph:Churnet_graph.Dyngraph.t ->
   step:(unit -> unit) ->
@@ -120,12 +151,12 @@ val run_custom :
     also when [step] raises.  The result is byte-identical to a full
     rescan per hop, only faster. *)
 
-val run_streaming : ?max_rounds:int -> Streaming_model.t -> trace
+val run_streaming : ?scratch:scratch -> ?max_rounds:int -> Streaming_model.t -> trace
 (** Inserts the source with the next round's newborn and floods until
     completion (I_t contains all of N_{t-1} /\ N_t), extinction, or
     [max_rounds] (default [4 * n]).  The model must be warmed up. *)
 
-val run_poisson_discretized : ?max_rounds:int -> Poisson_model.t -> trace
+val run_poisson_discretized : ?scratch:scratch -> ?max_rounds:int -> Poisson_model.t -> trace
 (** Discretized flooding from the next newborn.  Completion here means
     every alive node is informed except possibly nodes born during the
     last unit interval (they have not yet had a full interval of
@@ -149,5 +180,7 @@ module Async : sig
       Stops at full coverage of the alive set, at extinction (no informed
       node alive and no pending delivery), or after [max_time] time units
       (default [8 * log n + 50]).  No event past the deadline — delivery
-      or churn jump — is processed. *)
+      or churn jump — is processed.  The graph's edge and death hooks
+      are chained for the run and restored after it, also when the churn
+      raises. *)
 end

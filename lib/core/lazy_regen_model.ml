@@ -57,5 +57,6 @@ let step t =
 let advance_time t span = Repair_churn.advance_time t.base ~step:(fun () -> step t) span
 let warm_up t = Repair_churn.warm_up t.base ~step:(fun () -> step t)
 let snapshot t = Dyngraph.snapshot (graph t)
-let flood ?max_rounds t = Repair_churn.flood ?max_rounds t.base ~step:(fun () -> step t)
+let flood ?scratch ?max_rounds t =
+  Repair_churn.flood ?scratch ?max_rounds t.base ~step:(fun () -> step t)
 let broken_slots t = Repair_churn.missing_slots t.base

@@ -17,6 +17,6 @@ val graph : t -> Churnet_graph.Dyngraph.t
 val advance_time : t -> float -> unit
 val warm_up : t -> unit
 val snapshot : t -> Churnet_graph.Snapshot.t
-val flood : ?max_rounds:int -> t -> Flood.trace
+val flood : ?scratch:Flood.scratch -> ?max_rounds:int -> t -> Flood.trace
 val broken_slots : t -> int
 (** Out-slots currently awaiting the next maintenance tick. *)

@@ -60,10 +60,10 @@ let warm_up_batch = function
   | Streaming m -> Streaming_model.warm_up m
   | Poisson m -> Poisson_model.warm_up m
 
-let flood ?max_rounds t =
+let flood ?scratch ?max_rounds t =
   match t with
-  | Streaming m -> Flood.run_streaming ?max_rounds m
-  | Poisson m -> Flood.run_poisson_discretized ?max_rounds m
+  | Streaming m -> Flood.run_streaming ?scratch ?max_rounds m
+  | Poisson m -> Flood.run_poisson_discretized ?scratch ?max_rounds m
 
 module Codec = Churnet_util.Codec
 

@@ -46,9 +46,10 @@ val warm_up_batch : t -> unit
 (** Mix the model to stationarity: {!Streaming_model.warm_up} or
     {!Poisson_model.warm_up}. *)
 
-val flood : ?max_rounds:int -> t -> Flood.trace
+val flood : ?scratch:Flood.scratch -> ?max_rounds:int -> t -> Flood.trace
 (** Flooding in the model's native semantics: synchronous (Def 3.3) for
-    streaming, discretized (Def 4.3) for Poisson. *)
+    streaming, discretized (Def 4.3) for Poisson.  [scratch] is passed
+    to the driver (see {!Flood.scratch}). *)
 
 val encode : Churnet_util.Codec.writer -> t -> unit
 (** Serialize a model (either semantics) for checkpoints. *)

@@ -76,7 +76,7 @@ let warm_up t ~step =
     step ()
   done
 
-let flood ?max_rounds t ~step =
+let flood ?scratch ?max_rounds t ~step =
   let default = int_of_float (8. *. log (float_of_int t.n)) + 60 in
   let rec until_birth () =
     let before = Dyngraph.alive_count t.graph in
@@ -84,7 +84,7 @@ let flood ?max_rounds t ~step =
     if Dyngraph.alive_count t.graph <= before then until_birth ()
   in
   let first = ref true in
-  Flood.run_custom ?max_rounds ~graph:t.graph
+  Flood.run_custom ?scratch ?max_rounds ~graph:t.graph
     ~step:(fun () ->
       (* The first round plants the source with a birth; afterwards one
          round is one unit of continuous time. *)

@@ -52,7 +52,9 @@ val advance_time : t -> step:(unit -> unit) -> float -> unit
 val warm_up : t -> step:(unit -> unit) -> unit
 (** [12 n] steps. *)
 
-val flood : ?max_rounds:int -> t -> step:(unit -> unit) -> Flood.trace
+val flood :
+  ?scratch:Flood.scratch -> ?max_rounds:int -> t -> step:(unit -> unit) -> Flood.trace
 (** Synchronous flooding with one round per unit of continuous time,
     from the next newborn: [step] runs until a birth, then for one time
-    unit per round.  [max_rounds] defaults to [8 ln n + 60]. *)
+    unit per round.  [max_rounds] defaults to [8 ln n + 60]; [scratch]
+    is passed to {!Flood.run_custom}. *)

@@ -42,8 +42,8 @@ let x1 ~seed ~scale =
       let probe = Probe.probe ~rng:(Prng.split rng) snap in
       let rounds_acc = Stats.Acc.create () and cov_acc = Stats.Acc.create () in
       let traces =
-        Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
-            Capped_model.flood (mk rng))
+        Churnet_util.Parallel.replicate_with ~init:Flood.scratch ~rng ~trials
+          (fun scratch rng -> Capped_model.flood ~scratch (mk rng))
       in
       Array.iter
         (fun tr ->
@@ -176,10 +176,11 @@ let x3 ~seed ~scale =
       let completed = ref 0 in
       let rounds_acc = Stats.Acc.create () and cov_acc = Stats.Acc.create () in
       let traces =
-        Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
+        Churnet_util.Parallel.replicate_with ~init:Flood.scratch ~rng ~trials
+          (fun scratch rng ->
             let m = Burst_model.create ~rng ~n ~d ~burst_every ~burst_size () in
             Streaming_model.warm_up m;
-            Flood.run_streaming
+            Flood.run_streaming ~scratch
               ~max_rounds:(int_of_float (20. *. log (float_of_int n)) + 40) m)
       in
       Array.iter
@@ -252,10 +253,11 @@ let a1 ~seed ~scale =
       let completed = ref 0 in
       let cov_acc = Stats.Acc.create () in
       let traces =
-        Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
+        Churnet_util.Parallel.replicate_with ~init:Flood.scratch ~rng ~trials
+          (fun scratch rng ->
             let fm = Lazy_regen_model.create ~rng ~n ~d ~period () in
             Lazy_regen_model.warm_up fm;
-            Lazy_regen_model.flood fm)
+            Lazy_regen_model.flood ~scratch fm)
       in
       Array.iter
         (fun tr ->

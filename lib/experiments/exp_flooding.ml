@@ -8,10 +8,13 @@ module Parallel = Churnet_util.Parallel
 module Table = Churnet_util.Table
 module Stats = Churnet_util.Stats
 
-let flood_once kind ~rng ~n ~d ~max_rounds =
+(* One warmed model of [kind] flooded once; the trials of a
+   [Parallel.replicate_with ~init:Flood.scratch] call share their
+   worker's scratch. *)
+let flood_once scratch kind ~rng ~n ~d ~max_rounds =
   let m = Models.create ~rng kind ~n ~d in
   Models.warm_up_batch m;
-  Models.flood ~max_rounds m
+  Models.flood ~scratch ~max_rounds m
 
 (* --- E7: flooding in SDG can stall, and completion needs Omega_d(n). --- *)
 
@@ -27,8 +30,8 @@ let e7 ~seed ~scale =
   List.iter
     (fun d ->
       let traces =
-        Parallel.replicate ~rng ~trials (fun rng ->
-            flood_once Models.SDG ~rng ~n ~d ~max_rounds:40)
+        Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+            flood_once scratch Models.SDG ~rng ~n ~d ~max_rounds:40)
       in
       let stalls = ref 0 in
       let extinctions = ref 0 in
@@ -97,8 +100,8 @@ let coverage_experiment ~id ~title kind ~exponent_divisor ~seed ~scale =
       let rounds_acc = Stats.Acc.create () in
       let cov_acc = Stats.Acc.create () in
       let traces =
-        Parallel.replicate ~rng ~trials (fun rng ->
-            flood_once kind ~rng ~n ~d ~max_rounds:budget)
+        Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+            flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
       in
       Array.iter
         (fun tr ->
@@ -235,8 +238,8 @@ let completion_experiment ~id ~title kind ~d ~seed ~scale =
         let acc = Stats.Acc.create () in
         let completed = ref 0 in
         let traces =
-          Parallel.replicate ~rng ~trials (fun rng ->
-              flood_once kind ~rng ~n ~d:dd
+          Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+              flood_once scratch kind ~rng ~n ~d:dd
                 ~max_rounds:(int_of_float (20. *. log (float_of_int n)) + 40))
         in
         Array.iter
@@ -326,8 +329,8 @@ let f1 ~seed ~scale =
     let acc = Stats.Acc.create () in
     let budget = int_of_float (6. *. log (float_of_int n)) + 20 in
     let traces =
-      Parallel.replicate ~rng ~trials (fun rng ->
-          flood_once kind ~rng ~n ~d ~max_rounds:budget)
+      Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+          flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
     in
     Array.iter
       (fun tr ->
@@ -345,8 +348,8 @@ let f1 ~seed ~scale =
     let acc = Stats.Acc.create () in
     let budget = int_of_float (20. *. log (float_of_int n)) + 40 in
     let traces =
-      Parallel.replicate ~rng ~trials (fun rng ->
-          flood_once kind ~rng ~n ~d ~max_rounds:budget)
+      Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+          flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
     in
     Array.iter
       (fun tr ->
@@ -440,8 +443,8 @@ let f2 ~seed ~scale =
       let mean_cov kind =
         let acc = Stats.Acc.create () in
         let traces =
-          Parallel.replicate ~rng ~trials (fun rng ->
-              flood_once kind ~rng ~n ~d ~max_rounds:budget)
+          Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+              flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
         in
         Array.iter (fun tr -> Stats.Acc.add acc tr.Flood.peak_coverage) traces;
         Stats.Acc.mean acc

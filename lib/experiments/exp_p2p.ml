@@ -21,6 +21,9 @@ let f10 ~seed ~scale =
   let trials = Scale.pick scale ~smoke:2 ~standard:4 ~full:10 in
   let d = 8 in
   let rng = Prng.create seed in
+  (* The cell floods one network at a time, so every flood stages its
+     rounds in one scratch. *)
+  let scratch = Flood.scratch () in
   let summarize name mk_flood mk_snapshot =
     let rounds_acc = Stats.Acc.create () and cov_acc = Stats.Acc.create () in
     for _ = 1 to trials do
@@ -46,7 +49,7 @@ let f10 ~seed ~scale =
       (fun rng ->
         let m = Poisson_model.create ~rng ~n ~d ~regenerate:true () in
         Poisson_model.warm_up m;
-        Flood.run_poisson_discretized m)
+        Flood.run_poisson_discretized ~scratch m)
       (fun rng ->
         let m = Poisson_model.create ~rng ~n ~d ~regenerate:true () in
         Poisson_model.warm_up m;
@@ -57,7 +60,7 @@ let f10 ~seed ~scale =
       (fun rng ->
         let m = Churnet_p2p.Bitcoin_like.create ~rng ~n () in
         Churnet_p2p.Bitcoin_like.warm_up m;
-        Churnet_p2p.Bitcoin_like.flood m)
+        Churnet_p2p.Bitcoin_like.flood ~scratch m)
       (fun rng ->
         let m = Churnet_p2p.Bitcoin_like.create ~rng ~n () in
         Churnet_p2p.Bitcoin_like.warm_up m;
@@ -73,7 +76,9 @@ let f10 ~seed ~scale =
     in
     summarize name
       (fun rng ->
-        Flood.run_streaming ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40) (warmed rng))
+        Flood.run_streaming ~scratch
+          ~max_rounds:(6 * int_of_float (log (float_of_int n)) + 40)
+          (warmed rng))
       (fun rng -> Streaming_model.snapshot (warmed rng))
   in
   let overlays =

@@ -22,11 +22,11 @@ let e13 ~seed ~scale =
   let budget = int_of_float (6. *. log (float_of_int n)) + 20 in
   let rng = Prng.create seed in
   let results =
-    Churnet_util.Parallel.replicate ~rng ~trials (fun rng ->
+    Churnet_util.Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
         let m = Poisson_model.create ~rng ~n ~d ~regenerate:false () in
         Poisson_model.warm_up m;
         let stats = Stream_stats.collect (Poisson_model.graph m) in
-        let tr = Flood.run_poisson_discretized ~max_rounds:budget m in
+        let tr = Flood.run_poisson_discretized ~scratch ~max_rounds:budget m in
         ( stats.Stream_stats.population,
           stats.Stream_stats.isolated,
           stats.Stream_stats.max_degree,

@@ -272,14 +272,14 @@ let round_budget model n =
   if Models.regenerates model then int_of_float (20. *. ln) + 40
   else int_of_float (6. *. ln) + 20
 
-let run_cell cell =
+let run_cell scratch cell =
   let rng = Prng.create cell.cell_seed in
   let m =
     Models.create ~rng ~lambda:cell.lambda cell.model ~n:cell.n ~d:cell.d
   in
   Models.warm_up_batch m;
   let stats = Stream_stats.collect (Models.graph m) in
-  let tr = Models.flood ~max_rounds:(round_budget cell.model cell.n) m in
+  let tr = Models.flood ~scratch ~max_rounds:(round_budget cell.model cell.n) m in
   let half_coverage_round =
     let hit = ref None in
     Array.iteri
@@ -326,8 +326,8 @@ let run ?(progress = fun _ -> ()) config =
   (* Registry cells run sequentially: their internal Parallel.map calls
      are what the journal memoizes, and journal call-site numbering
      relies on sequential orchestration.  The grid then goes through one
-     flat Parallel.map — every cell a journaled work unit, fanned out
-     across domains. *)
+     flat Parallel.map_with — every cell a journaled work unit, fanned
+     out across domains, each worker flooding on one Flood.scratch. *)
   let exp_results =
     List.map
       (fun (id, seed) ->
@@ -346,7 +346,7 @@ let run ?(progress = fun _ -> ()) config =
   let grid_cells = Array.of_list (cells config) in
   if Array.length grid_cells > 0 then
     progress (Printf.sprintf "grid: %d cells" (Array.length grid_cells));
-  let grid_metrics = Parallel.map run_cell grid_cells in
+  let grid_metrics = Parallel.map_with ~init:Flood.scratch run_cell grid_cells in
   {
     config;
     exp_results;

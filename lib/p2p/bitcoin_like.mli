@@ -32,7 +32,8 @@ val warm_up : t -> unit
 val time : t -> float
 val snapshot : t -> Churnet_graph.Snapshot.t
 
-val flood : ?max_rounds:int -> t -> Churnet_core.Flood.trace
+val flood :
+  ?scratch:Churnet_core.Flood.scratch -> ?max_rounds:int -> t -> Churnet_core.Flood.trace
 (** Synchronous flooding with one round per unit of continuous time,
     starting from the next newborn — comparable to the PDGR discretized
     flooding of F10. *)

@@ -395,22 +395,10 @@ let test_onion_scratch_reuse () =
 (* A run stores its old-class targets, 32 bits each or about n d / 8
    words, and little else; storing every request took over n d / 2.  On
    a scratch that an earlier run has grown, a run allocates next to
-   nothing: its layer-size lists and its result.  Minor plus major
-   words, less those promoted, counts each word once.  The minor count
-   of [Gc.counters] is not current to the word, so the words come from
-   [Parallel.words]. *)
+   nothing: its layer-size lists and its result. *)
 let test_onion_allocation () =
   let n = 4000 and d = 100 in
-  let promoted () =
-    let _, p, _ = Gc.counters () in
-    p
-  in
-  let words_of f =
-    let minor0, major0 = Parallel.words () and promoted0 = promoted () in
-    ignore (Sys.opaque_identity (f ()));
-    let minor1, major1 = Parallel.words () and promoted1 = promoted () in
-    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
-  in
+  let words_of f = fst (Test_flood.words_of f) in
   List.iter
     (fun (name, run) ->
       let fresh = words_of (fun () -> run (Onion.scratch ()) ~rng:(Prng.create 0x0927) ~n ~d) in

@@ -667,6 +667,138 @@ let test_async_completion_time_from_completing_event () =
           check_bool "within deadline" true (t <= max_time)
   done
 
+(* Async flooding chains its hooks to the caller's for the whole run.
+   When the caller's edge hook raises during the churn, the exception
+   must reach the caller with both of the caller's hooks back in place:
+   left installed, the flood's hooks would close over a finished
+   flood's set and heap.  The caller's hook raises only once the flood
+   has chained it (the installed edge hook is then no longer itself),
+   so the source's birth goes through. *)
+let test_async_restores_hooks_on_raise () =
+  let module Dyngraph = Churnet_graph.Dyngraph in
+  let m = pdgr ~seed:29 ~n:200 () in
+  let g = Poisson_model.graph m in
+  let rec edge_hook ~src:_ ~dst:_ =
+    match Dyngraph.edge_hook g with
+    | Some f when f != edge_hook -> failwith "observer failed"
+    | _ -> ()
+  in
+  let death_hook _ = () in
+  Dyngraph.set_edge_hook g (Some edge_hook);
+  Dyngraph.set_death_hook g (Some death_hook);
+  (match Flood.Async.run m with
+  | _ -> Alcotest.fail "the raising hook did not propagate"
+  | exception Failure _ -> ());
+  check_bool "edge hook restored" true
+    (match Dyngraph.edge_hook g with Some f -> f == edge_hook | None -> false);
+  check_bool "death hook restored" true
+    (match Dyngraph.death_hook g with Some f -> f == death_hook | None -> false)
+
+(* Every field of two traces equal, coverages bit for bit. *)
+let same_trace (a : Flood.trace) (b : Flood.trace) =
+  let bits = Int64.bits_of_float in
+  a.rounds = b.rounds
+  && a.informed_per_round = b.informed_per_round
+  && a.population_per_round = b.population_per_round
+  && a.completed = b.completed
+  && a.completion_round = b.completion_round
+  && a.peak_informed = b.peak_informed
+  && Int64.equal (bits a.peak_coverage) (bits b.peak_coverage)
+  && a.final_informed = b.final_informed
+  && a.final_population = b.final_population
+  && a.extinct = b.extinct
+  && a.extinction_round = b.extinction_round
+
+let model_state m =
+  let w = Churnet_util.Codec.writer () in
+  Models.encode w m;
+  Churnet_util.Codec.contents w
+
+(* One scratch shared by floods of all four models (both drivers), over
+   random (model, n, d, seed) visited by increasing n and then back
+   down, so buffers grown by a large flood serve smaller ones: each
+   flood gives the trace a fresh scratch gives and leaves its model,
+   generator included, in the same encoded state.  d = 1 and 2 make
+   extinct and stalled floods; the round budgets are the sweep's. *)
+let test_flood_scratch_reuse () =
+  let pick = Prng.create 0x0933 in
+  let cases =
+    Array.init 24 (fun i ->
+        ( List.nth Models.all_kinds (i mod 4),
+          16 + Prng.int pick 1985,
+          1 + Prng.int pick 8,
+          Prng.int pick 1_000_000 ))
+  in
+  Array.sort (fun (_, a, _, _) (_, b, _, _) -> Int.compare a b) cases;
+  let shared = Flood.scratch () in
+  let flood scratch (kind, n, d, seed) =
+    let m = Models.create ~rng:(Prng.create seed) kind ~n ~d in
+    Models.warm_up_batch m;
+    let ln = log (float_of_int n) in
+    let max_rounds =
+      if Models.regenerates kind then int_of_float (20. *. ln) + 40
+      else int_of_float (6. *. ln) + 20
+    in
+    let tr = Models.flood ~scratch ~max_rounds m in
+    (tr, model_state m)
+  in
+  Array.iter
+    (fun ((kind, n, d, seed) as case) ->
+      let a, state_a = flood shared case in
+      let b, state_b = flood (Flood.scratch ()) case in
+      if not (same_trace a b && String.equal state_a state_b) then
+        Alcotest.failf "%s n=%d d=%d seed=%d differs on a shared scratch"
+          (Models.kind_name kind) n d seed)
+    (Array.append cases (Array.of_list (List.rev (Array.to_list cases))))
+
+(* The words [f ()] allocates, and its result.  Minor plus major words,
+   less those promoted, counts each word once.  The minor count of
+   [Gc.counters] is not current to the word, so the words come from
+   [Parallel.words]. *)
+let words_of f =
+  let promoted () =
+    let _, p, _ = Gc.counters () in
+    p
+  in
+  let minor0, major0 = Churnet_util.Parallel.words () and promoted0 = promoted () in
+  let result = Sys.opaque_identity (f ()) in
+  let minor1, major1 = Churnet_util.Parallel.words () and promoted1 = promoted () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0), result)
+
+(* A flood on a scratch that an earlier flood of the same size has grown
+   allocates per round only its log entries, the hook closures of its
+   churn and the churn's own words; a fresh flood regrows both staging
+   buffers and allocates about 13 k (PDGR) and 3.5 k (SDGR) words a
+   round at this size.  The flood's informed and frontier bitsets,
+   sized by ids, are its own: they are counted in the budget too. *)
+let test_flood_allocation () =
+  let n = 2000 and d = 6 and budget = 200. in
+  List.iter
+    (fun kind ->
+      let warmed seed =
+        let m = Models.create ~rng:(Prng.create seed) kind ~n ~d in
+        Models.warm_up_batch m;
+        m
+      in
+      let name = Models.kind_name kind in
+      let m = warmed 0x0935 in
+      let fresh, (tr : Flood.trace) = words_of (fun () -> Models.flood m) in
+      check_bool
+        (Printf.sprintf "%s fresh: %.0f words over %d rounds, above the budget" name fresh
+           tr.rounds)
+        true
+        (fresh > budget *. float_of_int tr.rounds);
+      let scratch = Flood.scratch () in
+      ignore (Models.flood ~scratch (warmed 0x0934));
+      let m = warmed 0x0935 in
+      let words, (tr : Flood.trace) = words_of (fun () -> Models.flood ~scratch m) in
+      let per_round = words /. float_of_int (max 1 tr.rounds) in
+      check_bool
+        (Printf.sprintf "%s on a warm scratch: %.0f words over %d rounds, %.0f a round <= %.0f"
+           name words tr.rounds per_round budget)
+        true (per_round <= budget))
+    [ Models.PDGR; Models.SDGR ]
+
 let suite =
   suite
   @ [
@@ -683,4 +815,7 @@ let suite =
        test_discretized_frontier_equals_full_rescan);
       ("async: completion time from completing event", `Quick,
        test_async_completion_time_from_completing_event);
+      ("async restores hooks on raise", `Quick, test_async_restores_hooks_on_raise);
+      ("flood scratch reuse", `Quick, test_flood_scratch_reuse);
+      ("flood allocation", `Quick, test_flood_allocation);
     ]

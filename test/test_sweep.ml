@@ -155,6 +155,35 @@ let test_grid_run_deterministic () =
     (Json.to_string (Sweep.to_json o1) = Json.to_string (Sweep.to_json o2));
   Alcotest.(check bool) "render identical" true (Sweep.render o1 = Sweep.render o2)
 
+(* The grid floods on one Flood.scratch per worker, so which cells share
+   a scratch depends on the domain count.  The document must not: it is
+   byte-identical at 1, 2 and 3 domains, over all four models.  The
+   count comes from CHURNET_DOMAINS, restored afterwards ("" reads as
+   unset). *)
+let test_grid_json_same_at_any_domains () =
+  let cfg =
+    ok
+      {|{"schema": "churnet-sweep-config/1", "name": "t",
+         "grid": {"models": ["SDG", "SDGR", "PDG", "PDGR"], "n": [60, 400],
+                  "d": [1, 4], "seeds": [5]}}|}
+  in
+  let saved = Option.value ~default:"" (Sys.getenv_opt "CHURNET_DOMAINS") in
+  let json_at domains =
+    Unix.putenv "CHURNET_DOMAINS" (string_of_int domains);
+    Json.to_string (Sweep.to_json (Sweep.run cfg))
+  in
+  let docs =
+    Fun.protect ~finally:(fun () -> Unix.putenv "CHURNET_DOMAINS" saved) (fun () ->
+        List.map json_at [ 1; 2; 3 ])
+  in
+  List.iteri
+    (fun i doc ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains = 1 domain" (i + 1))
+        true
+        (String.equal doc (List.hd docs)))
+    docs
+
 let suite =
   [
     ("parse and expand", `Quick, test_parse_and_expand);
@@ -171,4 +200,5 @@ let suite =
     ("rejects non-positive axes", `Quick, test_rejects_nonpositive);
     ("config_of_file missing file", `Quick, test_config_of_file_missing);
     ("grid run deterministic", `Quick, test_grid_run_deterministic);
+    ("grid json same at any domains", `Quick, test_grid_json_same_at_any_domains);
   ]
