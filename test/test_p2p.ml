@@ -328,22 +328,29 @@ let p2p_runs_text () =
                 fun () -> Flood.run_streaming ~max_rounds:80 m ) ))
         [ ("burst-0", fun _ -> 0); ("burst-n/20", fun n -> n / 20); ("burst-n/5", fun n -> n / 5) ]
   in
-  List.iter
-    (fun (name, run) ->
-      List.iter
-        (fun n ->
-          for seed = 1 to 5 do
-            let g, flood = run (Prng.create seed) ~n in
-            let md5 = graph_md5 g in
-            let tr = flood () in
-            Printf.bprintf b "%s n=%d seed=%d graph=%s completion=%s peak=%h\n" name n seed md5
-              (match tr.Churnet_core.Flood.completion_round with
-              | Some r -> string_of_int r
-              | None -> "-")
-              tr.Churnet_core.Flood.peak_coverage
-          done)
-        [ 50; 300 ])
-    runs;
+  let pin name run ~n ~seeds =
+    for seed = 1 to seeds do
+      let g, flood = run (Prng.create seed) ~n in
+      let md5 = graph_md5 g in
+      let tr = flood () in
+      Printf.bprintf b "%s n=%d seed=%d graph=%s completion=%s peak=%h\n" name n seed md5
+        (match tr.Churnet_core.Flood.completion_round with
+        | Some r -> string_of_int r
+        | None -> "-")
+        tr.Churnet_core.Flood.peak_coverage
+    done
+  in
+  List.iter (fun (name, run) -> List.iter (fun n -> pin name run ~n ~seeds:5) [ 50; 300 ]) runs;
+  (* F10's and X1's standard sizes: the Bitcoin-like tables and the
+     capped repair loop at the scale the registry cells run them. *)
+  pin "bitcoin" (List.assoc "bitcoin" runs) ~n:1500 ~seeds:3;
+  pin "capped-d+1 d=8"
+    (fun rng ~n ->
+      let d = 8 in
+      let m = Churnet_core.Capped_model.create ~rng ~n ~d ~cap:(d + 1) () in
+      Churnet_core.Capped_model.warm_up m;
+      (Churnet_core.Capped_model.graph m, fun () -> Churnet_core.Capped_model.flood ~max_rounds:80 m))
+    ~n:2000 ~seeds:3;
   Buffer.contents b
 
 let suite =
