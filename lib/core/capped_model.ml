@@ -24,7 +24,7 @@ let sample_below_cap t ~self =
     while !cand < 0 && !tries > 0 do
       decr tries;
       let c = Dyngraph.random_alive g in
-      if c <> self && Dyngraph.in_degree g c < t.cap then cand := c
+      if c <> self && Dyngraph.in_degree_below g c t.cap then cand := c
     done;
     !cand
   end
@@ -32,12 +32,12 @@ let sample_below_cap t ~self =
 let try_fill t id =
   let g = graph t in
   if Dyngraph.is_alive g id then begin
-    let progress = ref true in
-    while Dyngraph.out_degree g id < t.d && !progress do
+    let progress = ref true and out = ref (Dyngraph.out_degree g id) in
+    while !out < t.d && !progress do
       let cand = sample_below_cap t ~self:id in
-      if cand < 0 || not (Dyngraph.connect g ~src:id ~dst:cand) then progress := false
+      if cand >= 0 && Dyngraph.connect g ~src:id ~dst:cand then incr out else progress := false
     done;
-    if Dyngraph.out_degree g id < t.d then Repair_churn.owe t.base id
+    if !out < t.d then Repair_churn.owe t.base id
     else Repair_churn.settle t.base id
   end
   else Repair_churn.settle t.base id

@@ -482,12 +482,12 @@ let distinct_in t s p o =
   done;
   !c
 
-(* O(k) over the in-edge multiset: a source counts the first time its
+(* Distinct alive sources in slot [s]'s in-edge list, counted up to
+   [limit]: O(k) over the multiset, a source counting the first time its
    slot is stamped with this call's epoch.  The stamp array is sized on
    the first call and regrown with the arena, so models that never ask
    for in-degrees pay nothing for it. *)
-let in_degree t id =
-  let s = get_slot t id in
+let distinct_sources t s limit =
   let p = page t s and o = off t s in
   if Array.length t.seen < t.cap then begin
     t.seen <- Array.make t.cap 0;
@@ -495,18 +495,32 @@ let in_degree t id =
   end;
   let epoch = t.seen_epoch + 1 in
   t.seen_epoch <- epoch;
-  let seen = t.seen in
-  let c = ref 0 in
-  for i = 0 to p.(o + t.len_at) - 1 do
-    let ss = slot_of t (in_get t s p o i) in
+  let seen = t.seen and k = p.(o + t.len_at) in
+  let c = ref 0 and i = ref 0 in
+  while !c < limit && !i < k do
+    let ss = slot_of t (in_get t s p o !i) in
     if ss >= 0 && seen.(ss) <> epoch then begin
       seen.(ss) <- epoch;
       incr c
-    end
+    end;
+    incr i
   done;
   !c
 
-let sort_range a lo n =
+let in_degree t id = distinct_sources t (get_slot t id) max_int
+
+(* The in-edge list's length bounds the distinct count from above, so a
+   list shorter than [bound] answers at once; otherwise the count stops
+   at the [bound]-th distinct source. *)
+let in_degree_below t id bound =
+  let s = get_slot t id in
+  field t s t.len_at < bound || (bound > 0 && distinct_sources t s bound < bound)
+
+(* Insertion sort of [a.(lo) .. a.(lo + n - 1)].  The annotation keeps
+   the comparison an integer one: unannotated, [>] is the polymorphic
+   [caml_greaterthan] and every store a [caml_modify], which made this
+   sort a quarter of the kill path. *)
+let sort_range (a : int array) lo n =
   for i = lo + 1 to lo + n - 1 do
     let v = a.(i) in
     let j = ref (i - 1) in

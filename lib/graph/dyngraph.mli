@@ -85,6 +85,12 @@ val in_degree : t -> node_id -> int
     of in-edges (multi-edges included).  The first call sizes a scratch
     array of one int per arena slot. *)
 
+val in_degree_below : t -> node_id -> int -> bool
+(** [in_degree_below g id b] is [in_degree g id < b], answered without
+    a count when [id] has fewer than [b] in-edges and otherwise counting
+    no further than [b].  Raises [Invalid_argument] on a dead [id], as
+    {!in_degree} does. *)
+
 val kill : t -> node_id -> unit
 (** Death: remove the node and all incident edges; trigger regeneration on
     surviving in-neighbors if enabled.  In-neighbors regenerate

@@ -3,18 +3,33 @@ module Repair_churn = Churnet_core.Repair_churn
 module Prng = Churnet_util.Prng
 module Intvec = Churnet_util.Intvec
 
-(* Each alive node's address table is a row of [table_size] ints in
-   [rows], at [table_size * Dyngraph.slot g id]: known addresses in the
-   first [fills.(slot)] entries, -1 past them.  A newborn resets the row
-   of the slot it takes over, so a dead node's row is simply left
-   behind. *)
+(* Each alive node's address table is a row of [table_size] ints: known
+   addresses in the first [fill] entries, -1 past them.  Over the row
+   sits an open-addressing index of [index_size] byte cells, each 0
+   (empty) or 1 + the position of an entry, probed linearly from the
+   entry's hashed home cell; at most half the cells are ever taken, so
+   a lookup, an insertion or a removal takes O(1) expected probes, and
+   a removal shifts later cells of its run back into the hole instead
+   of leaving a tombstone.  The index only finds entries: positions,
+   contents and draws are those of a row scanned from the front.
+
+   Slot [s] of the graph arena owns row [s mod page_slots] of page
+   [s / page_slots].  The arena hands out slots densely, so pages are
+   made one at a time as the arena grows and never copied; a newborn
+   resets the row of the slot it takes over, so a dead node's row is
+   simply left behind. *)
+type page = {
+  rows : int array; (* [page_slots] rows of [table_size] entries *)
+  fills : int array; (* filled entries per row *)
+  index : Bytes.t; (* [page_slots] rows of [index_size] cells *)
+}
+
 type t = {
   target_out : int;
   max_in : int;
   rng : Prng.t;
   base : Repair_churn.t; (* owing = nodes below target out-degree *)
-  mutable rows : int array;
-  mutable fills : int array;
+  mutable pages : page array;
 }
 
 (* Address-table entries, DNS-seed addresses per newborn, and entries
@@ -22,50 +37,106 @@ type t = {
 let table_size = 64
 let seed_size = 16
 let gossip_size = 8
+let index_size = 2 * table_size
+let index_mask = index_size - 1
+let page_bits = 6
+let page_slots = 1 lsl page_bits
 
 let create ~rng ?(target_out = 8) ?(max_in = 125) ~n () =
   let base = Repair_churn.create ~rng ~n ~d:target_out in
-  { target_out; max_in; rng; base; rows = [||]; fills = [||] }
+  { target_out; max_in; rng; base; pages = [||] }
 
 let graph t = Repair_churn.graph t.base
 let time t = Repair_churn.time t.base
 
-(* Index of [addr] in the filled prefix of slot [s]'s table, or -1.
-   Entries are distinct, and everything past the fill is empty. *)
-let table_index t s addr =
-  let row = s * table_size in
-  let idx = ref (-1) and i = ref 0 in
-  while !idx < 0 && !i < t.fills.(s) do
-    if t.rows.(row + !i) = addr then idx := !i;
-    incr i
+let[@inline] page_of t s = t.pages.(s lsr page_bits)
+let[@inline] in_page s = s land (page_slots - 1)
+let[@inline] row_of s = in_page s * table_size
+let[@inline] cells_of s = in_page s * index_size
+
+(* Fibonacci hashing: the product's middle bits pick the home cell. *)
+let[@inline] home addr = ((addr * 0x9E3779B97F4A7C1) lsr 32) land index_mask
+
+let[@inline] cell pg ix i = Char.code (Bytes.get pg.index (ix + i))
+let[@inline] set_cell pg ix i c = Bytes.set pg.index (ix + i) (Char.unsafe_chr c)
+
+(* The index cell (relative to [ix]) that points at [addr] in the row at
+   [row], or -1.  An empty cell ends the probe run. *)
+let find_cell pg row ix addr =
+  let i = ref (home addr) and found = ref (-2) in
+  while !found = -2 do
+    let c = cell pg ix !i in
+    if c = 0 then found := -1
+    else if pg.rows.(row + c - 1) = addr then found := !i
+    else i := (!i + 1) land index_mask
   done;
-  !idx
+  !found
+
+(* Point the first empty cell from [addr]'s home at entry [pos]. *)
+let index_put pg ix addr pos =
+  let i = ref (home addr) in
+  while cell pg ix !i <> 0 do
+    i := (!i + 1) land index_mask
+  done;
+  set_cell pg ix !i (pos + 1)
+
+(* Empty cell [j] and close the hole: a later cell of the run moves back
+   into it when its home does not lie after the hole (cyclically), and
+   leaves a hole of its own. *)
+let index_delete pg row ix j =
+  set_cell pg ix j 0;
+  let hole = ref j and i = ref ((j + 1) land index_mask) in
+  while cell pg ix !i <> 0 do
+    let c = cell pg ix !i in
+    let h = home pg.rows.(row + c - 1) in
+    if (!i - h) land index_mask >= (!i - !hole) land index_mask then begin
+      set_cell pg ix !hole c;
+      set_cell pg ix !i 0;
+      hole := !i
+    end;
+    i := (!i + 1) land index_mask
+  done
 
 let table_insert t s addr =
-  if addr >= 0 && table_index t s addr < 0 then
-    if t.fills.(s) < table_size then begin
-      t.rows.((s * table_size) + t.fills.(s)) <- addr;
-      t.fills.(s) <- t.fills.(s) + 1
+  if addr >= 0 then begin
+    let pg = page_of t s and row = row_of s and ix = cells_of s in
+    if find_cell pg row ix addr < 0 then begin
+      let fill = pg.fills.(in_page s) in
+      if fill < table_size then begin
+        pg.rows.(row + fill) <- addr;
+        index_put pg ix addr fill;
+        pg.fills.(in_page s) <- fill + 1
+      end
+      else begin
+        (* Random replacement keeps the table a moving sample. *)
+        let i = Prng.int t.rng table_size in
+        index_delete pg row ix (find_cell pg row ix pg.rows.(row + i));
+        pg.rows.(row + i) <- addr;
+        index_put pg ix addr i
+      end
     end
-    else begin
-      (* Random replacement keeps the table a moving sample. *)
-      let i = Prng.int t.rng table_size in
-      t.rows.((s * table_size) + i) <- addr
-    end
+  end
 
 (* A uniform entry of slot [s]'s table, or -1 when it is empty. *)
 let table_random t s =
-  let fill = t.fills.(s) in
-  if fill = 0 then -1 else t.rows.((s * table_size) + Prng.int t.rng fill)
+  let pg = page_of t s in
+  let fill = pg.fills.(in_page s) in
+  if fill = 0 then -1 else pg.rows.(row_of s + Prng.int t.rng fill)
 
-(* Forget a dead address. *)
+(* Forget a dead address: the last entry takes its place. *)
 let table_forget t s addr =
-  let idx = table_index t s addr in
-  if idx >= 0 then begin
-    let row = s * table_size and last = t.fills.(s) - 1 in
-    t.rows.(row + idx) <- t.rows.(row + last);
-    t.rows.(row + last) <- -1;
-    t.fills.(s) <- last
+  let pg = page_of t s and row = row_of s and ix = cells_of s in
+  let j = find_cell pg row ix addr in
+  if j >= 0 then begin
+    let idx = cell pg ix j - 1 and last = pg.fills.(in_page s) - 1 in
+    index_delete pg row ix j;
+    if idx < last then begin
+      let moved = pg.rows.(row + last) in
+      set_cell pg ix (find_cell pg row ix moved) (idx + 1);
+      pg.rows.(row + idx) <- moved
+    end;
+    pg.rows.(row + last) <- -1;
+    pg.fills.(in_page s) <- last
   end
 
 (* Whether one of [id]'s out-slots already points at [v]. *)
@@ -92,45 +163,50 @@ let gossip t a b =
 let try_fill t id =
   let g = graph t in
   let s = Dyngraph.slot g id in
-  let attempts = ref (4 * t.target_out) in
-  while Dyngraph.out_degree g id < t.target_out && !attempts > 0 do
+  let out = ref (Dyngraph.out_degree g id) and attempts = ref (4 * t.target_out) in
+  while !out < t.target_out && !attempts > 0 do
     decr attempts;
     let cand = table_random t s in
     if cand < 0 then attempts := 0
     else if
       cand <> id
       && Dyngraph.is_alive g cand
-      && Dyngraph.in_degree g cand < t.max_in
+      && Dyngraph.in_degree_below g cand t.max_in
       && not (links_to g id cand)
     then begin
-      if Dyngraph.connect g ~src:id ~dst:cand then gossip t id cand
+      if Dyngraph.connect g ~src:id ~dst:cand then begin
+        incr out;
+        gossip t id cand
+      end
     end
     else if not (Dyngraph.is_alive g cand) then table_forget t s cand
   done;
-  if Dyngraph.out_degree g id < t.target_out then Repair_churn.owe t.base id
-  else Repair_churn.settle t.base id
+  if !out < t.target_out then Repair_churn.owe t.base id else Repair_churn.settle t.base id
 
-(* Make room for a row at slot [s].  The arena hands out slots densely
-   (a fresh one only when every lower slot is taken), so [s] is at most
-   one past the last row and doubling keeps this amortized O(1). *)
-let ensure_row t s =
-  let slots = Array.length t.fills in
-  if s >= slots then begin
-    let grown = max 16 (2 * slots) in
-    let rows = Array.make (grown * table_size) (-1) and fills = Array.make grown 0 in
-    Array.blit t.rows 0 rows 0 (slots * table_size);
-    Array.blit t.fills 0 fills 0 slots;
-    t.rows <- rows;
-    t.fills <- fills
-  end
+(* Make the page holding slot [s].  Slots are handed out densely (a
+   fresh one only when every lower slot is taken), so [s] is at most one
+   past the last page. *)
+let ensure_page t s =
+  if s lsr page_bits >= Array.length t.pages then
+    t.pages <-
+      Array.append t.pages
+        [|
+          {
+            rows = Array.make (page_slots * table_size) (-1);
+            fills = Array.make page_slots 0;
+            index = Bytes.make (page_slots * index_size) '\000';
+          };
+        |]
 
 let birth t =
   let g = graph t in
   let id = Dyngraph.add_node_with_targets g ~birth:(Repair_churn.round t.base) ~targets:[||] in
   let s = Dyngraph.slot g id in
-  ensure_row t s;
-  Array.fill t.rows (s * table_size) table_size (-1);
-  t.fills.(s) <- 0;
+  ensure_page t s;
+  let pg = page_of t s in
+  Array.fill pg.rows (row_of s) table_size (-1);
+  Bytes.fill pg.index (cells_of s) index_size '\000';
+  pg.fills.(in_page s) <- 0;
   (* DNS-seed bootstrap: a uniform sample of alive nodes. *)
   let alive = Dyngraph.alive_count g in
   for _ = 1 to min seed_size (alive - 1) do
@@ -162,6 +238,7 @@ let mean_out_degree t = Repair_churn.mean_out_degree t.base
 
 let mean_table_fill t =
   let g = graph t and acc = ref 0 in
-  Dyngraph.iter_alive g (fun id -> acc := !acc + t.fills.(Dyngraph.slot g id));
+  Dyngraph.iter_alive g (fun id -> let s = Dyngraph.slot g id in
+      acc := !acc + (page_of t s).fills.(in_page s));
   let count = Dyngraph.alive_count g in
   if count = 0 then nan else float_of_int !acc /. float_of_int count

@@ -8,6 +8,10 @@
      next.(c)    next cell of c's chain, -1 = end of chain; for a free
                  cell, the next free cell
 
+     filled      one bit per bucket, 32 buckets a word: bit b is set
+                 exactly when bucket b's chain is non-empty, so a pass
+                 skips the empty buckets a word at a time
+
    Free cells form a stack threaded through [next] from [free]; cells
    at or above [used] have never been handed out.  Which cell holds a
    key never shows: only the chain links decide the order. *)
@@ -17,10 +21,25 @@ type t = {
   mutable heads : int array;
   mutable keys : int array;
   mutable next : int array;
+  mutable filled : int array;
   mutable free : int;
   mutable used : int;
   mutable size : int;
 }
+
+(* Bitmap words covering [buckets] buckets. *)
+let words buckets = (buckets + 31) lsr 5
+
+let[@inline] mark t b = t.filled.(b lsr 5) <- t.filled.(b lsr 5) lor (1 lsl (b land 31))
+let[@inline] unmark t b = t.filled.(b lsr 5) <- t.filled.(b lsr 5) land lnot (1 lsl (b land 31))
+
+(* Index of the one set bit of [bit], a power of two below 2^32: the
+   de Bruijn multiply-and-lookup. *)
+let de_bruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] bit_index bit = de_bruijn.(((bit * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
 
 let create n =
   let buckets = ref 16 in
@@ -33,6 +52,7 @@ let create n =
     heads = Array.make !buckets (-1);
     keys = Array.make !buckets 0;
     next = Array.make !buckets (-1);
+    filled = Array.make (words !buckets) 0;
     free = -1;
     used = 0;
     size = 0;
@@ -86,6 +106,11 @@ let grow t =
     Array.blit t.heads 0 heads 0 old;
     t.heads <- heads
   end;
+  if Array.length t.filled < words t.buckets then begin
+    let filled = Array.make (words t.buckets) 0 in
+    Array.blit t.filled 0 filled 0 (Array.length t.filled);
+    t.filled <- filled
+  end;
   for b = 0 to old - 1 do
     let c = ref t.heads.(b) and lo_tail = ref (-1) and hi_tail = ref (-1) in
     t.heads.(b) <- -1;
@@ -102,7 +127,9 @@ let grow t =
         if !hi_tail < 0 then t.heads.(b + old) <- cell else t.next.(!hi_tail) <- cell;
         hi_tail := cell
       end
-    done
+    done;
+    if t.heads.(b) < 0 then unmark t b;
+    if t.heads.(b + old) < 0 then unmark t (b + old) else mark t (b + old)
   done
 
 let add t key =
@@ -112,6 +139,7 @@ let add t key =
     t.keys.(c) <- key;
     t.next.(c) <- t.heads.(b);
     t.heads.(b) <- c;
+    mark t b;
     t.size <- t.size + 1;
     if t.size > 2 * t.buckets then grow t
   end
@@ -125,7 +153,11 @@ let remove t key =
   done;
   if !c >= 0 then begin
     let cell = !c in
-    if !prev < 0 then t.heads.(b) <- t.next.(cell) else t.next.(!prev) <- t.next.(cell);
+    if !prev < 0 then begin
+      t.heads.(b) <- t.next.(cell);
+      if t.heads.(b) < 0 then unmark t b
+    end
+    else t.next.(!prev) <- t.next.(cell);
     t.next.(cell) <- t.free;
     t.free <- cell;
     t.size <- t.size - 1
@@ -134,25 +166,39 @@ let remove t key =
 let reset t =
   t.buckets <- t.initial;
   Array.fill t.heads 0 t.initial (-1);
+  Array.fill t.filled 0 (words t.initial) 0;
   t.free <- -1;
   t.used <- 0;
   t.size <- 0
 
+(* The non-empty buckets in ascending order, each chain from its head:
+   the bitmap word by word, lowest set bit first. *)
 let iter f t =
-  for b = 0 to t.buckets - 1 do
-    let c = ref t.heads.(b) in
-    while !c >= 0 do
-      f t.keys.(!c);
-      c := t.next.(!c)
+  for w = 0 to words t.buckets - 1 do
+    let bits = ref t.filled.(w) in
+    while !bits <> 0 do
+      let low = !bits land (- !bits) in
+      bits := !bits lxor low;
+      let c = ref t.heads.((w lsl 5) + bit_index low) in
+      while !c >= 0 do
+        f t.keys.(!c);
+        c := t.next.(!c)
+      done
     done
   done
 
+(* [iter]'s loop with the push inlined, so a pass makes no closure. *)
 let to_intvec t v =
   Intvec.clear v;
-  for b = 0 to t.buckets - 1 do
-    let c = ref t.heads.(b) in
-    while !c >= 0 do
-      Intvec.push v t.keys.(!c);
-      c := t.next.(!c)
+  for w = 0 to words t.buckets - 1 do
+    let bits = ref t.filled.(w) in
+    while !bits <> 0 do
+      let low = !bits land (- !bits) in
+      bits := !bits lxor low;
+      let c = ref t.heads.((w lsl 5) + bit_index low) in
+      while !c >= 0 do
+        Intvec.push v t.keys.(!c);
+        c := t.next.(!c)
+      done
     done
   done
