@@ -221,6 +221,58 @@ let test_in_degree () =
   (* second node's 2 slots both point at a -> distinct in-degree 1 *)
   check_int "distinct in-degree" 1 (Dyngraph.in_degree g a)
 
+(* [in_degree_below g id b] against [in_degree g id < b] on churned
+   graphs small enough for duplicate in-edges (for d > 1), with hubs whose in-edge
+   lists spill past the row's block, for every [b] from 0 to the list's
+   length [k] + 2; a dead id raises the same error from both. *)
+let test_in_degree_below () =
+  let error f = try ignore (f ()); None with Invalid_argument m -> Some m in
+  List.iter
+    (fun (d, seed) ->
+      let g = fresh ~seed ~d ~regenerate:true () in
+      let rng = Prng.create (seed + 100) in
+      let spills = ref 0 and dups = ref 0 in
+      for step = 1 to 600 do
+        if Dyngraph.alive_count g < 30 || Prng.int rng 2 = 0 then begin
+          if step mod 7 = 0 && Dyngraph.alive_count g > 0 then begin
+            let hub = Dyngraph.random_alive g in
+            ignore (Dyngraph.add_node_with_targets g ~birth:step ~targets:(Array.make d hub))
+          end
+          else ignore (Dyngraph.add_node g ~birth:step)
+        end
+        else Dyngraph.kill g (Dyngraph.random_alive g)
+      done;
+      assert_invariants g;
+      let ids = Dyngraph.alive_ids g in
+      Array.iter
+        (fun id ->
+          let k = ref 0 in
+          Array.iter
+            (fun u ->
+              for i = 0 to d - 1 do
+                if Dyngraph.out_slot g u i = id then incr k
+              done)
+            ids;
+          if !k > (2 * d) + 1 then incr spills;
+          let x = Dyngraph.in_degree g id in
+          if !k > x then incr dups;
+          for b = 0 to !k + 2 do
+            if Dyngraph.in_degree_below g id b <> (x < b) then
+              Alcotest.failf "d %d, seed %d, node %d (k %d, in-degree %d): bound %d" d seed id !k x
+                b
+          done)
+        ids;
+      check_bool (Printf.sprintf "d %d, seed %d: some in-edge list spills" d seed) true (!spills > 0);
+      (* One out-slot per node: no source can point at a target twice. *)
+      if d > 1 then
+        check_bool (Printf.sprintf "d %d, seed %d: some duplicate in-edges" d seed) true (!dups > 0);
+      let dead = Dyngraph.random_alive g in
+      Dyngraph.kill g dead;
+      check_bool "dead id: same error" true
+        (error (fun () -> Dyngraph.in_degree g dead) = error (fun () -> Dyngraph.in_degree_below g dead 3)
+        && error (fun () -> Dyngraph.in_degree g dead) <> None))
+    [ (1, 1); (1, 2); (2, 3); (3, 4); (8, 5) ]
+
 let test_peek_next_id () =
   let g = fresh () in
   let next = Dyngraph.peek_next_id g in
@@ -515,6 +567,7 @@ let suite =
     ("targeted birth", `Quick, test_add_node_with_targets);
     ("targeted birth skips dead", `Quick, test_add_node_with_dead_targets_skipped);
     ("in-degree", `Quick, test_in_degree);
+    ("in-degree below", `Quick, test_in_degree_below);
     ("peek next id", `Quick, test_peek_next_id);
     ("kill last alive position", `Quick, test_kill_last_alive_position);
     ("slot recycling generations", `Quick, test_slot_recycling_generations);

@@ -421,15 +421,29 @@ let intvec_qcheck =
 
 (* --- Intset --- *)
 
+(* The keys of [s] by {!Intset.to_intvec} and by {!Intset.iter} must
+   both be [h]'s [Hashtbl.iter] order. *)
+let check_intset_order ~ctx s h =
+  let want = ref [] in
+  Hashtbl.iter (fun k () -> want := k :: !want) h;
+  let want = List.rev !want in
+  let got = Intvec.create () in
+  Intset.to_intvec s got;
+  let seen = ref [] in
+  Intset.iter (fun k -> seen := k :: !seen) s;
+  check_int (ctx ^ ": length") (Hashtbl.length h) (Intset.length s);
+  if List.init (Intvec.length got) (Intvec.get got) <> want then
+    Alcotest.failf "%s: to_intvec order differs from Hashtbl's" ctx;
+  if List.rev !seen <> want then Alcotest.failf "%s: iter order differs from Hashtbl's" ctx
+
 (* [Intset] against the table whose order it reproduces: random add /
    remove / mem / length / reset sequences, with the whole iteration
-   order compared after every operation.  Adds outweigh removes and the
-   key ranges reach 16 times the initial bucket count, so the set grows
-   past 2 and (from 256) 4 and 8 times its buckets; rare resets make it
-   shrink and grow again. *)
+   order of both [to_intvec] and [iter] compared after every operation.
+   Adds outweigh removes and the key ranges reach 16 times the initial
+   bucket count, so the set grows past 2 and (from 256) 4 and 8 times
+   its buckets; rare resets make it shrink and grow again. *)
 let test_intset_matches_hashtbl () =
   let rng = Prng.create 2024 in
-  let got = Intvec.create () and want = Intvec.create () in
   List.iter
     (fun initial ->
       List.iter
@@ -453,24 +467,66 @@ let test_intset_matches_hashtbl () =
               Intset.reset s;
               Hashtbl.reset h
             end;
-            check_int "length" (Hashtbl.length h) (Intset.length s);
-            Intset.to_intvec s got;
-            Intvec.clear want;
-            Hashtbl.iter (fun k () -> Intvec.push want k) h;
-            for i = 0 to Intvec.length want - 1 do
-              if Intvec.get got i <> Intvec.get want i then
-                Alcotest.failf "initial %d, spread %d, op %d: key %d at %d, Hashtbl has %d" initial
-                  spread op (Intvec.get got i) i (Intvec.get want i)
-            done
-          done;
-          let seen = ref [] in
-          Intset.iter (fun k -> seen := k :: !seen) s;
-          Alcotest.(check (list int))
-            "iter = to_intvec"
-            (List.init (Intvec.length got) (Intvec.get got))
-            (List.rev !seen))
+            check_intset_order ~ctx:(Printf.sprintf "initial %d, spread %d, op %d" initial spread op)
+              s h
+          done)
         [ 2; 4; 16 ])
     [ 256; 1024 ]
+
+(* Directed cases for the bitmap of non-empty buckets: a bucket emptied
+   by removes and refilled, in buckets on both sides of a bitmap word's
+   edge; every add across two doublings (each one checked right after
+   the add that grows the set); and a reset, with the set empty and
+   then refilled past its first doubling again. *)
+let test_intset_bucket_bitmap () =
+  let s = Intset.create 256 and h = Hashtbl.create ~random:false 256 in
+  let add k = Intset.add s k; Hashtbl.replace h k () in
+  let remove k = Intset.remove s k; Hashtbl.remove h k in
+  let check ctx = check_intset_order ~ctx s h in
+  (* The first [count] keys from 0 up whose bucket among 256 is [b]. *)
+  let keys_in b count =
+    let rec go k acc n =
+      if n = count then List.rev acc
+      else if Hashtbl.hash k land 255 = b then go (k + 1) (k :: acc) (n + 1)
+      else go (k + 1) acc n
+    in
+    go 0 [] 0
+  in
+  List.iter (fun b -> List.iter add (keys_in b 2)) [ 5; 30; 33; 100 ];
+  check "filled";
+  List.iter
+    (fun b ->
+      let ks = keys_in b 3 in
+      List.iter add ks;
+      check (Printf.sprintf "bucket %d filled" b);
+      (* The chain's head (the last key added) goes first, so the
+         bucket stays non-empty until its last key goes. *)
+      List.iter
+        (fun k ->
+          remove k;
+          check (Printf.sprintf "bucket %d: %d removed" b k))
+        (List.rev ks);
+      check_bool (Printf.sprintf "bucket %d empty" b) true (List.for_all (fun k -> not (Intset.mem s k)) ks);
+      List.iter
+        (fun k ->
+          add k;
+          check (Printf.sprintf "bucket %d: %d added back" b k))
+        ks)
+    [ 0; 31; 32; 63; 64; 255 ];
+  let grow_past limit =
+    let k = ref 1000 in
+    while Intset.length s <= limit do
+      add !k;
+      check (Printf.sprintf "size %d" (Intset.length s));
+      k := !k + 7
+    done
+  in
+  (* 256 buckets double at 513 keys, 512 at 1 025. *)
+  grow_past 1100;
+  Intset.reset s;
+  Hashtbl.reset h;
+  check "reset";
+  grow_past 600
 
 let suite =
   [
@@ -490,6 +546,7 @@ let suite =
     ("heap growth", `Quick, test_heap_growth);
     ("heap FIFO across growth boundary", `Quick, test_heap_fifo_interleaved_growth);
     ("intset = Hashtbl order", `Quick, test_intset_matches_hashtbl);
+    ("intset bucket bitmap", `Quick, test_intset_bucket_bitmap);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset iter", `Quick, test_bitset_iter);
     ("bitset clear", `Quick, test_bitset_clear);
