@@ -5,15 +5,13 @@ module Intvec = Churnet_util.Intvec
 
 (* Each alive node's address table is a row of [table_size] ints: known
    addresses in the first [fill] entries, -1 past them.  Over the row
-   sits an open-addressing index of [index_size] 16-bit cells, probed
-   linearly from the entry's hashed home cell.  A cell is 0 (empty) or
-   holds an entry's home and 1 + its position, so a probe reads the
-   row only when the homes match, and a removal, which shifts later
-   cells of its run back into the hole instead of leaving a tombstone,
-   never reads it.  At most half the cells are ever taken, so a lookup,
-   an insertion or a removal takes O(1) expected probes.  The index
-   only finds entries: positions, contents and draws are those of a row
-   scanned from the front.
+   sits an open-addressing index of [index_size] byte cells, each 0
+   (empty) or 1 + the position of an entry, probed linearly from the
+   entry's hashed home cell; at most half the cells are ever taken, so
+   a lookup, an insertion or a removal takes O(1) expected probes, and
+   a removal shifts later cells of its run back into the hole instead
+   of leaving a tombstone.  The index only finds entries: positions,
+   contents and draws are those of a row scanned from the front.
 
    Slot [s] of the graph arena owns row [s mod page_slots] of page
    [s / page_slots].  The arena hands out slots densely, so pages are
@@ -23,7 +21,7 @@ module Intvec = Churnet_util.Intvec
 type page = {
   rows : int array; (* [page_slots] rows of [table_size] entries *)
   fills : int array; (* filled entries per row *)
-  index : Bytes.t; (* [page_slots] rows of [index_size] 2-byte cells *)
+  index : Bytes.t; (* [page_slots] rows of [index_size] cells *)
 }
 
 type t = {
@@ -41,8 +39,6 @@ let seed_size = 16
 let gossip_size = 8
 let index_size = 2 * table_size
 let index_mask = index_size - 1
-let pos_bits = 7 (* 1 + a position: 1 .. table_size *)
-let index_bytes = 2 * index_size
 let page_bits = 8
 let page_slots = 1 lsl page_bits
 
@@ -56,48 +52,44 @@ let time t = Repair_churn.time t.base
 let[@inline] page_of t s = t.pages.(s lsr page_bits)
 let[@inline] in_page s = s land (page_slots - 1)
 let[@inline] row_of s = in_page s * table_size
-let[@inline] cells_of s = in_page s * index_bytes
+let[@inline] cells_of s = in_page s * index_size
 
 (* Fibonacci hashing: the product's middle bits pick the home cell. *)
 let[@inline] home addr = ((addr * 0x9E3779B97F4A7C1) lsr 32) land index_mask
 
-let[@inline] cell pg ix i = Bytes.get_uint16_le pg.index (ix + (2 * i))
-let[@inline] set_cell pg ix i v = Bytes.set_uint16_le pg.index (ix + (2 * i)) v
-let[@inline] entry h pos = (h lsl pos_bits) lor (pos + 1)
-let[@inline] pos_of v = (v land ((1 lsl pos_bits) - 1)) - 1
-let[@inline] home_of v = v lsr pos_bits
+let[@inline] cell pg ix i = Char.code (Bytes.get pg.index (ix + i))
+let[@inline] set_cell pg ix i c = Bytes.set pg.index (ix + i) (Char.unsafe_chr c)
 
 (* The index cell (relative to [ix]) that points at [addr] in the row at
    [row], or -1.  An empty cell ends the probe run. *)
 let find_cell pg row ix addr =
-  let h = home addr in
-  let i = ref h and found = ref (-2) in
+  let i = ref (home addr) and found = ref (-2) in
   while !found = -2 do
-    let v = cell pg ix !i in
-    if v = 0 then found := -1
-    else if home_of v = h && pg.rows.(row + pos_of v) = addr then found := !i
+    let c = cell pg ix !i in
+    if c = 0 then found := -1
+    else if pg.rows.(row + c - 1) = addr then found := !i
     else i := (!i + 1) land index_mask
   done;
   !found
 
 (* Point the first empty cell from [addr]'s home at entry [pos]. *)
 let index_put pg ix addr pos =
-  let h = home addr in
-  let i = ref h in
+  let i = ref (home addr) in
   while cell pg ix !i <> 0 do
     i := (!i + 1) land index_mask
   done;
-  set_cell pg ix !i (entry h pos)
+  set_cell pg ix !i (pos + 1)
 
 (* Empty cell [j] and close the hole: a later cell of the run moves back
    into it when its home does not lie after the hole (cyclically), and
    leaves a hole of its own. *)
-let index_delete pg ix j =
+let index_delete pg row ix j =
   set_cell pg ix j 0;
   let hole = ref j and i = ref ((j + 1) land index_mask) in
   while cell pg ix !i <> 0 do
     let c = cell pg ix !i in
-    if (!i - home_of c) land index_mask >= (!i - !hole) land index_mask then begin
+    let h = home pg.rows.(row + c - 1) in
+    if (!i - h) land index_mask >= (!i - !hole) land index_mask then begin
       set_cell pg ix !hole c;
       set_cell pg ix !i 0;
       hole := !i
@@ -118,7 +110,7 @@ let table_insert t s addr =
       else begin
         (* Random replacement keeps the table a moving sample. *)
         let i = Prng.int t.rng table_size in
-        index_delete pg ix (find_cell pg row ix pg.rows.(row + i));
+        index_delete pg row ix (find_cell pg row ix pg.rows.(row + i));
         pg.rows.(row + i) <- addr;
         index_put pg ix addr i
       end
@@ -136,11 +128,11 @@ let table_forget t s addr =
   let pg = page_of t s and row = row_of s and ix = cells_of s in
   let j = find_cell pg row ix addr in
   if j >= 0 then begin
-    let idx = pos_of (cell pg ix j) and last = pg.fills.(in_page s) - 1 in
-    index_delete pg ix j;
+    let idx = cell pg ix j - 1 and last = pg.fills.(in_page s) - 1 in
+    index_delete pg row ix j;
     if idx < last then begin
       let moved = pg.rows.(row + last) in
-      set_cell pg ix (find_cell pg row ix moved) (entry (home moved) idx);
+      set_cell pg ix (find_cell pg row ix moved) (idx + 1);
       pg.rows.(row + idx) <- moved
     end;
     pg.rows.(row + last) <- -1;
@@ -202,7 +194,7 @@ let ensure_page t s =
           {
             rows = Array.make (page_slots * table_size) (-1);
             fills = Array.make page_slots 0;
-            index = Bytes.make (page_slots * index_bytes) '\000';
+            index = Bytes.make (page_slots * index_size) '\000';
           };
         |]
 
@@ -213,7 +205,7 @@ let birth t =
   ensure_page t s;
   let pg = page_of t s in
   Array.fill pg.rows (row_of s) table_size (-1);
-  Bytes.fill pg.index (cells_of s) index_bytes '\000';
+  Bytes.fill pg.index (cells_of s) index_size '\000';
   pg.fills.(in_page s) <- 0;
   (* DNS-seed bootstrap: a uniform sample of alive nodes. *)
   let alive = Dyngraph.alive_count g in
