@@ -34,12 +34,13 @@ let[@inline] mark t b = t.filled.(b lsr 5) <- t.filled.(b lsr 5) lor (1 lsl (b l
 let[@inline] unmark t b = t.filled.(b lsr 5) <- t.filled.(b lsr 5) land lnot (1 lsl (b land 31))
 
 (* Index of the one set bit of [bit], a power of two below 2^32: the
-   de Bruijn multiply-and-lookup. *)
+   de Bruijn multiply-and-lookup.  The table is a string literal, a
+   static constant: an array literal would be allocated when the module
+   is initialized, in every program that links it. *)
 let de_bruijn =
-  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
-     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
 
-let[@inline] bit_index bit = de_bruijn.(((bit * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+let[@inline] bit_index bit = Char.code de_bruijn.[((bit * 0x077CB531) land 0xFFFF_FFFF) lsr 27]
 
 let create n =
   let buckets = ref 16 in
