@@ -238,7 +238,8 @@ let mean_out_degree t = Repair_churn.mean_out_degree t.base
 
 let mean_table_fill t =
   let g = graph t and acc = ref 0 in
-  Dyngraph.iter_alive g (fun id -> let s = Dyngraph.slot g id in
+  Dyngraph.iter_alive g (fun id ->
+      let s = Dyngraph.slot g id in
       acc := !acc + (page_of t s).fills.(in_page s));
   let count = Dyngraph.alive_count g in
   if count = 0 then nan else float_of_int !acc /. float_of_int count
