@@ -21,7 +21,7 @@ let regenerates = function SDGR | PDGR -> true | SDG | PDG -> false
 
 type t = Streaming of Streaming_model.t | Poisson of Poisson_model.t
 
-let create ~rng ?(lambda = 1.0) kind ~n ~d =
+let create ?arena ~rng ?(lambda = 1.0) kind ~n ~d =
   if is_streaming kind then begin
     (* Streaming churn (Definition 3.2) has no rate parameter: one birth
        per round, lifetime exactly n.  Refuse a lambda that could not
@@ -32,9 +32,10 @@ let create ~rng ?(lambda = 1.0) kind ~n ~d =
            "Models.create: %s is a streaming model; lambda = %g is not \
             expressible (only Poisson models take an arrival rate)"
            (kind_name kind) lambda);
-    Streaming (Streaming_model.create ~rng ~n ~d ~regenerate:(regenerates kind) ())
+    Streaming (Streaming_model.create ?arena ~rng ~n ~d ~regenerate:(regenerates kind) ())
   end
-  else Poisson (Poisson_model.create ~rng ~lambda ~n ~d ~regenerate:(regenerates kind) ())
+  else
+    Poisson (Poisson_model.create ?arena ~rng ~lambda ~n ~d ~regenerate:(regenerates kind) ())
 
 let kind = function
   | Streaming m -> if Streaming_model.regenerates m then SDGR else SDG
@@ -59,6 +60,10 @@ let advance_batch t k =
 let warm_up_batch = function
   | Streaming m -> Streaming_model.warm_up m
   | Poisson m -> Poisson_model.warm_up m
+
+type scratch = { arena : Churnet_graph.Dyngraph.arena; flood : Flood.scratch }
+
+let scratch () = { arena = Churnet_graph.Dyngraph.arena (); flood = Flood.scratch () }
 
 let flood ?scratch ?max_rounds t =
   match t with

@@ -21,11 +21,18 @@ type t = {
 
 let batch_cap = 4096
 
-let create ~rng ?lambda ~n ~d ~regenerate () =
+(* Every argument is checked before the graph takes over the arena (d
+   by [Dyngraph.create] itself), so a refused create leaves the arena's
+   model as it was.  [lambda] is [Poisson_churn.create]'s check, made
+   early. *)
+let create ?arena ~rng ?lambda ~n ~d ~regenerate () =
   if n < 2 then invalid_arg "Poisson_model.create: n must be >= 2";
+  (match lambda with
+  | Some l when l <= 0. -> invalid_arg "Poisson_churn.create: lambda must be positive"
+  | _ -> ());
   let graph_rng = Prng.split rng in
   let churn_rng = Prng.split rng in
-  let graph = Dyngraph.create ~rng:graph_rng ~d ~regenerate () in
+  let graph = Dyngraph.create ?arena ~rng:graph_rng ~d ~regenerate () in
   let churn = Poisson_churn.create ~rng:churn_rng ?lambda ~n () in
   {
     n;
@@ -34,8 +41,12 @@ let create ~rng ?lambda ~n ~d ~regenerate () =
     rng;
     pending = None;
     time = 0.;
-    batch_dec = Bytes.create batch_cap;
-    batch_dts = Array.make batch_cap 0.;
+    batch_dec =
+      (match arena with None -> Bytes.create batch_cap | Some a -> Dyngraph.arena_bytes a batch_cap);
+    batch_dts =
+      (match arena with
+      | None -> Array.make batch_cap 0.
+      | Some a -> Dyngraph.arena_floats a batch_cap);
   }
 
 let n t = t.n

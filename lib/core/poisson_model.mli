@@ -10,12 +10,20 @@
 type t
 
 val create :
+  ?arena:Churnet_graph.Dyngraph.arena ->
   rng:Churnet_util.Prng.t -> ?lambda:float -> n:int -> d:int -> regenerate:bool -> unit -> t
 (** [lambda] (default 1) is the arrival rate; the death rate is lambda/n
     so the stationary population stays [n].  Message transmission still
     takes one unit of continuous time, so larger [lambda] means more
     churn per flooding round — the S1 experiment measures how behaviour
-    rescales. *)
+    rescales.
+
+    Raises [Invalid_argument] if [n < 2], [d <= 0] or [lambda <= 0],
+    before anything is built.  With [~arena] the graph and the batch
+    buffers are built on the arena's memory, retiring the model built
+    on it before (see {!Churnet_graph.Dyngraph.arena}); the model
+    equals one made without an arena in every draw and every {!encode}
+    byte. *)
 
 val n : t -> int
 val d : t -> int

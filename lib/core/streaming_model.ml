@@ -22,12 +22,24 @@ let uniform graph ~dying ~birth =
 
 let uniform_policy graph : policy = fun ~dying ~birth -> uniform graph ~dying ~birth
 
-let make ~n ~encodable graph policy =
-  if n < 2 then invalid_arg "Streaming_model.create: n must be >= 2";
-  { n; graph; policy; encodable; round = 0; birth_ids = Array.make n (-1); newest = -1 }
+let check_n n = if n < 2 then invalid_arg "Streaming_model.create: n must be >= 2"
 
-let create ~rng ~n ~d ~regenerate () =
-  let graph = Dyngraph.create ~rng ~d ~regenerate () in
+(* The birth ring is the graph's arena's when it has one. *)
+let make ~n ~encodable graph policy =
+  check_n n;
+  let birth_ids =
+    match Dyngraph.arena_of graph with
+    | None -> Array.make n (-1)
+    | Some a -> Dyngraph.arena_ints a n
+  in
+  { n; graph; policy; encodable; round = 0; birth_ids; newest = -1 }
+
+(* [n] is checked before the graph takes over the arena ([d] by
+   [Dyngraph.create] itself), so a refused create leaves the arena's
+   model as it was. *)
+let create ?arena ~rng ~n ~d ~regenerate () =
+  check_n n;
+  let graph = Dyngraph.create ?arena ~rng ~d ~regenerate () in
   make ~n ~encodable:true graph (uniform_policy graph)
 
 let of_policy ~n graph policy = make ~n ~encodable:false graph policy

@@ -24,12 +24,20 @@ type policy =
     the newborn's id, which becomes {!newest}. *)
 
 val create :
+  ?arena:Churnet_graph.Dyngraph.arena ->
   rng:Churnet_util.Prng.t -> n:int -> d:int -> regenerate:bool -> unit -> t
-(** SDG/SDGR: the uniform policy ([kill], then [Dyngraph.add_node]). *)
+(** SDG/SDGR: the uniform policy ([kill], then [Dyngraph.add_node]).
+    Raises [Invalid_argument] if [n < 2] or [d <= 0], before anything
+    is built.  With [~arena] the graph and the birth ring are built on
+    the arena's memory, retiring the model built on it before (see
+    {!Churnet_graph.Dyngraph.arena}); the model equals one made without
+    an arena in every draw and every {!encode} byte. *)
 
 val of_policy : n:int -> Churnet_graph.Dyngraph.t -> policy -> t
 (** A streaming model over [graph] (empty, created by the caller) whose
-    rounds run [policy].  Raises [Invalid_argument] if [n < 2]. *)
+    rounds run [policy].  When [graph] was built on an arena, the birth
+    ring is taken from it too.  Raises [Invalid_argument] if [n < 2]:
+    a caller building [graph] on an arena checks [n] first. *)
 
 val n : t -> int
 val d : t -> int

@@ -103,9 +103,12 @@ let r1 ~seed ~scale =
      domains. *)
   let trial_rngs = Array.init seeds (fun _ -> Prng.split rng) in
   let outcomes =
-    Churnet_util.Parallel.map
-      (fun trial_rng ->
-        let m = Models.create ~rng:(Prng.split trial_rng) Models.SDGR ~n ~d:14 in
+    Churnet_util.Parallel.map_with ~init:Models.scratch
+      (fun (scratch : Models.scratch) trial_rng ->
+        (* The three models share the worker's arena, each retiring the
+           one before once its snapshot or flood is taken. *)
+        let arena = scratch.arena in
+        let m = Models.create ~arena ~rng:(Prng.split trial_rng) Models.SDGR ~n ~d:14 in
         Models.warm_up_batch m;
         let probe =
           Probe.probe ~rng:(Prng.split trial_rng) ~samples_per_size:4
@@ -113,12 +116,16 @@ let r1 ~seed ~scale =
         in
         let exp_ok = probe.min_expansion >= 0.1 in
         let budget = int_of_float (10. *. log (float_of_int n)) + 30 in
-        let m2 = Models.create ~rng:(Prng.split trial_rng) Models.SDGR ~n ~d:21 in
+        let m2 = Models.create ~arena ~rng:(Prng.split trial_rng) Models.SDGR ~n ~d:21 in
         Models.warm_up_batch m2;
-        let sdgr_done = (Models.flood ~max_rounds:budget m2).Flood.completed in
-        let m3 = Models.create ~rng:(Prng.split trial_rng) Models.PDGR ~n ~d:35 in
+        let sdgr_done =
+          (Models.flood ~scratch:scratch.flood ~max_rounds:budget m2).Flood.completed
+        in
+        let m3 = Models.create ~arena ~rng:(Prng.split trial_rng) Models.PDGR ~n ~d:35 in
         Models.warm_up_batch m3;
-        let pdgr_done = (Models.flood ~max_rounds:budget m3).Flood.completed in
+        let pdgr_done =
+          (Models.flood ~scratch:scratch.flood ~max_rounds:budget m3).Flood.completed
+        in
         (exp_ok, sdgr_done, pdgr_done))
       trial_rngs
   in

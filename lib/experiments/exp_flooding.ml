@@ -9,12 +9,12 @@ module Table = Churnet_util.Table
 module Stats = Churnet_util.Stats
 
 (* One warmed model of [kind] flooded once; the trials of a
-   [Parallel.replicate_with ~init:Flood.scratch] call share their
-   worker's scratch. *)
-let flood_once scratch kind ~rng ~n ~d ~max_rounds =
-  let m = Models.create ~rng kind ~n ~d in
+   [Parallel.replicate_with ~init:Models.scratch] call build their
+   models on their worker's arena and flood on its flood scratch. *)
+let flood_once (scratch : Models.scratch) kind ~rng ~n ~d ~max_rounds =
+  let m = Models.create ~arena:scratch.arena ~rng kind ~n ~d in
   Models.warm_up_batch m;
-  Models.flood ~scratch ~max_rounds m
+  Models.flood ~scratch:scratch.flood ~max_rounds m
 
 (* --- E7: flooding in SDG can stall, and completion needs Omega_d(n). --- *)
 
@@ -30,7 +30,7 @@ let e7 ~seed ~scale =
   List.iter
     (fun d ->
       let traces =
-        Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+        Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
             flood_once scratch Models.SDG ~rng ~n ~d ~max_rounds:40)
       in
       let stalls = ref 0 in
@@ -100,7 +100,7 @@ let coverage_experiment ~id ~title kind ~exponent_divisor ~seed ~scale =
       let rounds_acc = Stats.Acc.create () in
       let cov_acc = Stats.Acc.create () in
       let traces =
-        Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+        Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
             flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
       in
       Array.iter
@@ -173,8 +173,8 @@ let e9 ~seed ~scale =
   List.iter
     (fun d ->
       let results =
-        Parallel.replicate ~rng ~trials (fun rng ->
-            let m = Poisson_model.create ~rng ~n ~d ~regenerate:false () in
+        Parallel.replicate_with ~init:Churnet_graph.Dyngraph.arena ~rng ~trials (fun arena rng ->
+            let m = Poisson_model.create ~arena ~rng ~n ~d ~regenerate:false () in
             Poisson_model.warm_up m;
             Flood.Async.run ~max_time:40. m)
       in
@@ -238,7 +238,7 @@ let completion_experiment ~id ~title kind ~d ~seed ~scale =
         let acc = Stats.Acc.create () in
         let completed = ref 0 in
         let traces =
-          Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+          Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
               flood_once scratch kind ~rng ~n ~d:dd
                 ~max_rounds:(int_of_float (20. *. log (float_of_int n)) + 40))
         in
@@ -329,7 +329,7 @@ let f1 ~seed ~scale =
     let acc = Stats.Acc.create () in
     let budget = int_of_float (6. *. log (float_of_int n)) + 20 in
     let traces =
-      Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+      Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
           flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
     in
     Array.iter
@@ -348,7 +348,7 @@ let f1 ~seed ~scale =
     let acc = Stats.Acc.create () in
     let budget = int_of_float (20. *. log (float_of_int n)) + 40 in
     let traces =
-      Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+      Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
           flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
     in
     Array.iter
@@ -443,7 +443,7 @@ let f2 ~seed ~scale =
       let mean_cov kind =
         let acc = Stats.Acc.create () in
         let traces =
-          Parallel.replicate_with ~init:Flood.scratch ~rng ~trials (fun scratch rng ->
+          Parallel.replicate_with ~init:Models.scratch ~rng ~trials (fun scratch rng ->
               flood_once scratch kind ~rng ~n ~d ~max_rounds:budget)
         in
         Array.iter (fun tr -> Stats.Acc.add acc tr.Flood.peak_coverage) traces;
@@ -509,14 +509,15 @@ let f11 ~seed ~scale =
             (ra, rd))
       in
       let results =
-        Parallel.map
-          (fun (ra, rd) ->
-            let m = Poisson_model.create ~rng:ra ~n ~d ~regenerate:true () in
+        Parallel.map_with ~init:Models.scratch
+          (fun (scratch : Models.scratch) (ra, rd) ->
+            let m = Poisson_model.create ~arena:scratch.arena ~rng:ra ~n ~d ~regenerate:true () in
             Poisson_model.warm_up m;
             let r = Flood.Async.run m in
-            let m2 = Poisson_model.create ~rng:rd ~n ~d ~regenerate:true () in
+            (* [r] keeps nothing of [m], which [m2] retires. *)
+            let m2 = Poisson_model.create ~arena:scratch.arena ~rng:rd ~n ~d ~regenerate:true () in
             Poisson_model.warm_up m2;
-            let tr = Flood.run_poisson_discretized m2 in
+            let tr = Flood.run_poisson_discretized ~scratch:scratch.flood m2 in
             (r, tr))
           pairs
       in

@@ -272,14 +272,17 @@ let round_budget model n =
   if Models.regenerates model then int_of_float (20. *. ln) + 40
   else int_of_float (6. *. ln) + 20
 
-let run_cell scratch cell =
+let run_cell (scratch : Models.scratch) cell =
   let rng = Prng.create cell.cell_seed in
   let m =
-    Models.create ~rng ~lambda:cell.lambda cell.model ~n:cell.n ~d:cell.d
+    Models.create ~arena:scratch.arena ~rng ~lambda:cell.lambda cell.model ~n:cell.n
+      ~d:cell.d
   in
   Models.warm_up_batch m;
   let stats = Stream_stats.collect (Models.graph m) in
-  let tr = Models.flood ~scratch ~max_rounds:(round_budget cell.model cell.n) m in
+  let tr =
+    Models.flood ~scratch:scratch.flood ~max_rounds:(round_budget cell.model cell.n) m
+  in
   let half_coverage_round =
     let hit = ref None in
     Array.iteri
@@ -327,7 +330,8 @@ let run ?(progress = fun _ -> ()) config =
      are what the journal memoizes, and journal call-site numbering
      relies on sequential orchestration.  The grid then goes through one
      flat Parallel.map_with — every cell a journaled work unit, fanned
-     out across domains, each worker flooding on one Flood.scratch. *)
+     out across domains, each worker building its models on one arena
+     and flooding on one Flood.scratch (a Models.scratch). *)
   let exp_results =
     List.map
       (fun (id, seed) ->
@@ -346,7 +350,7 @@ let run ?(progress = fun _ -> ()) config =
   let grid_cells = Array.of_list (cells config) in
   if Array.length grid_cells > 0 then
     progress (Printf.sprintf "grid: %d cells" (Array.length grid_cells));
-  let grid_metrics = Parallel.map_with ~init:Flood.scratch run_cell grid_cells in
+  let grid_metrics = Parallel.map_with ~init:Models.scratch run_cell grid_cells in
   {
     config;
     exp_results;

@@ -41,10 +41,10 @@ type t = {
   width : int; (* ints per row *)
   len_at : int; (* row offset of the in-edge count; the block follows it *)
   blk : int; (* in-edge ids held in the row: 2d + 1 *)
-  mutable cap : int; (* slots allocated in the arena, 256 per page *)
+  arena : arena option; (* where pages come from, [None] = always fresh *)
   mutable used : int; (* high-water mark: slots ever handed out *)
-  free : Intvec.t; (* recycled slots, reused LIFO *)
-  mutable rows : int array array; (* row pages *)
+  mutable free : Intvec.t; (* recycled slots, reused LIFO *)
+  mutable rows : int array array; (* row pages, 256 slots each; [||] once retired *)
   mutable spills : Intvec.t array array; (* per-slot spills, paged as [rows] *)
   no_spill : Intvec.t; (* the spill of a slot that never overflowed; stays empty *)
   mutable oldest_slot : int;
@@ -68,6 +68,26 @@ type t = {
   mutable birth_hook : (node_id -> birth:int -> unit) option;
 }
 
+(* The memory of the graphs built on one arena, one after another.  A
+   graph made on it takes over its predecessor's ([owner]'s) alive,
+   stamp and kill arrays and free list, and moves its row, spill and id
+   pages into the pools below, from which it and its successors take
+   pages before allocating any.  Row pages are pooled by row width, so a
+   page always has the exact length [check_invariants] asks of it.  The
+   model buffers are kept for the models over the owner. *)
+and arena = {
+  mutable owner : t option; (* the one live graph of the arena *)
+  shared_no_spill : Intvec.t; (* every pooled spill page's empty spill *)
+  mutable row_pools : row_pool list;
+  mutable spill_pages : Intvec.t array list;
+  mutable id_spares : int array list;
+  mutable ints : int array;
+  mutable bytes : Bytes.t;
+  mutable floats : float array;
+}
+
+and row_pool = { pool_width : int; mutable pages : int array list }
+
 (* Row fields. *)
 let f_id = 0
 let f_birth = 1
@@ -84,19 +104,102 @@ let id_page_mask = id_page_len - 1
 let initial_cap = page_slots
 let initial_window = 1024
 
-(* A page of pristine rows: free, no out-edges, no in-edges. *)
-let row_page ~width ~len_at =
-  let p = Array.make (page_slots * width) (-1) in
+(* Make every row of page [p] pristine: free, no out-edges, no
+   in-edges.  [p] is all -1 already. *)
+let pristine p ~width ~len_at =
   for r = 0 to page_slots - 1 do
     p.((r * width) + f_birth) <- 0;
     p.((r * width) + len_at) <- 0
-  done;
+  done
+
+let row_page ~width ~len_at =
+  let p = Array.make (page_slots * width) (-1) in
+  pristine p ~width ~len_at;
   p
 
-let create ~rng ~d ~regenerate () =
-  if d <= 0 then invalid_arg "Dyngraph.create: d must be positive";
-  let width = f_out + d + 1 + ((2 * d) + 1) and len_at = f_out + d in
-  let no_spill = Intvec.create ~capacity:1 () in
+(* --- Arenas ------------------------------------------------------- *)
+
+let arena () =
+  {
+    owner = None;
+    shared_no_spill = Intvec.create ~capacity:1 ();
+    row_pools = [];
+    spill_pages = [];
+    id_spares = [];
+    ints = [||];
+    bytes = Bytes.empty;
+    floats = [||];
+  }
+
+let rec find_pool pools width =
+  match pools with
+  | [] -> None
+  | p :: rest -> if p.pool_width = width then Some p else find_pool rest width
+
+let row_pool a width =
+  match find_pool a.row_pools width with
+  | Some p -> p
+  | None ->
+      let p = { pool_width = width; pages = [] } in
+      a.row_pools <- p :: a.row_pools;
+      p
+
+(* A pristine row page of [width] ints a row: a pooled one reset, else a
+   fresh one. *)
+let take_row_page a ~width ~len_at =
+  match find_pool a.row_pools width with
+  | Some ({ pages = p :: rest; _ } as pool) ->
+      pool.pages <- rest;
+      Array.fill p 0 (Array.length p) (-1);
+      pristine p ~width ~len_at;
+      p
+  | Some { pages = []; _ } | None -> row_page ~width ~len_at
+
+(* A spill page whose spills are all empty: a pooled one keeps the
+   spills its slots once made, cleared, as [kill] keeps a recycled
+   slot's. *)
+let take_spill_page a =
+  match a.spill_pages with
+  | sp :: rest ->
+      a.spill_pages <- rest;
+      Array.iter (fun v -> if v != a.shared_no_spill then Intvec.clear v) sp;
+      sp
+  | [] -> Array.make page_slots a.shared_no_spill
+
+let take_id_page a =
+  match a.id_spares with
+  | p :: rest ->
+      a.id_spares <- rest;
+      Array.fill p 0 id_page_len (-1);
+      p
+  | [] -> Array.make id_page_len (-1)
+
+(* Move [g]'s pages into [a]'s pools. *)
+let pool_pages a g =
+  let pool = row_pool a g.width in
+  Array.iter (fun p -> if Array.length p > 0 then pool.pages <- p :: pool.pages) g.rows;
+  Array.iter (fun sp -> if Array.length sp > 0 then a.spill_pages <- sp :: a.spill_pages) g.spills;
+  Array.iter (fun p -> if Array.length p > 0 then a.id_spares <- p :: a.id_spares) g.id_pages
+
+(* Empty [g]'s tables once a successor has taken its memory, so any
+   later use of [g] fails on an empty table (Invalid_argument) instead
+   of reading rows that now belong to another graph.  Its free list,
+   now the successor's, is replaced by an empty one of its own. *)
+let empty_tables g =
+  g.rows <- [||];
+  g.spills <- [||];
+  g.id_pages <- [||];
+  g.alive <- [||];
+  g.free <- Intvec.create ~capacity:1 ();
+  g.kill_srcs <- [||];
+  g.kill_cnts <- [||];
+  g.seen <- [||]
+
+(* An empty graph on the given first pages.  The free list and the
+   alive, kill and stamp arrays are [prev]'s when there is one: their
+   contents past what the new graph writes are never read (the alive
+   array past [alive_len], the stamps below the carried-over epoch). *)
+let build ~arena ~prev ~rng ~d ~regenerate ~width ~len_at ~no_spill ~row ~spill_page ~id_page =
   {
     d;
     regenerate;
@@ -104,32 +207,77 @@ let create ~rng ~d ~regenerate () =
     width;
     len_at;
     blk = (2 * d) + 1;
-    cap = initial_cap;
+    arena;
     used = 0;
-    free = Intvec.create ~capacity:64 ();
-    rows = [| row_page ~width ~len_at |];
-    spills = [| Array.make page_slots no_spill |];
+    free =
+      (match prev with
+      | Some g ->
+          Intvec.clear g.free;
+          g.free
+      | None -> Intvec.create ~capacity:64 ());
+    rows = [| row |];
+    spills = [| spill_page |];
     no_spill;
     oldest_slot = -1;
     youngest_slot = -1;
-    id_pages = [| Array.make id_page_len (-1) |];
+    id_pages = [| id_page |];
     id_head = 0;
     id_count = 0;
     id_spare = 1;
     id_lo = 0;
     base = 0;
     window_len = initial_window;
-    alive = Array.make 1024 (-1);
+    alive = (match prev with Some g -> g.alive | None -> Array.make 1024 (-1));
     alive_len = 0;
     next_id = 0;
-    kill_srcs = Array.make 16 0;
-    kill_cnts = Array.make 16 0;
-    seen = [||];
-    seen_epoch = 0;
+    kill_srcs = (match prev with Some g -> g.kill_srcs | None -> Array.make 16 0);
+    kill_cnts = (match prev with Some g -> g.kill_cnts | None -> Array.make 16 0);
+    seen = (match prev with Some g -> g.seen | None -> [||]);
+    seen_epoch = (match prev with Some g -> g.seen_epoch | None -> 0);
     edge_hook = None;
     death_hook = None;
     birth_hook = None;
   }
+
+let create ?arena ~rng ~d ~regenerate () =
+  if d <= 0 then invalid_arg "Dyngraph.create: d must be positive";
+  let width = f_out + d + 1 + ((2 * d) + 1) and len_at = f_out + d in
+  match arena with
+  | None ->
+      let no_spill = Intvec.create ~capacity:1 () in
+      build ~arena ~prev:None ~rng ~d ~regenerate ~width ~len_at ~no_spill
+        ~row:(row_page ~width ~len_at)
+        ~spill_page:(Array.make page_slots no_spill) ~id_page:(Array.make id_page_len (-1))
+  | Some a ->
+      (* The predecessor's pages enter the pools before the new graph
+         takes its first ones, so those can be among them. *)
+      let prev = a.owner in
+      Option.iter (pool_pages a) prev;
+      let t =
+        build ~arena ~prev ~rng ~d ~regenerate ~width ~len_at ~no_spill:a.shared_no_spill
+          ~row:(take_row_page a ~width ~len_at) ~spill_page:(take_spill_page a)
+          ~id_page:(take_id_page a)
+      in
+      Option.iter empty_tables prev;
+      a.owner <- Some t;
+      t
+
+let arena_of t = t.arena
+
+(* The arena's model buffers: the last one handed out, while its length
+   fits. *)
+let arena_ints a len =
+  if Array.length a.ints <> len then a.ints <- Array.make len (-1)
+  else Array.fill a.ints 0 len (-1);
+  a.ints
+
+let arena_bytes a len =
+  if Bytes.length a.bytes <> len then a.bytes <- Bytes.create len;
+  a.bytes
+
+let arena_floats a len =
+  if Array.length a.floats <> len then a.floats <- Array.make len 0.;
+  a.floats
 
 let d t = t.d
 let regenerate t = t.regenerate
@@ -139,6 +287,13 @@ let set_death_hook t hook = t.death_hook <- hook
 let death_hook t = t.death_hook
 let set_birth_hook t hook = t.birth_hook <- hook
 let alive_count t = t.alive_len
+
+(* Slots the page tables cover: 256 per row page, made or not. *)
+let cap t = Array.length t.rows lsl page_bits
+
+let check_live t what =
+  if Array.length t.rows = 0 then
+    invalid_arg ("Dyngraph." ^ what ^ ": the graph was retired (its arena built a later one)")
 
 (* Row page of slot [s], and the offset of its row in it. *)
 let[@inline] page t s = t.rows.(s lsr page_bits)
@@ -236,16 +391,20 @@ let extend a len fill =
    move. *)
 let grow_arena t =
   t.rows <- extend t.rows (2 * Array.length t.rows) [||];
-  t.spills <- extend t.spills (2 * Array.length t.spills) [||];
-  t.cap <- 2 * t.cap
+  t.spills <- extend t.spills (2 * Array.length t.spills) [||]
 
 let make_page t pg =
-  t.rows.(pg) <- row_page ~width:t.width ~len_at:t.len_at;
-  t.spills.(pg) <- Array.make page_slots t.no_spill
+  match t.arena with
+  | None ->
+      t.rows.(pg) <- row_page ~width:t.width ~len_at:t.len_at;
+      t.spills.(pg) <- Array.make page_slots t.no_spill
+  | Some a ->
+      t.rows.(pg) <- take_row_page a ~width:t.width ~len_at:t.len_at;
+      t.spills.(pg) <- take_spill_page a
 
 (* The next never-used slot, on a fresh page when it starts one. *)
 let fresh_slot t =
-  if t.used = t.cap then grow_arena t;
+  if t.used = cap t then grow_arena t;
   let s = t.used in
   if Array.length t.rows.(s lsr page_bits) = 0 then make_page t (s lsr page_bits);
   t.used <- s + 1;
@@ -272,7 +431,7 @@ let add_id_page t id =
         t.id_head <- 0
       end;
       t.id_pages.((t.id_head + t.id_count) land (Array.length t.id_pages - 1)) <-
-        Array.make id_page_len (-1)
+        (match t.arena with None -> Array.make id_page_len (-1) | Some a -> take_id_page a)
     end;
     t.id_count <- t.id_count + 1
   end
@@ -489,8 +648,8 @@ let distinct_in t s p o =
    for in-degrees pay nothing for it. *)
 let distinct_sources t s limit =
   let p = page t s and o = off t s in
-  if Array.length t.seen < t.cap then begin
-    t.seen <- Array.make t.cap 0;
+  if Array.length t.seen < cap t then begin
+    t.seen <- Array.make (cap t) 0;
     t.seen_epoch <- 0
   end;
   let epoch = t.seen_epoch + 1 in
@@ -783,6 +942,7 @@ let newest_alive t =
    buffer, rows gathered per node then sorted + deduped in place.  The
    id -> index translation is an O(1) slot-indexed lookup, not a search. *)
 let snapshot t =
+  check_live t "snapshot";
   let n = t.alive_len in
   let ids = alive_ids t in
   Array.sort Int.compare ids;
@@ -838,16 +998,16 @@ let snapshot t =
   Snapshot.of_csr ~ids ~births ~offsets ~adj:(Array.sub !buf 0 !len) ~out_deg
 
 let check_invariants t =
+  check_live t "check_invariants";
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
   (* paging: 256 rows per page, a spill page per row page *)
   if
-    t.cap < initial_cap
-    || t.cap land (t.cap - 1) <> 0
-    || Array.length t.rows <> t.cap / page_slots
-    || Array.length t.spills <> t.cap / page_slots
-    || t.used > t.cap
-  then fail "arena pages out of step with cap %d" t.cap
+    cap t < initial_cap
+    || cap t land (cap t - 1) <> 0
+    || Array.length t.spills <> Array.length t.rows
+    || t.used > cap t
+  then fail "arena pages out of step with cap %d" (cap t)
   else begin
     (* pages exist up to the last used slot's (page 0 always); a spill
        holds exactly what overflows a full block; unused rows are
@@ -1005,10 +1165,11 @@ module Codec = Churnet_util.Codec
    kill_srcs scratch buffer (rebuilt empty), the in_degree stamps (sized
    again on first use), spill capacities and spare id pages. *)
 let encode w t =
+  check_live t "encode";
   Codec.varint w t.d;
   Codec.bool w t.regenerate;
   Prng.encode w t.rng;
-  Codec.varint w t.cap;
+  Codec.varint w (cap t);
   Codec.varint w t.used;
   Intvec.encode w t.free;
   let prefix f = for s = 0 to t.used - 1 do Codec.varint w (field t s f) done in
@@ -1145,7 +1306,7 @@ let decode r =
       next_id;
     }
   in
-  while t.cap < cap do
+  while Array.length t.rows < cap / page_slots do
     grow_arena t
   done;
   for pg = 1 to (used - 1) asr page_bits do

@@ -18,11 +18,60 @@ type node_id = int
 (** Node identifiers are globally unique, monotonically increasing with
     birth order (so [u < v] iff [u] is older than [v]). *)
 
-val create : rng:Churnet_util.Prng.t -> d:int -> regenerate:bool -> unit -> t
+type arena
+(** Memory for graphs built one after another, such as the trials of one
+    [Parallel] worker.  A graph created on an arena takes over the
+    memory of the previous graph created on it: its row pages, spill
+    pages and id pages, its alive, stamp and kill arrays and its free
+    list.  Spare row pages are pooled by row width ([3d + 7] ints a
+    row), so a sequence of graphs whose [d] alternates reuses pages of
+    every width it has seen.  The arena also keeps the buffers of the
+    models over its graphs ({!arena_ints}, {!arena_bytes},
+    {!arena_floats}).
+
+    {b One live graph per arena.}  Creating a graph on an arena retires
+    the previous one: its page tables are emptied, so any later use of
+    it that reads its nodes or edges (births, deaths, neighbourhood
+    queries, flooding, {!encode}, {!snapshot}, {!check_invariants})
+    raises [Invalid_argument] rather than read another graph's rows;
+    counters such as {!alive_count} keep their last values.  Finish
+    with a graph (and copy out whatever the results need) before the
+    next [create] on its arena.  An arena is not safe to share between
+    domains; make one per worker and call, not one per domain in
+    [Domain.DLS]. *)
+
+val arena : unit -> arena
+(** An empty arena; it allocates its pools by need. *)
+
+val create :
+  ?arena:arena -> rng:Churnet_util.Prng.t -> d:int -> regenerate:bool -> unit -> t
 (** [create ~rng ~d ~regenerate ()] makes an empty graph.  [rng] is the
     graph's private generator — every topology draw (slot targets,
     regeneration, victim sampling) consumes it and nothing else, so two
-    graphs given independently split generators evolve independently. *)
+    graphs given independently split generators evolve independently.
+
+    With [~arena] the graph is built on the arena's memory, retiring
+    the arena's previous graph (see {!arena}).  It equals a graph made
+    without one in everything observable: slot numbering, capacity, id
+    window, every draw, the {!encode} bytes and {!check_invariants}.
+    [d] is checked first: a refused create retires nothing. *)
+
+val arena_of : t -> arena option
+(** The arena the graph was built on, if any. *)
+
+val arena_ints : arena -> int -> int array
+(** [arena_ints a len] is an array of [len] cells, all -1: the one the
+    previous call returned when it had [len] cells too, else a fresh one
+    that the arena keeps instead.  For a model's own buffer (the
+    streaming birth ring), owned like the graph: one live model per
+    arena. *)
+
+val arena_bytes : arena -> int -> Bytes.t
+(** As {!arena_ints}, for a byte buffer whose contents are unspecified. *)
+
+val arena_floats : arena -> int -> float array
+(** As {!arena_ints}, for a float buffer whose contents are
+    unspecified. *)
 
 val d : t -> int
 val regenerate : t -> bool

@@ -12,6 +12,7 @@ let () =
       ("graph", Test_graph.suite);
       ("churn", Test_churn.suite);
       ("models", Test_models.suite);
+      ("arena", Test_arena.suite);
       ("flood", Test_flood.suite);
       ("core-analysis", Test_core_analysis.suite);
       ("expansion", Test_expansion.suite);
