@@ -55,14 +55,6 @@ let run ?max_rounds ~rng ~strategy model =
   let extinct = ref false in
   let extinction_round = ref None in
   let r = ref 0 in
-  (* A uniform neighbour of [id], or -1 when it has none: the same draw
-     [Prng.choose] makes over [Dyngraph.neighbors], without the list. *)
-  let neigh = Intvec.create () in
-  let random_neighbor id =
-    Dyngraph.neighbors_into graph id neigh;
-    let k = Intvec.length neigh in
-    if k = 0 then -1 else Intvec.get neigh (Prng.int rng k)
-  in
   (* Per-round scratch: the informed set in its iteration order, and the
      nodes each round informs, in discovery order. *)
   let members = Intvec.create () and newly = Intvec.create () in
@@ -75,7 +67,7 @@ let run ?max_rounds ~rng ~strategy model =
       for i = 0 to Intvec.length members - 1 do
         let u = Intvec.get members i in
         if Dyngraph.is_alive graph u then begin
-          let v = random_neighbor u in
+          let v = Dyngraph.random_neighbor graph u rng in
           if v >= 0 then begin
             incr messages;
             if not (Intset.mem informed v) then Intvec.push newly v
@@ -86,7 +78,7 @@ let run ?max_rounds ~rng ~strategy model =
     if strategy = Pull || strategy = Push_pull then
       Dyngraph.iter_alive graph (fun v ->
           if not (Intset.mem informed v) then begin
-            let u = random_neighbor v in
+            let u = Dyngraph.random_neighbor graph v rng in
             if u >= 0 then begin
               incr messages;
               if Intset.mem informed u then Intvec.push newly v

@@ -36,16 +36,20 @@ type result = {
    A phase's new young layer goes to [young] and the old layer it
    reaches to [old]; [prev_set] holds the previous old layer.
 
+   A row's requests are drawn in one run ([Prng.fill_int]) into
+   [draws], then filtered in draw order.
+
    Every buffer comes from a [scratch] that a caller may share between
    runs (Parallel.replicate_with gives one per worker), so a trial
    allocates only its layer-size lists and its result.  Each run sizes
    the buffers by need (none ever shrinks) and resets only what it
    reads: [off] is rewritten in full, [cls] is zeroed over its first
    n + 1 cells, [prev_set] is cleared every phase, and [targets],
-   [young] and [old] are read only where this run wrote them.  So a run
+   [draws], [young] and [old] are read only where this run wrote them.  So a run
    on a used scratch reads exactly what a run on a fresh one does. *)
 type scratch = {
   mutable targets : Bytes.t;
+  mutable draws : int array;
   mutable off : int array;
   mutable cls : int array;
   mutable young : int array;
@@ -54,7 +58,7 @@ type scratch = {
 }
 
 let scratch () =
-  { targets = Bytes.empty; off = [||]; cls = [||]; young = [||]; old = [||];
+  { targets = Bytes.empty; draws = [||]; off = [||]; cls = [||]; young = [||]; old = [||];
     prev_set = Bitset.create 0 }
 
 type state = {
@@ -89,23 +93,56 @@ let target st i = Int32.to_int (get32 st.targets (4 * i))
 
 let logn_of n = int_of_float (Float.ceil (log (float_of_int n)))
 
+(* The [k] next requests of node [a], in draw order, into [sc.draws]:
+   [k] successive [Prng.int] draws made in one [Prng.fill_int].
+   Streaming: the draw [v] names the node of age [a + 1 + v].  Poisson:
+   it names rank [1 + v], and a draw naming [a] itself is redrawn; the
+   self-hits are dropped in order and only the requests still missing
+   are drawn again, each of which takes at least one more draw, so the
+   stream is the one-at-a-time one. *)
+let requests (sc : scratch) rng ~poisson ~n a k =
+  let buf = sc.draws in
+  if not poisson then begin
+    Prng.fill_int rng (n - 1) buf 0 k;
+    for i = 0 to k - 1 do
+      buf.(i) <- a + 1 + buf.(i)
+    done
+  end
+  else begin
+    let got = ref 0 in
+    while !got < k do
+      Prng.fill_int rng n buf !got (k - !got);
+      let w = ref !got in
+      for i = !got to k - 1 do
+        let t = 1 + buf.(i) in
+        if t <> a then begin
+          buf.(!w) <- t;
+          incr w
+        end
+      done;
+      got := !w
+    done
+  end
+
 (* Draw the source's d requests, then each young node's d/2 type-A and
    d/2 type-B requests, rows ascending, keeping the targets in
    [old_lo .. old_hi].  Every request is uniform over n - 1 nodes, so
    [targets] holds at least the expected old count plus four standard
    deviations and doubles only on overflow. *)
-let draw (sc : scratch) ~n ~d ~young_last ~old_lo ~old_hi sample =
+let draw (sc : scratch) ~n ~d ~young_last ~old_lo ~old_hi ~rng ~poisson =
   let expected =
     float_of_int ((young_last + 1) * d * (old_hi - old_lo + 1)) /. float_of_int (n - 1)
   in
   let need = int_of_float (expected +. (4. *. sqrt expected)) + d in
   if Bytes.length sc.targets < 4 * need then sc.targets <- Bytes.create (4 * need);
   if Array.length sc.off < (2 * young_last) + 3 then sc.off <- Array.make ((2 * young_last) + 3) 0;
+  if Array.length sc.draws < d then sc.draws <- Array.make d 0;
   let off = sc.off in
   let len = ref 0 in
   let keep a k =
-    for _ = 1 to k do
-      let t = sample a in
+    requests sc rng ~poisson ~n a k;
+    for i = 0 to k - 1 do
+      let t = sc.draws.(i) in
       if t >= old_lo && t <= old_hi then begin
         if 4 * !len = Bytes.length sc.targets then sc.targets <- Bytes.cat sc.targets sc.targets;
         set32 sc.targets (4 * !len) (Int32.of_int t);
@@ -154,8 +191,8 @@ let add_old_layer st =
 
 (* Draw every request, then phase 0: the old nodes the source's
    requests reach form O_0, marked as phase 1. *)
-let start (sc : scratch) ~n ~d ~young_last ~old_lo ~old_hi ~target ~coin sample =
-  draw sc ~n ~d ~young_last ~old_lo ~old_hi sample;
+let start (sc : scratch) ~n ~d ~young_last ~old_lo ~old_hi ~target ~coin ~rng ~poisson =
+  draw sc ~n ~d ~young_last ~old_lo ~old_hi ~rng ~poisson;
   if Array.length sc.cls < n + 1 then sc.cls <- Array.make (n + 1) 0
   else Array.fill sc.cls 0 (n + 1) 0;
   if Array.length sc.young < young_last + 1 then sc.young <- Array.make (young_last + 1) 0;
@@ -177,17 +214,13 @@ let validate name ~n ~d =
 let start_streaming sc ~rng ~n ~d =
   validate "Onion.run" ~n ~d;
   start sc ~n ~d ~young_last:((n / 2) - 1) ~old_lo:(n / 2) ~old_hi:(n - logn_of n)
-    ~target:(max 1 (n / d)) ~coin:None (fun a -> a + 1 + Prng.int rng (n - 1))
+    ~target:(max 1 (n / d)) ~coin:None ~rng ~poisson:false
 
 let start_poisson sc ~rng ~n ~d =
   validate "Onion.run_poisson" ~n ~d;
   let fn = float_of_int n and half = n / 2 in
-  let rec other a =
-    let t = 1 + Prng.int rng n in
-    if t = a then other a else t
-  in
   start sc ~n ~d ~young_last:half ~old_lo:(half + 1) ~old_hi:n ~target:(max 1 (n / 20))
-    ~coin:(Some (rng, log fn /. fn)) other
+    ~coin:(Some (rng, log fn /. fn)) ~rng ~poisson:true
 
 (* Some target in [i, hi) is in the previous old layer. *)
 let rec hits st i hi = i < hi && (Bitset.mem st.prev_set (target st i) || hits st (i + 1) hi)

@@ -10,7 +10,7 @@ type node_id = int
 
      0        id         id living in slot s, -1 when s is free
      1        birth      its birth stamp
-     2        alive_pos  position of the id in the dense [alive] array
+     2        alive_pos  position of the slot in the dense [alive] array
      3, 4     prev/next  doubly-linked list of alive slots in birth order
                          (oldest_slot .. youngest_slot), giving O(1)
                          oldest_alive / newest_alive
@@ -56,11 +56,11 @@ type t = {
   mutable id_lo : int; (* page of the oldest alive id, of [next_id] when none *)
   mutable base : int; (* start of the serialized id window *)
   mutable window_len : int; (* its serialized capacity *)
-  mutable alive : int array; (* dense array of alive ids, for O(1) sampling *)
+  mutable alive : int array; (* dense array of alive slots, for O(1) sampling *)
   mutable alive_len : int;
   mutable next_id : int;
-  mutable kill_srcs : int array; (* scratch for kill's canonical regen order *)
-  mutable kill_cnts : int array; (* per-src slot multiplicity, parallel to kill_srcs *)
+  mutable gather : int array; (* scratch: kill's sorted in-list, a neighbourhood *)
+  mutable draws : int array; (* scratch: a run of bulk draws (births, regeneration) *)
   mutable seen : int array; (* per-slot stamps for in_degree; empty until its first call *)
   mutable seen_epoch : int; (* the stamp of the latest in_degree call *)
   mutable edge_hook : (src:node_id -> dst:node_id -> unit) option;
@@ -191,8 +191,8 @@ let empty_tables g =
   g.id_pages <- [||];
   g.alive <- [||];
   g.free <- Intvec.create ~capacity:1 ();
-  g.kill_srcs <- [||];
-  g.kill_cnts <- [||];
+  g.gather <- [||];
+  g.draws <- [||];
   g.seen <- [||]
 
 (* An empty graph on the given first pages.  The free list and the
@@ -230,8 +230,8 @@ let build ~arena ~prev ~rng ~d ~regenerate ~width ~len_at ~no_spill ~row ~spill_
     alive = (match prev with Some g -> g.alive | None -> Array.make 1024 (-1));
     alive_len = 0;
     next_id = 0;
-    kill_srcs = (match prev with Some g -> g.kill_srcs | None -> Array.make 16 0);
-    kill_cnts = (match prev with Some g -> g.kill_cnts | None -> Array.make 16 0);
+    gather = (match prev with Some g -> g.gather | None -> Array.make 16 0);
+    draws = (match prev with Some g -> g.draws | None -> Array.make 16 0);
     seen = (match prev with Some g -> g.seen | None -> [||]);
     seen_epoch = (match prev with Some g -> g.seen_epoch | None -> 0);
     edge_hook = None;
@@ -471,15 +471,15 @@ let advance_window t id =
     t.base <- new_base
   end
 
-let alive_push t id s =
+let alive_push t s =
   if t.alive_len = Array.length t.alive then
     t.alive <- extend t.alive (2 * t.alive_len) (-1);
-  t.alive.(t.alive_len) <- id;
+  t.alive.(t.alive_len) <- s;
   set_field t s f_pos t.alive_len;
   t.alive_len <- t.alive_len + 1
 
 (* Swap-remove from the dense alive array.  When the victim is the last
-   element, [moved = id] and the writes below are self-assignments — the
+   element, [moved = s] and the writes below are self-assignments — the
    uniform special case needs no branch. *)
 let alive_remove t s =
   let pos = field t s f_pos in
@@ -487,28 +487,25 @@ let alive_remove t s =
   let last = t.alive_len - 1 in
   let moved = t.alive.(last) in
   t.alive.(pos) <- moved;
-  set_field t (slot_of t moved) f_pos pos;
+  set_field t moved f_pos pos;
   t.alive_len <- last;
   set_field t s f_pos (-1)
 
-let random_alive t =
+let random_alive_slot t =
   if t.alive_len = 0 then invalid_arg "Dyngraph.random_alive: empty graph";
   t.alive.(Prng.int t.rng t.alive_len)
 
-(* Uniform alive node distinct from [self]; -1 when no such node exists.
-   Returned unboxed (rather than as an option) because this runs once per
-   out-slot on every birth and regeneration — the churn hot path must not
-   allocate.  The rejection loop's draw sequence is part of the
-   interface. *)
-let random_alive_excluding t self =
-  if t.alive_len = 0 then -1
-  else if t.alive_len = 1 && t.alive.(0) = self then -1
-  else begin
-    let cand = ref t.alive.(Prng.int t.rng t.alive_len) in
-    while !cand = self do
-      cand := t.alive.(Prng.int t.rng t.alive_len)
+let random_alive t = field t (random_alive_slot t) f_id
+
+(* Grow the two scratch arrays to at least [n] cells, doubling. *)
+let scratch_at_least t n =
+  if Array.length t.gather < n then begin
+    let len = ref (max 16 (Array.length t.gather)) in
+    while !len < n do
+      len := 2 * !len
     done;
-    !cand
+    t.gather <- Array.make !len 0;
+    t.draws <- Array.make !len 0
   end
 
 let fire_hook t ~src ~dst =
@@ -547,7 +544,7 @@ let begin_birth t ~birth =
 
 let finish_birth t id s ~birth =
   birth_link t s;
-  alive_push t id s;
+  alive_push t s;
   (match t.birth_hook with None -> () | Some f -> f id ~birth);
   let p = page t s and o = off t s + f_out in
   for i = 0 to t.d - 1 do
@@ -556,18 +553,26 @@ let finish_birth t id s ~birth =
   done;
   id
 
+(* Sample destinations among nodes alive *before* this birth: the
+   newborn joins [alive] only in [finish_birth], so no draw can hit it
+   and the d slots take d successive draws at [alive_len], made in one
+   [Prng.fill_int].  Nothing between them draws: [in_push] does not,
+   and the hooks fire after the last one. *)
 let add_node t ~birth =
   let s = begin_birth t ~birth in
   let p = page t s and o = off t s in
   let id = p.(o + f_id) in
-  (* Sample destinations among nodes alive *before* this birth. *)
-  for slot = 0 to t.d - 1 do
-    let target_id = random_alive_excluding t id in
-    if target_id >= 0 then begin
-      p.(o + f_out + slot) <- target_id;
-      in_push t (slot_of t target_id) id
-    end
-  done;
+  let n = t.alive_len in
+  if n > 0 then begin
+    scratch_at_least t t.d;
+    let draws = t.draws in
+    Prng.fill_int t.rng n draws 0 t.d;
+    for slot = 0 to t.d - 1 do
+      let ts = t.alive.(draws.(slot)) in
+      p.(o + f_out + slot) <- field t ts f_id;
+      in_push t ts id
+    done
+  end;
   finish_birth t id s ~birth
 
 let add_node_with_targets t ~birth ~targets =
@@ -690,8 +695,107 @@ let sort_range (a : int array) lo n =
     a.(!j + 1) <- v
   done
 
-let kill t id =
-  let s = get_slot t id in
+(* Sort [a.(0) .. a.(n - 1)] and fold each run of equal values into its
+   first cell; the distinct count. *)
+let sort_uniq_prefix a n =
+  sort_range a 0 n;
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || a.(i) <> a.(i - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  !m
+
+(* Without regeneration: every in-edge entry clears one slot of its
+   source that points at [id].  Nothing is drawn and no hook fires, so
+   the entries are taken in list order, with no copy or sort; a source
+   of multiplicity c has its first c such slots cleared, as in the
+   ordered pass below. *)
+let clear_in_edges t s p o id k =
+  for i = 0 to k - 1 do
+    let ss = slot_of t (in_get t s p o i) in
+    if ss >= 0 then begin
+      let sp = page t ss and so = off t ss + f_out in
+      let j = ref 0 in
+      while !j < t.d && sp.(so + !j) <> id do
+        incr j
+      done;
+      if !j < t.d then sp.(so + !j) <- -1
+    end
+  done
+
+(* Source [src] (multiplicity [c]) loses its slots that point at [id]
+   and, in increasing slot order, redraws each uniformly over the alive
+   slots other than its own.  Sequentially that is one [Prng.int] at
+   [alive_len] per try, a try that hits [src] itself being redrawn; so
+   the c tries every slot needs at least are drawn up front in one
+   [Prng.fill_int] into [draws], a self-hit takes the next buffered
+   value, and an exhausted buffer is refilled with only the slots still
+   missing, each of which will take at least one more try.  That
+   consumes exactly the sequential stream, provided nothing between the
+   draws draws from the graph's generator: [in_push] does not, and no
+   edge hook may ({!set_edge_hook}).  With [src] alive, [alive_len < 2]
+   leaves no other node: the slots stay empty and nothing is drawn. *)
+let regenerate_src t id src c =
+  let ss = slot_of t src in
+  if ss >= 0 then begin
+    let sp = page t ss and so = off t ss + f_out in
+    let n = t.alive_len and draws = t.draws in
+    let drawing = n >= 2 in
+    if drawing then Prng.fill_int t.rng n draws 0 c;
+    let have = ref c and next = ref 0 and left = ref c and slot = ref 0 in
+    while !left > 0 && !slot < t.d do
+      if sp.(so + !slot) = id then begin
+        sp.(so + !slot) <- -1;
+        if drawing then begin
+          let fresh = ref ss in
+          while !fresh = ss do
+            if !next = !have then begin
+              Prng.fill_int t.rng n draws 0 !left;
+              have := !left;
+              next := 0
+            end;
+            fresh := t.alive.(draws.(!next));
+            incr next
+          done;
+          let dst = field t !fresh f_id in
+          sp.(so + !slot) <- dst;
+          in_push t !fresh src;
+          fire_hook t ~src ~dst
+        end;
+        decr left
+      end;
+      incr slot
+    done
+  end
+
+(* With regeneration, in-neighbours are processed oldest-first
+   (ascending id), so the mapping of draws to regenerated slots is a
+   fixed, documented order, not an artifact of the in-edge container's
+   layout.  The list is copied to [gather] and sorted; each run of equal
+   sources is one source and its multiplicity. *)
+let regenerate_in_edges t s p o id k =
+  scratch_at_least t k;
+  let srcs = t.gather in
+  for i = 0 to k - 1 do
+    srcs.(i) <- in_get t s p o i
+  done;
+  sort_range srcs 0 k;
+  let i = ref 0 in
+  while !i < k do
+    let src = srcs.(!i) in
+    let j = ref (!i + 1) in
+    while !j < k && srcs.(!j) = src do
+      incr j
+    done;
+    regenerate_src t id src (!j - !i);
+    i := !j
+  done
+
+let kill_slot t s =
+  let id = field t s f_id in
   (match t.death_hook with None -> () | Some f -> f id);
   (* Remove from the alive set first so regeneration cannot choose [id]. *)
   alive_remove t s;
@@ -708,92 +812,49 @@ let kill t id =
       if ts >= 0 then in_remove t ts id
     end
   done;
-  (* Each surviving in-neighbor loses the slots that pointed here and, with
-     regeneration, immediately re-samples them over the current alive set.
-     In-neighbors are processed oldest-first (ascending id) so the mapping
-     of PRNG draws to regenerated slots is a fixed, documented order — not
-     an artifact of the in-edge container's internal layout.  The in-edge
-     list is copied to scratch, sorted, and deduped (duplicates encode
-     multiplicity) without allocating. *)
+  (* Each surviving in-neighbor loses the slots that pointed here and,
+     with regeneration, immediately re-samples them. *)
   let k = p.(o + t.len_at) in
-  if k > 0 then begin
-    if Array.length t.kill_srcs < k then begin
-      let n = ref (Array.length t.kill_srcs) in
-      while !n < k do
-        n := 2 * !n
-      done;
-      t.kill_srcs <- Array.make !n 0;
-      t.kill_cnts <- Array.make !n 0
-    end;
-    let srcs = t.kill_srcs and cnts = t.kill_cnts in
-    for i = 0 to k - 1 do
-      srcs.(i) <- in_get t s p o i
-    done;
-    sort_range srcs 0 k;
-    (* Duplicates are adjacent after the sort; fold each run into a count
-       so the slot scan below can stop after that many matches instead of
-       always walking all [d] slots (most in-neighbors point here once). *)
-    let m = ref 0 in
-    for i = 0 to k - 1 do
-      if i = 0 || srcs.(i) <> srcs.(i - 1) then begin
-        srcs.(!m) <- srcs.(i);
-        cnts.(!m) <- 1;
-        incr m
-      end
-      else cnts.(!m - 1) <- cnts.(!m - 1) + 1
-    done;
-    for i = 0 to !m - 1 do
-      let src = srcs.(i) in
-      let ss = slot_of t src in
-      if ss >= 0 then begin
-        let sp = page t ss and so = off t ss + f_out in
-        let remaining = ref cnts.(i) in
-        let slot = ref 0 in
-        while !remaining > 0 && !slot < t.d do
-          if sp.(so + !slot) = id then begin
-            decr remaining;
-            sp.(so + !slot) <- -1;
-            if t.regenerate then begin
-              let fresh = random_alive_excluding t src in
-              if fresh >= 0 then begin
-                sp.(so + !slot) <- fresh;
-                in_push t (slot_of t fresh) src;
-                fire_hook t ~src ~dst:fresh
-              end
-            end
-          end;
-          incr slot
-        done
-      end
-    done
-  end;
+  if k > 0 then
+    if t.regenerate then regenerate_in_edges t s p o id k else clear_in_edges t s p o id k;
   (* Recycle the slot: clear everything so the next occupant starts
      pristine, then push it on the free list. *)
   p.(o + f_id) <- -1;
-  Array.fill p (o + f_out) t.d (-1);
+  for i = o + f_out to o + f_out + t.d - 1 do
+    p.(i) <- -1
+  done;
   p.(o + t.len_at) <- 0;
   Intvec.clear (spill t s);
   Intvec.push t.free s
+
+let kill t id = kill_slot t (get_slot t id)
 
 (* Apply a pre-drawn run of churn decisions in one arena pass.  The graph
    operations — and hence the draws they take from the graph PRNG — happen
    in batch order, exactly as the equivalent add_node/kill loop would make
    them, so the resulting arena (including its serialized bytes) is
-   identical. *)
+   identical.  A victim is drawn as [random_alive] draws it, straight as
+   a slot. *)
 let churn_batch t ~decisions ~count ~birth0 =
   if count < 0 || count > Bytes.length decisions then
     invalid_arg "Dyngraph.churn_batch: count out of range";
   for i = 0 to count - 1 do
     if Bytes.get decisions i = '\000' then ignore (add_node t ~birth:(birth0 + i))
-    else kill t (random_alive t)
+    else kill_slot t (random_alive_slot t)
   done
 
 let iter_alive t f =
   for i = 0 to t.alive_len - 1 do
-    f t.alive.(i)
+    f (field t t.alive.(i) f_id)
   done
 
-let alive_ids t = Array.sub t.alive 0 t.alive_len
+let alive_ids t =
+  let ids = Array.make t.alive_len 0 in
+  for i = 0 to t.alive_len - 1 do
+    ids.(i) <- field t t.alive.(i) f_id
+  done;
+  ids
+
 let birth_of t id = field t (get_slot t id) f_birth
 
 let out_targets t id =
@@ -838,6 +899,28 @@ let neighbors_into t id buf =
     Intvec.push buf (in_get t s p o i)
   done;
   Intvec.sort_uniq buf
+
+(* [neighbors_into]'s set, gathered, sorted and deduped in [gather]: the
+   draw and the value of a uniform pick from that buffer. *)
+let random_neighbor t id rng =
+  let s = get_slot t id in
+  let p = page t s and o = off t s in
+  let k = p.(o + t.len_at) in
+  scratch_at_least t (t.d + k);
+  let a = t.gather in
+  let n = ref 0 in
+  for i = 0 to t.d - 1 do
+    let target = p.(o + f_out + i) in
+    if target >= 0 then begin
+      a.(!n) <- target;
+      incr n
+    end
+  done;
+  for i = 0 to k - 1 do
+    a.(!n + i) <- in_get t s p o i
+  done;
+  let m = sort_uniq_prefix a (!n + k) in
+  if m = 0 then -1 else a.(Prng.int rng m)
 
 let list_of_intvec buf =
   let acc = ref [] in
@@ -1055,15 +1138,19 @@ let check_invariants t =
   if !err = None then begin
     (* alive array, alive_pos and the id map agree *)
     for i = 0 to t.alive_len - 1 do
-      let id = t.alive.(i) in
-      let s = slot_of t id in
-      if s < 0 then fail "alive node %d not mapped to a slot" id
+      let s = t.alive.(i) in
+      if s < 0 || s >= t.used then fail "alive entry %d is slot %d, not a used one" i s
       else begin
-        if field t s f_pos <> i then fail "alive index mismatch for node %d" id;
-        if field t s f_id <> id then fail "slot %d does not map back to node %d" s id
+        let id = field t s f_id in
+        if id < 0 then fail "alive entry %d is free slot %d" i s
+        else if slot_of t id <> s then fail "alive node %d not mapped to its slot %d" id s;
+        if field t s f_pos <> i then fail "alive index mismatch for node %d" id
       end
     done;
-    if !mapped <> t.alive_len then fail "alive index size mismatch";
+    if !mapped <> t.alive_len then fail "alive index size mismatch"
+  end;
+  (* the checks below read the rows of the alive slots *)
+  if !err = None then begin
     (* used slots partition into alive slots and the free list *)
     if Intvec.length t.free + t.alive_len <> t.used then fail "slot accounting mismatch";
     Intvec.iter
@@ -1162,8 +1249,9 @@ module Codec = Churnet_util.Codec
    per-field one of the arena before paging: field by field over the
    used slots, each in-edge list as an [Intvec].  Deliberately NOT
    serialized: the three hooks (observers re-attach after resume), the
-   kill_srcs scratch buffer (rebuilt empty), the in_degree stamps (sized
-   again on first use), spill capacities and spare id pages. *)
+   gather and draw scratch buffers (rebuilt empty), the in_degree stamps
+   (sized again on first use), spill capacities and spare id pages.  The
+   alive array holds slots; it is written as the ids in them. *)
 let encode w t =
   check_live t "encode";
   Codec.varint w t.d;
@@ -1198,7 +1286,7 @@ let encode w t =
   done;
   Codec.varint w t.alive_len;
   for i = 0 to t.alive_len - 1 do
-    Codec.varint w t.alive.(i)
+    Codec.varint w (field t t.alive.(i) f_id)
   done;
   Codec.varint w t.next_id
 
@@ -1278,6 +1366,16 @@ let decode r =
   Array.iteri
     (fun i s -> if base + i < lo_id && s >= 0 then fail "id window maps a dead id")
     slot_of_id;
+  (* The alive array holds slots: each alive id must have one before any
+     row is read through it. *)
+  let alive =
+    Array.map
+      (fun id ->
+        let s = slot_of_id.(id - base) in
+        if s < 0 then fail (Printf.sprintf "alive id %d has no slot" id);
+        s)
+      alive
+  in
   let id_lo = lo_id asr id_page_bits in
   let id_count = max 0 (((next_id - 1) asr id_page_bits) - id_lo + 1) in
   let ring = ref 1 in

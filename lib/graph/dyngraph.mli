@@ -79,7 +79,15 @@ val regenerate : t -> bool
 val set_edge_hook : t -> (src:node_id -> dst:node_id -> unit) option -> unit
 (** Install a callback fired once per out-slot edge creation (both at node
     birth and at regeneration).  Used by the flooding processes to notice
-    fresh edges towards informed nodes. *)
+    fresh edges towards informed nodes.
+
+    {b Hook contract.}  No hook (edge, birth or death) may draw from the
+    graph's generator or change the graph.  A birth's [d] targets and a
+    death's regenerations are drawn in runs at one bound
+    ([Prng.fill_int]), ahead of the edge hooks that fire between them in
+    the sequential order; a hook that drew from the graph's generator
+    would see, and shift, another stream.  The in-tree hooks ([Flood],
+    [Event_log]) only record. *)
 
 val edge_hook : t -> (src:node_id -> dst:node_id -> unit) option
 (** The currently installed edge hook.  Lets a temporary observer (e.g.
@@ -102,7 +110,9 @@ val add_node : t -> birth:int -> node_id
 (** Birth: allocate a node stamped [birth] and create its [d] connection
     requests among the currently alive nodes (excluding itself; with
     replacement, so parallel edges are possible).  If no other node is
-    alive the slots stay empty. *)
+    alive the slots stay empty.  Slot [i] takes the [i]-th of [d]
+    successive [Prng.int] draws at the alive count, an index into the
+    dense alive array. *)
 
 val add_node_with_targets : t -> birth:int -> targets:node_id array -> node_id
 (** Birth with caller-chosen destinations (used by the protocol baselines
@@ -148,8 +158,10 @@ val kill : t -> node_id -> unit
     depends on the graph's internal layout.  (Each in-neighbor's slot scan
     stops once its known multiplicity of edges to the dead node has been
     handled, which changes nothing observable — the draws still happen in
-    ascending slot order.)  Raises [Invalid_argument] if the node is not
-    alive. *)
+    ascending slot order.)  Each lost slot draws [Prng.int] at the alive
+    count until the index is not the in-neighbor's own; the draws are
+    taken in runs ({!set_edge_hook}'s contract) but are these, in this
+    order.  Raises [Invalid_argument] if the node is not alive. *)
 
 val churn_batch : t -> decisions:Bytes.t -> count:int -> birth0:int -> unit
 (** [churn_batch t ~decisions ~count ~birth0] applies the first [count]
@@ -212,6 +224,14 @@ val neighbors_into : t -> node_id -> Churnet_util.Intvec.t -> unit
     caller-owned-buffer contract as {!in_neighbors_into}.  Random
     neighbour picks index into it, so a pick is the same draw
     [Prng.choose] makes on the list version. *)
+
+val random_neighbor : t -> node_id -> Churnet_util.Prng.t -> node_id
+(** [random_neighbor t id rng] is a uniform distinct neighbor of [id],
+    or -1 when it has none (then nothing is drawn): the value, and the
+    single [Prng.int rng] draw, of {!neighbors_into} followed by a pick
+    [Prng.int rng k] from its [k] entries.  The gather, sort and dedupe
+    use the graph's own scratch, so the caller keeps no buffer.  Raises
+    [Invalid_argument] on a dead [id]. *)
 
 val iter_neighbors : t -> node_id -> (node_id -> unit) -> unit
 (** [iter_neighbors t id f] calls [f] exactly once per distinct neighbor

@@ -64,6 +64,43 @@ let int t bound =
   done;
   !v
 
+(* [len] successive [int t bound] draws into [a.(pos) ..], with the
+   state words in locals for the whole run: one load and one store of
+   the state per call instead of per draw.  The step and the rejection
+   rule are [next] and [int]'s, so the values and the final state are
+   theirs.  The int64 refs never escape, so they stay unboxed. *)
+let fill_int t bound a pos len =
+  if bound <= 0 then invalid_arg "Prng.fill_int: bound must be positive";
+  if pos < 0 || len < 0 || pos > Array.length a - len then
+    invalid_arg "Prng.fill_int: range out of bounds";
+  let limit = max_int - bound + 1 in
+  let open Int64 in
+  let s0 = ref (Bytes.get_int64_le t 0) in
+  let s1 = ref (Bytes.get_int64_le t 8) in
+  let s2 = ref (Bytes.get_int64_le t 16) in
+  let s3 = ref (Bytes.get_int64_le t 24) in
+  for i = pos to pos + len - 1 do
+    let v = ref 0 and again = ref true in
+    while !again do
+      let result = mul (rotl (mul !s1 5L) 7) 9L in
+      let tmp = shift_left !s1 17 in
+      s2 := logxor !s2 !s0;
+      s3 := logxor !s3 !s1;
+      s1 := logxor !s1 !s2;
+      s0 := logxor !s0 !s3;
+      s2 := logxor !s2 tmp;
+      s3 := rotl !s3 45;
+      let r = to_int (shift_right_logical result 2) in
+      v := r mod bound;
+      again := r - !v > limit
+    done;
+    Array.unsafe_set a i !v
+  done;
+  Bytes.set_int64_le t 0 !s0;
+  Bytes.set_int64_le t 8 !s1;
+  Bytes.set_int64_le t 16 !s2;
+  Bytes.set_int64_le t 24 !s3
+
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)

@@ -9,7 +9,7 @@
 type t
 (** Mutable generator state.
 
-    Allocation: [int], [int_in], [bool], [bernoulli] and
+    Allocation: [int], [fill_int], [int_in], [bool], [bernoulli] and
     [unit_float_into] allocate nothing, nor do [shuffle] and [choose] on
     any array but a [float array]; they are safe on the churn hot path.
     Results of type [float] or [int64] ([unit_float], [bits64]) come
@@ -36,6 +36,15 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1].  [bound] must be positive. *)
+
+val fill_int : t -> int -> int array -> int -> int -> unit
+(** [fill_int t bound a pos len] stores [len] successive [int t bound]
+    draws in [a.(pos)], ..., [a.(pos + len - 1)]: value for value the
+    draws those calls would return, leaving the generator in the state
+    they would leave it in.  It keeps the generator's state in locals
+    for the whole run, so a run of draws at one bound costs less than
+    the calls.  Raises [Invalid_argument] when [bound <= 0] or the range
+    is not inside [a]; then it draws nothing. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)

@@ -1,12 +1,14 @@
-(* An independent, deliberately naive re-implementation of the
-   no-regeneration dynamic graph, used as a differential-testing oracle
-   for Dyngraph (test_differential.ml).
+(* An independent, deliberately naive re-implementation of the dynamic
+   graph, with or without regeneration, used as a differential-testing
+   oracle for Dyngraph (test_differential.ml).
 
    To make runs bit-for-bit comparable it consumes randomness exactly the
    way Dyngraph does: a dense alive array with append-on-birth and
    swap-remove-on-death, and per-slot rejection sampling
    (Prng.int rng alive_len, retry while the sample equals the newborn).
-   Everything else — edge bookkeeping in particular — is implemented
+   A death regenerates one lost edge at a time: in-neighbours in
+   ascending id order, one [Prng.int] per draw, a draw that names the
+   in-neighbour itself redrawn.  Everything else — edge bookkeeping in particular — is implemented
    differently (a flat list of directed edges, no slots, no in-edge
    multisets), so agreement between the two implementations exercises the
    part of Dyngraph most likely to harbour bugs. *)
@@ -15,23 +17,27 @@ module Prng = Churnet_util.Prng
 
 type t = {
   d : int;
+  regenerate : bool;
   rng : Prng.t;
   mutable alive : int array;
   mutable alive_len : int;
   mutable edges : (int * int) list; (* directed src -> dst, multiset *)
   births : (int, int) Hashtbl.t;
   mutable next_id : int;
+  mutable self_hits : int; (* regeneration draws that named their own node *)
 }
 
-let create ~rng ~d =
+let create ?(regenerate = false) ~rng ~d () =
   {
     d;
+    regenerate;
     rng;
     alive = Array.make 16 (-1);
     alive_len = 0;
     edges = [];
     births = Hashtbl.create 64;
     next_id = 0;
+    self_hits = 0;
   }
 
 let alive_count t = t.alive_len
@@ -110,7 +116,28 @@ let kill t id =
   t.alive.(!pos) <- t.alive.(last);
   t.alive_len <- last;
   Hashtbl.remove t.births id;
-  t.edges <- List.filter (fun (a, b) -> a <> id && b <> id) t.edges
+  let lost = List.filter_map (fun (a, b) -> if b = id then Some a else None) t.edges in
+  t.edges <- List.filter (fun (a, b) -> a <> id && b <> id) t.edges;
+  if t.regenerate then
+    List.iter
+      (fun src ->
+        let other = ref false in
+        for i = 0 to t.alive_len - 1 do
+          if t.alive.(i) <> src then other := true
+        done;
+        if !other then begin
+          let rec go () =
+            let cand = t.alive.(Prng.int t.rng t.alive_len) in
+            if cand = src then begin
+              t.self_hits <- t.self_hits + 1;
+              go ()
+            end
+            else cand
+          in
+          let dst = go () in
+          t.edges <- (src, dst) :: t.edges
+        end)
+      (List.sort Int.compare lost)
 
 (* Distinct undirected neighbor sets per alive node, as sorted arrays —
    comparable to Snapshot adjacency. *)

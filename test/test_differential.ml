@@ -26,7 +26,7 @@ let snapshots_equal a b =
    both maintain the same dense-array order. *)
 let run_pair ~seed ~script =
   let g = Dyngraph.create ~rng:(Prng.create seed) ~d:3 ~regenerate:false () in
-  let r = Reference_graph.create ~rng:(Prng.create seed) ~d:3 in
+  let r = Reference_graph.create ~rng:(Prng.create seed) ~d:3 () in
   let chooser = Prng.create (seed + 1000) in
   List.iteri
     (fun i kill ->
@@ -194,6 +194,23 @@ let into_agrees g =
       if contents () <> all || contents () <> Dyngraph.neighbors g id then ok := false);
   !ok
 
+(* [random_neighbor] returns what [neighbors_into] and a uniform pick
+   from its buffer return, with the same single draw: the same value and
+   the same next [bits64] of the picking generator, for every alive node
+   (-1 and no draw for an isolated one). *)
+let random_neighbor_agrees g ~seed =
+  let buf = Intvec.create ~capacity:1 () in
+  let ok = ref true in
+  Dyngraph.iter_alive g (fun id ->
+      let rng = Prng.create (seed + id) in
+      let reference = Prng.copy rng in
+      let got = Dyngraph.random_neighbor g id rng in
+      Dyngraph.neighbors_into g id buf;
+      let k = Intvec.length buf in
+      let want = if k = 0 then -1 else Intvec.get buf (Prng.int reference k) in
+      if got <> want || Prng.bits64 rng <> Prng.bits64 reference then ok := false);
+  !ok
+
 (* A churned graph with regeneration: births, then kills of uniformly
    chosen alive nodes, each re-pointing its in-neighbours' slots. *)
 let regen_graph ~seed ~script =
@@ -277,6 +294,50 @@ let multi_edge_arena ~regenerate ~seed ~ops =
     end
   done;
   (g, !ok)
+
+(* A hub whose in-edge list runs past its row's 2d + 1 entries into the
+   spill, with duplicate entries (births that point both slots at it),
+   then kills that swap-remove entries across the boundary; and the
+   multi-edge arenas of the degree tests. *)
+let test_random_neighbor () =
+  List.iter
+    (fun regenerate ->
+      let d = 2 in
+      let g = Dyngraph.create ~rng:(Prng.create 71) ~d ~regenerate () in
+      let hub = Dyngraph.add_node g ~birth:0 in
+      let chooser = Prng.create 72 in
+      for i = 1 to 120 do
+        if i mod 3 = 0 then
+          ignore (Dyngraph.add_node_with_targets g ~birth:i ~targets:[| hub; hub |])
+        else if i mod 5 = 0 then begin
+          let ids = Dyngraph.alive_ids g in
+          let victim = ids.(Prng.int chooser (Array.length ids)) in
+          if victim <> hub then Dyngraph.kill g victim
+        end
+        else ignore (Dyngraph.add_node g ~birth:i)
+      done;
+      let len =
+        Array.fold_left
+          (fun c u -> c + List.length (List.filter (( = ) hub) (Dyngraph.out_targets g u)))
+          0 (Dyngraph.alive_ids g)
+      in
+      check_bool
+        (Printf.sprintf "regenerate = %b: the hub's %d in-edges spill" regenerate len)
+        true
+        (len > (2 * d) + 1 && Dyngraph.in_degree g hub < len);
+      check_bool
+        (Printf.sprintf "regenerate = %b: random_neighbor == neighbors_into + pick" regenerate)
+        true (random_neighbor_agrees g ~seed:73))
+    [ false; true ];
+  List.iter
+    (fun (regenerate, seed) ->
+      let g, ok = multi_edge_arena ~regenerate ~seed ~ops:300 in
+      check_bool "in-degrees agree while the arena is built" true ok;
+      check_bool
+        (Printf.sprintf "multi-edge arena %d: random_neighbor == neighbors_into + pick" seed)
+        true
+        (random_neighbor_agrees g ~seed))
+    [ (false, 3); (true, 4) ]
 
 let test_degrees_multi_edges () =
   List.iter
@@ -417,6 +478,47 @@ let sorted_alive g =
   Array.sort Int.compare ids;
   ids
 
+(* Regeneration at n <= 8 and d in 1..6: a redraw names its own node
+   about once in n draws, and a node with several slots on the victim
+   often runs out of its first run of draws, so the self-hit redraws and
+   the refills of the bulk draws happen on most kills.  Dyngraph and the
+   one-draw-at-a-time oracle must agree on the topology and on the
+   generator's next output after every operation. *)
+let test_regen_tiny () =
+  let self_hits = ref 0 in
+  for d = 1 to 6 do
+    for seed = 1 to 6 do
+      let rng = Prng.create ((100 * d) + seed) in
+      let ref_rng = Prng.copy rng in
+      let g = Dyngraph.create ~rng ~d ~regenerate:true () in
+      let r = Reference_graph.create ~regenerate:true ~rng:ref_rng ~d () in
+      let chooser = Prng.create seed in
+      for i = 1 to 200 do
+        let n = Dyngraph.alive_count g in
+        let what = Printf.sprintf "d = %d, seed %d, operation %d" d seed i in
+        if n < 2 || (n < 8 && Prng.bool chooser) then begin
+          let a = Dyngraph.add_node g ~birth:i in
+          Alcotest.(check int) (what ^ ": same id") a (Reference_graph.add_node r ~birth:i)
+        end
+        else begin
+          let ids = sorted_alive g in
+          let victim = ids.(Prng.int chooser (Array.length ids)) in
+          Dyngraph.kill g victim;
+          Reference_graph.kill r victim
+        end;
+        (match Dyngraph.check_invariants g with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" what e);
+        check_bool (what ^ ": equal to the oracle") true
+          (snapshots_equal (Dyngraph.snapshot g) (Reference_graph.snapshot r));
+        check_bool (what ^ ": same next bits64") true
+          (Prng.bits64 (Prng.copy rng) = Prng.bits64 (Prng.copy ref_rng))
+      done;
+      self_hits := !self_hits + r.Reference_graph.self_hits
+    done
+  done;
+  check_bool (Printf.sprintf "%d self-hit redraws" !self_hits) true (!self_hits > 200)
+
 (* (a) 7 200 operations on one no-regeneration arena and the list
    oracle: 600 births, then 3 200 of births and uniform kills that spare
    the first 16 nodes, so these survivors stretch the live ids over
@@ -427,7 +529,7 @@ let sorted_alive g =
 let test_paged_arena_long_script () =
   let d = 3 in
   let g = Dyngraph.create ~rng:(Prng.create 41) ~d ~regenerate:false () in
-  let r = Reference_graph.create ~rng:(Prng.create 41) ~d in
+  let r = Reference_graph.create ~rng:(Prng.create 41) ~d () in
   let lists = attach_shadow g in
   let chooser = Prng.create 1041 in
   let top_slot = ref 0 and oldest_then = ref 0 and span = ref 0 in
@@ -476,13 +578,11 @@ let test_paged_arena_long_script () =
    continue in spills; kills of ordinary nodes, [disconnect]s and hub
    deaths then swap-remove entries on both sides of the block/spill
    boundary, and recycled hub slots keep their cleared spills.  At d = 1
-   the block holds 3 entries.  Without regeneration the list oracle
-   follows the whole script. *)
+   the block holds 3 entries.  The list oracle follows the whole script,
+   with regeneration too. *)
 let hub_script ~d ~regenerate ~seed ~ops =
   let g = Dyngraph.create ~rng:(Prng.create seed) ~d ~regenerate () in
-  let r =
-    if regenerate then None else Some (Reference_graph.create ~rng:(Prng.create seed) ~d)
-  in
+  let r = Some (Reference_graph.create ~regenerate ~rng:(Prng.create seed) ~d ()) in
   let lists = attach_shadow g in
   let chooser = Prng.create (seed + 1000) in
   let hubs = [| -1; -1; -1 |] in
@@ -599,6 +699,8 @@ let suite =
     ("iter_neighbors mixed churn", `Quick, test_iter_neighbors_mixed_script);
     ("iter_neighbors heavy deaths", `Quick, test_iter_neighbors_heavy_deaths);
     ("neighbors_into churned graphs", `Quick, test_into_churned);
+    ("random_neighbor == neighbors_into + pick", `Quick, test_random_neighbor);
+    ("regeneration oracle at n <= 8, d 1..6", `Quick, test_regen_tiny);
     ("batched run_rounds byte-identical", `Quick, test_run_rounds_vs_step);
     ("batched warm_up byte-identical", `Quick, test_warm_up_vs_step);
     ("batched run_until_time byte-identical", `Quick, test_run_until_time_vs_step);

@@ -318,6 +318,7 @@ let test_draw_allocation () =
       ("bernoulli", 0., fun () -> ignore (Prng.bernoulli rng 0.3));
       ("shuffle 64", 0., fun () -> Prng.shuffle rng a);
       ("unit_float_into", 0., fun () -> Prng.unit_float_into rng cell 0);
+      ("fill_int 64", 0., fun () -> Prng.fill_int rng 1000 a 0 64);
       ("unit_float", 2., fun () -> ignore (Prng.unit_float rng));
       ("Dist.exponential", 4., fun () -> ignore (Dist.exponential rng 1.5));
     ]
@@ -336,8 +337,69 @@ let test_unit_float_into () =
   check_bool "other cells untouched" true (a.(0) = -1. && a.(2) = -1.);
   check_bool "streams still in step" true (Prng.bits64 rng = Prng.bits64 reference)
 
+(* [fill_int] is [len] successive [int] calls, value for value, and
+   leaves the generator where they leave it.  The bounds cover the
+   trivial one, powers of two, odd small ones, the onion-skin bound
+   19 999, and bounds above 2^60, where the 62-bit rejection fires on a
+   large share of draws (near 2^61 about once in four). *)
+(* The whole generator state, not just the next output: the next
+   [bits64] reads only one of the four words. *)
+let state rng =
+  let w = Codec.writer () in
+  Prng.encode w rng;
+  Codec.contents w
+
+let fill_bounds =
+  [ 1; 2; 3; 4; 8; 1 lsl 10; 1 lsl 20; 19_999; 1 lsl 40; (1 lsl 61) - 1; 1 lsl 61;
+    (1 lsl 61) + 1; max_int - 1; max_int ]
+
+let test_fill_int_equals_int () =
+  List.iteri
+    (fun k bound ->
+      List.iter
+        (fun (pos, len) ->
+          let rng = Prng.create (1000 + k) in
+          let reference = Prng.copy rng in
+          let a = Array.make (pos + len + 2) (-7) in
+          Prng.fill_int rng bound a pos len;
+          let what = Printf.sprintf "bound %d, pos %d, len %d" bound pos len in
+          for i = 0 to Array.length a - 1 do
+            let want = if i >= pos && i < pos + len then Prng.int reference bound else -7 in
+            check_int (Printf.sprintf "%s: cell %d" what i) want a.(i)
+          done;
+          check_bool (what ^ ": same state") true (state rng = state reference);
+          check_bool (what ^ ": next bits64 equal") true (Prng.bits64 rng = Prng.bits64 reference))
+        [ (0, 0); (0, 1); (3, 0); (0, 64); (5, 200) ])
+    fill_bounds
+
+let test_fill_int_invalid () =
+  let a = Array.make 8 0 in
+  let rng = Prng.create 3 in
+  let reference = Prng.copy rng in
+  let raises what f =
+    check_bool what true (try f (); false with Invalid_argument _ -> true)
+  in
+  raises "bound 0" (fun () -> Prng.fill_int rng 0 a 0 4);
+  raises "negative bound" (fun () -> Prng.fill_int rng (-5) a 0 4);
+  raises "negative pos" (fun () -> Prng.fill_int rng 10 a (-1) 4);
+  raises "negative len" (fun () -> Prng.fill_int rng 10 a 0 (-1));
+  raises "past the end" (fun () -> Prng.fill_int rng 10 a 5 4);
+  raises "pos past the end" (fun () -> Prng.fill_int rng 10 a 9 0);
+  check_bool "a refused call draws nothing" true (state rng = state reference);
+  Prng.fill_int rng 10 a 8 0;
+  check_bool "an empty run at the end draws nothing" true (state rng = state reference)
+
 let qcheck_props =
   [
+    QCheck.Test.make ~name:"fill_int == successive int on random bounds" ~count:300
+      QCheck.(triple small_int (int_range 0 62) (int_range 0 40))
+      (fun (seed, shift, len) ->
+        let bound = max 1 ((1 lsl shift) + seed - 7) in
+        let rng = Prng.create seed in
+        let reference = Prng.copy rng in
+        let a = Array.make len 0 in
+        Prng.fill_int rng bound a 0 len;
+        Array.for_all (fun v -> v = Prng.int reference bound) a && state rng = state reference);
     QCheck.Test.make ~name:"int always in bound" ~count:500
       QCheck.(pair small_int (int_range 1 1000))
       (fun (seed, bound) ->
@@ -390,5 +452,7 @@ let suite =
     ("known-answer streams", `Quick, test_known_answers);
     ("unit_float_into = unit_float", `Quick, test_unit_float_into);
     ("draw allocation", `Quick, test_draw_allocation);
+    ("fill_int = successive int", `Quick, test_fill_int_equals_int);
+    ("fill_int invalid arguments", `Quick, test_fill_int_invalid);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_props
