@@ -45,8 +45,9 @@ type result = {
    the buffers by need (none ever shrinks) and resets only what it
    reads: [off] is rewritten in full, [cls] is zeroed over its first
    n + 1 cells, [prev_set] is cleared every phase, and [targets],
-   [draws], [young] and [old] are read only where this run wrote them.  So a run
-   on a used scratch reads exactly what a run on a fresh one does. *)
+   [draws], [young] and [old] are read only where this run wrote them.
+   So a run on a used scratch reads exactly what a run on a fresh one
+   does. *)
 type scratch = {
   mutable targets : Bytes.t;
   mutable draws : int array;

@@ -726,71 +726,70 @@ let clear_in_edges t s p o id k =
     end
   done
 
-(* Source [src] (multiplicity [c]) loses its slots that point at [id]
-   and, in increasing slot order, redraws each uniformly over the alive
-   slots other than its own.  Sequentially that is one [Prng.int] at
-   [alive_len] per try, a try that hits [src] itself being redrawn; so
-   the c tries every slot needs at least are drawn up front in one
-   [Prng.fill_int] into [draws], a self-hit takes the next buffered
-   value, and an exhausted buffer is refilled with only the slots still
-   missing, each of which will take at least one more try.  That
-   consumes exactly the sequential stream, provided nothing between the
-   draws draws from the graph's generator: [in_push] does not, and no
-   edge hook may ({!set_edge_hook}).  With [src] alive, [alive_len < 2]
-   leaves no other node: the slots stay empty and nothing is drawn. *)
-let regenerate_src t id src c =
-  let ss = slot_of t src in
-  if ss >= 0 then begin
-    let sp = page t ss and so = off t ss + f_out in
-    let n = t.alive_len and draws = t.draws in
-    let drawing = n >= 2 in
-    if drawing then Prng.fill_int t.rng n draws 0 c;
-    let have = ref c and next = ref 0 and left = ref c and slot = ref 0 in
-    while !left > 0 && !slot < t.d do
-      if sp.(so + !slot) = id then begin
-        sp.(so + !slot) <- -1;
-        if drawing then begin
-          let fresh = ref ss in
-          while !fresh = ss do
-            if !next = !have then begin
-              Prng.fill_int t.rng n draws 0 !left;
-              have := !left;
-              next := 0
-            end;
-            fresh := t.alive.(draws.(!next));
-            incr next
-          done;
-          let dst = field t !fresh f_id in
-          sp.(so + !slot) <- dst;
-          in_push t !fresh src;
-          fire_hook t ~src ~dst
-        end;
-        decr left
-      end;
-      incr slot
-    done
-  end
-
 (* With regeneration, in-neighbours are processed oldest-first
    (ascending id), so the mapping of draws to regenerated slots is a
    fixed, documented order, not an artifact of the in-edge container's
    layout.  The list is copied to [gather] and sorted; each run of equal
-   sources is one source and its multiplicity. *)
+   sources is one source and its multiplicity [c], and the source's
+   first [c] slots that point at [id] are redrawn in increasing slot
+   order.  Sequentially each lost slot takes one [Prng.int] at
+   [alive_len] per try, a try that names the source's own slot being
+   redrawn.  All [k] lost slots draw at that one bound, and each takes
+   at least one try, so the [k] are drawn up front in one
+   [Prng.fill_int] into [draws]; a self-hit takes the next buffered
+   value, and an exhausted buffer is refilled with only the slots still
+   missing.  That consumes exactly the sequential stream, provided
+   nothing between the draws draws from the graph's generator: [in_push]
+   does not, and no edge hook may ({!set_edge_hook}).  The sources are
+   alive, so [alive_len < 2] leaves them no other node: their slots stay
+   empty and nothing is drawn. *)
 let regenerate_in_edges t s p o id k =
   scratch_at_least t k;
-  let srcs = t.gather in
+  let srcs = t.gather and draws = t.draws in
   for i = 0 to k - 1 do
     srcs.(i) <- in_get t s p o i
   done;
   sort_range srcs 0 k;
-  let i = ref 0 in
+  let n = t.alive_len in
+  let drawing = n >= 2 in
+  if drawing then Prng.fill_int t.rng n draws 0 k;
+  let have = ref k and next = ref 0 and left = ref k and i = ref 0 in
   while !i < k do
     let src = srcs.(!i) in
     let j = ref (!i + 1) in
     while !j < k && srcs.(!j) = src do
       incr j
     done;
-    regenerate_src t id src (!j - !i);
+    let ss = slot_of t src in
+    if ss < 0 then left := !left - (!j - !i)
+    else begin
+      let sp = page t ss and so = off t ss + f_out in
+      let c = ref (!j - !i) and slot = ref 0 in
+      while !c > 0 && !slot < t.d do
+        if sp.(so + !slot) = id then begin
+          sp.(so + !slot) <- -1;
+          if drawing then begin
+            let fresh = ref ss in
+            while !fresh = ss do
+              if !next = !have then begin
+                Prng.fill_int t.rng n draws 0 !left;
+                have := !left;
+                next := 0
+              end;
+              fresh := t.alive.(draws.(!next));
+              incr next
+            done;
+            let dst = field t !fresh f_id in
+            sp.(so + !slot) <- dst;
+            in_push t !fresh src;
+            fire_hook t ~src ~dst
+          end;
+          decr c;
+          decr left
+        end;
+        incr slot
+      done
+    end;
     i := !j
   done
 

@@ -82,7 +82,9 @@ val set_edge_hook : t -> (src:node_id -> dst:node_id -> unit) option -> unit
     fresh edges towards informed nodes.
 
     {b Hook contract.}  No hook (edge, birth or death) may draw from the
-    graph's generator or change the graph.  A birth's [d] targets and a
+    graph's generator or change the graph, nor call {!random_neighbor},
+    whose scratch holds a death's sorted in-neighbours while its edge
+    hooks fire.  A birth's [d] targets and a
     death's regenerations are drawn in runs at one bound
     ([Prng.fill_int]), ahead of the edge hooks that fire between them in
     the sequential order; a hook that drew from the graph's generator
