@@ -695,18 +695,18 @@ let sort_range (a : int array) lo n =
     a.(!j + 1) <- v
   done
 
-(* Sort [a.(0) .. a.(n - 1)] and fold each run of equal values into its
-   first cell; the distinct count. *)
-let sort_uniq_prefix a n =
-  sort_range a 0 n;
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || a.(i) <> a.(i - 1) then begin
-      a.(!m) <- a.(i);
-      incr m
+(* Sort [a.(lo) .. a.(lo + n - 1)] and move its distinct values to the
+   front of that range, ascending; their number. *)
+let sort_uniq (a : int array) lo n =
+  sort_range a lo n;
+  let w = ref lo in
+  for r = lo to lo + n - 1 do
+    if r = lo || a.(r) <> a.(r - 1) then begin
+      a.(!w) <- a.(r);
+      incr w
     end
   done;
-  !m
+  !w - lo
 
 (* Without regeneration: every in-edge entry clears one slot of its
    source that points at [id].  Nothing is drawn and no hook fires, so
@@ -918,7 +918,7 @@ let random_neighbor t id rng =
   for i = 0 to k - 1 do
     a.(!n + i) <- in_get t s p o i
   done;
-  let m = sort_uniq_prefix a (!n + k) in
+  let m = sort_uniq a 0 (!n + k) in
   if m = 0 then -1 else a.(Prng.int rng m)
 
 let list_of_intvec buf =
@@ -1065,16 +1065,7 @@ let snapshot t =
     for k = 0 to p.(o + t.len_at) - 1 do
       push index_of_slot.(slot_of t (in_get t s p o k))
     done;
-    let b = !buf in
-    sort_range b start (!len - start);
-    let w = ref start in
-    for r = start to !len - 1 do
-      if r = start || b.(r) <> b.(r - 1) then begin
-        b.(!w) <- b.(r);
-        incr w
-      end
-    done;
-    len := !w;
+    len := start + sort_uniq !buf start (!len - start);
     offsets.(i + 1) <- !len
   done;
   Snapshot.of_csr ~ids ~births ~offsets ~adj:(Array.sub !buf 0 !len) ~out_deg
