@@ -455,15 +455,12 @@ let graph_bytes g =
   Dyngraph.encode w g;
   Codec.contents w
 
-(* The checks made at every checkpoint: the shadow, the list oracle when
-   the script is one it can follow, and a byte-identical re-encoding. *)
+(* The checks made at every checkpoint: the shadow, the list oracle and
+   a byte-identical re-encoding. *)
 let checkpoint what g ~lists ~reference =
   check_bool (what ^ ": in-edge lists match the shadow") true (shadow_agrees g lists);
-  (match reference with
-  | None -> ()
-  | Some r ->
-      check_bool (what ^ ": equal to the reference oracle") true
-        (snapshots_equal (Dyngraph.snapshot g) (Reference_graph.snapshot r)));
+  check_bool (what ^ ": equal to the reference oracle") true
+    (snapshots_equal (Dyngraph.snapshot g) (Reference_graph.snapshot reference));
   let bytes = graph_bytes g in
   check_bool (what ^ ": encode, decode, encode is byte-identical") true
     (graph_bytes (Dyngraph.decode (Codec.reader bytes)) = bytes)
@@ -558,7 +555,7 @@ let test_paged_arena_long_script () =
         if Dyngraph.peek_next_id g land 1023 = 0 then oldest_then := max !oldest_then o
     | None -> ());
     if i mod 500 = 0 then
-      checkpoint (Printf.sprintf "operation %d" i) g ~lists ~reference:(Some r)
+      checkpoint (Printf.sprintf "operation %d" i) g ~lists ~reference:r
   done;
   check_bool (Printf.sprintf "slots reached a third row page (top slot %d)" !top_slot) true
     (!top_slot >= 512);
@@ -582,19 +579,18 @@ let test_paged_arena_long_script () =
    with regeneration too. *)
 let hub_script ~d ~regenerate ~seed ~ops =
   let g = Dyngraph.create ~rng:(Prng.create seed) ~d ~regenerate () in
-  let r = Some (Reference_graph.create ~regenerate ~rng:(Prng.create seed) ~d ()) in
+  let r = Reference_graph.create ~regenerate ~rng:(Prng.create seed) ~d () in
   let lists = attach_shadow g in
   let chooser = Prng.create (seed + 1000) in
   let hubs = [| -1; -1; -1 |] in
   let widest = ref 0 in
-  let on_ref f = Option.iter f r in
   let pick () =
     let ids = sorted_alive g in
     ids.(Prng.int chooser (Array.length ids))
   in
   let kill victim =
     Dyngraph.kill g victim;
-    on_ref (fun r -> Reference_graph.kill r victim);
+    Reference_graph.kill r victim;
     Array.iteri
       (fun h hub ->
         if hub = victim then
@@ -606,22 +602,22 @@ let hub_script ~d ~regenerate ~seed ~ops =
     let u = Prng.unit_float chooser in
     (if i <= 3 || alive < 8 then begin
        let id = Dyngraph.add_node g ~birth:i in
-       on_ref (fun r -> ignore (Reference_graph.add_node r ~birth:i));
+       ignore (Reference_graph.add_node r ~birth:i);
        if i <= 3 then hubs.(i - 1) <- id
      end
      else if u < 0.40 then begin
        let h = hubs.(Prng.int chooser 3) in
        let targets = [| h; hubs.(Prng.int chooser 3); pick () |] in
        ignore (Dyngraph.add_node_with_targets g ~birth:i ~targets);
-       on_ref (fun r -> ignore (Reference_graph.add_node_with_targets r ~birth:i ~targets))
+       ignore (Reference_graph.add_node_with_targets r ~birth:i ~targets)
      end
      else if u < 0.48 then begin
        ignore (Dyngraph.add_node g ~birth:i);
-       on_ref (fun r -> ignore (Reference_graph.add_node r ~birth:i))
+       ignore (Reference_graph.add_node r ~birth:i)
      end
      else if u < 0.56 then begin
        let src = pick () and dst = hubs.(Prng.int chooser 3) in
-       if Dyngraph.connect g ~src ~dst then on_ref (fun r -> Reference_graph.connect r ~src ~dst)
+       if Dyngraph.connect g ~src ~dst then Reference_graph.connect r ~src ~dst
      end
      else if u < 0.64 then begin
        let src = pick () in
@@ -630,7 +626,7 @@ let hub_script ~d ~regenerate ~seed ~ops =
        | dst :: _ ->
            if Dyngraph.disconnect g ~src ~dst then begin
              shadow_remove lists ~dst ~src;
-             on_ref (fun r -> Reference_graph.disconnect r ~src ~dst)
+             Reference_graph.disconnect r ~src ~dst
            end
      end
      else if u < 0.66 then kill hubs.(Prng.int chooser 3)
