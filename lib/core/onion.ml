@@ -100,7 +100,8 @@ let logn_of n = int_of_float (Float.ceil (log (float_of_int n)))
    it names rank [1 + v], and a draw naming [a] itself is redrawn; the
    self-hits are dropped in order and only the requests still missing
    are drawn again, each of which takes at least one more draw, so the
-   stream is the one-at-a-time one. *)
+   stream is the one-at-a-time one.  Nothing else draws from [rng]
+   between them: the Poisson death coins come after every request. *)
 let requests (sc : scratch) rng ~poisson ~n a k =
   let buf = sc.draws in
   if not poisson then begin

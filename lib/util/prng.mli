@@ -42,8 +42,9 @@ val fill_int : t -> int -> int array -> int -> int -> unit
     draws in [a.(pos)], ..., [a.(pos + len - 1)]: value for value the
     draws those calls would return, leaving the generator in the state
     they would leave it in.  It keeps the generator's state in locals
-    for the whole run, so a run of draws at one bound costs less than
-    the calls.  Raises [Invalid_argument] when [bound <= 0] or the range
+    for the whole run, so a run of a few draws or more at one bound
+    costs less than the calls; a run of one costs a little more than
+    one [int].  Raises [Invalid_argument] when [bound <= 0] or the range
     is not inside [a]; then it draws nothing. *)
 
 val int_in : t -> int -> int -> int
