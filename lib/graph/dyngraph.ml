@@ -500,7 +500,7 @@ let random_alive t = field t (random_alive_slot t) f_id
 (* Grow the two scratch arrays to at least [n] cells, doubling. *)
 let scratch_at_least t n =
   if Array.length t.gather < n then begin
-    let len = ref (max 16 (Array.length t.gather)) in
+    let len = ref (Array.length t.gather) in
     while !len < n do
       len := 2 * !len
     done;
