@@ -51,29 +51,6 @@ let is_lower_ident s =
   String.length s > 0
   && (s.[0] = '_' || (s.[0] >= 'a' && s.[0] <= 'z'))
 
-(* Lambda parameters are not recorded by Lint_tree; recover them here:
-   the lower identifiers between `fun' and the first `->' at depth 0.
-   [function] has no parameter tokens before `->', which is fine. *)
-let lambda_params (lex : Lint_lexer.t) (s : Lint_tree.span) =
-  let tks = lex.Lint_lexer.tokens in
-  let n = Array.length tks in
-  let names = ref [] in
-  let depth = ref 0 in
-  let j = ref (s.Lint_tree.s_first + 1) in
-  let continue = ref true in
-  while !continue && !j < n && !j <= s.Lint_tree.s_last do
-    let t = tks.(!j).Lint_lexer.text in
-    if t = "->" && !depth = 0 then continue := false
-    else begin
-      (match t with
-      | "(" | "[" | "{" -> incr depth
-      | ")" | "]" | "}" -> decr depth
-      | _ -> if is_lower_ident t then names := t :: !names);
-      incr j
-    end
-  done;
-  !names
-
 let build units_list =
   let units =
     Array.of_list
@@ -189,9 +166,10 @@ let build units_list =
             shadows := (bd.Lint_tree.b_name, bd.Lint_tree.b_span) :: !shadows)
         tree.Lint_tree.bindings;
       Array.iter
-        (fun s -> List.iter
-            (fun p -> shadows := (p, s) :: !shadows)
-            (lambda_params u.u_lex s))
+        (fun (l : Lint_tree.lambda) ->
+          List.iter
+            (fun p -> shadows := (p, l.Lint_tree.l_span) :: !shadows)
+            l.Lint_tree.l_params)
         tree.Lint_tree.lambdas;
       let shadowed name i =
         List.exists

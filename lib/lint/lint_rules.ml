@@ -27,17 +27,12 @@ type check =
 type rule = { name : string; doc : string; check : check }
 
 (* ------------------------------------------------------------------ *)
-(* Path and token helpers                                              *)
+(* Paths, findings and names                                           *)
 (* ------------------------------------------------------------------ *)
 
 let under dir path =
   let ld = String.length dir and lp = String.length path in
   lp > ld + 1 && String.sub path 0 (ld + 1) = dir ^ "/"
-
-(* Text of token [i], or "" out of range: lets scans look at neighbors
-   without bounds noise. *)
-let tok (tks : Lint_lexer.token array) i =
-  if i >= 0 && i < Array.length tks then tks.(i).Lint_lexer.text else ""
 
 let finding ~rule ~path ~(at : Lint_lexer.token) ?(witness = []) message =
   {
@@ -49,20 +44,165 @@ let finding ~rule ~path ~(at : Lint_lexer.token) ?(witness = []) message =
     witness;
   }
 
-(* Shared scan: call [f i tks] on every token index, collect findings. *)
-let scan_tokens ctx f =
-  let tks = ctx.lex.Lint_lexer.tokens in
-  let out = ref [] in
-  Array.iteri
-    (fun i _ -> match f tks i with Some fd -> out := fd :: !out | None -> ())
-    tks;
-  List.rev !out
-
-let definition_keywords = [ "let"; "and"; "rec"; "val"; "external"; "method" ]
-
 let has_prefix prefix s =
   let lp = String.length prefix in
   String.length s >= lp && String.sub s 0 lp = prefix
+
+(* A place where a unit names something: the paths it may denote, their
+   common last segment, and the token a finding about it lands on. *)
+type site = { at : int; last : string; paths : string list list }
+
+(* What an expression matcher sees besides the node itself. *)
+type scope = {
+  resolve : Longident.t Location.loc -> site;
+  nesting : int;  (* enclosing lambdas and loops, the node itself included *)
+}
+
+let rec segments : Longident.t -> string list = function
+  | Lident x -> [ x ]
+  | Ldot (m, x) -> segments m @ [ x ]
+  | Lapply (f, _) -> segments f
+
+(* The modules that only wrap a library: the standard library's and
+   dune's for each of churnet's own. *)
+let is_wrapper m = m = "Stdlib" || has_prefix "Churnet_" m
+
+(* [walk lex tree ~on_name ~on_expr ()] visits the unit's Parsetree once:
+   [on_name] sees every value, type and module path it names, [on_expr]
+   every expression.  Names resolve as far as they can without types: a
+   library wrapper ([Stdlib.], [Churnet_util.]) is stripped, the head
+   module follows the unit's [module A = B] aliases, and a bare name also
+   reads as qualified by every module opened where it stands ([open M],
+   [let open M in], [M.(...)]).  So [Stdlib.Hashtbl.fold], [H.fold]
+   under [module H = Hashtbl] and [fold] in [Hashtbl.(...)] all name
+   [["Hashtbl"; "fold"]], and each banned name is one table entry.  A
+   site lands on the head module's token, or on the bare name's. *)
+let walk (lex : Lint_lexer.t) (tree : Lint_tree.t) ?(on_name = fun _ -> ())
+    ?(on_expr = fun _ _ -> ()) () =
+  let canonical lid =
+    let stripped, path =
+      match segments lid with
+      | wrapper :: (_ :: _ as path) when is_wrapper wrapper -> (true, path)
+      | path -> (false, path)
+    in
+    match path with
+    | m :: rest -> (
+        match Array.find_opt (fun (a, _) -> a = m) tree.Lint_tree.aliases with
+        | Some (_, target) -> (stripped, target :: rest)
+        | None -> (stripped, path))
+    | [] -> (stripped, [])
+  in
+  let opens = ref [] and nesting = ref 0 in
+  let resolve ({ txt; loc } : Longident.t Location.loc) =
+    let first = Lint_tree.first_token_at lex loc.loc_start in
+    let stripped, path = canonical txt in
+    let paths =
+      match txt with
+      | Lident x -> List.map (fun m -> m @ [ x ]) !opens @ [ path ]
+      | _ -> [ path ]
+    in
+    let at = if stripped then first + 2 else first in
+    { at; last = Longident.last txt; paths }
+  in
+  let name lid = on_name (resolve lid) in
+  let opened (od : Parsetree.open_declaration) =
+    match od.popen_expr.pmod_desc with
+    | Pmod_ident lid -> [ snd (canonical lid.txt) ]
+    | _ -> []
+  in
+  let default = Ast_iterator.default_iterator in
+  (* a structure-level open holds until the end of its structure *)
+  let structure it items =
+    let saved = !opens in
+    List.iter
+      (fun (item : Parsetree.structure_item) ->
+        it.Ast_iterator.structure_item it item;
+        match item.pstr_desc with
+        | Pstr_open od -> opens := opened od @ !opens
+        | _ -> ())
+      items;
+    opens := saved
+  in
+  let expr it (e : Parsetree.expression) =
+    let scoped =
+      match e.pexp_desc with
+      | Pexp_fun _ | Pexp_function _ -> not e.pexp_loc.loc_ghost
+      | Pexp_for _ | Pexp_while _ -> true
+      | _ -> false
+    in
+    if scoped then incr nesting;
+    (match e.pexp_desc with Pexp_ident lid -> name lid | _ -> ());
+    on_expr { resolve; nesting = !nesting } e;
+    (match e.pexp_desc with
+    | Pexp_open (od, body) ->
+        it.Ast_iterator.open_declaration it od;
+        let saved = !opens in
+        opens := opened od @ saved;
+        it.expr it body;
+        opens := saved
+    | _ -> default.expr it e);
+    if scoped then decr nesting
+  in
+  let typ it (t : Parsetree.core_type) =
+    (match t.ptyp_desc with
+    | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> name lid
+    | _ -> ());
+    default.typ it t
+  in
+  let module_expr it (m : Parsetree.module_expr) =
+    (match m.pmod_desc with Pmod_ident lid -> name lid | _ -> ());
+    default.module_expr it m
+  in
+  let module_type it (m : Parsetree.module_type) =
+    (match m.pmty_desc with Pmty_ident lid | Pmty_alias lid -> name lid | _ -> ());
+    default.module_type it m
+  in
+  let it = { default with structure; expr; typ; module_expr; module_type } in
+  it.structure it tree.Lint_tree.ast
+
+(* Every site a unit names, in source order.  The engine runs each file
+   rule over one unit before it moves on, so the last unit's sites are
+   kept for the next rule. *)
+let sites =
+  let last = ref (Lint_tree.empty, []) in
+  fun lex tree ->
+    if fst !last != tree then begin
+      let out = ref [] in
+      walk lex tree ~on_name:(fun site -> out := site :: !out) ();
+      last := (tree, List.rev !out)
+    end;
+    snd !last
+
+(* [named table site]: the path of [table] the site names, if any.  The
+   table is indexed by last segment once, when [named table] is made. *)
+let named table =
+  let index = Hashtbl.create 16 in
+  List.iter (fun path -> Hashtbl.add index (List.hd (List.rev path)) path) table;
+  fun site ->
+    match Hashtbl.find_all index site.last with
+    | [] -> None
+    | entries -> List.find_opt (fun path -> List.mem path entries) site.paths
+
+(* A file rule reporting every site [pick] recognizes, with the message
+   [message] makes of the path it picked. *)
+let name_rule ~name ~doc ~applies ~pick message =
+  {
+    name;
+    doc;
+    check =
+      File
+        (fun ctx ->
+          if not (applies ctx.path) then []
+          else
+            List.filter_map
+              (fun site ->
+                Option.map
+                  (fun path ->
+                    finding ~rule:name ~path:ctx.path
+                      ~at:ctx.lex.Lint_lexer.tokens.(site.at) (message path))
+                  (pick site))
+              (sites ctx.lex ctx.tree));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* no-stdlib-random                                                    *)
@@ -71,69 +211,32 @@ let has_prefix prefix s =
 let prng_home = "lib/util/prng.ml"
 
 let no_stdlib_random =
-  let name = "no-stdlib-random" in
-  {
-    name;
-    doc =
+  name_rule ~name:"no-stdlib-random"
+    ~doc:
       "all randomness flows through Prng; only lib/util/prng.ml may touch \
-       Stdlib.Random";
-    check =
-      File
-        (fun ctx ->
-          if ctx.path = prng_home then []
-          else
-            scan_tokens ctx (fun tks i ->
-                let prev = tok tks (i - 1) and prev2 = tok tks (i - 2) in
-                if
-                  tok tks i = "Random"
-                  && (prev <> "." || prev2 = "Stdlib")
-                  && not (List.mem prev definition_keywords)
-                  && prev <> "module"
-                then
-                  Some
-                    (finding ~rule:name ~path:ctx.path ~at:tks.(i)
-                       "Stdlib.Random breaks seed-reproducibility; draw from a \
-                        Prng.t threaded from the experiment seed")
-                else None));
-  }
+       Stdlib.Random"
+    ~applies:(fun path -> path <> prng_home)
+    ~pick:(fun site ->
+      List.find_opt (function "Random" :: _ -> true | _ -> false) site.paths)
+    (fun _ ->
+      "Stdlib.Random breaks seed-reproducibility; draw from a Prng.t threaded \
+       from the experiment seed")
 
 (* ------------------------------------------------------------------ *)
 (* no-polymorphic-sort                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let no_polymorphic_sort =
-  let name = "no-polymorphic-sort" in
-  {
-    name;
-    doc =
+  name_rule ~name:"no-polymorphic-sort"
+    ~doc:
       "bare polymorphic `compare' is banned (sorts included); use \
-       Int.compare / Float.compare / String.compare";
-    check =
-      File
-        (fun ctx ->
-          scan_tokens ctx (fun tks i ->
-              if tok tks i <> "compare" then None
-              else
-                let prev = tok tks (i - 1)
-                and prev2 = tok tks (i - 2)
-                and next = tok tks (i + 1) in
-                let qualified = prev = "." in
-                let poly_qualified =
-                  qualified && (prev2 = "Stdlib" || prev2 = "Poly")
-                in
-                let is_definition = List.mem prev definition_keywords in
-                let is_label = prev = "~" || next = ":" in
-                if
-                  poly_qualified
-                  || ((not qualified) && (not is_definition) && not is_label)
-                then
-                  Some
-                    (finding ~rule:name ~path:ctx.path ~at:tks.(i)
-                       "polymorphic compare: ordering silently depends on \
-                        runtime representation; use a monomorphic comparator \
-                        (Int.compare, Float.compare, String.compare, ...)")
-                else None));
-  }
+       Int.compare / Float.compare / String.compare"
+    ~applies:(fun _ -> true)
+    ~pick:(named [ [ "compare" ]; [ "Poly"; "compare" ] ])
+    (fun _ ->
+      "polymorphic compare: ordering silently depends on runtime \
+       representation; use a monomorphic comparator (Int.compare, \
+       Float.compare, String.compare, ...)")
 
 (* ------------------------------------------------------------------ *)
 (* no-hashtbl-order                                                    *)
@@ -145,36 +248,19 @@ let hashtbl_order_sensitive =
   [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
 
 let no_hashtbl_order =
-  let name = "no-hashtbl-order" in
-  {
-    name;
-    doc =
+  name_rule ~name:"no-hashtbl-order"
+    ~doc:
       "Hashtbl.iter/fold leak table order into results in lib/graph, \
        lib/core, lib/p2p, lib/experiments; rewrite order-insensitively or \
-       suppress with a reason";
-    check =
-      File
-        (fun ctx ->
-          if
-            not (List.exists (fun d -> under d ctx.path) hashtbl_restricted_dirs)
-          then []
-          else
-            scan_tokens ctx (fun tks i ->
-                if
-                  tok tks i = "Hashtbl"
-                  && tok tks (i + 1) = "."
-                  && List.mem (tok tks (i + 2)) hashtbl_order_sensitive
-                  && tok tks (i - 1) <> "."
-                then
-                  Some
-                    (finding ~rule:name ~path:ctx.path ~at:tks.(i)
-                       (Printf.sprintf
-                          "Hashtbl.%s iterates in table order, which depends \
-                           on insertion history; sort the result or suppress \
-                           with a written reason if order provably cannot leak"
-                          (tok tks (i + 2))))
-                else None));
-  }
+       suppress with a reason"
+    ~applies:(fun path -> List.exists (fun d -> under d path) hashtbl_restricted_dirs)
+    ~pick:(named (List.map (fun f -> [ "Hashtbl"; f ]) hashtbl_order_sensitive))
+    (fun path ->
+      Printf.sprintf
+        "Hashtbl.%s iterates in table order, which depends on insertion \
+         history; sort the result or suppress with a written reason if order \
+         provably cannot leak"
+        (List.nth path 1))
 
 (* ------------------------------------------------------------------ *)
 (* no-wildcard-exn                                                     *)
@@ -234,36 +320,20 @@ let no_wildcard_exn =
 (* ------------------------------------------------------------------ *)
 
 let wallclock_calls =
-  [ ("Unix", "gettimeofday"); ("Unix", "time"); ("Sys", "time") ]
+  [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ]; [ "Sys"; "time" ] ]
 
 let no_wallclock =
-  let name = "no-wallclock" in
-  {
-    name;
-    doc =
+  name_rule ~name:"no-wallclock"
+    ~doc:
       "wall-clock reads belong in lib/experiments/telemetry.ml only; \
-       simulation results must not observe real time";
-    check =
-      File
-        (fun ctx ->
-          if ctx.path = "lib/experiments/telemetry.ml" then []
-          else
-            scan_tokens ctx (fun tks i ->
-                let here = (tok tks i, tok tks (i + 2)) in
-                if
-                  tok tks (i + 1) = "."
-                  && tok tks (i - 1) <> "."
-                  && List.exists (fun c -> c = here) wallclock_calls
-                then
-                  Some
-                    (finding ~rule:name ~path:ctx.path ~at:tks.(i)
-                       (Printf.sprintf
-                          "%s.%s observes wall-clock time; route timing \
-                           through Telemetry so simulations stay a pure \
-                           function of the seed"
-                          (fst here) (snd here)))
-                else None));
-  }
+       simulation results must not observe real time"
+    ~applies:(fun path -> path <> "lib/experiments/telemetry.ml")
+    ~pick:(named wallclock_calls)
+    (fun path ->
+      Printf.sprintf
+        "%s observes wall-clock time; route timing through Telemetry so \
+         simulations stay a pure function of the seed"
+        (String.concat "." path))
 
 (* ------------------------------------------------------------------ *)
 (* mli-coverage                                                        *)
@@ -300,57 +370,34 @@ let mli_coverage =
 let print_allowed =
   [ "lib/experiments/report.ml"; "lib/util/table.ml"; "lib/util/asciiplot.ml" ]
 
-(* The Stdlib console writers, by name: a prefix match would also catch
+(* The console writers, by name: a prefix match would also catch
    unrelated identifiers that merely start with print_. *)
-let stdlib_printers =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char";
-    "print_bytes"; "print_int"; "print_float"; "prerr_string";
-    "prerr_endline"; "prerr_newline"; "prerr_char"; "prerr_bytes";
-    "prerr_int"; "prerr_float";
-  ]
+let printers =
+  [ [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ]; [ "Format"; "printf" ];
+    [ "Format"; "eprintf" ] ]
+  @ List.map
+      (fun p -> [ p ])
+      [
+        "print_string"; "print_endline"; "print_newline"; "print_char";
+        "print_bytes"; "print_int"; "print_float"; "prerr_string";
+        "prerr_endline"; "prerr_newline"; "prerr_char"; "prerr_bytes";
+        "prerr_int"; "prerr_float";
+      ]
 
-(* Is the token at [i] a direct console write?  Shared between
-   no-print-in-lib (direct uses in lib/) and no-io-transitive (callers
-   that reach one). *)
-let is_print_site tks i =
-  let t = tok tks i in
-  let prev = tok tks (i - 1) in
-  let direct_print =
-    List.mem t stdlib_printers
-    && prev <> "."
-    && not (List.mem prev definition_keywords)
-  in
-  let formatted_print =
-    (t = "Printf" || t = "Format")
-    && tok tks (i + 1) = "."
-    && (tok tks (i + 2) = "printf" || tok tks (i + 2) = "eprintf")
-    && prev <> "."
-  in
-  direct_print || formatted_print
+(* A direct console write.  Shared between no-print-in-lib (direct uses
+   in lib/) and no-io-transitive (callers that reach one). *)
+let is_print = named printers
 
 let no_print_in_lib =
-  let name = "no-print-in-lib" in
-  {
-    name;
-    doc =
+  name_rule ~name:"no-print-in-lib"
+    ~doc:
       "stdout writes in lib/ must go through Report/Table/Asciiplot so text \
-       output stays byte-reproducible";
-    check =
-      File
-        (fun ctx ->
-          if (not (under "lib" ctx.path)) || List.mem ctx.path print_allowed
-          then []
-          else
-            scan_tokens ctx (fun tks i ->
-                if is_print_site tks i then
-                  Some
-                    (finding ~rule:name ~path:ctx.path ~at:tks.(i)
-                       "direct console output from lib/; emit through \
-                        Report/Table/Asciiplot (or return the string) so \
-                        experiment output stays controlled")
-                else None));
-  }
+       output stays byte-reproducible"
+    ~applies:(fun path -> under "lib" path && not (List.mem path print_allowed))
+    ~pick:is_print
+    (fun _ ->
+      "direct console output from lib/; emit through Report/Table/Asciiplot \
+       (or return the string) so experiment output stays controlled")
 
 (* ------------------------------------------------------------------ *)
 (* Shared semantic-pass helpers                                        *)
@@ -369,14 +416,6 @@ let def_token p (d : Lint_graph.def) =
   let k = d.Lint_graph.d_span.Lint_tree.s_first in
   if k >= 0 && k < Array.length tks then Some tks.(k) else None
 
-(* Does the unit's token at [i] name the module [target] (directly or
-   through one of the unit's `module X = Lib.X' aliases)? *)
-let resolves_to (tree : Lint_tree.t) name target =
-  name = target
-  || Array.exists
-       (fun (a, tgt) -> a = name && tgt = target)
-       tree.Lint_tree.aliases
-
 (* ------------------------------------------------------------------ *)
 (* prng-flow                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -386,6 +425,8 @@ let resolves_to (tree : Lint_tree.t) name target =
    invisibly.  Every draw must reach its call site through a function
    parameter or a Prng.split of one, so streams in lib/ may only be
    *created* from data that flowed in. *)
+let is_create = named [ [ "Prng"; "create" ] ]
+
 let prng_flow =
   let name = "prng-flow" in
   {
@@ -407,80 +448,76 @@ let prng_flow =
                 let tree = u.Lint_graph.u_tree in
                 let tks = lex.Lint_lexer.tokens in
                 (* literal-seeded streams: Prng.create <literal> *)
-                Array.iteri
-                  (fun i _ ->
-                    if
-                      tok tks i = "create"
-                      && tok tks (i - 1) = "."
-                      && resolves_to tree (tok tks (i - 2)) "Prng"
-                    then begin
-                      let arg = tok tks (i + 1) in
-                      if String.length arg > 0 && arg.[0] >= '0' && arg.[0] <= '9'
-                      then
+                let on_expr scope (e : Parsetree.expression) =
+                  match e.pexp_desc with
+                  | Pexp_apply
+                      ( { pexp_desc = Pexp_ident lid; _ },
+                        (Nolabel, { pexp_desc = Pexp_constant (Pconst_integer (seed, _)); _ })
+                        :: _ ) ->
+                      let site = scope.resolve lid in
+                      if is_create site <> None then
                         let witness =
-                          match Lint_tree.enclosing_toplevel tree i with
+                          match Lint_tree.enclosing_toplevel tree site.at with
                           | Some bd ->
-                              [ u.Lint_graph.u_module ^ "."
-                                ^ bd.Lint_tree.b_name ]
+                              [ u.Lint_graph.u_module ^ "." ^ bd.Lint_tree.b_name ]
                           | None -> []
                         in
                         out :=
-                          finding ~rule:name ~path ~at:tks.(i - 2) ~witness
+                          finding ~rule:name ~path ~at:tks.(site.at) ~witness
                             (Printf.sprintf
                                "Prng.create %s: a literal-seeded stream draws \
                                 the same randomness on every trial; thread \
                                 ~rng from the experiment seed (or Prng.split \
                                 a threaded stream)"
-                               arg)
+                               seed)
                           :: !out
-                    end)
-                  tks;
+                  | _ -> ()
+                in
+                walk lex tree ~on_expr ();
+                let creates =
+                  List.filter (fun site -> is_create site <> None) (sites lex tree)
+                in
                 (* module-level streams: a zero-parameter top-level value
                    whose body creates a stream is shared by every caller *)
                 Array.iter
                   (fun (d : Lint_graph.def) ->
-                    if d.Lint_graph.d_unit = ui && d.Lint_graph.d_params = []
+                    if
+                      d.Lint_graph.d_unit = ui
+                      && d.Lint_graph.d_params = []
+                      && List.exists
+                           (fun site ->
+                             Lint_tree.span_contains d.Lint_graph.d_body site.at)
+                           creates
                     then begin
-                      let body = d.Lint_graph.d_body in
-                      let creates = ref false in
-                      for i = body.Lint_tree.s_first to body.Lint_tree.s_last do
-                        if
-                          tok tks i = "create"
-                          && tok tks (i - 1) = "."
-                          && resolves_to tree (tok tks (i - 2)) "Prng"
-                        then creates := true
-                      done;
-                      if !creates then begin
-                        (* witness: the first function that consumes the
-                           shared stream, via the caller edges *)
-                        let pred =
-                          Lint_graph.bfs g ~edges:`Callers
-                            ~roots:[ d.Lint_graph.d_id ]
-                        in
-                        let consumer =
-                          Lint_graph.find_defs g ~f:(fun c ->
-                              c.Lint_graph.d_id <> d.Lint_graph.d_id
-                              && pred.(c.Lint_graph.d_id) >= 0)
-                        in
-                        let witness =
-                          match consumer with
-                          | c :: _ ->
-                              witness_of_path (Lint_graph.path g ~pred c)
-                          | [] -> [ def_label d ]
-                        in
-                        match def_token p d with
-                        | Some at ->
-                            out :=
-                              finding ~rule:name ~path ~at ~witness
-                                (Printf.sprintf
-                                   "module-level Prng stream `%s' is shared \
-                                    by every caller; accept ~rng as a \
-                                    parameter so each trial draws from its \
-                                    own split"
-                                   d.Lint_graph.d_name)
-                              :: !out
-                        | None -> ()
-                      end
+                      (* witness: the first function that consumes the
+                         shared stream, via the caller edges *)
+                      let pred =
+                        Lint_graph.bfs g ~edges:`Callers
+                          ~roots:[ d.Lint_graph.d_id ]
+                      in
+                      let consumer =
+                        Lint_graph.find_defs g ~f:(fun c ->
+                            c.Lint_graph.d_id <> d.Lint_graph.d_id
+                            && pred.(c.Lint_graph.d_id) >= 0)
+                      in
+                      let witness =
+                        match consumer with
+                        | c :: _ ->
+                            witness_of_path (Lint_graph.path g ~pred c)
+                        | [] -> [ def_label d ]
+                      in
+                      match def_token p d with
+                      | Some at ->
+                          out :=
+                            finding ~rule:name ~path ~at ~witness
+                              (Printf.sprintf
+                                 "module-level Prng stream `%s' is shared \
+                                  by every caller; accept ~rng as a \
+                                  parameter so each trial draws from its \
+                                  own split"
+                                 d.Lint_graph.d_name)
+                            :: !out
+                      | None -> ()
                     end)
                   g.Lint_graph.defs
               end)
@@ -504,21 +541,21 @@ let no_io_transitive =
         (fun p ->
           let g = p.p_graph in
           (* direct writers outside the report layer are the taint roots *)
-          let direct d =
-            let u = unit_of p d in
-            if List.mem u.Lint_graph.u_path print_allowed then false
-            else begin
-              let tks = u.Lint_graph.u_lex.Lint_lexer.tokens in
-              let body = d.Lint_graph.d_body in
-              let found = ref false in
-              for i = body.Lint_tree.s_first to body.Lint_tree.s_last do
-                if is_print_site tks i then found := true
-              done;
-              !found
-            end
+          let sites =
+            Array.map
+              (fun (u : Lint_graph.unit_info) ->
+                if List.mem u.Lint_graph.u_path print_allowed then []
+                else
+                  List.filter_map
+                    (fun site -> if is_print site <> None then Some site.at else None)
+                    (sites u.Lint_graph.u_lex u.Lint_graph.u_tree))
+              g.Lint_graph.units
           in
           let roots =
-            Lint_graph.find_defs g ~f:(fun d -> direct d)
+            Lint_graph.find_defs g ~f:(fun d ->
+                List.exists
+                  (Lint_tree.span_contains d.Lint_graph.d_body)
+                  sites.(d.Lint_graph.d_unit))
           in
           let root_set = List.sort_uniq Int.compare roots in
           let pred = Lint_graph.bfs g ~edges:`Callers ~roots:root_set in
@@ -585,66 +622,38 @@ let kernel_entries (d : Lint_graph.def) =
   || (m = "Spectral" && x = "power_step")
   || (m = "Stream_stats" && x = "collect")
 
-(* [tks.(k)] names a type being defined: [type]/[and]/[nonrec], then
-   optional type parameters (the lexer drops their quotes), then [k]. *)
-let is_type_head tks k =
-  let j = ref (k - 1) in
-  let is_keyword t = t = "type" || t = "and" || t = "nonrec" in
-  while
-    match tok tks !j with
-    | "(" | ")" | "," -> true
-    | t -> String.length t > 0 && t.[0] >= 'a' && t.[0] <= 'z' && not (is_keyword t)
-  do
-    decr j
-  done;
-  is_keyword (tok tks !j)
-
-(* The record fields declared in [tks], as [(field, boxed)] where
+(* The record fields a unit declares, as [(field, boxed)] where
    [boxed = Some (record, type)] marks a mutable field whose every store
    boxes: an [int64] field always, and a [float] field unless all fields
    of its record are floats (OCaml stores an all-float record flat). *)
-let record_fields (tks : Lint_lexer.token array) =
-  let ntk = Array.length tks in
+let boxed_fields (tree : Lint_tree.t) =
   let out = ref [] in
-  let is_float ty = ty = [ "float" ] || ty = [ "Float"; "."; "t" ] in
-  let is_int64 ty = ty = [ "int64" ] || ty = [ "Int64"; "."; "t" ] in
-  for i = 0 to ntk - 1 do
-    if tok tks i = "{" && tok tks (i - 1) = "=" && is_type_head tks (i - 2) then begin
-      (* fields are the depth-0 `;'-separated runs up to the `}' *)
-      let fields = ref [] and cur = ref [] in
-      let j = ref (i + 1) and depth = ref 0 and stop = ref false in
-      while (not !stop) && !j < ntk do
-        let t = tok tks !j in
-        if !depth = 0 && (t = ";" || t = "}") then begin
-          (match List.rev !cur with
-          | "mutable" :: name :: ":" :: ty -> fields := (true, name, ty) :: !fields
-          | name :: ":" :: ty -> fields := (false, name, ty) :: !fields
-          | _ -> ());
-          cur := [];
-          stop := t = "}"
-        end
-        else begin
-          (match t with
-          | "(" | "[" | "{" -> incr depth
-          | ")" | "]" | "}" -> decr depth
-          | _ -> ());
-          cur := t :: !cur
-        end;
-        incr j
-      done;
-      let all_float = List.for_all (fun (_, _, ty) -> is_float ty) !fields in
-      let record = tok tks (i - 2) in
-      List.iter
-        (fun (mut, name, ty) ->
-          let boxed =
-            if mut && is_int64 ty then Some (record, "int64")
-            else if mut && is_float ty && not all_float then Some (record, "float")
-            else None
-          in
-          out := (name, boxed) :: !out)
-        !fields
-    end
-  done;
+  (* [ty] is [base] or [M.t] *)
+  let is base m (f : Parsetree.label_declaration) =
+    match f.pld_type.ptyp_desc with
+    | Ptyp_constr ({ txt; _ }, []) -> List.mem (segments txt) [ [ base ]; [ m; "t" ] ]
+    | _ -> false
+  in
+  let type_declaration it (td : Parsetree.type_declaration) =
+    (match td.ptype_kind with
+    | Ptype_record fields ->
+        let all_float = List.for_all (is "float" "Float") fields in
+        List.iter
+          (fun (f : Parsetree.label_declaration) ->
+            let boxed =
+              match f.pld_mutable with
+              | Mutable when is "int64" "Int64" f -> Some (td.ptype_name.txt, "int64")
+              | Mutable when is "float" "Float" f && not all_float ->
+                  Some (td.ptype_name.txt, "float")
+              | Mutable | Immutable -> None
+            in
+            out := (f.pld_name.txt, boxed) :: !out)
+          fields
+    | _ -> ());
+    Ast_iterator.default_iterator.type_declaration it td
+  in
+  let it = { Ast_iterator.default_iterator with type_declaration } in
+  it.structure it tree.Lint_tree.ast;
   !out
 
 let alloc_list_combinators =
@@ -653,6 +662,100 @@ let alloc_list_combinators =
     "append"; "rev"; "rev_append"; "rev_map"; "init"; "sort"; "stable_sort";
     "fast_sort"; "merge"; "split"; "combine"; "flatten"; "of_seq"; "to_seq";
   ]
+
+let is_allocating =
+  named ([ "@" ] :: List.map (fun f -> [ "List"; f ]) alloc_list_combinators)
+
+(* Every allocation hot-path-alloc names in a unit, as (token index,
+   message); the rule keeps those inside the bodies of kernel-reachable
+   defs.  [boxed_field] resolves a stored field. *)
+let alloc_sites (g : Lint_graph.t) (u : Lint_graph.unit_info) boxed_field =
+  let lex = u.Lint_graph.u_lex and tree = u.Lint_graph.u_tree in
+  let token_at (p : Lexing.position) = Lint_tree.first_token_at lex p in
+  let sites = ref [] in
+  let emit i msg = sites := (i, msg) :: !sites in
+  (* local functions: a closure is allocated per call (and its free
+     variables captured) *)
+  Array.iter
+    (fun (b : Lint_tree.binding) ->
+      if (not b.Lint_tree.b_toplevel) && b.Lint_tree.b_params <> [] then
+        emit b.Lint_tree.b_name_index
+          (Printf.sprintf
+             "local function `%s' allocates a closure on every call in a \
+              kernel hot path; use a while loop or lift it to the top level"
+             b.Lint_tree.b_name))
+    tree.Lint_tree.bindings;
+  (* List combinators allocate per element; list append copies the
+     whole left spine *)
+  let on_name site =
+    match is_allocating site with
+    | Some [ "@" ] ->
+        emit site.at
+          "list append (@) copies its left operand in a kernel hot path; use \
+           Intvec.push or preallocated arrays"
+    | Some path ->
+        emit site.at
+          (Printf.sprintf
+             "List.%s allocates a cons cell per element in a kernel hot path; \
+              use an array, Intvec or an index loop"
+             (List.nth path 1))
+    | None -> ()
+  in
+  (* a tuple a match takes apart is never built *)
+  let scrutinee = ref None in
+  let on_expr scope (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_match (s, _) -> scrutinee := Some s
+    | Pexp_tuple (first :: _)
+      when (not e.pexp_loc.loc_ghost)
+           && not (match !scrutinee with Some s -> s == e | None -> false) ->
+        emit (token_at first.pexp_loc.loc_end)
+          "tuple construction in a kernel hot path allocates per call; return \
+           components separately or use a preallocated record"
+    | (Pexp_fun _ | Pexp_function _)
+      when scope.nesting >= 2 && not e.pexp_loc.loc_ghost ->
+        (* at its [fun]: parentheses widen a node's location, and the
+           parser keeps the narrower ones on its location stack *)
+        let loc = List.fold_left (fun _ l -> l) e.pexp_loc e.pexp_loc_stack in
+        emit (token_at loc.loc_start)
+          "closure allocated per iteration of an enclosing loop/lambda in a \
+           kernel hot path; hoist it or inline the loop"
+    | Pexp_setfield (_, field, _) -> (
+        let x = Longident.last field.txt in
+        match boxed_field x with
+        | Some (record, ty) ->
+            emit (token_at field.loc.loc_start)
+              (Printf.sprintf
+                 "store to mutable %s field `%s' of record `%s' boxes a fresh \
+                  value on every write in a kernel hot path; keep it in an \
+                  all-float record or sum into a local ref and store once"
+                 ty x record)
+        | None -> ())
+    | Pexp_apply ({ pexp_desc = Pexp_ident ({ txt = Ldot _; _ } as lid); _ }, args) -> (
+        (* a known def applied to fewer arguments than it requires *)
+        let site = scope.resolve lid in
+        let required (q : Lint_tree.param) = q.Lint_tree.p_kind <> Lint_tree.Optional in
+        let given (l, _) = match l with Asttypes.Optional _ -> false | _ -> true in
+        match List.rev (List.hd site.paths) with
+        | x :: m :: _ -> (
+            match Lint_graph.find_def g ~module_:m ~name:x with
+            | id :: _ ->
+                let params = g.Lint_graph.defs.(id).Lint_graph.d_params in
+                let k = List.length (List.filter given args)
+                and n = List.length (List.filter required params) in
+                if k < n then
+                  emit site.at
+                    (Printf.sprintf
+                       "partial application of %s.%s (%d of %d arguments) \
+                        allocates a closure in a kernel hot path; apply it \
+                        fully or hoist the partial application"
+                       m x k n)
+            | [] -> ())
+        | _ -> ())
+    | _ -> ()
+  in
+  walk lex tree ~on_name ~on_expr ();
+  !sites
 
 let hot_path_alloc =
   let name = "hot-path-alloc" in
@@ -681,8 +784,7 @@ let hot_path_alloc =
              to any lib/ declaration that boxes. *)
           let fields_of =
             Array.map
-              (fun (u : Lint_graph.unit_info) ->
-                record_fields u.Lint_graph.u_lex.Lint_lexer.tokens)
+              (fun (u : Lint_graph.unit_info) -> boxed_fields u.Lint_graph.u_tree)
               g.Lint_graph.units
           in
           let global_boxed =
@@ -698,222 +800,37 @@ let hot_path_alloc =
               (fun (f, boxed) -> if f = field then boxed else None)
               from
           in
+          (* the kernel-reachable lib/ defs of each unit *)
+          let hot = Array.make (Array.length g.Lint_graph.units) [] in
+          Array.iter
+            (fun (d : Lint_graph.def) ->
+              let u = d.Lint_graph.d_unit in
+              if under "lib" g.Lint_graph.units.(u).Lint_graph.u_path
+                 && pred.(d.Lint_graph.d_id) >= 0
+              then hot.(u) <- d :: hot.(u))
+            g.Lint_graph.defs;
           let out = ref [] in
-          Array.iter
-            (fun (d : Lint_graph.def) ->
-              let u = unit_of p d in
-              let path = u.Lint_graph.u_path in
-              if under "lib" path && pred.(d.Lint_graph.d_id) >= 0 then begin
-                let witness =
-                  witness_of_path (Lint_graph.path g ~pred d.Lint_graph.d_id)
-                in
-                let lex = u.Lint_graph.u_lex in
-                let tree = u.Lint_graph.u_tree in
-                let tks = lex.Lint_lexer.tokens in
-                let body = d.Lint_graph.d_body in
-                let emit ~at msg =
-                  out := finding ~rule:name ~path ~at ~witness msg :: !out
-                in
-                (* pattern/type regions where a `,' is not a tuple
-                   construction: let/and..=, fun..->, |..->, with..->,
-                   :..terminator *)
-                let ntk = Array.length tks in
-                let masked = Array.make (max 1 ntk) false in
-                let mask_from i stops =
-                  let j = ref (i + 1) in
-                  while
-                    !j < ntk
-                    && (not (List.mem (tok tks !j) stops))
-                    && !j <= body.Lint_tree.s_last + 1
-                  do
-                    if !j < ntk then masked.(!j) <- true;
-                    incr j
-                  done
-                in
-                for i = max 0 body.Lint_tree.s_first
-                    to min (ntk - 1) body.Lint_tree.s_last do
-                  match tok tks i with
-                  | "let" | "and" -> mask_from i [ "=" ]
-                  | "fun" -> mask_from i [ "->" ]
-                  | "|" | "with" -> mask_from i [ "->" ]
-                  | ":" -> mask_from i [ "="; ")"; "->"; ";" ]
-                  | _ -> ()
-                done;
-                (* local functions: a closure is allocated per call
-                   (and its free variables captured) *)
-                Array.iter
-                  (fun (b : Lint_tree.binding) ->
-                    if
-                      (not b.Lint_tree.b_toplevel)
-                      && b.Lint_tree.b_params <> []
-                      && tok tks (b.Lint_tree.b_name_index + 1) <> ","
-                      && Lint_tree.span_within b.Lint_tree.b_span body
-                    then
-                      emit ~at:tks.(b.Lint_tree.b_name_index)
-                        (Printf.sprintf
-                           "local function `%s' allocates a closure on every \
-                            call in a kernel hot path; use a while loop or \
-                            lift it to the top level"
-                           b.Lint_tree.b_name))
-                  tree.Lint_tree.bindings;
-                let depth = ref 0 in
-                for i = max 0 body.Lint_tree.s_first
-                    to min (ntk - 1) body.Lint_tree.s_last do
-                  let t = tok tks i in
-                  (match t with
-                  | "(" -> incr depth
-                  | ")" -> decr depth
-                  | _ -> ());
-                  (* List combinators allocate per element *)
-                  if
-                    t = "List"
-                    && tok tks (i + 1) = "."
-                    && List.mem (tok tks (i + 2)) alloc_list_combinators
-                    && tok tks (i - 1) <> "."
-                  then
-                    emit ~at:tks.(i)
-                      (Printf.sprintf
-                         "List.%s allocates a cons cell per element in a \
-                          kernel hot path; use an array, Intvec or an index \
-                          loop"
-                         (tok tks (i + 2)))
-                  (* list append allocates the whole left spine *)
-                  else if t = "@" && i > body.Lint_tree.s_first then
-                    emit ~at:tks.(i)
-                      "list append (@) copies its left operand in a kernel \
-                       hot path; use Intvec.push or preallocated arrays"
-                  (* tuple construction outside pattern/type position *)
-                  else if
-                    t = "," && !depth >= 1 && i < ntk && not masked.(i)
-                  then
-                    emit ~at:tks.(i)
-                      "tuple construction in a kernel hot path allocates per \
-                       call; return components separately or use a \
-                       preallocated record"
-                  (* a store that boxes its float/int64 value *)
-                  else if t = "<-" && tok tks (i - 2) = "." then begin
-                    match boxed_field d.Lint_graph.d_unit (tok tks (i - 1)) with
-                    | None -> ()
-                    | Some (record, ty) ->
-                        emit ~at:tks.(i - 1)
-                          (Printf.sprintf
-                             "store to mutable %s field `%s' of record `%s' \
-                              boxes a fresh value on every write in a kernel \
-                              hot path; keep it in an all-float record or sum \
-                              into a local ref and store once"
-                             ty (tok tks (i - 1)) record)
-                  end
-                  (* per-iteration closures *)
-                  else if
-                    (t = "fun" || t = "function")
-                    && Lint_tree.in_nested_lambda_or_loop tree i
-                  then
-                    emit ~at:tks.(i)
-                      "closure allocated per iteration of an enclosing \
-                       loop/lambda in a kernel hot path; hoist it or inline \
-                       the loop"
-                done
-              end)
-            g.Lint_graph.defs;
-          (* partial applications: a parenthesized application of a known
-             def with fewer arguments than parameters *)
-          Array.iter
-            (fun (d : Lint_graph.def) ->
-              let u = unit_of p d in
-              let path = u.Lint_graph.u_path in
-              if under "lib" path && pred.(d.Lint_graph.d_id) >= 0 then begin
-                let witness =
-                  witness_of_path (Lint_graph.path g ~pred d.Lint_graph.d_id)
-                in
-                let lex = u.Lint_graph.u_lex in
-                let tks = lex.Lint_lexer.tokens in
-                let ntk = Array.length tks in
-                let body = d.Lint_graph.d_body in
-                for i = max 0 body.Lint_tree.s_first
-                    to min (ntk - 1) body.Lint_tree.s_last do
-                  if tok tks (i - 1) = "(" && tok tks (i + 1) = "." then begin
-                    (* (M.f a1 .. am): resolve f's arity and count args *)
-                    let m = tok tks i and x = tok tks (i + 2) in
-                    let target =
-                      let u_tree = u.Lint_graph.u_tree in
-                      let resolved =
-                        match
-                          Array.find_opt
-                            (fun (a, _) -> a = m)
-                            u_tree.Lint_tree.aliases
-                        with
-                        | Some (_, t) -> t
-                        | None -> m
-                      in
-                      match Lint_graph.find_def g ~module_:resolved ~name:x with
-                      | id :: _ -> Some g.Lint_graph.defs.(id)
-                      | [] -> None
+          Array.iteri
+            (fun ui (u : Lint_graph.unit_info) ->
+              if hot.(ui) <> [] then begin
+                let tks = u.Lint_graph.u_lex.Lint_lexer.tokens in
+                let sites = alloc_sites g u (boxed_field ui) in
+                List.iter
+                  (fun (d : Lint_graph.def) ->
+                    let witness =
+                      witness_of_path (Lint_graph.path g ~pred d.Lint_graph.d_id)
                     in
-                    match target with
-                    | Some callee
-                      when List.length callee.Lint_graph.d_params >= 1 -> (
-                        let arity = List.length callee.Lint_graph.d_params in
-                        (* count simple argument atoms up to the `)' *)
-                        let args = ref 0 in
-                        let j = ref (i + 3) in
-                        let ok = ref true in
-                        let stop = ref false in
-                        while (not !stop) && !ok && !j < ntk do
-                          let t = tok tks !j in
-                          if t = ")" then stop := true
-                          else if t = "(" then begin
-                            (* a parenthesized argument counts once *)
-                            let dep = ref 1 in
-                            incr j;
-                            while !dep > 0 && !j < ntk do
-                              (match tok tks !j with
-                              | "(" -> incr dep
-                              | ")" -> decr dep
-                              | _ -> ());
-                              incr j
-                            done;
-                            decr j;
-                            incr args
-                          end
-                          else if t = "~" || t = "?" then begin
-                            (* labelled argument: ~l:v *)
-                            incr args;
-                            j := !j + 2;
-                            if tok tks !j = ":" then incr j
-                          end
-                          else if t = "." then ()
-                          else if
-                            String.length t > 0
-                            && (t.[0] = '_'
-                               || (t.[0] >= 'a' && t.[0] <= 'z')
-                               || (t.[0] >= 'A' && t.[0] <= 'Z')
-                               || (t.[0] >= '0' && t.[0] <= '9'))
-                          then begin
-                            (* qualified atoms M.x count once: skip the
-                               dotted tail *)
-                            while tok tks (!j + 1) = "." do
-                              j := !j + 2
-                            done;
-                            incr args
-                          end
-                          else ok := false;
-                          if (not !stop) && !ok then incr j
-                        done;
-                        if !ok && !stop && !args >= 1 && !args < arity then
+                    List.iter
+                      (fun (i, msg) ->
+                        if Lint_tree.span_contains d.Lint_graph.d_body i then
                           out :=
-                            finding ~rule:name ~path ~at:tks.(i) ~witness
-                              (Printf.sprintf
-                                 "partial application of %s.%s (%d of %d \
-                                  arguments) allocates a closure in a kernel \
-                                  hot path; apply it fully or hoist the \
-                                  partial application"
-                                 m x !args arity)
+                            finding ~rule:name ~path:u.Lint_graph.u_path ~at:tks.(i)
+                              ~witness msg
                             :: !out)
-                    | _ -> ()
-                  end
-                done
+                      sites)
+                  (List.rev hot.(ui))
               end)
-            g.Lint_graph.defs;
+            g.Lint_graph.units;
           List.rev !out);
   }
 
@@ -938,13 +855,13 @@ let dead_export =
               if under "lib" path then begin
                 let module_ = Lint_graph.module_of_path path in
                 let tks = lex.Lint_lexer.tokens in
-                let ntk = Array.length tks in
-                for i = 0 to ntk - 1 do
+                for i = 0 to Array.length tks - 2 do
+                  let text k = tks.(k).Lint_lexer.text in
                   if
-                    (tok tks i = "val" || tok tks i = "external")
-                    && tok tks (i - 1) <> "."
+                    (text i = "val" || text i = "external")
+                    && (i = 0 || text (i - 1) <> ".")
                   then begin
-                    let vname = tok tks (i + 1) in
+                    let vname = text (i + 1) in
                     (* skip operators (val ( + ) : ...): their uses are
                        not reliably trackable *)
                     if

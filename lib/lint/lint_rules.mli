@@ -3,8 +3,10 @@
     Two rule families share it:
 
     - {e file rules} are pure functions from one lexed and parsed
-      source file to findings (token windows, or Parsetree matches such
-      as no-wildcard-exn's);
+      source file to findings, matched on its Parsetree: the names it
+      reads (no-stdlib-random, no-polymorphic-sort, no-hashtbl-order,
+      no-wallclock, no-print-in-lib) or its constructs
+      (no-wildcard-exn's handlers);
     - {e project rules} consume the whole-project semantic pass — the
       {!Lint_tree} structural parse of every unit plus the
       {!Lint_graph} symbol index / call graph — and can therefore see
@@ -13,9 +15,13 @@
       Their findings may carry a {e witness}: the call path that proves
       the claim.
 
-    Rules only ever see {e code} tokens ({!Lint_lexer.lex} already
-    stripped comments and string/char literals), so a banned construct
-    mentioned in a comment or inside a string never fires.
+    Names resolve through one resolver: a library wrapper ([Stdlib.],
+    [Churnet_util.]) is stripped, the head module follows the unit's
+    [module A = B] aliases, and a bare name also reads as qualified by
+    every module opened where it stands ([open M], [let open M in],
+    [M.(...)]), so each banned name is one table entry.  Tokens only
+    place findings (and feed dead-export's [.mli] scan), so a banned
+    construct mentioned in a comment or inside a string never fires.
 
     The catalogue guards the determinism contract of the reproduction:
     all randomness flows through [Prng] streams threaded from the
@@ -32,7 +38,7 @@ type finding = {
   witness : string list;
       (** for graph rules: the call path supporting the finding,
           outermost first (e.g.
-          [["Flood.expand_informed"; "Bitset.iter"]]); empty for token
+          [["Flood.expand_informed"; "Bitset.iter"]]); empty for file
           rules *)
 }
 

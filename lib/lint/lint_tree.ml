@@ -24,13 +24,14 @@ type binding = {
 
 type open_decl = { o_module : string; o_scope : span }
 
+type lambda = { l_span : span; l_params : string list }
+
 type t = {
   bindings : binding array;
   opens : open_decl array;
   aliases : (string * string) array;
   includes : string array;
-  lambdas : span array;
-  loops : span array;
+  lambdas : lambda array;
   ast : Parsetree.structure;
 }
 
@@ -41,7 +42,6 @@ let empty =
     aliases = [||];
     includes = [||];
     lambdas = [||];
-    loops = [||];
     ast = [];
   }
 
@@ -66,9 +66,8 @@ let span_of lex (loc : Location.t) =
   { s_first = first_token_at lex loc.loc_start;
     s_last = first_token_at lex loc.loc_end - 1 }
 
-(* The name a pattern binds, as the rules know it: its first variable,
-   ["()"] for unit, ["_"] when it binds nothing; and where that is. *)
-let binder (p : Parsetree.pattern) =
+(* The variables a pattern binds, in source order. *)
+let pattern_vars (p : Parsetree.pattern) =
   let vars = ref [] in
   let pat it (q : Parsetree.pattern) =
     (match q.ppat_desc with Ppat_var v -> vars := v :: !vars | _ -> ());
@@ -76,7 +75,12 @@ let binder (p : Parsetree.pattern) =
   in
   let it = { Ast_iterator.default_iterator with pat } in
   it.pat it p;
-  match (List.rev !vars, p.ppat_desc) with
+  List.rev !vars
+
+(* The name a pattern binds, as the rules know it: its first variable,
+   ["()"] for unit, ["_"] when it binds nothing; and where that is. *)
+let binder (p : Parsetree.pattern) =
+  match (pattern_vars p, p.ppat_desc) with
   | v :: _, _ -> (v.txt, v.loc.loc_start)
   | [], Ppat_construct ({ txt = Lident "()"; _ }, None) -> ("()", p.ppat_loc.loc_start)
   | [], _ -> ("_", p.ppat_loc.loc_start)
@@ -89,18 +93,14 @@ let rec alias_target (me : Parsetree.module_expr) =
 
 let summarize (lex : Lint_lexer.t) ast =
   let bindings = ref [] and opens = ref [] and aliases = ref [] in
-  let includes = ref [] and lambdas = ref [] and loops = ref [] in
+  let includes = ref [] and lambdas = ref [] in
   let span = span_of lex in
-  let tok i =
-    let tks = lex.Lint_lexer.tokens in
-    if i >= 0 && i < Array.length tks then tks.(i).Lint_lexer.text else ""
-  in
   (* enclosing submodules, innermost first, and the last token of the
      structure an open there stays in force for *)
   let path = ref [] and scope_end = ref (Array.length lex.Lint_lexer.tokens - 1) in
   (* A binding's parameters are the compiler's ghost [fun] nodes for
      [let f x ~y = ...]; a return annotation [let f x : t = ...] is a
-     constraint that starts at its colon.  What remains is the body. *)
+     constraint whose type precedes its body.  What remains is the body. *)
   let record ~toplevel (vb : Parsetree.value_binding) =
     let rec peel params (e : Parsetree.expression) =
       match e.pexp_desc with
@@ -113,8 +113,8 @@ let summarize (lex : Lint_lexer.t) ast =
           in
           peel ({ p_name; p_kind } :: params) body
       | Pexp_newtype (_, body) when e.pexp_loc.loc_ghost -> peel params body
-      | Pexp_constraint (body, _)
-        when tok (first_token_at lex e.pexp_loc.loc_start) = ":" ->
+      | Pexp_constraint (body, ty)
+        when ty.ptyp_loc.loc_start.pos_cnum < body.pexp_loc.loc_start.pos_cnum ->
           peel params body
       | _ -> (List.rev params, e)
     in
@@ -172,8 +172,16 @@ let summarize (lex : Lint_lexer.t) ast =
     (match e.pexp_desc with
     | Pexp_let (_, vbs, _) -> List.iter (record ~toplevel:false) vbs
     | (Pexp_fun _ | Pexp_function _) when not e.pexp_loc.loc_ghost ->
-        lambdas := span e.pexp_loc :: !lambdas
-    | Pexp_for _ | Pexp_while _ -> loops := span e.pexp_loc :: !loops
+        (* [fun x y -> ...] is one lambda whose later parameters are the
+           compiler's ghost [fun]s; a [function]'s cases bind per case *)
+        let rec params (e : Parsetree.expression) =
+          match e.pexp_desc with
+          | Pexp_fun (_, _, pat, body) ->
+              List.map (fun (v : string Location.loc) -> v.txt) (pattern_vars pat)
+              @ if body.pexp_loc.loc_ghost then params body else []
+          | _ -> []
+        in
+        lambdas := { l_span = span e.pexp_loc; l_params = params e } :: !lambdas
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, _) ->
         opens := { o_module = Longident.last lid.txt; o_scope = span e.pexp_loc } :: !opens
     | _ -> ());
@@ -190,7 +198,6 @@ let summarize (lex : Lint_lexer.t) ast =
     aliases = Array.of_list (List.rev !aliases);
     includes = Array.of_list (List.rev !includes);
     lambdas = Array.of_list (List.rev !lambdas);
-    loops = Array.of_list (List.rev !loops);
     ast;
   }
 
@@ -216,14 +223,3 @@ let enclosing_toplevel t i =
             if w bd <= w prev then best := Some bd)
     t.bindings;
   !best
-
-(* Is token [i] inside a lambda or loop that is itself nested inside
-   another lambda or loop?  (I.e., would an allocation here happen per
-   iteration rather than per call?) *)
-let in_nested_lambda_or_loop t i =
-  let containing =
-    List.filter
-      (fun s -> span_contains s i)
-      (Array.to_list t.lambdas @ Array.to_list t.loops)
-  in
-  List.length containing >= 2

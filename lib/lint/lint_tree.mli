@@ -1,13 +1,14 @@
 (** The structural summary churnet-lint's semantic rules read, built
     from the compiler's own Parsetree ([compiler-libs]).
 
-    The rules need just enough structure to reason about dataflow and
-    reachability: which let-bindings exist (with their parameters,
-    module path and nesting), which modules a file opens, aliases or
-    includes, and where lambdas and loops sit.  Every construct is
-    recorded as an inclusive token-index range into [lex.tokens], so a
-    rule reads the tokens of a binding's body, and its findings land on
-    real tokens (a binding's on its [let]/[and]).
+    The call graph needs just enough structure to attribute references:
+    which let-bindings exist (with their parameters, module path and
+    nesting), which modules a file opens, aliases or includes, and which
+    names each lambda binds.  Every construct is recorded as an inclusive
+    token-index range into [lex.tokens], so a rule can tell which binding
+    a Parsetree node lies in, and its findings land on real tokens (a
+    binding's on its [let]/[and]).  Rules that match constructs walk
+    {!t.ast} itself.
 
     Every non-empty span satisfies [0 <= s_first] and
     [s_last <= Array.length lex.tokens - 1]; a binding's name and body
@@ -45,14 +46,20 @@ type open_decl = {
   o_scope : span;  (** tokens where the open is in force *)
 }
 
+type lambda = {
+  l_span : span;  (** the [fun]/[function] expression *)
+  l_params : string list;
+      (** variables its parameter patterns bind; none for [function],
+          whose cases bind per case *)
+}
+
 type t = {
   bindings : binding array;
   opens : open_decl array;
   aliases : (string * string) array;
       (** [module A = B] aliases: (alias, last segment of target) *)
   includes : string array;  (** last segments of [include]d paths *)
-  lambdas : span array;  (** [fun]/[function] expressions *)
-  loops : span array;  (** [for]/[while] loops *)
+  lambdas : lambda array;  (** [fun]/[function] expressions *)
   ast : Parsetree.structure;  (** the parse itself, for rules that match on it *)
 }
 
@@ -77,8 +84,3 @@ val span_within : span -> span -> bool
 val enclosing_toplevel : t -> int -> binding option
 (** Innermost {e top-level} binding whose span contains token [i] — the
     unit of the call graph. *)
-
-val in_nested_lambda_or_loop : t -> int -> bool
-(** Is token [i] inside a lambda or loop that is itself nested inside
-    another lambda or loop (i.e. the code here runs per iteration of an
-    enclosing construct, not just per call)? *)

@@ -83,8 +83,9 @@ let check_invariants ~what (lex : Lint_lexer.t) (tree : Lint_tree.t) =
             bs.(j).Lint_tree.b_name
       done)
     bs;
-  Array.iter (check_span "lambda") tree.Lint_tree.lambdas;
-  Array.iter (check_span "loop") tree.Lint_tree.loops;
+  Array.iter
+    (fun (l : Lint_tree.lambda) -> check_span "lambda" l.Lint_tree.l_span)
+    tree.Lint_tree.lambdas;
   Array.iter
     (fun (o : Lint_tree.open_decl) -> check_span "open scope" o.Lint_tree.o_scope)
     tree.Lint_tree.opens
@@ -396,6 +397,21 @@ let test_print_in_lib () =
   check_int "unrelated identifier fine" 0
     (rules_fired "no-print-in-lib" ~path:"lib/core/fake.ml" ok2)
 
+(* Names resolve through [Stdlib.], aliases and every kind of open, so
+   each spelling of a banned name is caught once. *)
+let test_names_resolved () =
+  List.iter
+    (fun (rule_name, path, src) ->
+      check_int (rule_name ^ ": " ^ src) 1 (rules_fired rule_name ~path src))
+    [
+      ("no-hashtbl-order", "lib/graph/fake.ml", "let t = Stdlib.Hashtbl.fold f tbl 0");
+      ("no-hashtbl-order", "lib/graph/fake.ml", "let t = Hashtbl.(fold f tbl 0)");
+      ("no-print-in-lib", "lib/core/fake.ml", "let () = let open Printf in printf \"%d\" n");
+      ("no-print-in-lib", "lib/core/fake.ml", "let () = Printf.(printf \"%d\" n)");
+      ("no-print-in-lib", "lib/core/fake.ml", "let () = Stdlib.print_string s");
+      ("no-wallclock", "lib/core/fake.ml", "let t = Unix.(gettimeofday ())");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Project rules: the semantic pass                                    *)
 (* ------------------------------------------------------------------ *)
@@ -692,6 +708,36 @@ let test_hot_path_stream_stats () =
   | other -> Alcotest.failf "expected 1 finding in the degree count, got %d" (List.length other));
   Alcotest.(check (list (pair string int))) "plain loops are clean" []
     (where (run ~stats_body:"total := !total + Dyngraph.degree g id" ~degree:count_loop))
+
+(* A kernel that reaches its allocations through [Stdlib.], a local open
+   or an unparenthesized partial application is still caught; a full
+   application that omits an optional argument is not partial, and a
+   tuple is one allocation however many components it has. *)
+let test_hot_path_alloc_resolved () =
+  let helper = "let f ?o ~x y =\n  ignore o;\n  x + y\n" in
+  let findings body =
+    List.map
+      (fun f -> (f.Lint_rules.line, f.Lint_rules.col))
+      (run_project_rule "hot-path-alloc"
+         ~units:
+           [
+             ("lib/core/flood.ml", "let expand_informed g =\n" ^ body);
+             ("lib/core/helper.ml", helper);
+           ]
+         ~interfaces:[])
+  in
+  let check_at what expected body =
+    Alcotest.(check (list (pair int int))) what expected (findings body)
+  in
+  check_at "Stdlib.List.map" [ (2, 18) ] "  ignore (Stdlib.List.map succ g)\n";
+  check_at "List.(map ...)" [ (2, 16) ] "  ignore List.(map succ g)\n";
+  check_at "unparenthesized partial application" [ (2, 11) ]
+    "  let h = Helper.f ~x:1 in\n  h g\n";
+  check_at "a full application omitting ?o" [] "  ignore (Helper.f ~x:1 g)\n";
+  check_at "one finding per tuple, at its first comma" [ (2, 12) ]
+    "  ignore (g, g, g, g)\n";
+  check_at "a match scrutinee is not built" []
+    "  match (g, g) with\n  | a, _ -> a\n"
 
 let test_dead_export () =
   let thing = "let used x = x\nlet unused x = x\n" in
@@ -1013,6 +1059,7 @@ let suite =
     ("rule: wallclock", `Quick, test_wallclock);
     ("rule: mli coverage", `Quick, test_mli_coverage);
     ("rule: print in lib", `Quick, test_print_in_lib);
+    ("rule: names resolved", `Quick, test_names_resolved);
     ("rule: prng-flow literal", `Quick, test_prng_flow_literal);
     ("rule: prng-flow module-level", `Quick, test_prng_flow_module_level);
     ("rule: prng-flow clean threading", `Quick, test_prng_flow_clean_threading);
@@ -1028,6 +1075,7 @@ let suite =
     ("rule: hot-path-alloc boxed store", `Quick, test_hot_path_boxed_store);
     ("rule: hot-path-alloc spectral step", `Quick, test_hot_path_spectral_step);
     ("rule: hot-path-alloc stream stats", `Quick, test_hot_path_stream_stats);
+    ("rule: hot-path-alloc resolved", `Quick, test_hot_path_alloc_resolved);
     ("rule: dead-export", `Quick, test_dead_export);
     ("engine: finds and locates", `Quick, test_engine_finds_and_sorts);
     ("engine: pragma suppression", `Quick, test_pragma_suppression);
