@@ -181,7 +181,7 @@ let build units_list =
         | Some (callee :: _) ->
             let callee_def = defs.(callee) in
             (* external counts are keyed by the callee's UNIT module so a
-               reference through a submodule path (Stats.Histogram.add)
+               reference through a submodule path (Stats.Acc.add)
                still marks the export in stats.mli as used *)
             if callee_def.d_unit <> ui then
               bump_external callee_def.d_module x;

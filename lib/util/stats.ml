@@ -94,47 +94,6 @@ let fraction_where p xs =
     float_of_int c /. float_of_int n
   end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    bins : int;
-    counts : int array;
-    mutable total : int;
-    mutable nan_count : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 || hi <= lo then invalid_arg "Histogram.create";
-    { lo; hi; bins; counts = Array.make bins 0; total = 0; nan_count = 0 }
-
-  (* NaN compares false with everything, so [int_of_float (Float.floor nan)]
-     would land in bin 0 and silently distort the distribution.  Count such
-     samples separately instead of filing them anywhere. *)
-  let add t x =
-    if Float.is_nan x then t.nan_count <- t.nan_count + 1
-    else begin
-      let b =
-        let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int t.bins in
-        let i = int_of_float (Float.floor raw) in
-        if i < 0 then 0 else if i >= t.bins then t.bins - 1 else i
-      in
-      t.counts.(b) <- t.counts.(b) + 1;
-      t.total <- t.total + 1
-    end
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-  let nan_count t = t.nan_count
-
-  let bin_mid t i =
-    t.lo +. ((float_of_int i +. 0.5) /. float_of_int t.bins *. (t.hi -. t.lo))
-
-  let normalized t =
-    if t.total = 0 then Array.make t.bins 0.
-    else Array.map (fun c -> float_of_int c /. float_of_int t.total) t.counts
-end
-
 type fit = { slope : float; intercept : float; r2 : float }
 
 let linear_fit pts =

@@ -1,5 +1,5 @@
 (** Descriptive statistics for experiment reporting: streaming moments,
-    quantiles, histograms, confidence intervals and least-squares fits
+    quantiles, confidence intervals and least-squares fits
     (including the [a * log n + b] fits used to check the O(log n)
     flooding-time theorems). *)
 
@@ -46,32 +46,6 @@ val quantile : float array -> float -> float
 
 val fraction_where : ('a -> bool) -> 'a array -> float
 (** Fraction of elements satisfying the predicate; [nan] when empty. *)
-
-(** {1 Histograms} *)
-
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-
-  val add : t -> float -> unit
-  (** File [x] into its bin (clamping below [lo] into bin 0 and above
-      [hi] into the last bin).  NaN samples are not binned — they only
-      bump {!nan_count} — because a NaN would otherwise land in bin 0 by
-      floating-comparison accident and distort the distribution. *)
-
-  val counts : t -> int array
-
-  val total : t -> int
-  (** Samples binned so far; excludes NaN samples. *)
-
-  val nan_count : t -> int
-  (** NaN samples rejected by {!add}. *)
-
-  val bin_mid : t -> int -> float
-  val normalized : t -> float array
-  (** Per-bin probability mass (counts / total). *)
-end
 
 (** {1 Fits} *)
 

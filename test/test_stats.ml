@@ -84,32 +84,6 @@ let test_fraction_where () =
   close "half" 0.5 (Stats.fraction_where (fun x -> x > 0) [| 1; -1; 2; -2 |]);
   check_bool "empty nan" true (Float.is_nan (Stats.fraction_where (fun _ -> true) [||]))
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 9.9; 15.; -3. ];
-  Alcotest.(check int) "total" 6 (Stats.Histogram.total h);
-  let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "first bin has 0.5, 1.5 and clamped -3" 3 counts.(0);
-  Alcotest.(check int) "last bin has 9.9 and clamped 15" 2 counts.(4);
-  close "bin mid" 1.0 (Stats.Histogram.bin_mid h 0);
-  let nd = Stats.Histogram.normalized h in
-  close "normalized sums to 1" 1.0 (Array.fold_left ( +. ) 0. nd)
-
-let test_histogram_nan_input () =
-  (* Regression: a NaN sample used to be clamped into the last bin
-     (every comparison with NaN is false, so the clamp chain fell
-     through), quietly inflating the tail of coverage histograms.  NaN is
-     now skipped and counted separately. *)
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 1.; nan; 9.; nan; nan ];
-  Alcotest.(check int) "total counts only finite samples" 2 (Stats.Histogram.total h);
-  Alcotest.(check int) "nan samples tracked" 3 (Stats.Histogram.nan_count h);
-  let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "last bin holds only the real 9." 1 counts.(4);
-  Alcotest.(check int) "first bin holds only the real 1." 1 counts.(0);
-  let nd = Stats.Histogram.normalized h in
-  close "normalized still sums to 1" 1.0 (Array.fold_left ( +. ) 0. nd)
-
 let test_linear_fit_exact () =
   let pts = Array.init 10 (fun i -> (float_of_int i, (2.5 *. float_of_int i) +. 1.)) in
   let fit = Stats.linear_fit pts in
@@ -185,8 +159,6 @@ let suite =
     ("median/quantiles", `Quick, test_median_quantiles);
     ("quantile pure", `Quick, test_quantile_does_not_mutate);
     ("fraction where", `Quick, test_fraction_where);
-    ("histogram", `Quick, test_histogram);
-    ("histogram skips NaN", `Quick, test_histogram_nan_input);
     ("linear fit exact", `Quick, test_linear_fit_exact);
     ("log fit exact", `Quick, test_log_fit_exact);
     ("fit degenerate", `Quick, test_fit_degenerate);
