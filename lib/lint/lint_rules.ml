@@ -473,10 +473,9 @@ let prng_flow =
                           :: !out
                   | _ -> ()
                 in
-                walk lex tree ~on_expr ();
-                let creates =
-                  List.filter (fun site -> is_create site <> None) (sites lex tree)
-                in
+                let creates = ref [] in
+                let on_name site = if is_create site <> None then creates := site :: !creates in
+                walk lex tree ~on_name ~on_expr ();
                 (* module-level streams: a zero-parameter top-level value
                    whose body creates a stream is shared by every caller *)
                 Array.iter
@@ -487,7 +486,7 @@ let prng_flow =
                       && List.exists
                            (fun site ->
                              Lint_tree.span_contains d.Lint_graph.d_body site.at)
-                           creates
+                           !creates
                     then begin
                       (* witness: the first function that consumes the
                          shared stream, via the caller edges *)
@@ -652,7 +651,9 @@ let boxed_fields (tree : Lint_tree.t) =
     | _ -> ());
     Ast_iterator.default_iterator.type_declaration it td
   in
-  let it = { Ast_iterator.default_iterator with type_declaration } in
+  (* records are declared in structures, not inside expressions *)
+  let expr _ _ = () in
+  let it = { Ast_iterator.default_iterator with type_declaration; expr } in
   it.structure it tree.Lint_tree.ast;
   !out
 
